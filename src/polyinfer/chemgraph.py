@@ -355,8 +355,49 @@ def is_circular_set(vertices, edges, marked) -> bool:
 # Chemical graph
 
 
+class _AtomBondGraph:
+    """Accessors shared by ChemicalGraph and SuppressedGraph, read off their
+    `atoms` ((id, element), ...) and `bonds` ((u, v, multiplicity), ...)."""
+
+    atoms: tuple[tuple[int, str], ...]
+    bonds: tuple[tuple[int, int, int], ...]
+    elements: ElementTable
+
+    @cached_property
+    def _labels(self) -> dict[int, str]:
+        return dict(self.atoms)
+
+    @cached_property
+    def _adj(self) -> dict[int, dict[int, int]]:
+        adj: dict[int, dict[int, int]] = {i: {} for i, _ in self.atoms}
+        for u, v, m in self.bonds:
+            adj[u][v] = m
+            adj[v][u] = m
+        return adj
+
+    def label(self, v: int) -> str:
+        return self._labels[v]
+
+    def neighbors(self, v: int) -> dict[int, int]:
+        return self._adj[v]
+
+    @property
+    def vertex_ids(self) -> list[int]:
+        return [i for i, _ in self.atoms]
+
+    @property
+    def edge_list(self) -> list[Edge]:
+        return [(u, v) for u, v, _ in self.bonds]
+
+    def mass_average(self) -> float:
+        heavy = [self.elements.mass(s) for _, s in self.atoms if s != "H"]
+        if not heavy:
+            raise GraphError("no non-hydrogen atom")
+        return sum(heavy) / len(heavy)
+
+
 @dataclass(frozen=True)
-class ChemicalGraph:
+class ChemicalGraph(_AtomBondGraph):
     """Connected simple graph with element labels and bond multiplicities.
 
     `atoms` is ((id, element), ...) in ascending id; `bonds` is
@@ -435,37 +476,8 @@ class ChemicalGraph:
 
     # -- basic accessors ----------------------------------------------------
 
-    @cached_property
-    def _labels(self) -> dict[int, str]:
-        return dict(self.atoms)
-
-    @cached_property
-    def _adj(self) -> dict[int, dict[int, int]]:
-        adj: dict[int, dict[int, int]] = {i: {} for i, _ in self.atoms}
-        for u, v, m in self.bonds:
-            adj[u][v] = m
-            adj[v][u] = m
-        return adj
-
-    def label(self, v: int) -> str:
-        return self._labels[v]
-
-    def neighbors(self, v: int) -> dict[int, int]:
-        return self._adj[v]
-
     def beta_sum(self, v: int) -> int:
         return sum(self._adj[v].values())
-
-    @property
-    def vertex_ids(self) -> list[int]:
-        return [i for i, _ in self.atoms]
-
-    @property
-    def edge_list(self) -> list[Edge]:
-        return [(u, v) for u, v, _ in self.bonds]
-
-    def bond_multiplicity(self, u: int, v: int) -> int:
-        return self._adj[u][v]
 
     def non_hydrogen_count(self) -> int:
         return sum(1 for _, s in self.atoms if s != "H")
@@ -473,15 +485,9 @@ class ChemicalGraph:
     def heavy_neighbor_count(self, v: int) -> int:
         return sum(1 for w in self._adj[v] if self._labels[w] != "H")
 
-    def mass_average(self) -> float:
-        heavy = [self.elements.mass(s) for _, s in self.atoms if s != "H"]
-        if not heavy:
-            raise GraphError("no non-hydrogen atom")
-        return sum(heavy) / len(heavy)
-
 
 @dataclass(frozen=True)
-class SuppressedGraph:
+class SuppressedGraph(_AtomBondGraph):
     """Hydrogen-suppressed view of a ChemicalGraph.
 
     Keeps original ids for the remaining vertices; `hydrogens` records how
@@ -494,39 +500,14 @@ class SuppressedGraph:
     link_edges: frozenset[Edge]
     connecting: tuple[int, int] | None
     hydrogens: tuple[tuple[int, int], ...]  # (vertex id, removed H count)
-
-    @cached_property
-    def _labels(self) -> dict[int, str]:
-        return dict(self.atoms)
-
-    @cached_property
-    def _adj(self) -> dict[int, dict[int, int]]:
-        adj: dict[int, dict[int, int]] = {i: {} for i, _ in self.atoms}
-        for u, v, m in self.bonds:
-            adj[u][v] = m
-            adj[v][u] = m
-        return adj
+    elements: ElementTable = field(default=DEFAULT_TABLE, repr=False, compare=False)
 
     @cached_property
     def h_count(self) -> dict[int, int]:
         return dict(self.hydrogens)
 
-    def label(self, v: int) -> str:
-        return self._labels[v]
-
-    def neighbors(self, v: int) -> dict[int, int]:
-        return self._adj[v]
-
     def degree(self, v: int) -> int:
         return len(self._adj[v])
-
-    @property
-    def vertex_ids(self) -> list[int]:
-        return [i for i, _ in self.atoms]
-
-    @property
-    def edge_list(self) -> list[Edge]:
-        return [(u, v) for u, v, _ in self.bonds]
 
     def rank(self) -> int:
         return rank(self.vertex_ids, self.edge_list)
@@ -551,6 +532,7 @@ def hydrogen_suppress(g: ChemicalGraph) -> SuppressedGraph:
         link_edges=g.link_edges,
         connecting=g.connecting,
         hydrogens=tuple(sorted(h_counts.items())),
+        elements=g.elements,
     )
 
 
@@ -569,12 +551,8 @@ def reattach_hydrogens(s: SuppressedGraph) -> ChemicalGraph:
         bonds=tuple(bonds),
         link_edges=s.link_edges,
         connecting=s.connecting,
+        elements=s.elements,
     )
-
-
-def validate_link_edges(g: ChemicalGraph) -> bool:
-    """Whether g's marked link edges form a circular set."""
-    return is_circular_set(g.vertex_ids, g.edge_list, g.link_edges)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .generate import run_generation, verify_roundtrip
 from .milp import InverseProblemSpec, MilpError, build_inverse_milp, emit_lp, predicted_value, solve
 from .model import ModelBundle
 from .regress import RegressError, cross_validate, lasso_fit, select_lambda
-from .twolayer import decompose
 from .topospec import SpecError, TopologicalSpec, build_instance_Ib, check_satisfies
 
 EXIT_OK = 0
@@ -259,7 +258,6 @@ def cmd_generate(args, config) -> int:
             name = f"gen{i:04d}.pmg"
             (out_dir / name).write_text(serialize_pmg(result.graph))
             g = result.graph
-            dec = decompose(g, spec.rho)
             elements = Counter(sym for _, sym in g.atoms)
             fh.write(
                 json.dumps(
@@ -269,8 +267,8 @@ def cmd_generate(args, config) -> int:
                         "predicted": result.prediction,
                         "counts": {
                             "n": g.non_hydrogen_count(),
-                            "interior": len(dec.interior_vertices),
-                            "exterior": len(dec.exterior_vertices),
+                            "interior": result.n_interior,
+                            "exterior": result.n_exterior,
                             "link_edges": len(g.link_edges),
                             "elements": dict(sorted(elements.items())),
                         },
@@ -409,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--window")
-    p.add_argument("--seed", type=int)
     p.add_argument("--covariate", action="append", help="NAME=VALUE, repeatable")
     p.add_argument("--limit-candidates", dest="limit_candidates", type=int)
     p.add_argument("--limit-seconds", dest="limit_seconds", type=float)

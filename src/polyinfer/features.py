@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,17 +25,13 @@ from .chemgraph import (
 )
 from .twolayer import (
     TwoLayeredDecomposition,
-    adjacency_of,
-    adjacency_str,
-    config_str,
+    as_decomposition,
+    count_profile,
     decompose,
-    interior_edge_configs,
-    leaf_edge_adjacency_configs,
-    link_edge_configs,
 )
 
 SCALAR_KINDS = ("n", "rank", "n_int", "ms_avg", "n_lnk")
-FAMILY_KINDS = ("na", "ns_int", "ec_int", "ec_lnk", "ac_int", "ac_lnk", "ac_lf", "fc", "cov")
+FAMILY_KINDS = ("na", "ns_int", "ec_int", "ec_lnk", "ac_lf", "fc")  # count-profile families
 # registry layout: scalars and families in this fixed order
 KIND_ORDER = ("n", "rank", "n_int", "ms_avg", "na", "ns_int", "ec_int", "ec_lnk", "ac_lf", "fc", "n_lnk", "cov")
 REAL_KINDS = {"ms_avg", "cov"}  # everything else is integer-valued
@@ -197,33 +192,6 @@ def load_dataset(
 # Registry construction and featurization
 
 
-def _graph_counts(dec: TwoLayeredDecomposition) -> dict[str, Counter]:
-    s = dec.suppressed
-    na = Counter(sym for _, sym in s.atoms)
-    for v, h in s.hydrogens:
-        if h:
-            na["H"] += h
-    ns_int = Counter(
-        f"({s.label(v)},{s.degree(v)})" for v in dec.interior_vertices
-    )
-    ec_int = Counter(config_str(c) for c in interior_edge_configs(dec))
-    ec_lnk = Counter(config_str(c) for c in link_edge_configs(dec))
-    ac_int = Counter(adjacency_str(adjacency_of(c)) for c in interior_edge_configs(dec))
-    ac_lnk = Counter(adjacency_str(adjacency_of(c)) for c in link_edge_configs(dec))
-    ac_lf = Counter(adjacency_str(c) for c in leaf_edge_adjacency_configs(s))
-    fc = Counter(ft.code for ft in dec.fringe_trees.values())
-    return {
-        "na": na,
-        "ns_int": ns_int,
-        "ec_int": ec_int,
-        "ec_lnk": ec_lnk,
-        "ac_int": ac_int,
-        "ac_lnk": ac_lnk,
-        "ac_lf": ac_lf,
-        "fc": fc,
-    }
-
-
 def _sorted_keys(kind: str, keys) -> list[str]:
     if kind == "na":
         return sorted(keys, key=element_sort_key)
@@ -237,13 +205,13 @@ def build_registry(dataset: Dataset, rho: int) -> DescriptorRegistry:
         raise FeatureError("empty dataset")
     observed: dict[str, set[str]] = {k: set() for k in FAMILY_KINDS}
     for rec in dataset.records:
-        counts = _graph_counts(decompose(rec.graph, rho))
-        for kind in counts:
-            observed[kind].update(counts[kind].keys())
+        profile = count_profile(decompose(rec.graph, rho))
+        for kind, keys in observed.items():
+            keys.update(getattr(profile, kind))
 
     descriptors: list[Descriptor] = []
     for kind in KIND_ORDER:
-        if kind in ("n", "rank", "n_int", "ms_avg", "n_lnk"):
+        if kind in SCALAR_KINDS:
             descriptors.append(Descriptor(kind))
         elif kind == "cov":
             descriptors.extend(Descriptor("cov", c) for c in dataset.covariate_names)
@@ -255,25 +223,24 @@ def build_registry(dataset: Dataset, rho: int) -> DescriptorRegistry:
 
 
 def featurize(
-    g: ChemicalGraph,
+    g: ChemicalGraph | TwoLayeredDecomposition,
     registry: DescriptorRegistry,
     covariates: dict[str, float] | None = None,
 ) -> FeatureVector:
-    """Evaluate every registry descriptor on a graph.
+    """Evaluate every registry descriptor on a graph or its decomposition.
 
     Configurations of g that the registry does not carry are reported as
     out-of-vocabulary rather than failing; their counts do not enter the
     vector.
     """
-    dec = decompose(g, registry.rho)
-    s = dec.suppressed
-    counts = _graph_counts(dec)
+    dec = as_decomposition(g, registry.rho)
+    profile = count_profile(dec)
     scalars = {
-        "n": float(g.non_hydrogen_count()),
-        "rank": float(s.rank()),
-        "n_int": float(len(dec.interior_vertices)),
-        "ms_avg": g.mass_average(),
-        "n_lnk": float(len(s.link_edges)),
+        "n": profile.n,
+        "rank": profile.rank,
+        "n_int": profile.n_int,
+        "ms_avg": dec.suppressed.mass_average(),
+        "n_lnk": profile.link_edges,  # link edges, not the spec's link vertices
     }
     values = np.zeros(len(registry), dtype=float)
     for j, d in enumerate(registry.descriptors):
@@ -284,12 +251,12 @@ def featurize(
                 raise FeatureError(f"missing covariate {d.key!r}")
             values[j] = covariates[d.key]
         else:
-            values[j] = counts[d.kind].get(d.key, 0)
+            values[j] = getattr(profile, d.kind).get(d.key, 0)
 
     oov: list[str] = []
-    for kind in ("na", "ns_int", "ec_int", "ec_lnk", "ac_lf", "fc"):
+    for kind in FAMILY_KINDS:
         known = set(registry.keys_of(kind))
-        for key in counts[kind]:
+        for key in getattr(profile, kind):
             if key not in known:
                 oov.append(f"{kind}:{key}")
     return FeatureVector(values=values, registry=registry, oov=tuple(sorted(oov)))

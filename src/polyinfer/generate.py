@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from .chemgraph import DEFAULT_TABLE, ChemicalGraph
 from .model import ModelBundle
-from .topospec import SeedEdge, TopologicalSpec, check_satisfies
-from .twolayer import RootedTree, decompose, parse_code
+from .topospec import SeedEdge, TopologicalSpec, check_satisfies, find_expansion_witness
+from .twolayer import RootedTree, TwoLayeredDecomposition, as_decomposition, decompose, parse_code
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,8 @@ class GeneratedGraph:
     prediction: float
     signature: str
     fringe_codes: tuple[str, ...]
+    n_interior: int
+    n_exterior: int
 
 
 @dataclass
@@ -332,17 +334,17 @@ def _materialize(sk: Skeleton, assignment: tuple[CatalogEntry, ...]) -> Chemical
 # Canonical signatures (duplicate suppression)
 
 
-def canonical_signature(g: ChemicalGraph, rho: int) -> str:
+def canonical_signature(g: ChemicalGraph | TwoLayeredDecomposition, rho: int) -> str:
     """Isomorphism-invariant encoding: canonical labeling of the interior
     graph with fringe codes as vertex colors, link flags on edges."""
-    dec = decompose(g, rho)
+    dec = as_decomposition(g, rho)
     s = dec.suppressed
     vertices = sorted(dec.interior_vertices)
     if not vertices:  # degenerate: the whole graph is one fringe
         codes = sorted(ft.code for ft in dec.fringe_trees.values())
         return "|".join(codes) + "||" + "acyclic"
     index = {v: i for i, v in enumerate(vertices)}
-    connecting = set(g.connecting or ())
+    connecting = set(s.connecting or ())
     colors = [
         (
             s.label(v),
@@ -450,32 +452,36 @@ def iter_generate(
                 return
             outcome.candidates_examined += 1
             g = _materialize(sk, assignment)
+            # one decomposition serves every stage below
+            dec = decompose(g, spec.rho)
             # bounds first; the expansion itself is the structural witness,
             # re-established below for every emitted graph
-            report = check_satisfies(g, spec, search_witness=False)
+            report = check_satisfies(dec, spec, search_witness=False)
             if not report.passed:
                 outcome.rejected_spec += 1
                 continue
-            prediction, oov = model.predict_graph(g, covariates)
+            prediction, oov = model.predict_graph(dec, covariates)
             if oov:
                 outcome.rejected_oov += 1
                 continue
             if not lo <= prediction <= hi:
                 outcome.rejected_window += 1
                 continue
-            sig = canonical_signature(g, spec.rho)
+            sig = canonical_signature(dec, spec.rho)
             if sig in seen:
                 outcome.duplicates += 1
                 continue
             seen.add(sig)
-            full = check_satisfies(g, spec)
-            if not full.passed:  # pragma: no cover - construction is a witness
-                raise RuntimeError(f"constructed graph lost its witness: {full.failures()}")
+            witness, message = find_expansion_witness(dec, spec)
+            if witness is None:  # pragma: no cover - construction is a witness
+                raise RuntimeError(f"constructed graph lost its witness: {message}")
             result = GeneratedGraph(
                 graph=g,
                 prediction=prediction,
                 signature=sig,
                 fringe_codes=tuple(e.code for e in assignment),
+                n_interior=len(dec.interior_vertices),
+                n_exterior=len(dec.exterior_vertices),
             )
             outcome.results.append(result)
             yield result
@@ -528,7 +534,7 @@ def verify_roundtrip(
             f"{len(dec.interior_vertices)} interior / {len(dec.exterior_vertices)} exterior",
         )
     )
-    report = check_satisfies(g, spec)
+    report = check_satisfies(dec, spec)
     checks.append(
         RoundtripCheck(
             "specification",
@@ -536,7 +542,7 @@ def verify_roundtrip(
             "pass" if report.passed else "; ".join(report.failures()[:4]),
         )
     )
-    prediction, oov = model.predict_graph(g, covariates)
+    prediction, oov = model.predict_graph(dec, covariates)
     checks.append(
         RoundtripCheck(
             "vocabulary",

@@ -70,21 +70,12 @@ class MilpModel:
             if v.integer and not (math.isfinite(v.lower) and math.isfinite(v.upper)):
                 raise MilpError(f"integer variable {v.name} must have finite bounds")
 
-    def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise MilpError(f"no variable {name}")
-
 
 @dataclass(frozen=True)
 class MilpSolution:
     status: str  # "feasible" | "infeasible" | "bound-limit"
     assignment: dict[str, Fraction] = field(default_factory=dict)
     nodes: int = 0
-
-    def as_floats(self) -> dict[str, float]:
-        return {k: float(v) for k, v in self.assignment.items()}
 
 
 def verify_assignment(model: MilpModel, assignment: dict[str, Fraction]) -> list[str]:
@@ -337,6 +328,15 @@ class InverseProblemSpec:
         return self.feat_max <= self.feat_min
 
 
+def _rhs_at_least(coef: float, value: float) -> float:
+    """The smallest float not below the exact product coef*value, so the
+    point that makes a row tight in exact arithmetic stays feasible."""
+    rhs = coef * value
+    if Fraction(rhs) < Fraction(coef) * Fraction(value):
+        rhs = math.nextafter(rhs, math.inf)
+    return rhs
+
+
 def build_inverse_milp(spec: InverseProblemSpec) -> MilpModel:
     """Raw integer/real descriptor variables, standardized companions,
     tolerance-relaxed normalization rows and the target window rows."""
@@ -366,7 +366,7 @@ def build_inverse_milp(spec: InverseProblemSpec) -> MilpModel:
                 name=f"norm_lo_{j + 1}",
                 coeffs=((f"x_{j + 1}", 1 - eps), (f"xh_{j + 1}", -span)),
                 sense="<=",
-                rhs=(1 - eps) * mn,
+                rhs=_rhs_at_least(1 - eps, mn),
             )
         )
         constraints.append(
@@ -374,7 +374,7 @@ def build_inverse_milp(spec: InverseProblemSpec) -> MilpModel:
                 name=f"norm_hi_{j + 1}",
                 coeffs=((f"xh_{j + 1}", span), (f"x_{j + 1}", -(1 + eps))),
                 sense="<=",
-                rhs=-(1 + eps) * mn,
+                rhs=_rhs_at_least(-(1 + eps), mn),
             )
         )
     w = spec.hyperplane.w

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from .chemgraph import ChemicalGraph
 from .features import DescriptorRegistry, Standardizer, featurize
 from .regress import Hyperplane, predict
+from .twolayer import TwoLayeredDecomposition
 
 
 @dataclass(frozen=True)
@@ -18,7 +19,7 @@ class ModelBundle:
     lam: float
 
     def predict_graph(
-        self, g: ChemicalGraph, covariates: dict[str, float] | None = None
+        self, g: ChemicalGraph | TwoLayeredDecomposition, covariates: dict[str, float] | None = None
     ) -> tuple[float, tuple[str, ...]]:
         """Original-unit prediction and any out-of-vocabulary configs.
 

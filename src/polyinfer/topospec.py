@@ -12,20 +12,14 @@ searches for a structural expansion witness.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .chemgraph import ChemicalGraph, is_connected
 from .twolayer import (
-    RootedTree,
     TwoLayeredDecomposition,
-    adjacency_of,
-    adjacency_str,
-    config_str,
+    as_decomposition,
+    count_profile,
     decompose,
-    edge_config,
-    leaf_edge_adjacency_configs,
     parse_code,
 )
 
@@ -77,18 +71,23 @@ class SeedGraph:
         if not is_connected(range(len(self.vertices)), [(index[e.u], index[e.v]) for e in self.edges]):
             raise SpecError("seed graph is not connected")
 
-    def edge(self, name: str) -> SeedEdge:
-        for e in self.edges:
-            if e.name == name:
-                return e
-        raise SpecError(f"no seed edge {name}")
-
     def degree(self, vertex: str) -> int:
         return sum(1 for e in self.edges if vertex in (e.u, e.v))
 
 
 # ---------------------------------------------------------------------------
 # Specification
+
+SCALAR_BOUNDS = ("n", "n_int", "n_lnk")
+# per-key bound tables: seed-structure ones, then the count families that
+# `check_satisfies` measures with the same names on the count profile
+STRUCTURE_BOUNDS = (
+    "path_len", "branch_count_edge", "branch_height_edge", "branch_count_vertex",
+    "branch_height_vertex", "double_bonds", "triple_bonds",
+)
+CONFIG_BOUNDS = ("ec_int", "ec_lnk", "ac_int", "ac_lnk", "ac_lf")  # keys declare the admissible configs
+COUNT_BOUNDS = ("na", "na_int", "ns_int", "ns_cnt", *CONFIG_BOUNDS, "fc")
+CATALOG_RESTRICTIONS = ("fringe_vertex", "fringe_edge")
 
 
 @dataclass(frozen=True)
@@ -156,20 +155,11 @@ class TopologicalSpec:
         return self.fringe_edge.get(edge_name, self.fringe_catalog)
 
     def _all_bounds(self):
-        yield "n", self.n
-        yield "n_int", self.n_int
-        yield "n_lnk", self.n_lnk
-        for attr in (
-            "path_len", "branch_count_edge", "branch_height_edge", "branch_count_vertex",
-            "branch_height_vertex", "double_bonds", "triple_bonds", "na", "na_int",
-            "ns_int", "ns_cnt", "ec_int", "ec_lnk", "ac_int", "ac_lnk", "ac_lf", "fc",
-        ):
+        for attr in SCALAR_BOUNDS:
+            yield attr, getattr(self, attr)
+        for attr in STRUCTURE_BOUNDS + COUNT_BOUNDS:
             for key, bounds in getattr(self, attr).items():
                 yield f"{attr}[{key}]", bounds
-
-    @cached_property
-    def catalog_trees(self) -> tuple[RootedTree, ...]:
-        return tuple(parse_code(code) for code in self.fringe_catalog)
 
     def to_json(self) -> str:
         payload = {
@@ -184,16 +174,10 @@ class TopologicalSpec:
             "elements": list(self.elements),
             "vertex_elements": {k: list(v) for k, v in self.vertex_elements.items()},
             "fringe_catalog": list(self.fringe_catalog),
-            "n": list(self.n),
-            "n_int": list(self.n_int),
-            "n_lnk": list(self.n_lnk),
         }
-        for attr in (
-            "path_len", "branch_count_edge", "branch_height_edge", "branch_count_vertex",
-            "branch_height_vertex", "double_bonds", "triple_bonds", "na", "na_int",
-            "ns_int", "ns_cnt", "ec_int", "ec_lnk", "ac_int", "ac_lnk", "ac_lf", "fc",
-            "fringe_vertex", "fringe_edge",
-        ):
+        for attr in SCALAR_BOUNDS:
+            payload[attr] = list(getattr(self, attr))
+        for attr in STRUCTURE_BOUNDS + COUNT_BOUNDS + CATALOG_RESTRICTIONS:
             payload[attr] = {k: list(v) for k, v in sorted(getattr(self, attr).items())}
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -210,17 +194,12 @@ class TopologicalSpec:
             elements=tuple(d["elements"]),
             vertex_elements={k: tuple(v) for k, v in d["vertex_elements"].items()},
             fringe_catalog=tuple(d["fringe_catalog"]),
-            n=tuple(d["n"]),
-            n_int=tuple(d["n_int"]),
-            n_lnk=tuple(d["n_lnk"]),
         )
-        for attr in (
-            "path_len", "branch_count_edge", "branch_height_edge", "branch_count_vertex",
-            "branch_height_vertex", "double_bonds", "triple_bonds", "na", "na_int",
-            "ns_int", "ns_cnt", "ec_int", "ec_lnk", "ac_int", "ac_lnk", "ac_lf", "fc",
-        ):
+        for attr in SCALAR_BOUNDS:
+            kwargs[attr] = tuple(d[attr])
+        for attr in STRUCTURE_BOUNDS + COUNT_BOUNDS:
             kwargs[attr] = {k: tuple(v) for k, v in d[attr].items()}
-        for attr in ("fringe_vertex", "fringe_edge"):
+        for attr in CATALOG_RESTRICTIONS:  # optional in older files
             kwargs[attr] = {k: tuple(v) for k, v in d.get(attr, {}).items()}
         return cls(**kwargs)
 
@@ -312,23 +291,12 @@ def build_instance_Ib(
     ell_lb = 2 + quarter
 
     seed = two_ring_seed()
-    ec_int_keys: set[str] = set()
-    ec_lnk_keys: set[str] = set()
-    ac_int_keys: set[str] = set()
-    ac_lnk_keys: set[str] = set()
-    ac_lf_keys: set[str] = set()
+    # the examples' configurations are the admissible ones
+    config_keys: dict[str, set[str]] = {attr: set() for attr in CONFIG_BOUNDS}
     for g in examples:
-        dec = decompose(g, rho)
-        for e in sorted(dec.interior_edges):
-            cfg = edge_config(dec, e)
-            ec_int_keys.add(config_str(cfg))
-            ac_int_keys.add(adjacency_str(adjacency_of(cfg)))
-        for e in sorted(dec.suppressed.link_edges):
-            cfg = edge_config(dec, e)
-            ec_lnk_keys.add(config_str(cfg))
-            ac_lnk_keys.add(adjacency_str(adjacency_of(cfg)))
-        for cfg in leaf_edge_adjacency_configs(dec.suppressed):
-            ac_lf_keys.add(adjacency_str(cfg))
+        profile = count_profile(decompose(g, rho))
+        for attr, keys in config_keys.items():
+            keys.update(getattr(profile, attr))
 
     fc: dict[str, Bounds] = {}
     for idx, code in enumerate(fringe_catalog, start=1):
@@ -376,11 +344,7 @@ def build_instance_Ib(
         na_int={a: (0, n_star) for a in heavy},
         ns_int={k: (0, n_star) for k in symbol_keys},
         ns_cnt={k: (0, 2) for k in symbol_keys},
-        ec_int={k: (0, n_star) for k in sorted(ec_int_keys)},
-        ec_lnk={k: (0, n_star) for k in sorted(ec_lnk_keys)},
-        ac_int={k: (0, n_star) for k in sorted(ac_int_keys)},
-        ac_lnk={k: (0, n_star) for k in sorted(ac_lnk_keys)},
-        ac_lf={k: (0, n_star) for k in sorted(ac_lf_keys)},
+        **{attr: {k: (0, n_star) for k in sorted(keys)} for attr, keys in config_keys.items()},
         fc=fc,
     )
 
@@ -425,86 +389,38 @@ class SpecReport:
         return out
 
 
-def _link_internal_vertices(dec: TwoLayeredDecomposition) -> set[int]:
-    count: Counter[int] = Counter()
-    for u, v in dec.suppressed.link_edges:
-        count[u] += 1
-        count[v] += 1
-    return {v for v, c in count.items() if c == 2}
-
-
 def check_satisfies(
-    g: ChemicalGraph,
+    g: ChemicalGraph | TwoLayeredDecomposition,
     spec: TopologicalSpec,
-    rho: int | None = None,
     search_witness: bool = True,
 ) -> SpecReport:
-    """Measure every bound of the specification on a graph and search for
-    a seed-expansion witness of its interior (skippable for callers that
-    constructed the graph as an expansion in the first place)."""
-    rho = spec.rho if rho is None else rho
-    dec = decompose(g, rho)
-    s = dec.suppressed
-    checks: list[BoundCheck] = []
-    memberships: list[tuple[str, bool]] = []
-
-    def add(name: str, bounds: Bounds, measured: float) -> None:
-        checks.append(BoundCheck(name, bounds[0], bounds[1], measured))
-
-    add("n", spec.n, g.non_hydrogen_count())
-    add("n_int", spec.n_int, len(dec.interior_vertices))
-    add("n_lnk", spec.n_lnk, len(_link_internal_vertices(dec)))
-
-    na = Counter(sym for _, sym in g.atoms)
-    memberships.append(
-        ("elements within alphabet", all(sym in spec.elements for sym in na))
-    )
-    for a, bounds in sorted(spec.na.items()):
-        add(f"na[{a}]", bounds, na.get(a, 0))
-    na_int = Counter(s.label(v) for v in dec.interior_vertices)
-    for a, bounds in sorted(spec.na_int.items()):
-        add(f"na_int[{a}]", bounds, na_int.get(a, 0))
-
-    ns_int = Counter(f"({s.label(v)},{s.degree(v)})" for v in dec.interior_vertices)
-    for k, bounds in sorted(spec.ns_int.items()):
-        add(f"ns_int[{k}]", bounds, ns_int.get(k, 0))
-    memberships.append(
-        ("interior symbols declared", all(k in spec.ns_int for k in ns_int))
-    )
-
-    connecting = g.connecting if g.connecting is not None else ()
-    ns_cnt = Counter(f"({s.label(v)},{s.degree(v)})" for v in connecting)
-    for k, bounds in sorted(spec.ns_cnt.items()):
-        add(f"ns_cnt[{k}]", bounds, ns_cnt.get(k, 0))
-
-    ec_int = Counter(config_str(edge_config(dec, e)) for e in sorted(dec.interior_edges))
-    ac_int = Counter(
-        adjacency_str(adjacency_of(edge_config(dec, e))) for e in sorted(dec.interior_edges)
-    )
-    ec_lnk = Counter(config_str(edge_config(dec, e)) for e in sorted(s.link_edges))
-    ac_lnk = Counter(
-        adjacency_str(adjacency_of(edge_config(dec, e))) for e in sorted(s.link_edges)
-    )
-    ac_lf = Counter(adjacency_str(c) for c in leaf_edge_adjacency_configs(s))
-    for label, counter, table in (
-        ("ec_int", ec_int, spec.ec_int),
-        ("ec_lnk", ec_lnk, spec.ec_lnk),
-        ("ac_int", ac_int, spec.ac_int),
-        ("ac_lnk", ac_lnk, spec.ac_lnk),
-        ("ac_lf", ac_lf, spec.ac_lf),
-    ):
+    """Measure every bound of the specification on a graph (or its
+    decomposition) and search for a seed-expansion witness of its interior
+    (skippable for callers that constructed the graph as an expansion in
+    the first place)."""
+    dec = as_decomposition(g, spec.rho)
+    profile = count_profile(dec)
+    checks = [
+        BoundCheck("n", *spec.n, profile.n),
+        BoundCheck("n_int", *spec.n_int, profile.n_int),
+        BoundCheck("n_lnk", *spec.n_lnk, profile.link_vertices),  # not the link-edge count
+    ]
+    for attr in COUNT_BOUNDS:
+        counts = getattr(profile, attr)
+        for key, (lo, hi) in sorted(getattr(spec, attr).items()):
+            checks.append(BoundCheck(f"{attr}[{key}]", lo, hi, counts.get(key, 0)))
+    memberships = [
+        ("elements within alphabet", all(a in spec.elements for a in profile.na)),
+        ("interior symbols declared", all(k in spec.ns_int for k in profile.ns_int)),
+    ]
+    for attr in CONFIG_BOUNDS:
+        declared = getattr(spec, attr)
         memberships.append(
-            (f"{label} configs declared", all(k in table for k in counter))
+            (f"{attr} configs declared", all(k in declared for k in getattr(profile, attr)))
         )
-        for k, bounds in sorted(table.items()):
-            add(f"{label}[{k}]", bounds, counter.get(k, 0))
-
-    fc = Counter(ft.code for ft in dec.fringe_trees.values())
     memberships.append(
-        ("fringe trees in catalog", all(code in spec.fringe_catalog for code in fc))
+        ("fringe trees in catalog", all(code in spec.fringe_catalog for code in profile.fc))
     )
-    for code, bounds in sorted(spec.fc.items()):
-        add(f"fc[{code}]", bounds, fc.get(code, 0))
 
     if search_witness:
         witness, message = find_expansion_witness(dec, spec)

@@ -10,6 +10,7 @@ canonical parenthesized code.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,9 +57,6 @@ class RootedTree:
     def root_bond_sum(self) -> int:
         return sum(m for m, _ in self.children)
 
-    def root_h_count(self) -> int:
-        return sum(1 for _, c in self.children if c.label == "H")
-
 
 def encode_tree(t: RootedTree) -> str:
     """Canonical code: element followed by sorted child groups.
@@ -102,10 +100,6 @@ def _parse_node(s: str, pos: int) -> tuple[RootedTree, int]:
         pos += 1
         children.append((MARK_BOND[mark], child))
     return RootedTree(label, tuple(children)), pos
-
-
-def canonical_encode(t: RootedTree) -> str:
-    return encode_tree(t)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +164,18 @@ class TwoLayeredDecomposition:
     exterior_edges: frozenset[tuple[int, int]]
     fringe_trees: dict[int, FringeTree]
 
-    def interior_degree(self, v: int) -> int:
-        return sum(1 for w in self.suppressed.neighbors(v) if w in self.interior_vertices)
+
+def as_decomposition(
+    g: ChemicalGraph | SuppressedGraph | TwoLayeredDecomposition, rho: int
+) -> TwoLayeredDecomposition:
+    """`g` itself when it is already decomposed at rho, else its decomposition.
+
+    Callers that hold a decomposition pass it on instead of the graph, so a
+    graph is decomposed once however many stages read it.
+    """
+    if isinstance(g, TwoLayeredDecomposition):
+        return g if g.rho == rho else decompose(g.suppressed, rho)
+    return decompose(g, rho)
 
 
 def decompose(g: ChemicalGraph | SuppressedGraph, rho: int) -> TwoLayeredDecomposition:
@@ -228,17 +232,6 @@ def edge_config(dec: TwoLayeredDecomposition, e: tuple[int, int]) -> EdgeConfig:
     )
 
 
-def interior_edge_configs(dec: TwoLayeredDecomposition) -> list[EdgeConfig]:
-    return [edge_config(dec, e) for e in sorted(dec.interior_edges)]
-
-
-def link_edge_configs(dec: TwoLayeredDecomposition) -> list[EdgeConfig]:
-    out = []
-    for e in sorted(dec.suppressed.link_edges):
-        out.append(edge_config(dec, e))
-    return out
-
-
 def leaf_edge_adjacency_configs(s: SuppressedGraph) -> list[AdjacencyConfig]:
     """Adjacency configurations of leaf edges, oriented inner-to-leaf.
 
@@ -258,3 +251,66 @@ def leaf_edge_adjacency_configs(s: SuppressedGraph) -> list[AdjacencyConfig]:
         else:
             out.append((s.label(v), s.label(u), m))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# Count profile
+
+
+@dataclass(frozen=True)
+class CountProfile:
+    """Every count that the descriptors and the specification bounds read
+    off one decomposition; count families are keyed by their string forms.
+
+    Two link counts are kept apart: the descriptor `n_lnk` is the number of
+    link edges, the specification's `n_lnk` the number of vertices with two
+    incident link edges.
+    """
+
+    n: int  # non-hydrogen atoms
+    rank: int
+    n_int: int
+    link_edges: int
+    link_vertices: int
+    na: Counter  # per element, hydrogens included
+    na_int: Counter  # per interior element
+    ns_int: Counter  # per interior "(element,degree)"
+    ns_cnt: Counter  # per connecting-vertex "(element,degree)"
+    ec_int: Counter  # interior edge configurations, link edges included
+    ec_lnk: Counter
+    ac_int: Counter
+    ac_lnk: Counter
+    ac_lf: Counter  # leaf-edge adjacency configurations
+    fc: Counter  # fringe-tree codes
+
+
+def count_profile(dec: TwoLayeredDecomposition) -> CountProfile:
+    s = dec.suppressed
+    na = Counter(sym for _, sym in s.atoms)
+    hydrogens = sum(h for _, h in s.hydrogens)
+    if hydrogens:
+        na["H"] = hydrogens
+
+    def symbol(v: int) -> str:
+        return f"({s.label(v)},{s.degree(v)})"
+
+    configs = {e: edge_config(dec, e) for e in dec.interior_edges}
+    link = [configs[e] for e in s.link_edges]  # link edges lie on a cycle: interior
+    link_degree = Counter(v for e in s.link_edges for v in e)
+    return CountProfile(
+        n=len(s.atoms),
+        rank=s.rank(),
+        n_int=len(dec.interior_vertices),
+        link_edges=len(s.link_edges),
+        link_vertices=sum(1 for c in link_degree.values() if c == 2),
+        na=na,
+        na_int=Counter(s.label(v) for v in dec.interior_vertices),
+        ns_int=Counter(symbol(v) for v in dec.interior_vertices),
+        ns_cnt=Counter(symbol(v) for v in s.connecting or ()),
+        ec_int=Counter(config_str(c) for c in configs.values()),
+        ec_lnk=Counter(config_str(c) for c in link),
+        ac_int=Counter(adjacency_str(adjacency_of(c)) for c in configs.values()),
+        ac_lnk=Counter(adjacency_str(adjacency_of(c)) for c in link),
+        ac_lf=Counter(adjacency_str(c) for c in leaf_edge_adjacency_configs(s)),
+        fc=Counter(ft.code for ft in dec.fringe_trees.values()),
+    )

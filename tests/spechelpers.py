@@ -14,15 +14,8 @@ from polyinfer.chemgraph import parse_pmg
 from polyinfer.features import DataRecord, Dataset, build_registry, standardize
 from polyinfer.model import ModelBundle
 from polyinfer.regress import lasso_fit
-from polyinfer.topospec import TopologicalSpec, two_ring_seed
-from polyinfer.twolayer import (
-    adjacency_of,
-    adjacency_str,
-    config_str,
-    decompose,
-    edge_config,
-    leaf_edge_adjacency_configs,
-)
+from polyinfer.topospec import CONFIG_BOUNDS, TopologicalSpec, two_ring_seed
+from polyinfer.twolayer import count_profile, decompose
 
 SMALL_CATALOG = ("C", "C(-H)", "C(-H)(-H)", "C(-Cl)", "O")
 
@@ -69,20 +62,11 @@ def forcing_spec(
     """Closed search space over the two-ring seed; ring positions outside
     `cl_positions` are pinned to a plain CH fringe."""
     seed = two_ring_seed()
-    ec_int, ec_lnk, ac_int, ac_lnk, ac_lf = set(), set(), set(), set(), set()
+    config_keys: dict[str, set[str]] = {attr: set() for attr in CONFIG_BOUNDS}
     for kwargs in REFERENCE_KWARGS:
-        g = parse_pmg(make_polymer(**kwargs))
-        dec = decompose(g, 2)
-        for e in sorted(dec.interior_edges):
-            cfg = edge_config(dec, e)
-            ec_int.add(config_str(cfg))
-            ac_int.add(adjacency_str(adjacency_of(cfg)))
-        for e in sorted(dec.suppressed.link_edges):
-            cfg = edge_config(dec, e)
-            ec_lnk.add(config_str(cfg))
-            ac_lnk.add(adjacency_str(adjacency_of(cfg)))
-        for cfg in leaf_edge_adjacency_configs(dec.suppressed):
-            ac_lf.add(adjacency_str(cfg))
+        profile = count_profile(decompose(parse_pmg(make_polymer(**kwargs)), 2))
+        for attr, keys in config_keys.items():
+            keys.update(getattr(profile, attr))
     big = 40
     pinned = {
         POSITION_TO_SEED[p]: ("C(-H)",)
@@ -114,11 +98,7 @@ def forcing_spec(
         na_int={"C": (0, big), "O": (0, big), "Cl": (0, big)},
         ns_int={f"({a},{d})": (0, big) for a in ("C", "O", "Cl") for d in range(1, 5)},
         ns_cnt={f"({a},{d})": (0, 2) for a in ("C", "O", "Cl") for d in range(1, 5)},
-        ec_int={k: (0, big) for k in sorted(ec_int)},
-        ec_lnk={k: (0, big) for k in sorted(ec_lnk)},
-        ac_int={k: (0, big) for k in sorted(ac_int)},
-        ac_lnk={k: (0, big) for k in sorted(ac_lnk)},
-        ac_lf={k: (0, big) for k in sorted(ac_lf)},
+        **{attr: {k: (0, big) for k in sorted(keys)} for attr, keys in config_keys.items()},
         fc={code: (0, big) for code in catalog},
         fringe_vertex=pinned,
     )

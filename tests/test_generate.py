@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import importlib
+import json
+import pkgutil
 import random
 
 import pytest
 
+import polyinfer
 from corpus import make_polymer, synthetic_corpus
+from polyinfer import twolayer
 from polyinfer.chemgraph import parse_pmg
+from polyinfer.cli import main
 from polyinfer.generate import canonical_signature, run_generation, verify_roundtrip
 from polyinfer.topospec import check_satisfies
 from spechelpers import SMALL_CATALOG, forcing_spec, oracle_candidates, train_model
@@ -161,3 +167,49 @@ def test_oov_outputs_are_flagged(spec_full):
     out = run_generation(spec, model, (-1e9, 1e9), limit_candidates=2000)
     assert out.rejected_oov > 0
     assert all("Cl" not in dict(r.graph.atoms).values() for r in out.results)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Count `decompose` calls, wrapped at every module binding that holds it."""
+    calls: list[int] = []
+    original = twolayer.decompose
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(polyinfer.__path__):
+        module = importlib.import_module(f"polyinfer.{info.name}")
+        if vars(module).get("decompose") is original:
+            monkeypatch.setattr(module, "decompose", counting)
+    return calls
+
+
+def test_generation_decomposes_each_candidate_once(model_with_cl, decompositions):
+    spec = forcing_spec(SMALL_CATALOG, cl_positions=(2, 5, 8, 11))
+    out = run_generation(spec, model_with_cl, (-1e9, 1e9))
+    assert out.results and out.duplicates  # every stage ran on some candidates
+    assert len(decompositions) == out.candidates_examined
+
+
+def test_verify_roundtrip_decomposes_once(model_with_cl, spec_full, decompositions):
+    graphs = [parse_pmg(make_polymer()), parse_pmg(make_polymer(bridge_a=("O",)))]
+    for g in graphs:
+        verify_roundtrip(g, spec_full, model_with_cl, (-1e9, 1e9))
+    assert len(decompositions) == len(graphs)
+
+
+def test_cmd_generate_adds_no_decompositions(model_with_cl, tmp_path, decompositions):
+    spec = forcing_spec(SMALL_CATALOG, cl_positions=(2, 5))
+    (tmp_path / "model.json").write_text(model_with_cl.to_json())
+    (tmp_path / "spec.json").write_text(spec.to_json())
+    code = main([
+        "generate", "--model", str(tmp_path / "model.json"), "--spec", str(tmp_path / "spec.json"),
+        "--window=-1e9,1e9", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    lines = (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()
+    summary = json.loads(lines[-1])["summary"]
+    assert summary["results"] > 0
+    assert len(decompositions) == summary["candidates_examined"]

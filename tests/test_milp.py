@@ -241,6 +241,30 @@ def test_inverse_roundtrip_within_slack():
     assert feasible >= 10  # the generator produces plenty of feasible windows
 
 
+@pytest.mark.parametrize("mn", [7, 8, 11, 14])
+def test_window_at_data_minimum_is_feasible(mn):
+    # only x = feat_min reaches the window; rounding the normalization
+    # right-hand sides must not cut that corner off
+    spec = InverseProblemSpec(
+        hyperplane=Hyperplane(w=np.array([1.0]), b=0.0),
+        y_lo=-0.01,
+        y_hi=0.01,
+        lower=np.array([float(mn)]),
+        upper=np.array([mn + 3.0]),
+        feat_min=np.array([float(mn)]),
+        feat_max=np.array([mn + 3.0]),
+        integer_indices=frozenset({0}),
+        nonnegative_indices=frozenset({0}),
+    )
+    m = build_inverse_milp(spec)
+    corner = {"x_1": Fraction(mn), "xh_1": Fraction(0)}
+    assert verify_assignment(m, corner) == []
+    sol = solve(m)
+    assert sol.status == "feasible"
+    assert sol.assignment["x_1"] == mn
+    assert parse_lp(emit_lp(m)) == m
+
+
 def test_inverse_infeasible_window():
     spec = one_dim_spec(y_lo=5.0, y_hi=6.0)  # xhat cannot exceed ~1
     assert solve(build_inverse_milp(spec)).status == "infeasible"

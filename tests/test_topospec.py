@@ -275,3 +275,32 @@ def test_spec_rejects_inverted_bounds():
         TopologicalSpec.from_json(
             spec.to_json().replace('"n": [\n    14,\n    24\n  ]', '"n": [\n    30,\n    24\n  ]')
         )
+
+
+def test_spec_json_roundtrip_with_catalog_restrictions():
+    import dataclasses
+
+    spec = dataclasses.replace(
+        build_instance_Ib("AmD", 14),
+        fringe_vertex={"b2": ("C",), "b3": ("C", "C(-H)")},
+        fringe_edge={"a1": ("C(-H)(-H)",)},
+    )
+    text = spec.to_json()
+    back = TopologicalSpec.from_json(text)
+    assert back.fringe_vertex == spec.fringe_vertex
+    assert back.fringe_edge == spec.fringe_edge
+    assert back == spec
+    assert back.to_json() == text
+
+
+def test_demo_polymer_link_counts_keep_both_meanings():
+    # descriptor n_lnk counts link edges; the specification's n_lnk counts
+    # vertices with two incident link edges
+    from polyinfer.data import demo_polymer_text
+    from polyinfer.features import DataRecord, Dataset, build_registry, featurize
+
+    g = parse_pmg(demo_polymer_text())
+    reg = build_registry(Dataset((DataRecord("demo", g, 1.0, {}),)), rho=2)
+    assert featurize(g, reg).values[reg.names.index("n_lnk")] == 6
+    report = check_satisfies(g, build_instance_Ib("AmD", 14))
+    assert next(c.measured for c in report.checks if c.name == "n_lnk") == 4

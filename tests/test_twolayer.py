@@ -9,11 +9,11 @@ from polyinfer.chemgraph import GraphError, hydrogen_suppress, parse_pmg
 from polyinfer.data import demo_polymer_text
 from polyinfer.twolayer import (
     RootedTree,
+    config_str,
+    count_profile,
     decompose,
     edge_config,
-    interior_edge_configs,
     leaf_edge_adjacency_configs,
-    link_edge_configs,
     make_edge_config,
     parse_code,
 )
@@ -241,7 +241,7 @@ def test_edge_config_requires_interior_edge():
 def test_demo_polymer_interior_config_multiset():
     g = parse_pmg(demo_polymer_text())
     dec = decompose(g, rho=2)
-    configs = interior_edge_configs(dec)
+    configs = [edge_config(dec, e) for e in dec.interior_edges]
     assert len(configs) == len(dec.interior_edges) == 32
     # hand-enumerated over the demo polymer: two fused rings and the pendant
     # chain give eleven (C3,C3) edges, the link paths and ring joins the rest
@@ -262,8 +262,14 @@ def test_demo_polymer_interior_config_multiset():
         }
     )
     # the six link edges are interior and all single
-    assert all(cfg[4] == 1 for cfg in link_edge_configs(dec))
-    assert len(link_edge_configs(dec)) == 6
+    link_configs = [edge_config(dec, e) for e in dec.suppressed.link_edges]
+    assert all(cfg[4] == 1 for cfg in link_configs)
+    assert len(link_configs) == 6
+    # the count profile holds the same multisets, keyed by their strings
+    profile = count_profile(dec)
+    assert profile.ec_int == Counter(config_str(c) for c in configs)
+    assert profile.ec_lnk == Counter(config_str(c) for c in link_configs)
+    assert (profile.n, profile.n_int, profile.link_edges, profile.link_vertices) == (55, 29, 6, 4)
 
 
 def test_leaf_edge_configs_orientation():

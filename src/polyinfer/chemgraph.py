@@ -120,19 +120,14 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-def _adjacency(vertices, edges) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def is_connected(vertices, edges) -> bool:
     vertices = list(vertices)
     if not vertices:
         return True
-    adj = _adjacency(vertices, edges)
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
     seen = {vertices[0]}
     queue = deque([vertices[0]])
     while queue:
@@ -193,43 +188,10 @@ def bridges(vertices, edges) -> set[Edge]:
     return out
 
 
-def core_edges(vertices, edges) -> tuple[set[Edge], set[int]]:
-    """Core edges and core vertices of a connected cyclic graph.
-
-    An edge is a core-edge iff it lies on a cycle, or it is a bridge whose
-    removal leaves two components that each contain a cycle.
-    """
-    vertices = list(vertices)
-    edges = [_norm_edge(u, v) for u, v in edges]
-    if rank(vertices, edges) == 0:
-        raise GraphError("core undefined for acyclic graph")
-    bridge_set = bridges(vertices, edges)
-    core: set[Edge] = {e for e in edges if e not in bridge_set}
-    for e in bridge_set:
-        rest = [f for f in edges if f != e]
-        adj = _adjacency(vertices, rest)
-        for side_root in e:
-            seen = {side_root}
-            queue = deque([side_root])
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            n_edges = sum(1 for u, v in rest if u in seen and v in seen)
-            if n_edges < len(seen):  # acyclic side
-                break
-        else:
-            core.add(e)
-    core_vertices = {u for e in core for u in e}
-    return core, core_vertices
-
-
-def leaf_strip_heights(vertices, edges, root: int | None = None) -> tuple[dict[int, int], set[int]]:
+def leaf_strip_heights(vertices, edges) -> tuple[dict[int, int], set[int]]:
     """Heights by iterated leaf removal.
 
-    Removes degree-1 non-root vertices round by round; a vertex removed in
+    Removes degree-1 vertices round by round; a vertex removed in
     round i has height i.  Surviving vertices adjacent to a removed one get
     height 1 + max over removed neighbors; others stay without a height.
     Returns (heights, tree_vertices).
@@ -243,7 +205,7 @@ def leaf_strip_heights(vertices, edges, root: int | None = None) -> tuple[dict[i
     alive = set(vertices)
     level = 0
     while True:
-        leaves = [v for v in alive if len(adj[v]) == 1 and v != root]
+        leaves = [v for v in alive if len(adj[v]) == 1]
         if not leaves:
             break
         for v in leaves:
@@ -268,62 +230,15 @@ def leaf_strip_heights(vertices, edges, root: int | None = None) -> tuple[dict[i
     return heights, tree
 
 
-def k_lean(vertices, edges, k: int, root: int | None = None) -> bool:
-    """Whether the graph has at most one leaf k-branch per pendant tree.
-
-    For a cyclic graph the non-core-edges induce trees rooted at
-    core-vertices and each of them is tested; an acyclic graph is tested
-    as a single rooted tree and requires an explicit root.
-    """
-    vertices = list(vertices)
-    edges = [_norm_edge(u, v) for u, v in edges]
-    if rank(vertices, edges) == 0:
-        if root is None:
-            raise GraphError("k_lean on an acyclic graph requires a root")
-        heights, _ = leaf_strip_heights(vertices, edges, root=root)
-        return sum(1 for h in heights.values() if h == k) <= 1
-    core, core_vertices = core_edges(vertices, edges)
-    pendant = [e for e in edges if e not in core]
-    if not pendant:
-        return True
-    adj = _adjacency(vertices, pendant)
-    seen: set[int] = set()
-    for r in core_vertices:
-        if not adj.get(r):
-            continue
-        tree_vertices = [r]
-        queue = deque([r])
-        seen.add(r)
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen and w not in core_vertices:
-                    seen.add(w)
-                    tree_vertices.append(w)
-                    queue.append(w)
-        tree_edges = [e for e in pendant if e[0] in tree_vertices and e[1] in tree_vertices]
-        heights, _ = leaf_strip_heights(tree_vertices, tree_edges, root=r)
-        if sum(1 for h in heights.values() if h == k) > 1:
-            return False
-    return True
-
-
-def _separates(vertices, edges, removed: set[Edge], a: int, b: int) -> bool:
-    adj = _adjacency(vertices, [e for e in edges if e not in removed])
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return b not in seen
-
-
 def is_circular_set(vertices, edges, marked) -> bool:
     """Whether `marked` edges all lie on one cycle that removing any one of
-    them turns the rest into bridges."""
+    them turns the rest into bridges.
+
+    For non-bridges e and f, "f is a bridge of G - e" holds exactly when
+    every cycle through e passes through f; that relation is symmetric and
+    transitive, so testing every member against the first one settles all
+    pairs: two bridge passes in all.
+    """
     edges = [_norm_edge(u, v) for u, v in edges]
     marked = [_norm_edge(u, v) for u, v in marked]
     if len(set(marked)) != len(marked):
@@ -336,19 +251,9 @@ def is_circular_set(vertices, edges, marked) -> bool:
     all_bridges = bridges(vertices, edges)
     if any(e in all_bridges for e in marked):
         return False  # a bridge is on no cycle
-    for e in marked:
-        others = [f for f in marked if f != e]
-        remaining = [f for f in edges if f != e]
-        rem_bridges = bridges(vertices, remaining)
-        if any(f not in rem_bridges for f in others):
-            return False
-    # every other marked edge must separate the endpoints of e in G - e,
-    # which puts them all on one cycle through e
     e0 = marked[0]
-    for f in marked[1:]:
-        if not _separates(vertices, edges, {e0, f}, e0[0], e0[1]):
-            return False
-    return True
+    rem_bridges = bridges(vertices, [f for f in edges if f != e0])
+    return all(f in rem_bridges for f in marked[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +355,8 @@ class ChemicalGraph(_AtomBondGraph):
         if not is_connected(ids, seen_edges):
             raise GraphError("graph is not connected")
         for i, sym in self.atoms:
+            if sym == "H" and len(self._adj[i]) > 1:
+                raise GraphError(f"hydrogen {i} has {len(self._adj[i])} neighbors, not 1")
             ele = self.beta_sum(i) - self.elements.valence(sym)
             if abs(ele) > self.max_abs_charge:
                 raise GraphError(
@@ -461,8 +368,8 @@ class ChemicalGraph(_AtomBondGraph):
                 raise GraphError("link edge is not an existing bond")
             if any(self.label(u) == "H" or self.label(v) == "H" for u, v in self.link_edges):
                 raise GraphError("link edge touches a hydrogen")
-            # hydrogens are degree-1 and lie on no cycle; dropping them
-            # changes neither bridges nor separations among heavy edges
+            # hydrogens have one neighbor (checked above) and lie on no
+            # cycle; dropping them changes no bridge among heavy edges
             heavy = [i for i, s in self.atoms if s != "H"]
             heavy_set = set(heavy)
             heavy_edges = [

@@ -24,7 +24,6 @@ from .twolayer import RootedTree, TwoLayeredDecomposition, as_decomposition, dec
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    index: int
     code: str
     tree: RootedTree
     element: str
@@ -33,7 +32,7 @@ class CatalogEntry:
     elements: tuple[tuple[str, int], ...]  # element counts including the root
 
     @classmethod
-    def build(cls, index: int, code: str) -> "CatalogEntry":
+    def build(cls, code: str) -> "CatalogEntry":
         tree = parse_code(code)
         counts = Counter()
 
@@ -44,7 +43,6 @@ class CatalogEntry:
 
         walk(tree)
         return cls(
-            index=index,
             code=code,
             tree=tree,
             element=tree.label,
@@ -81,16 +79,12 @@ class GenerationOutcome:
 
 @dataclass(frozen=True)
 class Skeleton:
-    """Interior graph shape: vertex roles and bonds, before chemistry.
-
-    Vertices are integers; role maps seed vertices to their name, path
-    internals to their seed edge, and pendant vertices to their anchor.
-    `tips` are pendant-path ends, which must carry a full-height fringe so
-    they stay interior.
+    """Interior graph shape: vertices 1..n_vertices and bonds, before
+    chemistry.  `tips` are pendant-path ends, which must carry a
+    full-height fringe so they stay interior.
     """
 
     n_vertices: int
-    seed_image: dict[str, int]
     edges: tuple[tuple[int, int, int], ...]  # (u, v, multiplicity)
     link_edges: tuple[tuple[int, int], ...]
     tips: frozenset[int]
@@ -214,7 +208,6 @@ def _iter_bond_assignments(spec, path_edges, lengths, branch_combo):
             link_deg = Counter(v for uv in link_edges for v in uv)
             yield Skeleton(
                 n_vertices=counter - 1,
-                seed_image=dict(vertex_id),
                 edges=tuple(edges),
                 link_edges=tuple(link_edges),
                 tips=frozenset(tips),
@@ -228,9 +221,7 @@ def _iter_bond_assignments(spec, path_edges, lengths, branch_combo):
 # Fringe assignment and materialization
 
 
-def _skeleton_admissible(spec: TopologicalSpec, sk: Skeleton, prune: bool) -> bool:
-    if not prune:
-        return True
+def _skeleton_admissible(spec: TopologicalSpec, sk: Skeleton) -> bool:
     if not spec.n_int[0] <= sk.n_vertices <= spec.n_int[1]:
         return False
     if not spec.n_lnk[0] <= sk.n_lnk <= spec.n_lnk[1]:
@@ -240,12 +231,7 @@ def _skeleton_admissible(spec: TopologicalSpec, sk: Skeleton, prune: bool) -> bo
     return True
 
 
-def _assign_fringes(
-    spec: TopologicalSpec,
-    sk: Skeleton,
-    catalog: list[CatalogEntry],
-    prune: bool,
-):
+def _assign_fringes(spec: TopologicalSpec, sk: Skeleton, catalog: list[CatalogEntry]):
     bond_sum = Counter()
     for u, v, m in sk.edges:
         bond_sum[u] += m
@@ -271,8 +257,6 @@ def _assign_fringes(
     picked: list[CatalogEntry] = []
 
     def admissible(entry: CatalogEntry) -> bool:
-        if not prune:
-            return True
         if fc[entry.code] + 1 > spec.fc.get(entry.code, (0, sk.n_vertices + spec.n[1]))[1]:
             return False
         for elem, cnt in entry.elements:
@@ -428,7 +412,6 @@ def iter_generate(
     outcome: GenerationOutcome,
     limit_candidates: int | None = None,
     limit_seconds: float | None = None,
-    prune: bool = True,
     covariates: dict[str, float] | None = None,
 ):
     """Yield GeneratedGraph records; status and counts land in `outcome`."""
@@ -436,14 +419,14 @@ def iter_generate(
         raise ValueError(
             f"spec rho {spec.rho} differs from the model's {model.registry.rho}"
         )
-    catalog = [CatalogEntry.build(i, code) for i, code in enumerate(spec.fringe_catalog, 1)]
+    catalog = [CatalogEntry.build(code) for code in spec.fringe_catalog]
     lo, hi = window
     seen: set[str] = set()
     deadline = None if limit_seconds is None else time.monotonic() + limit_seconds
     for sk in _iter_skeletons(spec):
-        if not _skeleton_admissible(spec, sk, prune):
+        if not _skeleton_admissible(spec, sk):
             continue
-        for assignment in _assign_fringes(spec, sk, catalog, prune):
+        for assignment in _assign_fringes(spec, sk, catalog):
             if deadline is not None and time.monotonic() > deadline:
                 outcome.status = "limit-seconds"
                 return
@@ -494,12 +477,11 @@ def run_generation(
     window: tuple[float, float],
     limit_candidates: int | None = None,
     limit_seconds: float | None = None,
-    prune: bool = True,
     covariates: dict[str, float] | None = None,
 ) -> GenerationOutcome:
     outcome = GenerationOutcome()
     for _ in iter_generate(
-        spec, model, window, outcome, limit_candidates, limit_seconds, prune, covariates
+        spec, model, window, outcome, limit_candidates, limit_seconds, covariates
     ):
         pass
     return outcome

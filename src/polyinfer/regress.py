@@ -76,7 +76,7 @@ def lasso_fit(
     """Cyclic coordinate descent with soft thresholding.
 
     Converges when the largest coordinate change in a sweep drops below
-    tol; the objective is asserted non-increasing after every sweep.
+    tol; an objective that increases after a sweep raises RegressError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -114,7 +114,8 @@ def lasso_fit(
             b = new_b
 
         obj = objective(X, y, Hyperplane(w, b), lam, penalize_bias)
-        assert obj <= prev_obj + 1e-12 * max(1.0, abs(prev_obj)), "objective increased"
+        if obj > prev_obj + 1e-12 * max(1.0, abs(prev_obj)):
+            raise RegressError(f"objective increased from {prev_obj!r} to {obj!r}")
         prev_obj = obj
         if max_delta < tol:
             break

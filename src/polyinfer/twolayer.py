@@ -42,9 +42,6 @@ class RootedTree:
     def code(self) -> str:
         return encode_tree(self)
 
-    def size(self) -> int:
-        return 1 + sum(c.size() for _, c in self.children)
-
     def heavy_size(self) -> int:
         own = 0 if self.label == "H" else 1
         return own + sum(c.heavy_size() for _, c in self.children)

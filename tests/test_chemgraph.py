@@ -10,10 +10,8 @@ from polyinfer.chemgraph import (
     GraphError,
     PmgParseError,
     bridges,
-    core_edges,
     hydrogen_suppress,
     is_circular_set,
-    k_lean,
     leaf_strip_heights,
     parse_pmg,
     rank,
@@ -82,46 +80,6 @@ def brute_force_rank(vertices, edges) -> int:
             if acyclic(vertices, kept):
                 return size
     raise AssertionError("unreachable")
-
-
-def brute_force_core(vertices, edges):
-    """Per-edge application of the core-edge definition."""
-    def connected_components(edge_subset):
-        adj = {v: [] for v in vertices}
-        for u, v in edge_subset:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen, comps = set(), []
-        for s in vertices:
-            if s in seen:
-                continue
-            comp, stack = {s}, [s]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            comps.append(comp)
-        return comps
-
-    core = set()
-    for e in edges:
-        rest = [f for f in edges if f != e]
-        comps = connected_components(rest)
-        on_cycle = any(e[0] in c and e[1] in c for c in comps)
-        if on_cycle:
-            core.add(e)
-            continue
-        both_cyclic = all(
-            not acyclic(sorted(c), [f for f in rest if f[0] in c and f[1] in c])
-            for c in comps
-            if e[0] in c or e[1] in c
-        )
-        if both_cyclic:
-            core.add(e)
-    return core
 
 
 # -- parsing ----------------------------------------------------------------
@@ -219,7 +177,7 @@ def test_suppress_h_free_identity():
     assert [i for i, _ in s.atoms] == [1, 2]
 
 
-# -- rank / core ------------------------------------------------------------
+# -- rank ------------------------------------------------------------------
 
 
 def test_rank_examples():
@@ -252,121 +210,50 @@ def test_rank_drop_under_nonseparating_removal():
             assert rank(vertices, rest) == r - 1
 
 
-def test_core_edges_cycle_with_pendant():
-    cyc = [(i, (i + 1) % 6) for i in range(6)]
-    edges = cyc + [(0, 6), (6, 7)]
-    core, core_vertices = core_edges(range(8), edges)
-    assert core == {tuple(sorted(e)) for e in cyc}
-    assert core_vertices == set(range(6))
+# -- heights ------------------------------------------------------------------
 
 
-def test_core_edges_bridge_between_cycles():
-    tri1 = [(0, 1), (1, 2), (2, 0)]
-    tri2 = [(4, 5), (5, 6), (6, 4)]
-    edges = tri1 + tri2 + [(2, 3), (3, 4)]
-    core, _ = core_edges(range(7), edges)
-    assert (2, 3) in core and (3, 4) in core
+def pendant_tree_graph(rng: random.Random, cycle_len: int, n: int):
+    """A cycle on 0..cycle_len-1 with random trees hung off it: each later
+    vertex attaches to one earlier vertex."""
+    cycle = [(i, (i + 1) % cycle_len) for i in range(cycle_len)]
+    tree = [(rng.randrange(v), v) for v in range(cycle_len, n)]
+    return list(range(n)), cycle, tree
 
 
-def test_core_edges_rejects_acyclic():
-    with pytest.raises(GraphError):
-        core_edges(range(3), [(0, 1), (1, 2)])
+def pendant_heights(cycle_len: int, tree_edges) -> dict[int, int]:
+    """Independent oracle: each vertex's height in its pendant tree, rooted
+    at the tree's cycle vertex; cycle vertices without a tree get none."""
+    children: dict[int, list[int]] = {}
+    for parent, child in tree_edges:  # parent < child, so parent is nearer the cycle
+        children.setdefault(parent, []).append(child)
 
+    def height(v):
+        return 1 + max(height(c) for c in children[v]) if v in children else 0
 
-def test_core_edges_matches_brute_force():
-    rng = random.Random(3)
-    checked = 0
-    while checked < 40:
-        n = rng.randint(4, 8)
-        vertices, edges = random_connected_graph(rng, n, rng.randint(1, 4))
-        if rank(vertices, edges) == 0:
-            continue
-        core, _ = core_edges(vertices, edges)
-        assert core == brute_force_core(vertices, edges)
-        checked += 1
-
-
-# -- heights / k-lean -------------------------------------------------------
-
-
-def rooted_subtree_heights(vertices, edges, root):
-    """Independent oracle: height of each vertex's subtree below it."""
-    adj = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    def height(v, parent):
-        child_heights = [height(w, v) for w in adj[v] if w != parent]
-        return 1 + max(child_heights) if child_heights else 0
-
-    return {v: height(v, None) if v == root else None for v in [root]} | {
-        v: _h(v, adj, root) for v in vertices
-    }
-
-
-def _h(v, adj, root):
-    # height of v's subtree when the tree is rooted at `root`
-    def down(x, parent):
-        hs = [down(y, x) for y in adj[x] if y != parent]
-        return 1 + max(hs) if hs else 0
-
-    # find parent of v on the path to root
-    def parent_of(x):
-        prev = {root: None}
-        stack = [root]
-        while stack:
-            cur = stack.pop()
-            for y in adj[cur]:
-                if y not in prev:
-                    prev[y] = cur
-                    stack.append(y)
-        return prev[x]
-
-    return down(v, parent_of(v))
+    heights = {child: height(child) for _, child in tree_edges}
+    heights.update({r: height(r) for r in range(cycle_len) if r in children})
+    return heights
 
 
 def test_leaf_strip_heights_star():
-    star = [(0, i) for i in range(1, 5)]
-    heights, tree = leaf_strip_heights(range(5), star, root=0)
-    assert all(heights[i] == 0 for i in range(1, 5))
-    assert heights[0] == 1 and 0 not in tree
-
-
-def test_k_lean_star_rooted_center():
-    star = [(0, i) for i in range(1, 5)]
-    # root is the single leaf 1-branch
-    assert k_lean(range(5), star, k=1, root=0)
-    assert not k_lean(range(5), star, k=0, root=0)  # four leaf 0-branches
-
-
-def test_k_lean_path_rooted_at_end():
-    path = [(i, i + 1) for i in range(5)]
-    for k in range(6):
-        assert k_lean(range(6), path, k=k, root=0)
-
-
-def test_k_lean_two_limbs_off_core():
-    # cycle 0-1-2-3 with two depth-2 limbs hanging from vertex 0
-    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (0, 6), (6, 7)]
-    heights, _ = leaf_strip_heights([4, 5, 0], [(0, 4), (4, 5)], root=0)
-    assert heights[4] == 1  # sanity: each limb root is a leaf 1-branch
-    assert not k_lean(range(8), edges, k=1)
-    assert k_lean(range(8), edges, k=2)
+    # 4-cycle 0-1-2-3 with a three-leaf star centred on 4 hung off vertex 0
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (4, 6), (4, 7)]
+    heights, tree = leaf_strip_heights(range(8), edges)
+    assert all(heights[i] == 0 for i in (5, 6, 7))
+    assert heights[4] == 1 and heights[0] == 2
+    assert tree == {4, 5, 6, 7}
+    assert not {1, 2, 3} & heights.keys()
 
 
 def test_rooted_heights_match_oracle():
     rng = random.Random(5)
     for _ in range(20):
-        n = rng.randint(2, 8)
-        vertices = list(range(n))
-        edges = [tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)]
-        root = rng.randrange(n)
-        heights, _ = leaf_strip_heights(vertices, edges, root=root)
-        for v in vertices:
-            expected = _h(v, {x: [w for e in edges for w in e if x in e and w != x] for x in vertices}, root)
-            if v in heights:
-                assert heights[v] == expected
+        cycle_len = rng.randint(3, 5)
+        vertices, cycle, tree_edges = pendant_tree_graph(rng, cycle_len, cycle_len + rng.randint(0, 8))
+        heights, tree = leaf_strip_heights(vertices, cycle + tree_edges)
+        assert heights == pendant_heights(cycle_len, tree_edges)
+        assert tree == set(range(cycle_len, len(vertices)))
 
 
 # -- link edges -------------------------------------------------------------
@@ -395,6 +282,73 @@ def test_parallel_cycles_not_circular():
     tri1 = [(0, 1), (1, 2), (2, 0)]
     tri2 = [(0, 3), (3, 4), (4, 0)]
     assert not is_circular_set(range(5), tri1 + tri2, [(0, 1), (0, 3)])
+
+
+def reference_is_circular_set(vertices, edges, marked) -> bool:
+    """Reference circular-set test that checks every pair: every member is
+    a non-bridge, every other member is a bridge of G - e for every member
+    e, and every member separates the ends of the first one."""
+    edges = [tuple(sorted(e)) for e in edges]
+    marked = [tuple(sorted(e)) for e in marked]
+    if len(set(marked)) != len(marked):
+        return False
+    if not marked:
+        return True
+    if any(e not in set(edges) for e in marked):
+        return False
+    if any(e in bridges(vertices, edges) for e in marked):
+        return False
+    for e in marked:
+        rem_bridges = bridges(vertices, [f for f in edges if f != e])
+        if any(f not in rem_bridges for f in marked if f != e):
+            return False
+
+    def separates(removed, a, b):
+        adj = {v: [] for v in vertices}
+        for u, v in edges:
+            if (u, v) not in removed:
+                adj[u].append(v)
+                adj[v].append(u)
+        seen, stack = {a}, [a]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return b not in seen
+
+    e0 = marked[0]
+    return all(separates({e0, f}, e0[0], e0[1]) for f in marked[1:])
+
+
+def cut_pair_class(vertices, edges, e0):
+    """`e0` and every non-bridge that is a bridge of G - e0."""
+    all_bridges = bridges(vertices, edges)
+    rem_bridges = bridges(vertices, [f for f in edges if f != e0])
+    return [e0] + [f for f in edges if f != e0 and f not in all_bridges and f in rem_bridges]
+
+
+def test_circular_set_matches_reference():
+    rng = random.Random(2109)
+    positives = 0
+    cases = 4000
+    for case in range(cases):
+        n = rng.randint(3, 11)
+        vertices, edges = random_connected_graph(rng, n, rng.randint(0, 5))
+        non_bridges = [e for e in edges if e not in bridges(vertices, edges)]
+        if case % 2 and non_bridges:
+            pool = cut_pair_class(vertices, edges, rng.choice(non_bridges))
+        else:
+            pool = edges + [(0, n)]  # (0, n) is no edge of the graph
+        marked = rng.sample(pool, rng.randint(0, min(len(pool), 5)))
+        if rng.random() < 0.05 and marked:
+            marked.append(marked[0])
+        if rng.random() < 0.3:
+            marked = [(v, u) for u, v in marked]
+        expected = reference_is_circular_set(vertices, edges, marked)
+        assert is_circular_set(vertices, edges, marked) == expected, (edges, marked)
+        positives += expected
+    assert cases // 4 < positives < cases - cases // 4
 
 
 def test_graph_construction_rejects_bad_links():

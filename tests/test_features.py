@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corpus import make_polymer, synthetic_corpus
-from polyinfer.chemgraph import ChemicalGraph, parse_pmg
+from polyinfer.chemgraph import ChemicalGraph, PmgParseError, parse_pmg
 from polyinfer.data import demo_polymer_text
 from polyinfer.features import (
     DataRecord,
@@ -216,6 +216,28 @@ def test_load_dataset_eliminates_and_reports(tmp_path):
     ds, report = load_dataset(gdir, tmp_path / "v.csv")
     assert [r.id for r in ds.records] == ["ok"]
     assert report.eliminated[0][0] == "bad"
+
+
+def test_load_dataset_eliminates_bridging_hydrogen(tmp_path):
+    # H 7 bonds to both carbons: every valence is within max_abs_charge=1,
+    # but a hydrogen with two neighbors cannot be suppressed and counted
+    bridged = (
+        "PMG 1\nATOM 1 C\nATOM 2 C\n"
+        + "".join(f"ATOM {i} H\n" for i in range(3, 8))
+        + "BOND 1 2 1\nBOND 1 3 1\nBOND 1 4 1\nBOND 2 5 1\nBOND 2 6 1\n"
+        + "BOND 1 7 1\nBOND 2 7 1\n"
+    )
+    with pytest.raises(PmgParseError, match="hydrogen 7 has 2 neighbors"):
+        parse_pmg(bridged, max_abs_charge=1)
+    gdir = tmp_path / "graphs"
+    gdir.mkdir()
+    (gdir / "ok.pmg").write_text(make_polymer())
+    (gdir / "bridged.pmg").write_text(bridged)
+    (tmp_path / "v.csv").write_text("id,value\nok,1.0\nbridged,2.0\n")
+    ds, report = load_dataset(gdir, tmp_path / "v.csv", max_abs_charge=1)
+    assert [r.id for r in ds.records] == ["ok"]
+    (rid, reason), = report.eliminated
+    assert rid == "bridged" and "hydrogen 7 has 2 neighbors" in reason
 
 
 def test_load_dataset_allow_charge(tmp_path):

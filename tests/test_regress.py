@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from polyinfer import regress
 from polyinfer.regress import (
     Hyperplane,
     RegressError,
@@ -83,6 +84,15 @@ def test_rejects_bad_inputs():
         lasso_fit(np.array([[1.0, np.nan]]), np.array([1.0]), 0.1)
     with pytest.raises(RegressError):
         lasso_fit(np.ones((3, 2)), np.ones(3), -0.5)
+
+
+def test_objective_increase_raises(monkeypatch):
+    # a check that survives python -O: an increasing objective is an error
+    values = iter(range(100))
+    monkeypatch.setattr(regress, "objective", lambda *args, **kwargs: float(next(values)))
+    rng = np.random.default_rng(1)
+    with pytest.raises(RegressError, match="objective increased"):
+        lasso_fit(rng.normal(size=(10, 3)), rng.normal(size=10), 0.1)
 
 
 # -- predict / r_squared -------------------------------------------------------

@@ -2,11 +2,24 @@
 
 Enumerates expansions of a specification's seed graph in a fixed order:
 replacement path lengths ascending, then pendant-branch placements, then
-bond assignments, then fringe-tree choices in catalog order.  Counter
-upper bounds prune the search; every survivor is re-checked against the
-full specification and the trained model's property window before
-emission, and duplicates are suppressed by a canonical form of the whole
-monomer graph (interior canonical labeling plus fringe codes).
+bond assignments, then fringe-tree choices in catalog order.  The search
+stays inside the specification instead of filtering after the fact:
+
+* a skeleton is admitted on its link-vertex count and interior size before
+  its bond assignments are expanded, since path lengths fix the first and
+  lengths plus branch depths fix the second;
+* a vertex's fringe options are filtered on what depends on the vertex and
+  the catalog entry alone: valence, height, alphabet, the declared interior
+  symbol and the declared leaf-edge configurations;
+* a partial fringe assignment is cut as soon as an interior edge with both
+  ends assigned has an undeclared edge or adjacency configuration, or one
+  past its upper bound, and on the fringe-tree, element and size bounds.
+
+The cuts only drop candidates the full check would reject; every survivor
+is still checked against the full specification and the trained model's
+property window before emission, and duplicates are suppressed by a
+canonical form of the whole monomer graph (interior canonical labeling
+plus fringe codes).
 """
 
 from __future__ import annotations
@@ -19,7 +32,18 @@ from dataclasses import dataclass, field
 from .chemgraph import DEFAULT_TABLE, ChemicalGraph
 from .model import ModelBundle
 from .topospec import SeedEdge, TopologicalSpec, check_satisfies, find_expansion_witness
-from .twolayer import RootedTree, TwoLayeredDecomposition, as_decomposition, decompose, parse_code
+from .twolayer import (
+    RootedTree,
+    TwoLayeredDecomposition,
+    adjacency_of,
+    adjacency_str,
+    as_decomposition,
+    config_str,
+    decompose,
+    make_edge_config,
+    parse_code,
+    symbol_str,
+)
 
 
 @dataclass(frozen=True)
@@ -30,15 +54,23 @@ class CatalogEntry:
     free_valence: int
     height: int
     elements: tuple[tuple[str, int], ...]  # element counts including the root
+    heavy_atoms: int
+    heavy_children: int  # the root's non-hydrogen children
+    leaf_adjacencies: tuple[str, ...]  # ac_lf keys of the tree's leaf edges
 
     @classmethod
     def build(cls, code: str) -> "CatalogEntry":
         tree = parse_code(code)
         counts = Counter()
+        leaves: list[str] = []
 
         def walk(t: RootedTree):
             counts[t.label] += 1
-            for _, c in t.children:
+            for m, c in t.children:
+                if c.label != "H" and c.heavy_size() == 1:
+                    # a heavy leaf of the suppressed graph, seen from its
+                    # parent; the root has a skeleton neighbour besides it
+                    leaves.append(adjacency_str((t.label, c.label, m)))
                 walk(c)
 
         walk(tree)
@@ -49,6 +81,9 @@ class CatalogEntry:
             free_valence=DEFAULT_TABLE.valence(tree.label) - tree.root_bond_sum(),
             height=tree.heavy_height(),
             elements=tuple(sorted(counts.items())),
+            heavy_atoms=tree.heavy_size(),
+            heavy_children=sum(1 for _, c in tree.children if c.label != "H"),
+            leaf_adjacencies=tuple(leaves),
         )
 
 
@@ -64,8 +99,8 @@ class GeneratedGraph:
 
 @dataclass
 class GenerationOutcome:
-    results: list[GeneratedGraph] = field(default_factory=list)
-    status: str = "exhausted"  # or "limit-candidates" / "limit-seconds"
+    results: list[GeneratedGraph] = field(default_factory=list)  # filled by run_generation
+    status: str = "incomplete"  # or "exhausted" / "limit-candidates" / "limit-seconds"
     candidates_examined: int = 0
     rejected_spec: int = 0
     rejected_window: int = 0
@@ -75,6 +110,11 @@ class GenerationOutcome:
 
 # ---------------------------------------------------------------------------
 # Skeleton enumeration (interior structure before elements and fringes)
+#
+# Interior counts are read off skeletons, on the premise that every skeleton
+# vertex is interior in the materialized graph: seed and path vertices lie
+# on the seed's cycles, and pendant paths end at tips whose fringe has full
+# height.
 
 
 @dataclass(frozen=True)
@@ -90,7 +130,6 @@ class Skeleton:
     tips: frozenset[int]
     allowed_elements: dict[int, tuple[str, ...]]
     allowed_codes: dict[int, tuple[str, ...]]  # per-vertex fringe restriction
-    n_lnk: int
 
 
 def _path_edge_names(spec: TopologicalSpec) -> list[SeedEdge]:
@@ -98,17 +137,36 @@ def _path_edge_names(spec: TopologicalSpec) -> list[SeedEdge]:
 
 
 def _iter_skeletons(spec: TopologicalSpec):
+    """Skeletons in enumeration order whose link-vertex count and interior
+    size are within the spec's `n_lnk`, `n_int` and `n` bounds."""
     path_edges = _path_edge_names(spec)
     length_ranges = [
         range(spec.path_len[e.name][0], spec.path_len[e.name][1] + 1) for e in path_edges
     ]
     for lengths in itertools.product(*length_ranges):
-        yield from _iter_branch_layouts(spec, path_edges, lengths)
+        if not spec.n_lnk[0] <= _link_vertices(path_edges, lengths) <= spec.n_lnk[1]:
+            continue
+        path_size = len(spec.seed.vertices) + sum(length - 1 for length in lengths)
+        yield from _iter_branch_layouts(spec, path_edges, lengths, path_size)
 
 
-def _iter_branch_layouts(spec: TopologicalSpec, path_edges, lengths):
+def _link_vertices(path_edges: list[SeedEdge], lengths) -> int:
+    """Vertices with two incident link edges (the spec's `n_lnk`): every
+    internal vertex of a link path, and seed vertices that end two of them."""
+    internal = 0
+    ends = Counter()
+    for e, length in zip(path_edges, lengths):
+        if e.link:
+            internal += length - 1
+            ends[e.u] += 1
+            ends[e.v] += 1
+    return internal + sum(1 for c in ends.values() if c == 2)
+
+
+def _iter_branch_layouts(spec: TopologicalSpec, path_edges, lengths, path_size: int):
     """Pendant-path options per replaced edge: which internal slots carry a
-    branch (within the branch-count bounds) and how deep each branch is."""
+    branch (within the branch-count bounds) and how deep each branch is.
+    Each branch vertex is interior, so the depths add to `path_size`."""
     per_edge_options: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
     for e, length in zip(path_edges, lengths):
         lo, hi = spec.branch_count_edge.get(e.name, (0, 0))
@@ -120,8 +178,10 @@ def _iter_branch_layouts(spec: TopologicalSpec, path_edges, lengths):
                 for depths in itertools.product(range(depth_low, ch_hi + 1), repeat=count):
                     options.append((chosen, depths))
         per_edge_options.append(options)
+    size_lo, size_hi = spec.n_int[0], min(spec.n_int[1], spec.n[1])  # n counts every interior atom
     for combo in itertools.product(*per_edge_options):
-        yield from _iter_bond_assignments(spec, path_edges, lengths, combo)
+        if size_lo <= path_size + sum(sum(depths) for _, depths in combo) <= size_hi:
+            yield from _iter_bond_assignments(spec, path_edges, lengths, combo)
 
 
 def _iter_bond_assignments(spec, path_edges, lengths, branch_combo):
@@ -205,7 +265,6 @@ def _iter_bond_assignments(spec, path_edges, lengths, branch_combo):
                         if d == depth - 1:
                             tips.add(counter)
                         counter += 1
-            link_deg = Counter(v for uv in link_edges for v in uv)
             yield Skeleton(
                 n_vertices=counter - 1,
                 edges=tuple(edges),
@@ -213,7 +272,6 @@ def _iter_bond_assignments(spec, path_edges, lengths, branch_combo):
                 tips=frozenset(tips),
                 allowed_elements=allowed,
                 allowed_codes=codes,
-                n_lnk=sum(1 for c in link_deg.values() if c == 2),
             )
 
 
@@ -221,40 +279,75 @@ def _iter_bond_assignments(spec, path_edges, lengths, branch_combo):
 # Fringe assignment and materialization
 
 
-def _skeleton_admissible(spec: TopologicalSpec, sk: Skeleton) -> bool:
-    if not spec.n_int[0] <= sk.n_vertices <= spec.n_int[1]:
-        return False
-    if not spec.n_lnk[0] <= sk.n_lnk <= spec.n_lnk[1]:
-        return False
-    if sk.n_vertices > spec.n[1]:  # every interior vertex is one heavy atom
-        return False
-    return True
+class _EdgeVerdicts(dict):
+    """Memo for one spec: `(end_u, end_v, multiplicity, is_link)` -> the
+    `((family, key), upper)` counters one interior edge adds, or None when
+    one of its configurations is undeclared.  An end is `(element, degree)`
+    with the degree taken in the hydrogen-suppressed graph."""
+
+    def __init__(self, spec: TopologicalSpec):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, key):
+        (a, d), (b, dp), m, is_link = key
+        cfg = make_edge_config(a, d, b, dp, m)
+        keys = {"ec_int": config_str(cfg), "ac_int": adjacency_str(adjacency_of(cfg))}
+        if is_link:
+            keys.update(ec_lnk=keys["ec_int"], ac_lnk=keys["ac_int"])
+        bounds = [getattr(self.spec, family).get(k) for family, k in keys.items()]
+        verdict = None
+        if None not in bounds:
+            verdict = tuple((fk, hi) for fk, (_, hi) in zip(keys.items(), bounds))
+        self[key] = verdict
+        return verdict
 
 
-def _assign_fringes(spec: TopologicalSpec, sk: Skeleton, catalog: list[CatalogEntry]):
+def _assign_fringes(
+    spec: TopologicalSpec, sk: Skeleton, catalog: list[CatalogEntry], verdicts: _EdgeVerdicts
+):
+    """Fringe choices for vertices 1..n_vertices, in vertex then catalog
+    order, cut as soon as a partial assignment breaks a bound or membership
+    that `check_satisfies` tests on every completion of it."""
     bond_sum = Counter()
+    skeleton_degree = Counter()
+    links = set(sk.link_edges)
+    # each edge is judged when its later end is assigned
+    back_edges: list[list[tuple[int, int, bool]]] = [[] for _ in range(sk.n_vertices)]
     for u, v, m in sk.edges:
         bond_sum[u] += m
         bond_sum[v] += m
+        skeleton_degree[u] += 1
+        skeleton_degree[v] += 1
+        first, last = sorted((u, v))
+        back_edges[last - 1].append((first - 1, m, (u, v) in links))
 
-    order = list(range(1, sk.n_vertices + 1))
-    choices: list[list[CatalogEntry]] = []
-    for v in order:
-        opts = [
-            c
-            for c in catalog
-            if c.element in sk.allowed_elements[v]
-            and c.code in sk.allowed_codes[v]
-            and c.free_valence == bond_sum[v]
-            and (v not in sk.tips or c.height == spec.rho)
-        ]
+    choices: list[list[tuple[CatalogEntry, tuple[str, int]]]] = []
+    for v in range(1, sk.n_vertices + 1):
+        opts = []
+        for c in catalog:
+            if not (
+                c.element in sk.allowed_elements[v]
+                and c.code in sk.allowed_codes[v]
+                and c.free_valence == bond_sum[v]
+                and (v not in sk.tips or c.height == spec.rho)
+                and all(e == "H" or e in spec.elements for e, _ in c.elements)
+                and all(k in spec.ac_lf for k in c.leaf_adjacencies)
+            ):
+                continue
+            end = (c.element, skeleton_degree[v] + c.heavy_children)
+            if symbol_str(*end) in spec.ns_int:
+                opts.append((c, end))
         if not opts:
             return
         choices.append(opts)
 
     na = Counter()
     fc = Counter()
+    edge_counts = Counter()  # (family, key) -> interior edges counted so far
+    ends: list[tuple[str, int]] = []
     picked: list[CatalogEntry] = []
+    heavy = 0
 
     def admissible(entry: CatalogEntry) -> bool:
         if fc[entry.code] + 1 > spec.fc.get(entry.code, (0, sk.n_vertices + spec.n[1]))[1]:
@@ -263,32 +356,46 @@ def _assign_fringes(spec: TopologicalSpec, sk: Skeleton, catalog: list[CatalogEn
             bound = spec.na.get(elem)
             if bound is not None and na[elem] + cnt > bound[1]:
                 return False
-            if elem != "H" and elem not in spec.elements:
+        remaining = len(choices) - len(picked) - 1
+        return heavy + entry.heavy_atoms + remaining <= spec.n[1]
+
+    def count_edges(pos: int, end: tuple[str, int], counted: list) -> bool:
+        for w, m, is_link in back_edges[pos]:
+            verdict = verdicts[(ends[w], end, m, is_link)]
+            if verdict is None:
                 return False
-        heavy_now = sum(na[e] for e in na if e != "H") + sum(
-            c for e, c in entry.elements if e != "H"
-        )
-        remaining = len(order) - len(picked) - 1
-        if heavy_now + remaining > spec.n[1]:
-            return False
+            for key, upper in verdict:
+                if edge_counts[key] >= upper:
+                    return False
+                edge_counts[key] += 1
+                counted.append(key)
         return True
 
     def rec(pos: int):
-        if pos == len(order):
+        nonlocal heavy
+        if pos == len(choices):
             yield tuple(picked)
             return
-        for entry in choices[pos]:
+        for entry, end in choices[pos]:
             if not admissible(entry):
                 continue
-            picked.append(entry)
-            fc[entry.code] += 1
-            for elem, cnt in entry.elements:
-                na[elem] += cnt
-            yield from rec(pos + 1)
-            for elem, cnt in entry.elements:
-                na[elem] -= cnt
-            fc[entry.code] -= 1
-            picked.pop()
+            counted: list = []
+            if count_edges(pos, end, counted):
+                picked.append(entry)
+                ends.append(end)
+                fc[entry.code] += 1
+                for elem, cnt in entry.elements:
+                    na[elem] += cnt
+                heavy += entry.heavy_atoms
+                yield from rec(pos + 1)
+                heavy -= entry.heavy_atoms
+                for elem, cnt in entry.elements:
+                    na[elem] -= cnt
+                fc[entry.code] -= 1
+                ends.pop()
+                picked.pop()
+            for key in counted:
+                edge_counts[key] -= 1
 
     yield from rec(0)
 
@@ -414,19 +521,23 @@ def iter_generate(
     limit_seconds: float | None = None,
     covariates: dict[str, float] | None = None,
 ):
-    """Yield GeneratedGraph records; status and counts land in `outcome`."""
+    """Yield GeneratedGraph records; status and counts land in `outcome`.
+
+    `outcome.status` stays "incomplete" when the consumer stops early.
+    `candidates_examined` counts the complete assignments that survive the
+    enumeration's cuts, the ones materialized and fully checked.
+    """
     if spec.rho != model.registry.rho:
         raise ValueError(
             f"spec rho {spec.rho} differs from the model's {model.registry.rho}"
         )
     catalog = [CatalogEntry.build(code) for code in spec.fringe_catalog]
+    verdicts = _EdgeVerdicts(spec)
     lo, hi = window
     seen: set[str] = set()
     deadline = None if limit_seconds is None else time.monotonic() + limit_seconds
     for sk in _iter_skeletons(spec):
-        if not _skeleton_admissible(spec, sk):
-            continue
-        for assignment in _assign_fringes(spec, sk, catalog):
+        for assignment in _assign_fringes(spec, sk, catalog, verdicts):
             if deadline is not None and time.monotonic() > deadline:
                 outcome.status = "limit-seconds"
                 return
@@ -466,7 +577,6 @@ def iter_generate(
                 n_interior=len(dec.interior_vertices),
                 n_exterior=len(dec.exterior_vertices),
             )
-            outcome.results.append(result)
             yield result
     outcome.status = "exhausted"
 
@@ -480,10 +590,9 @@ def run_generation(
     covariates: dict[str, float] | None = None,
 ) -> GenerationOutcome:
     outcome = GenerationOutcome()
-    for _ in iter_generate(
-        spec, model, window, outcome, limit_candidates, limit_seconds, covariates
-    ):
-        pass
+    outcome.results.extend(
+        iter_generate(spec, model, window, outcome, limit_candidates, limit_seconds, covariates)
+    )
     return outcome
 
 

@@ -137,6 +137,11 @@ def adjacency_str(cfg: AdjacencyConfig) -> str:
     return f"({a},{b},{m})"
 
 
+def symbol_str(a: str, d: int) -> str:
+    """Key of a vertex symbol: element and hydrogen-suppressed degree."""
+    return f"({a},{d})"
+
+
 # ---------------------------------------------------------------------------
 # Decomposition
 
@@ -289,7 +294,7 @@ def count_profile(dec: TwoLayeredDecomposition) -> CountProfile:
         na["H"] = hydrogens
 
     def symbol(v: int) -> str:
-        return f"({s.label(v)},{s.degree(v)})"
+        return symbol_str(s.label(v), s.degree(v))
 
     configs = {e: edge_config(dec, e) for e in dec.interior_edges}
     link = [configs[e] for e in s.link_edges]  # link edges lie on a cycle: interior

@@ -1,19 +1,27 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import json
 import pkgutil
 import random
+from collections import Counter
 
 import pytest
 
 import polyinfer
 from corpus import make_polymer, synthetic_corpus
-from polyinfer import twolayer
+from polyinfer import generate, twolayer
 from polyinfer.chemgraph import parse_pmg
 from polyinfer.cli import main
-from polyinfer.generate import canonical_signature, run_generation, verify_roundtrip
-from polyinfer.topospec import check_satisfies
+from polyinfer.generate import (
+    GenerationOutcome,
+    canonical_signature,
+    iter_generate,
+    run_generation,
+    verify_roundtrip,
+)
+from polyinfer.topospec import build_instance_Ib, check_satisfies
 from spechelpers import SMALL_CATALOG, forcing_spec, oracle_candidates, train_model
 
 
@@ -213,3 +221,177 @@ def test_cmd_generate_adds_no_decompositions(model_with_cl, tmp_path, decomposit
     summary = json.loads(lines[-1])["summary"]
     assert summary["results"] > 0
     assert len(decompositions) == summary["candidates_examined"]
+
+
+def test_status_stays_incomplete_when_consumer_stops(model_with_cl, spec_full):
+    outcome = GenerationOutcome()
+    stream = iter_generate(spec_full, model_with_cl, (-1e9, 1e9), outcome)
+    first = next(stream)
+    stream.close()
+    assert first.signature
+    assert outcome.status == "incomplete"
+    assert not outcome.results  # the consumer holds what it was yielded
+
+
+# -- the unpruned enumerator, kept as the reference for the pruned one --------
+
+
+def reference_iter_skeletons(spec):
+    """Every skeleton, then the admission test on the finished skeleton."""
+    path_edges = [e for e in spec.seed.edges if e.kind == "path"]
+    length_ranges = [
+        range(spec.path_len[e.name][0], spec.path_len[e.name][1] + 1) for e in path_edges
+    ]
+    for lengths in itertools.product(*length_ranges):
+        per_edge_options = []
+        for e, length in zip(path_edges, lengths):
+            lo, hi = spec.branch_count_edge.get(e.name, (0, 0))
+            ch_lo, ch_hi = spec.branch_height_edge.get(e.name, (0, 0))
+            options = []
+            for count in range(lo, min(hi, length - 1) + 1):
+                for chosen in itertools.combinations(range(length - 1), count):
+                    depth_low = max(ch_lo, 1)
+                    for depths in itertools.product(range(depth_low, ch_hi + 1), repeat=count):
+                        options.append((chosen, depths))
+            per_edge_options.append(options)
+        for combo in itertools.product(*per_edge_options):
+            for sk in generate._iter_bond_assignments(spec, path_edges, lengths, combo):
+                if reference_skeleton_admissible(spec, sk):
+                    yield sk
+
+
+def reference_skeleton_admissible(spec, sk) -> bool:
+    link_deg = Counter(v for uv in sk.link_edges for v in uv)
+    n_lnk = sum(1 for c in link_deg.values() if c == 2)
+    if not spec.n_int[0] <= sk.n_vertices <= spec.n_int[1]:
+        return False
+    if not spec.n_lnk[0] <= n_lnk <= spec.n_lnk[1]:
+        return False
+    return sk.n_vertices <= spec.n[1]
+
+
+def reference_assign_fringes(spec, sk, catalog, _verdicts=None):
+    """Fringe choices cut only on fc, element and size upper bounds."""
+    bond_sum = Counter()
+    for u, v, m in sk.edges:
+        bond_sum[u] += m
+        bond_sum[v] += m
+
+    order = list(range(1, sk.n_vertices + 1))
+    choices = []
+    for v in order:
+        opts = [
+            c
+            for c in catalog
+            if c.element in sk.allowed_elements[v]
+            and c.code in sk.allowed_codes[v]
+            and c.free_valence == bond_sum[v]
+            and (v not in sk.tips or c.height == spec.rho)
+        ]
+        if not opts:
+            return
+        choices.append(opts)
+
+    na = Counter()
+    fc = Counter()
+    picked = []
+
+    def admissible(entry) -> bool:
+        if fc[entry.code] + 1 > spec.fc.get(entry.code, (0, sk.n_vertices + spec.n[1]))[1]:
+            return False
+        for elem, cnt in entry.elements:
+            bound = spec.na.get(elem)
+            if bound is not None and na[elem] + cnt > bound[1]:
+                return False
+            if elem != "H" and elem not in spec.elements:
+                return False
+        heavy_now = sum(na[e] for e in na if e != "H") + sum(
+            c for e, c in entry.elements if e != "H"
+        )
+        remaining = len(order) - len(picked) - 1
+        return heavy_now + remaining <= spec.n[1]
+
+    def rec(pos):
+        if pos == len(order):
+            yield tuple(picked)
+            return
+        for entry in choices[pos]:
+            if not admissible(entry):
+                continue
+            picked.append(entry)
+            fc[entry.code] += 1
+            for elem, cnt in entry.elements:
+                na[elem] += cnt
+            yield from rec(pos + 1)
+            for elem, cnt in entry.elements:
+                na[elem] -= cnt
+            fc[entry.code] -= 1
+            picked.pop()
+
+    yield from rec(0)
+
+
+def run_unpruned(monkeypatch, *args, **kwargs) -> GenerationOutcome:
+    """`run_generation` on the reference enumerator."""
+    with monkeypatch.context() as patch:
+        patch.setattr(generate, "_iter_skeletons", reference_iter_skeletons)
+        patch.setattr(generate, "_assign_fringes", reference_assign_fringes)
+        return run_generation(*args, **kwargs)
+
+
+def signatures(out: GenerationOutcome) -> list[str]:
+    return [r.signature for r in out.results]
+
+
+FORCING_SPACES = {
+    "unique": dict(catalog=("C", "C(-H)", "C(-H)(-H)"), a2_max_len=2),
+    "cl-4": dict(catalog=SMALL_CATALOG, cl_positions=(2, 5, 8, 11)),
+    "cl-8": dict(catalog=SMALL_CATALOG),
+}
+
+
+@pytest.mark.parametrize("space", sorted(FORCING_SPACES))
+def test_pruned_enumeration_matches_reference_on_forcing_spaces(model_with_cl, monkeypatch, space):
+    # no candidate of these spaces fails the spec, so nothing may be cut
+    spec = forcing_spec(**FORCING_SPACES[space])
+    window = (3.2, 3.75)
+    pruned = run_generation(spec, model_with_cl, window)
+    reference = run_unpruned(monkeypatch, spec, model_with_cl, window)
+    assert reference.status == pruned.status == "exhausted"
+    assert reference.rejected_spec == 0
+    assert signatures(pruned) == signatures(reference)
+    assert pruned.candidates_examined == reference.candidates_examined
+    assert (pruned.rejected_window, pruned.rejected_oov, pruned.duplicates) == (
+        reference.rejected_window, reference.rejected_oov, reference.duplicates
+    )
+
+
+IB_TAGS = ("AmD", "HcL", "Tg", "RfId", "Prm")
+
+
+@pytest.fixture(scope="module")
+def ib_exhausted(model_with_cl):
+    """Pruned generation on instance Ib (n_lb=14) run to exhaustion, per tag."""
+    return {
+        tag: run_generation(build_instance_Ib(tag, 14), model_with_cl, (-1e9, 1e9))
+        for tag in IB_TAGS
+    }
+
+
+@pytest.mark.parametrize("tag", IB_TAGS)
+def test_ib_search_exhausts_without_spec_rejections(ib_exhausted, tag):
+    out = ib_exhausted[tag]
+    assert out.status == "exhausted"
+    assert out.rejected_spec == 0
+    assert out.results
+
+
+@pytest.mark.parametrize("tag", IB_TAGS)
+def test_ib_reference_is_prefix_of_pruned(model_with_cl, ib_exhausted, monkeypatch, tag):
+    spec = build_instance_Ib(tag, 14)
+    reference = run_unpruned(monkeypatch, spec, model_with_cl, (-1e9, 1e9), limit_candidates=1500)
+    assert reference.status == "limit-candidates"
+    assert reference.rejected_spec > 0
+    got = signatures(reference)
+    assert got  # the cap leaves a prefix worth comparing
+    assert signatures(ib_exhausted[tag])[: len(got)] == got

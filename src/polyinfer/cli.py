@@ -199,7 +199,14 @@ def cmd_infer(args, config) -> int:
         _write(args.emit_lp, emit_lp(model))
     limit_seconds = _merged(args, config, "limit_seconds", 120.0, float)
     sol = solve(model, max_seconds=limit_seconds)
-    payload: dict = {"status": sol.status, "epsilon": epsilon, "window": list(window)}
+    payload: dict = {
+        "status": sol.status,
+        "epsilon": epsilon,
+        "window": list(window),
+        "nodes": sol.nodes,
+        "pivots": sol.pivots,
+        "open_nodes": sol.open_nodes,
+    }
     if sol.status == "feasible":
         raw = {
             name: float(value)

@@ -3,10 +3,12 @@
 The inverse-prediction model encodes descriptor box bounds, integrality,
 the two-sided target window on the prediction, and tolerance-relaxed
 normalization rows linking raw descriptors to their standardized
-counterparts.  The solver is branch-and-bound over a dense phase-1
-simplex with Bland's rule; on rational arithmetic it is exact, and any
+counterparts.  The solver is branch-and-bound over a phase-1 simplex
+with Bland's rule, on a tableau whose pivots touch only the nonzero
+entries of the pivot row.  On rational arithmetic it is exact, and any
 returned assignment is re-checked constraint by constraint with exact
-fractions before being accepted.
+fractions before being accepted.  `MilpSolution` reports the nodes and
+pivots spent, and the subproblems a budget left unexplored.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ class MilpModel:
 class MilpSolution:
     status: str  # "feasible" | "infeasible" | "bound-limit"
     assignment: dict[str, Fraction] = field(default_factory=dict)
-    nodes: int = 0
+    nodes: int = 0  # LP relaxations solved
+    pivots: int = 0  # simplex pivots, summed over all nodes
+    open_nodes: int = 0  # subproblems left unexplored when a budget stopped the search
 
 
 def verify_assignment(model: MilpModel, assignment: dict[str, Fraction]) -> list[str]:
@@ -103,11 +107,14 @@ def verify_assignment(model: MilpModel, assignment: dict[str, Fraction]) -> list
 def _lp_feasible(
     variables: list[tuple[Fraction, Fraction]],
     rows: list[tuple[dict[int, Fraction], str, Fraction]],
-) -> list[Fraction] | None:
-    """Feasible point of {l <= x <= u, rows} or None.
+) -> tuple[list[Fraction] | None, int]:
+    """Feasible point of {l <= x <= u, rows} or None, and the pivot count.
 
     Variables are shifted to x' = x - l >= 0; finite upper bounds become
     extra rows; phase-1 simplex (Bland's rule) then decides feasibility.
+    The tableau is stored dense, but each pivot works only on the nonzero
+    columns of the pivot row: the rows are mostly zeros, and an exact
+    `Fraction` product with zero is wasted work.
     """
     n = len(variables)
     lower = [lb for lb, _ in variables]
@@ -155,56 +162,60 @@ def _lp_feasible(
     for i, (row, _) in enumerate(prepared):
         for j, c in row.items():
             tableau[i][j] = c
-    basis: list[int] = []
-    artificials: set[int] = set()
-    for i in range(m):
-        if art_cols[i] is not None:
-            basis.append(art_cols[i])
-            artificials.add(art_cols[i])
-        else:
-            basis.append(slack_cols[i])
+    basis = [slack if art is None else art for slack, art in zip(slack_cols, art_cols)]
 
-    # phase-1 objective row: z_j = sum of artificial-basis rows minus cost
+    # phase-1 objective row: z_j = sum of artificial-basis rows minus cost,
+    # summed over the sparse rows
     z = [zero] * (ncols + 1)
-    for i in range(m):
-        if basis[i] in artificials:
-            for j in range(ncols + 1):
-                z[j] += tableau[i][j]
-    for j in artificials:
-        z[j] -= 1
+    for (row, rhs), art in zip(prepared, art_cols):
+        if art is not None:
+            for j, c in row.items():
+                z[j] += c
+            z[ncols] += rhs
+            z[art] -= 1
 
+    # Signs are read from `.numerator`: comparing a Fraction with an int
+    # costs far more than the sign test itself.
+    pivots = 0
     while True:
-        enter = next((j for j in range(ncols) if z[j] > 0), None)
+        enter = next((j for j in range(ncols) if z[j].numerator > 0), None)
         if enter is None:
             break
         leave = None
         best: Fraction | None = None
         for i in range(m):
             a = tableau[i][enter]
-            if a > 0:
+            if a.numerator > 0:
                 ratio = tableau[i][ncols] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave is None:
             raise MilpError("phase-1 unbounded; inconsistent model")
-        piv = tableau[leave][enter]
-        tableau[leave] = [c / piv for c in tableau[leave]]
+        prow = tableau[leave]
+        piv = prow[enter]
+        pairs = [(j, c / piv) for j, c in enumerate(prow) if c.numerator]
+        for j, p in pairs:
+            prow[j] = p
         for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [c - f * p for c, p in zip(tableau[i], tableau[leave])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [c - f * p for c, p in zip(z, tableau[leave])]
+            row = tableau[i]
+            f = row[enter]
+            if i != leave and f.numerator:
+                for j, p in pairs:
+                    row[j] -= f * p
+        f = z[enter]
+        if f.numerator:
+            for j, p in pairs:
+                z[j] -= f * p
         basis[leave] = enter
+        pivots += 1
 
-    if z[ncols] > 0:
-        return None
+    if z[ncols].numerator > 0:
+        return None, pivots
     values = [zero] * ncols
     for i in range(m):
         values[basis[i]] = tableau[i][ncols]
-    return [values[j] + lower[j] for j in range(n)]
+    return [values[j] + lower[j] for j in range(n)], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +251,17 @@ def solve(
 
     deadline = time.monotonic() + max_seconds
     stack: list[dict[int, tuple[Fraction, Fraction]]] = [{}]
-    nodes = 0
+    nodes = pivots = 0
     while stack:
         if nodes >= max_nodes or time.monotonic() > deadline:
-            return MilpSolution(status="bound-limit", nodes=nodes)
+            return MilpSolution(status="bound-limit", nodes=nodes, pivots=pivots, open_nodes=len(stack))
         overrides = stack.pop()
         bounds = list(base_bounds)
-        feasible_box = True
         for j, bd in overrides.items():
-            if bd[0] > bd[1]:
-                feasible_box = False
-                break
             bounds[j] = bd
-        if not feasible_box:
-            continue
         nodes += 1
-        point = _lp_feasible(bounds, rows)
+        point, node_pivots = _lp_feasible(bounds, rows)
+        pivots += node_pivots
         if point is None:
             continue
         frac_j = None
@@ -272,17 +278,21 @@ def solve(
             violated = verify_assignment(model, assignment)
             if violated:  # pragma: no cover - exact arithmetic should not land here
                 raise MilpError(f"solver produced invalid point: {violated}")
-            return MilpSolution(status="feasible", assignment=assignment, nodes=nodes)
-        v = point[frac_j]
-        floor_v = Fraction(math.floor(v))
+            return MilpSolution(status="feasible", assignment=assignment, nodes=nodes, pivots=pivots)
+        floor_v = Fraction(math.floor(point[frac_j]))
         lo, hi = bounds[frac_j]
-        right = dict(overrides)
-        right[frac_j] = (floor_v + 1, hi)
-        left = dict(overrides)
-        left[frac_j] = (lo, floor_v)
-        stack.append(right)
-        stack.append(left)
-    return MilpSolution(status="infeasible", nodes=nodes)
+        # a child whose box is empty (possible only with non-integer bounds
+        # on an integer variable) is dropped here, so the stack holds only
+        # subproblems still to solve
+        if floor_v + 1 <= hi:
+            right = dict(overrides)
+            right[frac_j] = (floor_v + 1, hi)
+            stack.append(right)
+        if lo <= floor_v:
+            left = dict(overrides)
+            left[frac_j] = (lo, floor_v)
+            stack.append(left)
+    return MilpSolution(status="infeasible", nodes=nodes, pivots=pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,7 @@ def test_infer_feasible_and_lp(trained_model, tmp_path):
     sol = json.loads((tmp_path / "solution.json").read_text())
     assert sol["status"] == "feasible"
     assert 2.2 - 1e-3 <= sol["predicted"] <= 2.6 + 1e-3
+    assert sol["nodes"] >= 1 and isinstance(sol["pivots"], int) and sol["open_nodes"] == 0
     parsed = parse_lp((tmp_path / "model.lp").read_text())
     assert parsed.constraints  # normalization and window rows present
 
@@ -157,6 +158,7 @@ def test_infer_infeasible_exit_three(trained_model, tmp_path):
     assert code == 3
     sol = json.loads((tmp_path / "solution.json").read_text())
     assert sol["status"] == "infeasible"
+    assert sol["nodes"] >= 1 and sol["open_nodes"] == 0
 
 
 def test_emit_lp_standalone(trained_model, tmp_path):

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import signal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polyinfer import milp
 from polyinfer.milp import (
     Constraint,
     InverseProblemSpec,
     MilpError,
     MilpModel,
     Variable,
+    _lp_feasible,
     build_inverse_milp,
     emit_lp,
     exact_standardized,
@@ -97,12 +103,38 @@ def test_solver_matches_exhaustive_enumeration():
             assert not verify_assignment(m, got.assignment)
 
 
-def test_solver_node_limit():
-    m = MilpModel(
-        tuple(Variable(f"v{j}", 0, 20, integer=True) for j in range(3)),
-        (Constraint("c", tuple((f"v{j}", 1.0) for j in range(3)), "=", 61.5),),
+def even_sum_model() -> MilpModel:
+    # LP-feasible (v0 + v1 = 15.5) but integer-infeasible: the left side is even
+    return MilpModel(
+        tuple(Variable(f"v{j}", 0, 20, integer=True) for j in range(2)),
+        (Constraint("c", (("v0", 2.0), ("v1", 2.0)), "=", 31.0),),
     )
-    assert solve(m, max_nodes=1).status in ("bound-limit", "infeasible")
+
+
+def test_solver_node_limit():
+    sol = solve(even_sum_model(), max_nodes=1)
+    assert sol.status == "bound-limit"
+    assert sol.nodes == 1
+    assert sol.open_nodes == 2  # both children of the root
+    assert sol.pivots > 0
+    full = solve(even_sum_model())
+    assert (full.status, full.nodes, full.open_nodes) == ("infeasible", 65, 0)
+
+
+def test_solver_reports_work_when_feasible():
+    sol = solve(build_inverse_milp(random_trained_spec(2)), max_seconds=20.0)
+    assert sol.status == "feasible"
+    assert sol.nodes > 1  # this window needs branching
+    assert sol.pivots > 0
+    assert sol.open_nodes == 0
+
+
+def test_empty_child_box_is_not_left_open():
+    # the root LP puts x at 1/2; both children of x in [1/2, 7/10] are empty,
+    # so the search is complete after one node even with max_nodes=1
+    m = MilpModel((Variable("x", 0.5, 0.7, integer=True),), ())
+    sol = solve(m, max_nodes=1)
+    assert (sol.status, sol.nodes, sol.open_nodes) == ("infeasible", 1, 0)
 
 
 def test_continuous_variables_supported():
@@ -289,6 +321,190 @@ def test_exact_standardized_constant_descriptor():
     assert sol.status == "feasible"
     assert sol.assignment["xh_1"] == 0
     assert exact_standardized(spec, sol.assignment)[0] == 0
+
+
+# -- sparse simplex against the dense reference ---------------------------------
+
+
+def reference_lp_feasible(
+    variables: list[tuple[Fraction, Fraction]],
+    rows: list[tuple[dict[int, Fraction], str, Fraction]],
+) -> tuple[list[Fraction] | None, int]:
+    """The dense phase-1 simplex that `_lp_feasible` replaced, kept as the
+    reference: every pivot updates every column of every touched row.
+    Only the pivot counter is new."""
+    n = len(variables)
+    lower = [lb for lb, _ in variables]
+    work_rows = []
+    for coeffs, sense, rhs in rows:
+        shift = sum((c * lower[j] for j, c in coeffs.items()), Fraction(0))
+        work_rows.append((dict(coeffs), sense, rhs - shift))
+    for j, (lb, ub) in enumerate(variables):
+        work_rows.append(({j: Fraction(1)}, "<=", ub - lb))
+
+    m = len(work_rows)
+    ncols = n
+    slack_cols = []
+    art_cols = []
+    prepared = []
+    for coeffs, sense, rhs in work_rows:
+        if rhs < 0:
+            coeffs = {j: -c for j, c in coeffs.items()}
+            rhs = -rhs
+            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
+        row = dict(coeffs)
+        slack = art = None
+        if sense == "<=":
+            slack = ncols
+            row[slack] = Fraction(1)
+            ncols += 1
+        elif sense == ">=":
+            slack = ncols
+            row[slack] = Fraction(-1)
+            ncols += 1
+            art = ncols
+            row[art] = Fraction(1)
+            ncols += 1
+        else:
+            art = ncols
+            row[art] = Fraction(1)
+            ncols += 1
+        slack_cols.append(slack)
+        art_cols.append(art)
+        prepared.append((row, rhs))
+
+    zero = Fraction(0)
+    tableau = [[zero] * ncols + [rhs] for _, rhs in prepared]
+    for i, (row, _) in enumerate(prepared):
+        for j, c in row.items():
+            tableau[i][j] = c
+    basis = []
+    artificials = set()
+    for i in range(m):
+        if art_cols[i] is not None:
+            basis.append(art_cols[i])
+            artificials.add(art_cols[i])
+        else:
+            basis.append(slack_cols[i])
+
+    z = [zero] * (ncols + 1)
+    for i in range(m):
+        if basis[i] in artificials:
+            for j in range(ncols + 1):
+                z[j] += tableau[i][j]
+    for j in artificials:
+        z[j] -= 1
+
+    pivots = 0
+    while True:
+        enter = next((j for j in range(ncols) if z[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][ncols] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise MilpError("phase-1 unbounded; inconsistent model")
+        piv = tableau[leave][enter]
+        tableau[leave] = [c / piv for c in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [c - f * p for c, p in zip(tableau[i], tableau[leave])]
+        if z[enter] != 0:
+            f = z[enter]
+            z = [c - f * p for c, p in zip(z, tableau[leave])]
+        basis[leave] = enter
+        pivots += 1
+
+    if z[ncols] > 0:
+        return None, pivots
+    values = [zero] * ncols
+    for i in range(m):
+        values[basis[i]] = tableau[i][ncols]
+    return [values[j] + lower[j] for j in range(n)], pivots
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block after `seconds`, so that a simplex
+    that cycles fails the test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"LP did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def checked_lp_feasible(bounds, rows):
+    """`_lp_feasible`, after asserting that the reference returns the same
+    point (or None) after the same number of pivots."""
+    with time_limit(10.0):
+        got = _lp_feasible(bounds, rows)
+    assert got == reference_lp_feasible(bounds, rows)
+    return got
+
+
+def test_sparse_simplex_matches_reference_on_random_integer_models(monkeypatch):
+    # `solve` runs both simplexes at every node it visits, root included
+    monkeypatch.setattr(milp, "_lp_feasible", checked_lp_feasible)
+    rng = random.Random(42)
+    for _ in range(100):
+        solve(random_integer_model(rng), max_nodes=4)
+
+
+def test_sparse_simplex_matches_reference_on_inverse_models(monkeypatch):
+    monkeypatch.setattr(milp, "_lp_feasible", checked_lp_feasible)
+    branched = 0
+    for seed in range(20):
+        sol = solve(build_inverse_milp(random_trained_spec(seed)), max_nodes=6)
+        branched += sol.nodes > 1
+    assert branched >= 5  # branch overrides are exercised, not only the root
+
+
+@st.composite
+def small_row_systems(draw):
+    """Bounds and rows with mixed senses and signed right-hand sides; zero
+    right-hand sides are drawn often, to make degenerate pivots (ratio
+    ties, where Bland's tie-break decides the leaving row) common."""
+    nvars = draw(st.integers(1, 5))
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+    bounds = []
+    for _ in range(nvars):
+        lo = draw(small)
+        bounds.append((lo, lo + draw(st.fractions(min_value=0, max_value=8, max_denominator=3))))
+    rhs = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-12, max_value=12, max_denominator=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        cols = draw(st.sets(st.integers(0, nvars - 1), min_size=1))
+        coeffs = {j: draw(small) for j in sorted(cols)}
+        rows.append((coeffs, draw(st.sampled_from(["<=", ">=", "="])), draw(rhs)))
+    return bounds, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_row_systems())
+@example(  # a ratio tie at the second pivot: without Bland's tie-break the
+    # same point is reached in 2 pivots instead of 3
+    (
+        [(Fraction(1), Fraction(5)), (Fraction(1), Fraction(3)), (Fraction(0), Fraction(2))],
+        [({2: Fraction(3)}, ">=", Fraction(0)), ({0: Fraction(3), 2: Fraction(1)}, ">=", Fraction(3))],
+    )
+)
+def test_sparse_simplex_matches_reference_on_drawn_systems(system):
+    checked_lp_feasible(*system)
 
 
 # -- LP format ----------------------------------------------------------------

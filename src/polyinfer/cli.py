@@ -135,6 +135,9 @@ def _fit_bundle(args, config):
 def cmd_train(args, config) -> int:
     dataset, report, registry, std, Xs, ys, lam, _, _ = _fit_bundle(args, config)
     h = lasso_fit(Xs, ys, lam)
+    if not h.converged:
+        print(f"warning: lasso stopped unconverged after {h.sweeps} sweeps "
+              f"(KKT violation {h.kkt:.3g})", file=sys.stderr)
     bundle = ModelBundle(registry=registry, standardizer=std, hyperplane=h, lam=lam)
     _write(args.out_model, bundle.to_json() + "\n")
     print(f"trained on {len(dataset)} records, lambda={lam:g}, "

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chemgraph import ChemicalGraph
 from .features import DescriptorRegistry, Standardizer, featurize
 from .regress import Hyperplane, predict
@@ -32,13 +34,15 @@ class ModelBundle:
         return self.standardizer.inverse_value(y_std), fv.oov
 
     def to_json(self) -> str:
+        h = self.hyperplane
         return json.dumps(
             {
                 "registry_digest": self.registry.digest(),
                 "registry": json.loads(self.registry.to_json()),
                 "standardizer": json.loads(self.standardizer.to_json()),
-                "w": self.hyperplane.w.tolist(),
-                "b": self.hyperplane.b,
+                "w": h.w.tolist(),
+                "b": h.b,
+                "fit": {"sweeps": h.sweeps, "kkt": h.kkt, "converged": h.converged},
                 "lambda": self.lam,
             },
             sort_keys=True,
@@ -50,11 +54,16 @@ class ModelBundle:
         registry = DescriptorRegistry.from_json(json.dumps(d["registry"]))
         if d.get("registry_digest") not in (None, registry.digest()):
             raise ValueError("model file registry digest mismatch")
-        import numpy as np
-
+        fit = d.get("fit", {})  # absent from model files written before fits reported
         return cls(
             registry=registry,
             standardizer=Standardizer.from_json(json.dumps(d["standardizer"])),
-            hyperplane=Hyperplane(w=np.array(d["w"], dtype=float), b=float(d["b"])),
+            hyperplane=Hyperplane(
+                w=np.array(d["w"], dtype=float),
+                b=float(d["b"]),
+                sweeps=int(fit.get("sweeps", 0)),
+                kkt=fit.get("kkt"),
+                converged=fit.get("converged"),
+            ),
             lam=float(d["lambda"]),
         )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import random
 from pathlib import Path
@@ -111,6 +112,7 @@ def test_cv_writes_table(corpus_dir, tmp_path):
     rep = json.loads((tmp_path / "cv.json").read_text())
     assert len(rep["r2_values"]) == 10  # 2 runs x 5 folds
     assert rep["median_r2"] > 0.999
+    assert rep["unconverged"] == 0 and rep["kkt_max"] <= 1e-9
     with open(tmp_path / "cv.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["size"] == "40"
@@ -129,6 +131,34 @@ def test_cv_deterministic_artifacts(corpus_dir, tmp_path):
             "--out-report", tmp_path / f"{name}.json",
         )
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_train_records_the_fit(trained_model):
+    from polyinfer.model import ModelBundle
+
+    text = Path(trained_model).read_text()
+    fit = json.loads(text)["fit"]
+    assert fit["converged"] is True and fit["sweeps"] > 0 and fit["kkt"] <= 1e-9
+    h = ModelBundle.from_json(text).hyperplane
+    assert (h.sweeps, h.kkt, h.converged) == (fit["sweeps"], fit["kkt"], True)
+
+
+def test_train_warns_when_the_fit_does_not_converge(corpus_dir, tmp_path, monkeypatch, capsys):
+    import polyinfer.cli
+    from polyinfer.regress import lasso_fit
+
+    monkeypatch.setattr(polyinfer.cli, "lasso_fit", functools.partial(lasso_fit, max_sweeps=3))
+    code = run(
+        "train",
+        "--graphs", corpus_dir / "graphs",
+        "--values", corpus_dir / "values.csv",
+        "--lambda", "1e-6",
+        "--out-model", tmp_path / "model.json",
+    )
+    assert code == 0
+    assert "unconverged after 3 sweeps" in capsys.readouterr().err
+    fit = json.loads((tmp_path / "model.json").read_text())["fit"]
+    assert fit["converged"] is False and fit["sweeps"] == 3 and fit["kkt"] > 1e-9
 
 
 def test_infer_feasible_and_lp(trained_model, tmp_path):

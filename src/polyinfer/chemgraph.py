@@ -10,7 +10,7 @@ removing any member turns the rest into bridges).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -27,31 +27,32 @@ class PmgParseError(GraphError):
 
 
 # ---------------------------------------------------------------------------
-# Element table
+# Elements
+
+# token -> (valence, mass).  A suffixed token like S(2) is a distinct symbol
+# whose valence equals its suffix; every valence lies in [1, 6].
+ELEMENTS: dict[str, tuple[int, float]] = {
+    "H": (1, 1.008),
+    "C": (4, 12.011),
+    "N": (3, 14.007),
+    "O": (2, 15.999),
+    "O(1)": (1, 15.999),
+    "O(2)": (2, 15.999),
+    "F": (1, 18.998),
+    "Si(4)": (4, 28.085),
+    "P(5)": (5, 30.974),
+    "S(2)": (2, 32.06),
+    "S(4)": (4, 32.06),
+    "S(6)": (6, 32.06),
+    "Cl": (1, 35.45),
+}
 
 
-@dataclass(frozen=True)
-class ElementSpec:
-    symbol: str
-    valence: int
-    mass: float
-
-
-DEFAULT_ELEMENTS: tuple[ElementSpec, ...] = (
-    ElementSpec("H", 1, 1.008),
-    ElementSpec("C", 4, 12.011),
-    ElementSpec("N", 3, 14.007),
-    ElementSpec("O", 2, 15.999),
-    ElementSpec("O(1)", 1, 15.999),
-    ElementSpec("O(2)", 2, 15.999),
-    ElementSpec("F", 1, 18.998),
-    ElementSpec("Si(4)", 4, 28.085),
-    ElementSpec("P(5)", 5, 30.974),
-    ElementSpec("S(2)", 2, 32.06),
-    ElementSpec("S(4)", 4, 32.06),
-    ElementSpec("S(6)", 6, 32.06),
-    ElementSpec("Cl", 1, 35.45),
-)
+def valence(symbol: str) -> int:
+    try:
+        return ELEMENTS[symbol][0]
+    except KeyError:
+        raise GraphError(f"unknown element symbol {symbol!r}") from None
 
 
 def split_symbol(symbol: str) -> tuple[str, int]:
@@ -66,48 +67,6 @@ def split_symbol(symbol: str) -> tuple[str, int]:
 
 def element_sort_key(symbol: str) -> tuple[str, int]:
     return split_symbol(symbol)
-
-
-class ElementTable:
-    """Ordered element catalog with valence and mass per token.
-
-    A suffixed token like S(2) is a distinct symbol whose valence equals
-    its suffix; all valences lie in [1, 6].
-    """
-
-    def __init__(self, entries: tuple[ElementSpec, ...] = DEFAULT_ELEMENTS):
-        by_symbol: dict[str, ElementSpec] = {}
-        for spec in entries:
-            if spec.symbol in by_symbol:
-                raise GraphError(f"duplicate element symbol {spec.symbol!r}")
-            if not 1 <= spec.valence <= 6:
-                raise GraphError(f"valence of {spec.symbol!r} outside [1,6]")
-            base, suffix = split_symbol(spec.symbol)
-            if suffix and suffix != spec.valence:
-                raise GraphError(
-                    f"suffixed symbol {spec.symbol!r} must have valence {suffix}"
-                )
-            by_symbol[spec.symbol] = spec
-        self.entries = tuple(entries)
-        self._by_symbol = by_symbol
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._by_symbol
-
-    def valence(self, symbol: str) -> int:
-        try:
-            return self._by_symbol[symbol].valence
-        except KeyError:
-            raise GraphError(f"unknown element symbol {symbol!r}") from None
-
-    def mass(self, symbol: str) -> float:
-        try:
-            return self._by_symbol[symbol].mass
-        except KeyError:
-            raise GraphError(f"unknown element symbol {symbol!r}") from None
-
-
-DEFAULT_TABLE = ElementTable()
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +225,6 @@ class _AtomBondGraph:
 
     atoms: tuple[tuple[int, str], ...]
     bonds: tuple[tuple[int, int, int], ...]
-    elements: ElementTable
 
     @cached_property
     def _labels(self) -> dict[int, str]:
@@ -295,7 +253,7 @@ class _AtomBondGraph:
         return [(u, v) for u, v, _ in self.bonds]
 
     def mass_average(self) -> float:
-        heavy = [self.elements.mass(s) for _, s in self.atoms if s != "H"]
+        heavy = [ELEMENTS[s][1] for _, s in self.atoms if s != "H"]
         if not heavy:
             raise GraphError("no non-hydrogen atom")
         return sum(heavy) / len(heavy)
@@ -314,7 +272,6 @@ class ChemicalGraph(_AtomBondGraph):
     bonds: tuple[tuple[int, int, int], ...]
     link_edges: frozenset[Edge] = frozenset()
     connecting: tuple[int, int] | None = None
-    elements: ElementTable = field(default=DEFAULT_TABLE, repr=False, compare=False)
     max_abs_charge: int = 0
 
     def __post_init__(self):
@@ -350,18 +307,18 @@ class ChemicalGraph(_AtomBondGraph):
                 raise GraphError(f"bond multiplicity {m} outside [1,3]")
             seen_edges.add((u, v))
         for sym in (s for _, s in self.atoms):
-            if sym not in self.elements:
+            if sym not in ELEMENTS:
                 raise GraphError(f"unknown element symbol {sym!r}")
         if not is_connected(ids, seen_edges):
             raise GraphError("graph is not connected")
         for i, sym in self.atoms:
             if sym == "H" and len(self._adj[i]) > 1:
                 raise GraphError(f"hydrogen {i} has {len(self._adj[i])} neighbors, not 1")
-            ele = self.beta_sum(i) - self.elements.valence(sym)
+            ele = self.beta_sum(i) - valence(sym)
             if abs(ele) > self.max_abs_charge:
                 raise GraphError(
                     f"valence violation at atom {i} ({sym}): bond sum "
-                    f"{self.beta_sum(i)} vs valence {self.elements.valence(sym)}"
+                    f"{self.beta_sum(i)} vs valence {valence(sym)}"
                 )
         if self.link_edges:
             if any(e not in seen_edges for e in self.link_edges):
@@ -407,7 +364,6 @@ class SuppressedGraph(_AtomBondGraph):
     link_edges: frozenset[Edge]
     connecting: tuple[int, int] | None
     hydrogens: tuple[tuple[int, int], ...]  # (vertex id, removed H count)
-    elements: ElementTable = field(default=DEFAULT_TABLE, repr=False, compare=False)
 
     @cached_property
     def h_count(self) -> dict[int, int]:
@@ -439,7 +395,6 @@ def hydrogen_suppress(g: ChemicalGraph) -> SuppressedGraph:
         link_edges=g.link_edges,
         connecting=g.connecting,
         hydrogens=tuple(sorted(h_counts.items())),
-        elements=g.elements,
     )
 
 
@@ -458,7 +413,6 @@ def reattach_hydrogens(s: SuppressedGraph) -> ChemicalGraph:
         bonds=tuple(bonds),
         link_edges=s.link_edges,
         connecting=s.connecting,
-        elements=s.elements,
     )
 
 
@@ -468,11 +422,7 @@ def reattach_hydrogens(s: SuppressedGraph) -> ChemicalGraph:
 PMG_HEADER = "PMG 1"
 
 
-def parse_pmg(
-    text: str,
-    elements: ElementTable = DEFAULT_TABLE,
-    max_abs_charge: int = 0,
-) -> ChemicalGraph:
+def parse_pmg(text: str, max_abs_charge: int = 0) -> ChemicalGraph:
     """Parse the line-oriented PMG format into a validated ChemicalGraph."""
     atoms: list[tuple[int, str]] = []
     bonds: list[tuple[int, int, int]] = []
@@ -506,7 +456,7 @@ def parse_pmg(
             sym = parts[2]
             if i in atom_ids:
                 raise PmgParseError(f"duplicate atom id {i}", lineno)
-            if sym not in elements:
+            if sym not in ELEMENTS:
                 raise PmgParseError(f"unknown element symbol {sym!r}", lineno)
             atom_ids.add(i)
             atoms.append((i, sym))
@@ -560,7 +510,6 @@ def parse_pmg(
             bonds=tuple(bonds),
             link_edges=frozenset(links),
             connecting=connect,
-            elements=elements,
             max_abs_charge=max_abs_charge,
         )
     except GraphError as exc:

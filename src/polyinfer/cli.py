@@ -177,17 +177,13 @@ def cmd_cv(args, config) -> int:
 
 def _inverse_spec(bundle: ModelBundle, window: tuple[float, float], epsilon: float) -> InverseProblemSpec:
     std = bundle.standardizer
-    registry = bundle.registry
     return InverseProblemSpec(
         hyperplane=bundle.hyperplane,
         y_lo=std.transform_value(window[0]),
         y_hi=std.transform_value(window[1]),
-        lower=std.feature_min.copy(),
-        upper=std.feature_max.copy(),
         feat_min=std.feature_min,
         feat_max=std.feature_max,
-        integer_indices=frozenset(registry.integer_indices()),
-        nonnegative_indices=frozenset(registry.nonnegative_indices()),
+        integer_indices=frozenset(bundle.registry.integer_indices()),
         epsilon=epsilon,
     )
 

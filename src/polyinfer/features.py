@@ -66,9 +66,6 @@ class DescriptorRegistry:
     def integer_indices(self) -> list[int]:
         return [j for j, d in enumerate(self.descriptors) if d.kind not in REAL_KINDS]
 
-    def nonnegative_indices(self) -> list[int]:
-        return [j for j, d in enumerate(self.descriptors) if d.kind != "cov"]
-
     def keys_of(self, kind: str) -> list[str]:
         return [d.key for d in self.descriptors if d.kind == kind]
 
@@ -94,7 +91,6 @@ class DescriptorRegistry:
 @dataclass
 class FeatureVector:
     values: np.ndarray
-    registry: DescriptorRegistry
     oov: tuple[str, ...] = ()  # configurations unknown to the registry
 
 
@@ -259,7 +255,7 @@ def featurize(
         for key in getattr(profile, kind):
             if key not in known:
                 oov.append(f"{kind}:{key}")
-    return FeatureVector(values=values, registry=registry, oov=tuple(sorted(oov)))
+    return FeatureVector(values=values, oov=tuple(sorted(oov)))
 
 
 def feature_matrix(

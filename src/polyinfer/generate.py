@@ -29,7 +29,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .chemgraph import DEFAULT_TABLE, ChemicalGraph
+from .chemgraph import ChemicalGraph, valence
 from .model import ModelBundle
 from .topospec import SeedEdge, TopologicalSpec, check_satisfies, find_expansion_witness
 from .twolayer import (
@@ -78,7 +78,7 @@ class CatalogEntry:
             code=code,
             tree=tree,
             element=tree.label,
-            free_valence=DEFAULT_TABLE.valence(tree.label) - tree.root_bond_sum(),
+            free_valence=valence(tree.label) - tree.root_bond_sum(),
             height=tree.heavy_height(),
             elements=tuple(sorted(counts.items())),
             heavy_atoms=tree.heavy_size(),

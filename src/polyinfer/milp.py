@@ -305,30 +305,30 @@ class InverseProblemSpec:
     standardized image is predicted inside [y_lo, y_hi].
 
     The window is in standardized property units, matching the space the
-    hyperplane was trained in; descriptor bounds are in raw units.
+    hyperplane was trained in.  Each raw descriptor is boxed by its data
+    range [feat_min, feat_max], in raw units.
     """
 
     hyperplane: Hyperplane
     y_lo: float
     y_hi: float
-    lower: np.ndarray
-    upper: np.ndarray
     feat_min: np.ndarray
     feat_max: np.ndarray
     integer_indices: frozenset[int]
-    nonnegative_indices: frozenset[int]
     epsilon: float = 1e-5
 
     def __post_init__(self):
         k = len(self.hyperplane.w)
-        if not (len(self.lower) == len(self.upper) == len(self.feat_min) == len(self.feat_max) == k):
+        if not (len(self.feat_min) == len(self.feat_max) == k):
             raise MilpError("descriptor array lengths disagree")
+        if not all(map(math.isfinite, (self.y_lo, self.y_hi, self.epsilon))):
+            raise MilpError("target window and epsilon must be finite")
         if self.epsilon <= 0:
             raise MilpError("epsilon must be positive")
         if not self.y_lo < self.y_hi:
             raise MilpError("target window is degenerate")
-        if np.any(self.lower > self.upper):
-            raise MilpError("descriptor lower bound above upper bound")
+        if np.any(self.feat_min > self.feat_max):
+            raise MilpError("descriptor minimum above maximum")
 
     @property
     def k(self) -> int:
@@ -355,22 +355,18 @@ def build_inverse_milp(spec: InverseProblemSpec) -> MilpModel:
     eps = spec.epsilon
     const = spec.constant_mask()
     for j in range(spec.k):
-        lo = float(spec.lower[j])
-        hi = float(spec.upper[j])
-        if j in spec.nonnegative_indices:
-            lo = max(lo, 0.0)
-        variables.append(Variable(f"x_{j + 1}", lo, hi, integer=j in spec.integer_indices))
+        mn, mx = float(spec.feat_min[j]), float(spec.feat_max[j])
+        variables.append(Variable(f"x_{j + 1}", mn, mx, integer=j in spec.integer_indices))
         if const[j]:
             variables.append(Variable(f"xh_{j + 1}", 0.0, 0.0))
             continue
-        span = float(spec.feat_max[j] - spec.feat_min[j])
+        span = mx - mn
         corners = [
-            factor * (bound - float(spec.feat_min[j])) / span
+            factor * (bound - mn) / span
             for factor in (1 - eps, 1 + eps)
-            for bound in (lo, hi)
+            for bound in (mn, mx)
         ]
         variables.append(Variable(f"xh_{j + 1}", min(corners), max(corners)))
-        mn = float(spec.feat_min[j])
         constraints.append(
             Constraint(
                 name=f"norm_lo_{j + 1}",
@@ -489,7 +485,7 @@ _SECTIONS = {
     "end": "end",
 }
 
-_NUM = re.compile(r"^(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)$")
+_NUM = re.compile(r"^(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|(?i:inf(?:inity)?))$")
 
 
 def parse_lp(text: str) -> MilpModel:

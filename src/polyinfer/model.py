@@ -51,19 +51,22 @@ class ModelBundle:
     @classmethod
     def from_json(cls, text: str) -> "ModelBundle":
         d = json.loads(text)
-        registry = DescriptorRegistry.from_json(json.dumps(d["registry"]))
-        if d.get("registry_digest") not in (None, registry.digest()):
-            raise ValueError("model file registry digest mismatch")
-        fit = d.get("fit", {})  # absent from model files written before fits reported
-        return cls(
-            registry=registry,
-            standardizer=Standardizer.from_json(json.dumps(d["standardizer"])),
-            hyperplane=Hyperplane(
-                w=np.array(d["w"], dtype=float),
-                b=float(d["b"]),
-                sweeps=int(fit.get("sweeps", 0)),
-                kkt=fit.get("kkt"),
-                converged=fit.get("converged"),
-            ),
-            lam=float(d["lambda"]),
-        )
+        try:
+            registry = DescriptorRegistry.from_json(json.dumps(d["registry"]))
+            if d.get("registry_digest") not in (None, registry.digest()):
+                raise ValueError("model file registry digest mismatch")
+            fit = d.get("fit", {})  # absent from model files written before fits reported
+            return cls(
+                registry=registry,
+                standardizer=Standardizer.from_json(json.dumps(d["standardizer"])),
+                hyperplane=Hyperplane(
+                    w=np.array(d["w"], dtype=float),
+                    b=float(d["b"]),
+                    sweeps=int(fit.get("sweeps", 0)),
+                    kkt=fit.get("kkt"),
+                    converged=fit.get("converged"),
+                ),
+                lam=float(d["lambda"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"model file lacks key {exc.args[0]!r}") from None

@@ -5,8 +5,8 @@ L1 norm of the weights *including the bias*; an opt-in flag restores the
 conventional unpenalized intercept.  The solver works on the Gram matrix
 of the features with the bias as one more column.  It stops on a KKT
 certificate: the largest violation of the stationarity conditions,
-recomputed from a fresh residual, at most `tol`.  A fit that runs out of
-sweeps is returned with `converged` False rather than raised.
+recomputed from a fresh residual, at most `DEFAULT_TOL`.  A fit that runs
+out of sweeps is returned with `converged` False rather than raised.
 
 Also provides the repeated k-fold cross-validation protocol (10 runs of 5
 folds by default) with the median test R^2 and the mean selected-descriptor
@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # KKT violation at which a fit stops
 DEFAULT_MAX_SWEEPS = 100_000
+_TIE_TOL = 1e-4  # median R^2 gap within which select_lambda prefers the sparser penalty
 
 
 class RegressError(ValueError):
@@ -82,7 +83,6 @@ def lasso_fit(
     X: np.ndarray,
     y: np.ndarray,
     lam: float,
-    tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     penalize_bias: bool = True,
     start: Hyperplane | None = None,
@@ -91,7 +91,7 @@ def lasso_fit(
 
     Starts from `start`, or from zero when it is None, and sweeps every
     coordinate in order: the features, then the bias.  Stops when the KKT
-    violation computed from a fresh residual is at most tol, or after
+    violation computed from a fresh residual is at most DEFAULT_TOL, or after
     max_sweeps sweeps; the result reports its sweeps, that violation and
     whether it converged.  The objective is compared between the start
     and the result only: an increase raises RegressError.
@@ -121,7 +121,7 @@ def lasso_fit(
 
     sweeps = 0
     kkt = kkt_violation(X, y, Hyperplane(coef[:k], coef[k]), lam, penalize_bias)
-    while kkt > tol and sweeps < max_sweeps:
+    while kkt > DEFAULT_TOL and sweeps < max_sweeps:
         grad = Z.T @ (y - Z @ coef) / n  # Z^T r / n, kept current coordinate by coordinate
         beta = coef.tolist()  # python floats: the sweep reads and writes them one at a time
         while sweeps < max_sweeps:
@@ -135,10 +135,10 @@ def lasso_fit(
                     np.subtract(grad, step, out=grad)
                     beta[j] = new
             coef = np.array(beta)
-            if _stationarity(grad, coef, lam, penalize_bias) <= tol:
+            if _stationarity(grad, coef, lam, penalize_bias) <= DEFAULT_TOL:
                 break  # the running gradient screens; a fresh residual certifies
         kkt = kkt_violation(X, y, Hyperplane(coef[:k], coef[k]), lam, penalize_bias)
-    h = Hyperplane(coef[:k].copy(), float(coef[k]), sweeps, kkt, kkt <= tol)
+    h = Hyperplane(coef[:k].copy(), float(coef[k]), sweeps, kkt, kkt <= DEFAULT_TOL)
     end_obj = objective(X, y, h, lam, penalize_bias)
     if end_obj > start_obj + 1e-12 * max(1.0, abs(start_obj)):
         raise RegressError(f"objective increased from {start_obj!r} to {end_obj!r}")
@@ -259,14 +259,13 @@ def select_lambda(
     runs: int = 10,
     folds: int = 5,
     seed: int = 0,
-    tie_tol: float = 1e-4,
     penalize_bias: bool = True,
 ) -> tuple[float, dict[float, CvReport]]:
     """Pick the penalty with the best median CV R^2; near-ties within
-    tie_tol go to the larger (sparser) penalty."""
+    1e-4 go to the larger (sparser) penalty."""
     grid = lambda_grid() if grid is None else list(grid)
     path = _cv_path(X, y, grid, runs, folds, seed, penalize_bias)
     reports = {lam: path[lam] for lam in grid}
     best = max(reports.values(), key=lambda rep: rep.median_r2).median_r2
-    chosen = max(lam for lam, rep in reports.items() if rep.median_r2 >= best - tie_tol)
+    chosen = max(lam for lam, rep in reports.items() if rep.median_r2 >= best - _TIE_TOL)
     return chosen, reports

@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .chemgraph import ChemicalGraph, is_connected
+from .chemgraph import ChemicalGraph, is_connected, parse_pmg
+from .data import example_polymer_text, fringe_catalog_text
 from .twolayer import (
     TwoLayeredDecomposition,
     as_decomposition,
@@ -184,24 +185,34 @@ class TopologicalSpec:
     @classmethod
     def from_json(cls, text: str) -> "TopologicalSpec":
         d = json.loads(text)
-        seed = SeedGraph(
-            vertices=tuple(d["seed"]["vertices"]),
-            edges=tuple(SeedEdge(**e) for e in d["seed"]["edges"]),
-        )
-        kwargs = dict(
-            seed=seed,
-            rho=int(d["rho"]),
-            elements=tuple(d["elements"]),
-            vertex_elements={k: tuple(v) for k, v in d["vertex_elements"].items()},
-            fringe_catalog=tuple(d["fringe_catalog"]),
-        )
-        for attr in SCALAR_BOUNDS:
-            kwargs[attr] = tuple(d[attr])
-        for attr in STRUCTURE_BOUNDS + COUNT_BOUNDS:
-            kwargs[attr] = {k: tuple(v) for k, v in d[attr].items()}
+        try:
+            seed = SeedGraph(
+                vertices=tuple(d["seed"]["vertices"]),
+                edges=tuple(_seed_edge(e) for e in d["seed"]["edges"]),
+            )
+            kwargs = dict(
+                seed=seed,
+                rho=int(d["rho"]),
+                elements=tuple(d["elements"]),
+                vertex_elements={k: tuple(v) for k, v in d["vertex_elements"].items()},
+                fringe_catalog=tuple(d["fringe_catalog"]),
+            )
+            for attr in SCALAR_BOUNDS:
+                kwargs[attr] = tuple(d[attr])
+            for attr in STRUCTURE_BOUNDS + COUNT_BOUNDS:
+                kwargs[attr] = {k: tuple(v) for k, v in d[attr].items()}
+        except KeyError as exc:
+            raise SpecError(f"spec file lacks key {exc.args[0]!r}") from None
         for attr in CATALOG_RESTRICTIONS:  # optional in older files
             kwargs[attr] = {k: tuple(v) for k, v in d.get(attr, {}).items()}
         return cls(**kwargs)
+
+
+def _seed_edge(e: dict) -> SeedEdge:
+    try:
+        return SeedEdge(**e)
+    except TypeError as exc:  # a missing or unknown key
+        raise SpecError(f"seed edge {e!r}: {exc}") from None
 
 
 def load_fringe_catalog(text: str) -> tuple[str, ...]:
@@ -254,35 +265,19 @@ def two_ring_seed() -> SeedGraph:
     return SeedGraph(vertices, tuple(edges))
 
 
-def build_instance_Ib(
-    pi: str,
-    n_lb: int,
-    fringe_catalog: tuple[str, ...] | None = None,
-    examples: tuple[ChemicalGraph, ...] | None = None,
-    rho: int = 2,
-) -> TopologicalSpec:
+def build_instance_Ib(pi: str, n_lb: int, rho: int = 2) -> TopologicalSpec:
     """Parameterized two-ring instance.
 
     All bounds are the published growth formulas in n_lb, with max(.,0)
     guards so that values at or below 15 reduce to the base case.  The
     admissible edge configurations are taken from the reference example
-    polymers and the fringe catalog is the 17-tree default unless
-    overridden.
+    polymers and the fringe catalog is the shipped 17-tree catalog.
     """
     if n_lb < 1:
         raise SpecError("n_lb must be positive")
     elements = element_set(pi)
-    if fringe_catalog is None:
-        from .data import fringe_catalog_text
-
-        fringe_catalog = load_fringe_catalog(fringe_catalog_text())
-    if len(fringe_catalog) != 17:
-        raise SpecError("instance expects a 17-tree catalog")
-    if examples is None:
-        from .chemgraph import parse_pmg
-        from .data import example_polymer_text
-
-        examples = tuple(parse_pmg(example_polymer_text(i)) for i in (1, 2, 3, 4))
+    fringe_catalog = load_fringe_catalog(fringe_catalog_text())
+    examples = tuple(parse_pmg(example_polymer_text(i)) for i in (1, 2, 3, 4))
 
     grow = max(n_lb - 15, 0)
     quarter = max((n_lb - 15) // 4, 0)
@@ -324,7 +319,7 @@ def build_instance_Ib(
         rho=rho,
         elements=elements,
         vertex_elements={v: ("C",) for v in seed.vertices},
-        fringe_catalog=tuple(fringe_catalog),
+        fringe_catalog=fringe_catalog,
         n=(n_lb, n_star),
         n_int=(14, n_star),
         n_lnk=(2, 2 + grow),

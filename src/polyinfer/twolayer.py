@@ -147,16 +147,6 @@ def symbol_str(a: str, d: int) -> str:
 
 
 @dataclass(frozen=True)
-class FringeTree:
-    root: int
-    tree: RootedTree  # includes re-attached hydrogens
-
-    @property
-    def code(self) -> str:
-        return self.tree.code
-
-
-@dataclass(frozen=True)
 class TwoLayeredDecomposition:
     rho: int
     suppressed: SuppressedGraph
@@ -164,7 +154,7 @@ class TwoLayeredDecomposition:
     exterior_vertices: frozenset[int]
     interior_edges: frozenset[tuple[int, int]]
     exterior_edges: frozenset[tuple[int, int]]
-    fringe_trees: dict[int, FringeTree]
+    fringe_trees: dict[int, RootedTree]  # per interior root, hydrogens included
 
 
 def as_decomposition(
@@ -193,9 +183,6 @@ def decompose(g: ChemicalGraph | SuppressedGraph, rho: int) -> TwoLayeredDecompo
     )
     int_edges = frozenset(e for e in s.edge_list if e not in ext_edges)
 
-    fringe_trees: dict[int, FringeTree] = {}
-    for u in sorted(interior):
-        fringe_trees[u] = FringeTree(root=u, tree=_build_fringe(s, u, exterior))
     return TwoLayeredDecomposition(
         rho=rho,
         suppressed=s,
@@ -203,7 +190,7 @@ def decompose(g: ChemicalGraph | SuppressedGraph, rho: int) -> TwoLayeredDecompo
         exterior_vertices=exterior,
         interior_edges=int_edges,
         exterior_edges=ext_edges,
-        fringe_trees=fringe_trees,
+        fringe_trees={u: _build_fringe(s, u, exterior) for u in sorted(interior)},
     )
 
 

@@ -194,12 +194,9 @@ def test_criterion_5_inverse_roundtrip():
             hyperplane=h,
             y_lo=window[0],
             y_hi=window[1],
-            lower=feat_min.copy(),
-            upper=feat_max.copy(),
             feat_min=feat_min,
             feat_max=feat_max,
             integer_indices=frozenset(range(k)),
-            nonnegative_indices=frozenset(range(k)),
             epsilon=eps,
         )
         sol = solve(build_inverse_milp(spec), max_seconds=10.0)

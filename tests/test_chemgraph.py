@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import itertools
 import random
 
 import pytest
 
+from polyinfer import chemgraph
 from polyinfer.chemgraph import (
+    ELEMENTS,
     ChemicalGraph,
     GraphError,
     PmgParseError,
@@ -17,6 +21,8 @@ from polyinfer.chemgraph import (
     rank,
     reattach_hydrogens,
     serialize_pmg,
+    split_symbol,
+    valence,
 )
 from polyinfer.data import demo_polymer_text
 
@@ -83,6 +89,22 @@ def brute_force_rank(vertices, edges) -> int:
 
 
 # -- parsing ----------------------------------------------------------------
+
+
+def test_element_constant_invariants():
+    # a repeated key in the dict literal would silently replace an entry
+    (literal,) = [
+        node.value for node in ast.walk(ast.parse(inspect.getsource(chemgraph)))
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "ELEMENTS"
+    ]
+    symbols = [ast.literal_eval(key) for key in literal.keys]
+    assert len(set(symbols)) == len(symbols) == len(ELEMENTS)
+    for symbol, (val, _) in ELEMENTS.items():
+        assert 1 <= val <= 6 and valence(symbol) == val
+        suffix = split_symbol(symbol)[1]
+        assert suffix in (0, val), symbol
+    with pytest.raises(GraphError, match="unknown element"):
+        valence("Xx")
 
 
 def test_parse_ethane():

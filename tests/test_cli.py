@@ -208,6 +208,48 @@ def test_missing_window_is_clean_error(trained_model, capsys):
     assert "--window" in capsys.readouterr().err
 
 
+def test_non_finite_window_or_epsilon_is_clean_error(trained_model, capsys):
+    for argv in (
+        ["--window=2.2,inf"],
+        ["--window=-inf,inf"],
+        ["--window=2.2,2.6", "--epsilon", "nan"],
+    ):
+        assert run("infer", "--model", trained_model, *argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+
+def test_model_file_without_a_key_is_clean_error(trained_model, tmp_path, capsys):
+    model = json.loads(Path(trained_model).read_text())
+    del model["lambda"]
+    broken = tmp_path / "model.json"
+    broken.write_text(json.dumps(model))
+    assert run("infer", "--model", broken, "--window", "2.2,2.6") == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'lambda'" in err
+
+
+def test_spec_file_with_a_missing_or_unknown_key_is_clean_error(trained_model, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path)
+    sample = tmp_path / "sample.pmg"
+    sample.write_text(make_polymer())
+    spec = json.loads(spec_path.read_text())
+    no_n_int = dict(spec)
+    del no_n_int["n_int"]
+    odd_edge = json.loads(spec_path.read_text())
+    odd_edge["seed"]["edges"][0]["colour"] = "red"
+    for broken, key in ((no_n_int, "'n_int'"), (odd_edge, "'colour'")):
+        spec_path.write_text(json.dumps(broken))
+        for argv in (
+            ["check", "--spec", spec_path, "--graph", sample],
+            ["generate", "--model", trained_model, "--spec", spec_path,
+             "--window", "2.2,2.6", "--out-dir", tmp_path / "gen"],
+        ):
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and key in err
+
+
 def test_config_file_defaults(trained_model, tmp_path):
     cfg = tmp_path / "pipeline.cfg"
     cfg.write_text("window=2.2,2.6\nepsilon=1e-5\n")

@@ -170,12 +170,9 @@ def one_dim_spec(y_lo=0.4, y_hi=0.6, eps=1e-5) -> InverseProblemSpec:
         hyperplane=Hyperplane(w=np.array([1.0]), b=0.0),
         y_lo=y_lo,
         y_hi=y_hi,
-        lower=np.array([0.0]),
-        upper=np.array([10.0]),
         feat_min=np.array([0.0]),
         feat_max=np.array([10.0]),
         integer_indices=frozenset({0}),
-        nonnegative_indices=frozenset({0}),
         epsilon=eps,
     )
 
@@ -196,12 +193,9 @@ def test_build_inverse_model_linear_size():
             hyperplane=Hyperplane(w=rng.normal(size=k), b=0.1),
             y_lo=0.0,
             y_hi=1.0,
-            lower=np.zeros(k),
-            upper=np.full(k, 9.0),
             feat_min=np.zeros(k),
             feat_max=np.full(k, 9.0),
             integer_indices=frozenset(range(k)),
-            nonnegative_indices=frozenset(range(k)),
         )
         m = build_inverse_milp(spec)
         assert len(m.variables) == 2 * k
@@ -250,12 +244,9 @@ def random_trained_spec(seed: int) -> InverseProblemSpec:
         hyperplane=Hyperplane(w=w, b=b),
         y_lo=center - width,
         y_hi=center + width,
-        lower=feat_min.copy(),
-        upper=feat_max.copy(),
         feat_min=feat_min,
         feat_max=feat_max,
         integer_indices=frozenset(range(k)),
-        nonnegative_indices=frozenset(range(k)),
     )
 
 
@@ -281,12 +272,9 @@ def test_window_at_data_minimum_is_feasible(mn):
         hyperplane=Hyperplane(w=np.array([1.0]), b=0.0),
         y_lo=-0.01,
         y_hi=0.01,
-        lower=np.array([float(mn)]),
-        upper=np.array([mn + 3.0]),
         feat_min=np.array([float(mn)]),
         feat_max=np.array([mn + 3.0]),
         integer_indices=frozenset({0}),
-        nonnegative_indices=frozenset({0}),
     )
     m = build_inverse_milp(spec)
     corner = {"x_1": Fraction(mn), "xh_1": Fraction(0)}
@@ -307,12 +295,9 @@ def test_exact_standardized_constant_descriptor():
         hyperplane=Hyperplane(w=np.array([0.5, 1.0]), b=0.0),
         y_lo=0.0,
         y_hi=1.0,
-        lower=np.array([3.0, 0.0]),
-        upper=np.array([3.0, 4.0]),
         feat_min=np.array([3.0, 0.0]),
         feat_max=np.array([3.0, 4.0]),
         integer_indices=frozenset({0, 1}),
-        nonnegative_indices=frozenset({0, 1}),
     )
     m = build_inverse_milp(spec)
     # constant descriptor contributes no normalization rows and a pinned xhat
@@ -518,8 +503,14 @@ def test_emit_lp_sections():
 
 def test_lp_roundtrip_random_models():
     rng = random.Random(9)
-    for _ in range(50):
-        m = random_integer_model(rng, nvars=rng.randint(1, 4))
+    models = [random_integer_model(rng, nvars=rng.randint(1, 4)) for _ in range(50)]
+    inf = float("inf")
+    for lo, hi in ((-inf, inf), (-inf, 5.0), (0.0, inf)):  # continuous, unbounded
+        models.append(MilpModel(
+            (Variable("x", 0, 3, integer=True), Variable("y", lo, hi)),
+            (Constraint("c", (("x", 1.0), ("y", -2.0)), "<=", 1.0),),
+        ))
+    for m in models:
         assert parse_lp(emit_lp(m)) == m
 
 

@@ -191,7 +191,7 @@ def test_partition_invariants():
         assert dec.interior_edges | dec.exterior_edges == set(s.edge_list)
         assert not dec.interior_edges & dec.exterior_edges
         # every suppressed vertex is in exactly one fringe tree
-        assert sum(ft.tree.heavy_size() for ft in dec.fringe_trees.values()) == len(s.atoms)
+        assert sum(ft.heavy_size() for ft in dec.fringe_trees.values()) == len(s.atoms)
 
 
 def test_rho_monotonicity():
@@ -206,7 +206,7 @@ def test_rho_monotonicity():
 def test_fringe_heights_bounded():
     g = parse_pmg(demo_polymer_text())
     dec = decompose(g, rho=2)
-    assert all(ft.tree.heavy_height() <= 2 for ft in dec.fringe_trees.values())
+    assert all(ft.heavy_height() <= 2 for ft in dec.fringe_trees.values())
 
 
 def test_demo_polymer_target_fringe_count():

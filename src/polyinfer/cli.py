@@ -292,9 +292,12 @@ def cmd_generate(args, config) -> int:
                         "results": len(outcome.results),
                         "candidates_examined": outcome.candidates_examined,
                         "rejected_spec": outcome.rejected_spec,
+                        "rejected_by": dict(sorted(outcome.rejected_by.items())),
                         "rejected_window": outcome.rejected_window,
                         "rejected_oov": outcome.rejected_oov,
                         "duplicates": outcome.duplicates,
+                        "dropped_symmetric": outcome.dropped_symmetric,
+                        "cut_vocabulary": outcome.cut_vocabulary,
                     }
                 },
                 sort_keys=True,
@@ -305,7 +308,8 @@ def cmd_generate(args, config) -> int:
         f"generate: {len(outcome.results)} graphs ({outcome.status}); "
         f"examined={outcome.candidates_examined} spec-rejected={outcome.rejected_spec} "
         f"window-rejected={outcome.rejected_window} oov={outcome.rejected_oov} "
-        f"duplicates={outcome.duplicates}"
+        f"duplicates={outcome.duplicates} symmetric-dropped={outcome.dropped_symmetric} "
+        f"vocabulary-cut={outcome.cut_vocabulary}"
     )
     return EXIT_OK
 

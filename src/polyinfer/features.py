@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .chemgraph import (
 from .twolayer import (
     TwoLayeredDecomposition,
     as_decomposition,
-    count_profile,
     decompose,
 )
 
@@ -68,6 +68,12 @@ class DescriptorRegistry:
 
     def keys_of(self, kind: str) -> list[str]:
         return [d.key for d in self.descriptors if d.kind == kind]
+
+    @cached_property
+    def vocabulary(self) -> dict[str, frozenset[str]]:
+        """Known keys per count family, built once per registry: the
+        configurations the model has a descriptor for."""
+        return {kind: frozenset(self.keys_of(kind)) for kind in FAMILY_KINDS}
 
     def to_json(self) -> str:
         payload = {
@@ -201,7 +207,7 @@ def build_registry(dataset: Dataset, rho: int) -> DescriptorRegistry:
         raise FeatureError("empty dataset")
     observed: dict[str, set[str]] = {k: set() for k in FAMILY_KINDS}
     for rec in dataset.records:
-        profile = count_profile(decompose(rec.graph, rho))
+        profile = decompose(rec.graph, rho).profile
         for kind, keys in observed.items():
             keys.update(getattr(profile, kind))
 
@@ -230,7 +236,7 @@ def featurize(
     vector.
     """
     dec = as_decomposition(g, registry.rho)
-    profile = count_profile(dec)
+    profile = dec.profile
     scalars = {
         "n": profile.n,
         "rank": profile.rank,
@@ -250,8 +256,7 @@ def featurize(
             values[j] = getattr(profile, d.kind).get(d.key, 0)
 
     oov: list[str] = []
-    for kind in FAMILY_KINDS:
-        known = set(registry.keys_of(kind))
+    for kind, known in registry.vocabulary.items():
         for key in getattr(profile, kind):
             if key not in known:
                 oov.append(f"{kind}:{key}")

@@ -13,11 +13,24 @@ stays inside the specification instead of filtering after the fact:
   symbol and the declared leaf-edge configurations;
 * a partial fringe assignment is cut as soon as an interior edge with both
   ends assigned has an undeclared edge or adjacency configuration, or one
-  past its upper bound, and on the fringe-tree, element and size bounds.
+  past its upper bound, and on the fringe-tree, element and size bounds;
+* the same filters and edge cuts also drop what the trained model has no
+  descriptor for (its vocabulary): a fringe code, interior symbol, element
+  or leaf-edge configuration, and an interior edge whose `ec_int` key, or
+  on a link edge `ec_lnk` key, the registry lacks;
+* a complete assignment is kept only if its tuple of catalog indices is
+  lexicographically no greater than its image under every automorphism of
+  the skeleton (the lex-leader rule of Crawford, Ginsberg, Luks and Roy,
+  KR 1996).  The enumeration runs in lexicographic order and every cut is
+  automorphism-invariant, so the lex-leader is the first member of its
+  orbit enumerated, and the graphs emitted are the same as without it.
 
-The cuts only drop candidates the full check would reject; every survivor
-is still checked against the full specification and the trained model's
-property window before emission, and duplicates are suppressed by a
+The cuts only drop candidates the full check would reject or the model
+would report as out of vocabulary, and the lex-leader test only drops
+graphs isomorphic to one already enumerated; every survivor is still
+checked against the full specification, the vocabulary and the model's
+property window before emission.  Isomorphisms that no skeleton
+automorphism induces, such as between two skeletons, are suppressed by a
 canonical form of the whole monomer graph (interior canonical labeling
 plus fringe codes).
 """
@@ -103,9 +116,12 @@ class GenerationOutcome:
     status: str = "incomplete"  # or "exhausted" / "limit-candidates" / "limit-seconds"
     candidates_examined: int = 0
     rejected_spec: int = 0
+    rejected_by: Counter = field(default_factory=Counter)  # spec failure family -> candidates
     rejected_window: int = 0
     rejected_oov: int = 0
     duplicates: int = 0
+    dropped_symmetric: int = 0  # complete assignments that are not their orbit's lex-leader
+    cut_vocabulary: int = 0  # partial assignments cut on the model's vocabulary
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +295,21 @@ def _iter_bond_assignments(spec, path_edges, lengths, branch_combo):
 # Fringe assignment and materialization
 
 
-class _EdgeVerdicts(dict):
-    """Memo for one spec: `(end_u, end_v, multiplicity, is_link)` -> the
-    `((family, key), upper)` counters one interior edge adds, or None when
-    one of its configurations is undeclared.  An end is `(element, degree)`
-    with the degree taken in the hydrogen-suppressed graph."""
+_UNKNOWN = "unknown"  # verdict of an edge whose configuration the model lacks
 
-    def __init__(self, spec: TopologicalSpec):
+
+class _EdgeVerdicts(dict):
+    """Memo for one spec and model vocabulary: `(end_u, end_v, multiplicity,
+    is_link)` -> the `((family, key), upper)` counters one interior edge
+    adds, None when one of its configurations is undeclared, or `_UNKNOWN`
+    when its `ec_int` key, or on a link edge its `ec_lnk` key, is missing
+    from the vocabulary.  An end is `(element, degree)` with the degree
+    taken in the hydrogen-suppressed graph."""
+
+    def __init__(self, spec: TopologicalSpec, vocabulary: dict[str, frozenset[str]]):
         super().__init__()
         self.spec = spec
+        self.vocabulary = vocabulary
 
     def __missing__(self, key):
         (a, d), (b, dp), m, is_link = key
@@ -296,24 +318,89 @@ class _EdgeVerdicts(dict):
         if is_link:
             keys.update(ec_lnk=keys["ec_int"], ac_lnk=keys["ac_int"])
         bounds = [getattr(self.spec, family).get(k) for family, k in keys.items()]
-        verdict = None
-        if None not in bounds:
+        if None in bounds:
+            verdict = None
+        elif any(keys[f] not in self.vocabulary[f] for f in keys if f.startswith("ec_")):
+            verdict = _UNKNOWN
+        else:
             verdict = tuple((fk, hi) for fk, (_, hi) in zip(keys.items(), bounds))
         self[key] = verdict
         return verdict
 
 
+def _automorphisms(sk: Skeleton) -> list[tuple[int, ...]]:
+    """Every non-identity automorphism of a skeleton as a permutation of its
+    0-based vertex positions (`perm[v]` is the image of v).
+
+    An automorphism keeps the bonds with their multiplicities and link
+    flags, the tips, and each vertex's element and fringe-code
+    restrictions, so it maps every candidate of the skeleton onto an
+    isomorphic one.  Plain backtracking over vertices in order, each image
+    checked against the bonds and non-bonds to the earlier images, is
+    enough: skeletons have a few dozen vertices and few symmetries.
+    """
+    n = sk.n_vertices
+    links = set(sk.link_edges)
+    bond: dict[tuple[int, int], tuple] = {}
+    for u, v, m in sk.edges:
+        pair = (min(u, v) - 1, max(u, v) - 1)
+        bond[pair] = tuple(sorted(bond.get(pair, ()) + ((m, (u, v) in links),)))
+
+    def label(x: int, y: int):
+        return bond.get((x, y) if x < y else (y, x))
+
+    incident: list[list] = [[] for _ in range(n)]
+    for (x, y), lab in bond.items():
+        incident[x].append(lab)
+        incident[y].append(lab)
+    color = [
+        (sk.allowed_elements[v + 1], sk.allowed_codes[v + 1], v + 1 in sk.tips, sorted(incident[v]))
+        for v in range(n)
+    ]
+    perm: list[int] = []
+    used = [False] * n
+    found: list[tuple[int, ...]] = []
+
+    def extend(x: int):
+        if x == n:
+            if any(perm[v] != v for v in range(n)):
+                found.append(tuple(perm))
+            return
+        for y in range(n):
+            if used[y] or color[y] != color[x]:
+                continue
+            if all(label(x, w) == label(y, perm[w]) for w in range(x)):
+                perm.append(y)
+                used[y] = True
+                extend(x + 1)
+                used[y] = False
+                perm.pop()
+
+    extend(0)
+    return found
+
+
 def _assign_fringes(
-    spec: TopologicalSpec, sk: Skeleton, catalog: list[CatalogEntry], verdicts: _EdgeVerdicts
+    spec: TopologicalSpec,
+    sk: Skeleton,
+    catalog: list[CatalogEntry],
+    verdicts: _EdgeVerdicts,
+    outcome: GenerationOutcome,
 ):
     """Fringe choices for vertices 1..n_vertices, in vertex then catalog
     order, cut as soon as a partial assignment breaks a bound or membership
-    that `check_satisfies` tests on every completion of it."""
+    that `check_satisfies` tests on every completion of it, or fixes a
+    configuration outside the model's vocabulary (`verdicts.vocabulary`),
+    and kept only when the tuple of catalog indices is the lex-leader of
+    its orbit under the skeleton's automorphisms.  Vocabulary cuts and
+    non-leaders are counted in `outcome.cut_vocabulary` and
+    `outcome.dropped_symmetric`."""
     bond_sum = Counter()
     skeleton_degree = Counter()
     links = set(sk.link_edges)
     # each edge is judged when its later end is assigned
     back_edges: list[list[tuple[int, int, bool]]] = [[] for _ in range(sk.n_vertices)]
+    vocabulary = verdicts.vocabulary
     for u, v, m in sk.edges:
         bond_sum[u] += m
         bond_sum[v] += m
@@ -322,7 +409,9 @@ def _assign_fringes(
         first, last = sorted((u, v))
         back_edges[last - 1].append((first - 1, m, (u, v) in links))
 
-    choices: list[list[tuple[CatalogEntry, tuple[str, int]]]] = []
+    # per vertex: (entry, end, whether the model knows the entry's fringe
+    # code, elements, leaf edges and interior symbol)
+    choices: list[list[tuple[CatalogEntry, tuple[str, int], bool]]] = []
     for v in range(1, sk.n_vertices + 1):
         opts = []
         for c in catalog:
@@ -336,12 +425,21 @@ def _assign_fringes(
             ):
                 continue
             end = (c.element, skeleton_degree[v] + c.heavy_children)
-            if symbol_str(*end) in spec.ns_int:
-                opts.append((c, end))
+            symbol = symbol_str(*end)
+            if symbol in spec.ns_int:
+                known = (
+                    c.code in vocabulary["fc"]
+                    and symbol in vocabulary["ns_int"]
+                    and all(e in vocabulary["na"] for e, _ in c.elements)
+                    and all(k in vocabulary["ac_lf"] for k in c.leaf_adjacencies)
+                )
+                opts.append((c, end, known))
         if not opts:
             return
         choices.append(opts)
 
+    automorphisms: list[tuple[int, ...]] | None = None  # found at the first completion
+    position = {c.code: i for i, c in enumerate(catalog)}
     na = Counter()
     fc = Counter()
     edge_counts = Counter()  # (family, key) -> interior edges counted so far
@@ -364,6 +462,9 @@ def _assign_fringes(
             verdict = verdicts[(ends[w], end, m, is_link)]
             if verdict is None:
                 return False
+            if verdict is _UNKNOWN:
+                outcome.cut_vocabulary += 1
+                return False
             for key, upper in verdict:
                 if edge_counts[key] >= upper:
                     return False
@@ -371,12 +472,25 @@ def _assign_fringes(
                 counted.append(key)
         return True
 
+    def lex_leader() -> bool:
+        nonlocal automorphisms
+        if automorphisms is None:
+            automorphisms = _automorphisms(sk)
+        indices = [position[entry.code] for entry in picked]
+        return all([indices[p] for p in perm] >= indices for perm in automorphisms)
+
     def rec(pos: int):
         nonlocal heavy
         if pos == len(choices):
-            yield tuple(picked)
+            if lex_leader():
+                yield tuple(picked)
+            else:
+                outcome.dropped_symmetric += 1
             return
-        for entry, end in choices[pos]:
+        for entry, end, known in choices[pos]:
+            if not known:
+                outcome.cut_vocabulary += 1
+                continue
             if not admissible(entry):
                 continue
             counted: list = []
@@ -397,7 +511,13 @@ def _assign_fringes(
             for key in counted:
                 edge_counts[key] -= 1
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        # `rec` refers to itself through its closure; emptying that cell
+        # breaks the cycle, which would otherwise keep `outcome` and its
+        # results alive until the next garbage collection
+        del rec
 
 
 def _materialize(sk: Skeleton, assignment: tuple[CatalogEntry, ...]) -> ChemicalGraph:
@@ -525,21 +645,32 @@ def iter_generate(
 
     `outcome.status` stays "incomplete" when the consumer stops early.
     `candidates_examined` counts the complete assignments that survive the
-    enumeration's cuts, the ones materialized and fully checked.
+    enumeration's cuts and its lex-leader test, the ones materialized and
+    fully checked.
     """
     if spec.rho != model.registry.rho:
         raise ValueError(
             f"spec rho {spec.rho} differs from the model's {model.registry.rho}"
         )
     catalog = [CatalogEntry.build(code) for code in spec.fringe_catalog]
-    verdicts = _EdgeVerdicts(spec)
+    verdicts = _EdgeVerdicts(spec, model.registry.vocabulary)
     lo, hi = window
     seen: set[str] = set()
     deadline = None if limit_seconds is None else time.monotonic() + limit_seconds
+
+    def out_of_time() -> bool:
+        if deadline is not None and time.monotonic() > deadline:
+            outcome.status = "limit-seconds"
+            return True
+        return False
+
     for sk in _iter_skeletons(spec):
-        for assignment in _assign_fringes(spec, sk, catalog, verdicts):
-            if deadline is not None and time.monotonic() > deadline:
-                outcome.status = "limit-seconds"
+        # checked per skeleton too: the cuts can leave long runs of
+        # skeletons without a single complete assignment
+        if out_of_time():
+            return
+        for assignment in _assign_fringes(spec, sk, catalog, verdicts, outcome):
+            if out_of_time():
                 return
             if limit_candidates is not None and outcome.candidates_examined >= limit_candidates:
                 outcome.status = "limit-candidates"
@@ -553,6 +684,7 @@ def iter_generate(
             report = check_satisfies(dec, spec, search_witness=False)
             if not report.passed:
                 outcome.rejected_spec += 1
+                outcome.rejected_by.update(report.failed_families())
                 continue
             prediction, oov = model.predict_graph(dec, covariates)
             if oov:

@@ -12,6 +12,7 @@ searches for a structural expansion witness.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .chemgraph import ChemicalGraph, is_connected, parse_pmg
@@ -19,7 +20,6 @@ from .data import example_polymer_text, fringe_catalog_text
 from .twolayer import (
     TwoLayeredDecomposition,
     as_decomposition,
-    count_profile,
     decompose,
     parse_code,
 )
@@ -185,27 +185,58 @@ class TopologicalSpec:
     @classmethod
     def from_json(cls, text: str) -> "TopologicalSpec":
         d = json.loads(text)
-        try:
-            seed = SeedGraph(
-                vertices=tuple(d["seed"]["vertices"]),
-                edges=tuple(_seed_edge(e) for e in d["seed"]["edges"]),
-            )
-            kwargs = dict(
-                seed=seed,
-                rho=int(d["rho"]),
-                elements=tuple(d["elements"]),
-                vertex_elements={k: tuple(v) for k, v in d["vertex_elements"].items()},
-                fringe_catalog=tuple(d["fringe_catalog"]),
-            )
-            for attr in SCALAR_BOUNDS:
-                kwargs[attr] = tuple(d[attr])
-            for attr in STRUCTURE_BOUNDS + COUNT_BOUNDS:
-                kwargs[attr] = {k: tuple(v) for k, v in d[attr].items()}
-        except KeyError as exc:
-            raise SpecError(f"spec file lacks key {exc.args[0]!r}") from None
+        # (key, conversion) in file order; a missing key or a wrongly typed
+        # value is reported by the key it sits under
+        fields = [
+            ("seed", lambda v: SeedGraph(
+                vertices=tuple(v["vertices"]),
+                edges=tuple(_seed_edge(e) for e in v["edges"]),
+            )),
+            ("rho", int),
+            ("elements", tuple),
+            ("vertex_elements", _name_lists),
+            ("fringe_catalog", tuple),
+            *((attr, _bounds) for attr in SCALAR_BOUNDS),
+            *((attr, _bounds_table) for attr in STRUCTURE_BOUNDS + COUNT_BOUNDS),
+        ]
+        kwargs = {key: _spec_value(d, key, convert) for key, convert in fields}
         for attr in CATALOG_RESTRICTIONS:  # optional in older files
-            kwargs[attr] = {k: tuple(v) for k, v in d.get(attr, {}).items()}
+            if attr in d:
+                kwargs[attr] = _spec_value(d, attr, _name_lists)
         return cls(**kwargs)
+
+
+def _spec_value(d: dict, key: str, convert):
+    """`convert(d[key])`, with a missing key or a value of the wrong type or
+    shape raised as a SpecError that names the key."""
+    try:
+        return convert(d[key])
+    except SpecError:
+        raise
+    except KeyError as exc:
+        missing = key if exc.args[0] == key else f"{key}.{exc.args[0]}"
+        raise SpecError(f"spec file lacks key {missing!r}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SpecError(f"spec file key {key!r} has a malformed value: {exc}") from None
+
+
+def _name_lists(value: dict) -> dict[str, tuple[str, ...]]:
+    return {k: tuple(names) for k, names in value.items()}
+
+
+def _bounds_table(value: dict) -> dict[str, Bounds]:
+    return {k: _bounds(b) for k, b in value.items()}
+
+
+def _bounds(value) -> Bounds:
+    """A [lower, upper] pair of integers."""
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in value)
+    ):
+        raise TypeError(f"expected a [lower, upper] pair of integers, got {value!r}")
+    return tuple(value)
 
 
 def _seed_edge(e: dict) -> SeedEdge:
@@ -289,7 +320,7 @@ def build_instance_Ib(pi: str, n_lb: int, rho: int = 2) -> TopologicalSpec:
     # the examples' configurations are the admissible ones
     config_keys: dict[str, set[str]] = {attr: set() for attr in CONFIG_BOUNDS}
     for g in examples:
-        profile = count_profile(decompose(g, rho))
+        profile = decompose(g, rho).profile
         for attr, keys in config_keys.items():
             keys.update(getattr(profile, attr))
 
@@ -383,6 +414,13 @@ class SpecReport:
             out.append(f"witness: {self.witness_message}")
         return out
 
+    def failed_families(self) -> list[str]:
+        """The distinct families of `failures()`, sorted: each entry's text
+        before its first '[' or ':', so a bound names its count family
+        ("ec_int", "n"), a membership test its own name, and a failed
+        witness search "witness"."""
+        return sorted({re.split(r"[\[:]", f, maxsplit=1)[0] for f in self.failures()})
+
 
 def check_satisfies(
     g: ChemicalGraph | TwoLayeredDecomposition,
@@ -394,7 +432,7 @@ def check_satisfies(
     (skippable for callers that constructed the graph as an expansion in
     the first place)."""
     dec = as_decomposition(g, spec.rho)
-    profile = count_profile(dec)
+    profile = dec.profile
     checks = [
         BoundCheck("n", *spec.n, profile.n),
         BoundCheck("n_int", *spec.n_int, profile.n_int),

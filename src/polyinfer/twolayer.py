@@ -156,6 +156,12 @@ class TwoLayeredDecomposition:
     exterior_edges: frozenset[tuple[int, int]]
     fringe_trees: dict[int, RootedTree]  # per interior root, hydrogens included
 
+    @cached_property
+    def profile(self) -> "CountProfile":
+        """The count profile, computed on first read and kept, so every
+        stage that reads one decomposition shares one profile."""
+        return count_profile(self)
+
 
 def as_decomposition(
     g: ChemicalGraph | SuppressedGraph | TwoLayeredDecomposition, rho: int

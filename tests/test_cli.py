@@ -250,6 +250,19 @@ def test_spec_file_with_a_missing_or_unknown_key_is_clean_error(trained_model, t
             assert "error:" in err and key in err
 
 
+def test_spec_file_with_a_wrongly_typed_value_is_clean_error(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path)
+    sample = tmp_path / "sample.pmg"
+    sample.write_text(make_polymer())
+    spec = json.loads(spec_path.read_text())
+    spec["n_int"] = 5
+    spec_path.write_text(json.dumps(spec))
+    assert run("check", "--spec", spec_path, "--graph", sample) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'n_int'" in err
+
+
 def test_config_file_defaults(trained_model, tmp_path):
     cfg = tmp_path / "pipeline.cfg"
     cfg.write_text("window=2.2,2.6\nepsilon=1e-5\n")

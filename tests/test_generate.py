@@ -8,12 +8,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import polyinfer
 from corpus import make_polymer, synthetic_corpus
 from polyinfer import generate, twolayer
 from polyinfer.chemgraph import parse_pmg
 from polyinfer.cli import main
+from polyinfer.features import DescriptorRegistry, Standardizer
 from polyinfer.generate import (
     GenerationOutcome,
     canonical_signature,
@@ -21,8 +24,10 @@ from polyinfer.generate import (
     run_generation,
     verify_roundtrip,
 )
+from polyinfer.model import ModelBundle
+from polyinfer.regress import Hyperplane
 from polyinfer.topospec import build_instance_Ib, check_satisfies
-from spechelpers import SMALL_CATALOG, forcing_spec, oracle_candidates, train_model
+from spechelpers import FREE_POSITIONS, SMALL_CATALOG, forcing_spec, oracle_candidates, train_model
 
 
 @pytest.fixture(scope="module")
@@ -167,13 +172,18 @@ def test_verify_roundtrip_reports(model_with_cl, spec_full):
     assert any(not c.ok for c in checks_mut)
 
 
-def test_oov_outputs_are_flagged(spec_full):
-    spec = spec_full
-    # model trained WITHOUT any Cl-bearing graph: Cl candidates are OOV
-    model = train_model([make_polymer(), make_polymer(bridge_a=("O",)),
-                         make_polymer(bridge_b=("C", "C")), make_polymer(bridge_a=("O",), bridge_b=("C", "O"))])
-    out = run_generation(spec, model, (-1e9, 1e9), limit_candidates=2000)
-    assert out.rejected_oov > 0
+@pytest.fixture(scope="module")
+def model_without_cl():
+    """Trained WITHOUT any Cl-bearing graph: Cl candidates are OOV."""
+    return train_model([make_polymer(), make_polymer(bridge_a=("O",)),
+                        make_polymer(bridge_b=("C", "C")), make_polymer(bridge_a=("O",), bridge_b=("C", "O"))])
+
+
+def test_oov_outputs_are_flagged(spec_full, model_without_cl):
+    out = run_generation(spec_full, model_without_cl, (-1e9, 1e9), limit_candidates=2000)
+    # OOV candidates are cut during the enumeration; the OOV report after
+    # prediction is the backstop
+    assert out.cut_vocabulary + out.rejected_oov > 0
     assert all("Cl" not in dict(r.graph.atoms).values() for r in out.results)
 
 
@@ -196,9 +206,42 @@ def decompositions(monkeypatch):
 
 def test_generation_decomposes_each_candidate_once(model_with_cl, decompositions):
     spec = forcing_spec(SMALL_CATALOG, cl_positions=(2, 5, 8, 11))
-    out = run_generation(spec, model_with_cl, (-1e9, 1e9))
-    assert out.results and out.duplicates  # every stage ran on some candidates
+    out = run_generation(spec, model_with_cl, (3.2, 3.75))
+    # every stage ran: some candidates were predicted out of the window,
+    # some were signed and emitted
+    assert out.results and out.rejected_window
     assert len(decompositions) == out.candidates_examined
+
+
+@pytest.fixture
+def profiles(monkeypatch):
+    """Count `count_profile` calls, wrapped at every module binding that holds it."""
+    calls: list[int] = []
+    original = twolayer.count_profile
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(polyinfer.__path__):
+        module = importlib.import_module(f"polyinfer.{info.name}")
+        if vars(module).get("count_profile") is original:
+            monkeypatch.setattr(module, "count_profile", counting)
+    return calls
+
+
+def test_generation_profiles_each_candidate_once(model_with_cl, profiles):
+    spec = forcing_spec(SMALL_CATALOG, cl_positions=(2, 5, 8, 11))
+    out = run_generation(spec, model_with_cl, (3.2, 3.75))
+    assert out.results and out.rejected_window
+    assert len(profiles) == out.candidates_examined
+
+
+def test_verify_roundtrip_profiles_once(model_with_cl, spec_full, profiles):
+    graphs = [parse_pmg(make_polymer()), parse_pmg(make_polymer(bridge_a=("O",)))]
+    for g in graphs:
+        verify_roundtrip(g, spec_full, model_with_cl, (-1e9, 1e9))
+    assert len(profiles) == len(graphs)
 
 
 def test_verify_roundtrip_decomposes_once(model_with_cl, spec_full, decompositions):
@@ -221,6 +264,50 @@ def test_cmd_generate_adds_no_decompositions(model_with_cl, tmp_path, decomposit
     summary = json.loads(lines[-1])["summary"]
     assert summary["results"] > 0
     assert len(decompositions) == summary["candidates_examined"]
+
+
+def test_manifest_summary_reports_cuts_and_rejections(model_without_cl, tmp_path):
+    spec = forcing_spec(SMALL_CATALOG, cl_positions=(2, 5, 8, 11))
+    window = (-1e9, 1e9)
+    out = run_generation(spec, model_without_cl, window)
+    assert out.dropped_symmetric and out.cut_vocabulary
+    (tmp_path / "model.json").write_text(model_without_cl.to_json())
+    (tmp_path / "spec.json").write_text(spec.to_json())
+    assert main([
+        "generate", "--model", str(tmp_path / "model.json"), "--spec", str(tmp_path / "spec.json"),
+        "--window=-1e9,1e9", "--out-dir", str(tmp_path / "out"),
+    ]) == 0
+    lines = (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()
+    summary = json.loads(lines[-1])["summary"]
+    for counter in ("candidates_examined", "rejected_spec", "rejected_window", "rejected_oov",
+                    "duplicates", "dropped_symmetric", "cut_vocabulary"):
+        assert summary[counter] == getattr(out, counter), counter
+    assert summary["rejected_by"] == {}
+
+
+def test_spec_rejections_are_keyed_by_failed_family(model_with_cl):
+    # at n_lb=20 most candidates fall short of the n lower bound
+    out = run_generation(build_instance_Ib("AmD", 20), model_with_cl, (-1e9, 1e9), limit_candidates=60)
+    assert out.rejected_spec > 0
+    assert out.rejected_by["n"] > 0
+    assert max(out.rejected_by.values()) <= out.rejected_spec <= sum(out.rejected_by.values())
+
+
+def test_limit_seconds_is_checked_between_skeletons(model_with_cl, monkeypatch):
+    # a clock that advances one second per reading, and an enumeration whose
+    # cuts leave no skeleton a complete assignment: the run must still stop
+    clock = itertools.count()
+    monkeypatch.setattr(generate.time, "monotonic", lambda: float(next(clock)))
+    visited = []
+
+    def no_assignment(spec, sk, *_):
+        visited.append(sk)
+        return iter(())
+
+    monkeypatch.setattr(generate, "_assign_fringes", no_assignment)
+    out = run_generation(build_instance_Ib("AmD", 14), model_with_cl, (-1e9, 1e9), limit_seconds=3)
+    assert out.status == "limit-seconds"
+    assert len(visited) == 3
 
 
 def test_status_stays_incomplete_when_consumer_stops(model_with_cl, spec_full):
@@ -270,7 +357,7 @@ def reference_skeleton_admissible(spec, sk) -> bool:
     return sk.n_vertices <= spec.n[1]
 
 
-def reference_assign_fringes(spec, sk, catalog, _verdicts=None):
+def reference_assign_fringes(spec, sk, catalog, *_):
     """Fringe choices cut only on fc, element and size upper bounds."""
     bond_sum = Counter()
     for u, v, m in sk.edges:
@@ -331,6 +418,124 @@ def reference_assign_fringes(spec, sk, catalog, _verdicts=None):
     yield from rec(0)
 
 
+class ReferenceEdgeVerdicts(dict):
+    """`(end_u, end_v, multiplicity, is_link)` -> the `((family, key), upper)`
+    counters one interior edge adds, or None when one of its configurations
+    is undeclared; blind to the model's vocabulary."""
+
+    def __init__(self, spec):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, key):
+        (a, d), (b, dp), m, is_link = key
+        cfg = twolayer.make_edge_config(a, d, b, dp, m)
+        keys = {"ec_int": twolayer.config_str(cfg),
+                "ac_int": twolayer.adjacency_str(twolayer.adjacency_of(cfg))}
+        if is_link:
+            keys.update(ec_lnk=keys["ec_int"], ac_lnk=keys["ac_int"])
+        bounds = [getattr(self.spec, family).get(k) for family, k in keys.items()]
+        verdict = None
+        if None not in bounds:
+            verdict = tuple((fk, hi) for fk, (_, hi) in zip(keys.items(), bounds))
+        self[key] = verdict
+        return verdict
+
+
+def reference_spec_pruned_assign_fringes(spec, sk, catalog, *_):
+    """Fringe choices cut on the spec alone, with every member of each
+    skeleton-automorphism orbit kept: no vocabulary cut, no lex-leader test."""
+    verdicts = ReferenceEdgeVerdicts(spec)
+    bond_sum = Counter()
+    skeleton_degree = Counter()
+    links = set(sk.link_edges)
+    back_edges = [[] for _ in range(sk.n_vertices)]
+    for u, v, m in sk.edges:
+        bond_sum[u] += m
+        bond_sum[v] += m
+        skeleton_degree[u] += 1
+        skeleton_degree[v] += 1
+        first, last = sorted((u, v))
+        back_edges[last - 1].append((first - 1, m, (u, v) in links))
+
+    choices = []
+    for v in range(1, sk.n_vertices + 1):
+        opts = []
+        for c in catalog:
+            if not (
+                c.element in sk.allowed_elements[v]
+                and c.code in sk.allowed_codes[v]
+                and c.free_valence == bond_sum[v]
+                and (v not in sk.tips or c.height == spec.rho)
+                and all(e == "H" or e in spec.elements for e, _ in c.elements)
+                and all(k in spec.ac_lf for k in c.leaf_adjacencies)
+            ):
+                continue
+            end = (c.element, skeleton_degree[v] + c.heavy_children)
+            if twolayer.symbol_str(*end) in spec.ns_int:
+                opts.append((c, end))
+        if not opts:
+            return
+        choices.append(opts)
+
+    na = Counter()
+    fc = Counter()
+    edge_counts = Counter()
+    ends = []
+    picked = []
+    heavy = 0
+
+    def admissible(entry) -> bool:
+        if fc[entry.code] + 1 > spec.fc.get(entry.code, (0, sk.n_vertices + spec.n[1]))[1]:
+            return False
+        for elem, cnt in entry.elements:
+            bound = spec.na.get(elem)
+            if bound is not None and na[elem] + cnt > bound[1]:
+                return False
+        remaining = len(choices) - len(picked) - 1
+        return heavy + entry.heavy_atoms + remaining <= spec.n[1]
+
+    def count_edges(pos, end, counted) -> bool:
+        for w, m, is_link in back_edges[pos]:
+            verdict = verdicts[(ends[w], end, m, is_link)]
+            if verdict is None:
+                return False
+            for key, upper in verdict:
+                if edge_counts[key] >= upper:
+                    return False
+                edge_counts[key] += 1
+                counted.append(key)
+        return True
+
+    def rec(pos):
+        nonlocal heavy
+        if pos == len(choices):
+            yield tuple(picked)
+            return
+        for entry, end in choices[pos]:
+            if not admissible(entry):
+                continue
+            counted = []
+            if count_edges(pos, end, counted):
+                picked.append(entry)
+                ends.append(end)
+                fc[entry.code] += 1
+                for elem, cnt in entry.elements:
+                    na[elem] += cnt
+                heavy += entry.heavy_atoms
+                yield from rec(pos + 1)
+                heavy -= entry.heavy_atoms
+                for elem, cnt in entry.elements:
+                    na[elem] -= cnt
+                fc[entry.code] -= 1
+                ends.pop()
+                picked.pop()
+            for key in counted:
+                edge_counts[key] -= 1
+
+    yield from rec(0)
+
+
 def run_unpruned(monkeypatch, *args, **kwargs) -> GenerationOutcome:
     """`run_generation` on the reference enumerator."""
     with monkeypatch.context() as patch:
@@ -339,8 +544,34 @@ def run_unpruned(monkeypatch, *args, **kwargs) -> GenerationOutcome:
         return run_generation(*args, **kwargs)
 
 
+def run_without_symmetry_or_vocabulary(monkeypatch, *args, **kwargs) -> GenerationOutcome:
+    """`run_generation` on the spec-pruned enumerator that keeps every orbit
+    member and ignores the model's vocabulary."""
+    with monkeypatch.context() as patch:
+        patch.setattr(generate, "_assign_fringes", reference_spec_pruned_assign_fringes)
+        return run_generation(*args, **kwargs)
+
+
+def assert_cuts_accounted(pruned: GenerationOutcome, reference: GenerationOutcome):
+    """With no spec rejections, the reference's candidates are the pruned
+    run's, plus the non-leaders it dropped, plus the OOV ones it cut."""
+    assert reference.rejected_spec == pruned.rejected_spec == 0
+    assert pruned.rejected_oov == 0
+    assert pruned.candidates_examined == (
+        reference.candidates_examined - reference.rejected_oov - pruned.dropped_symmetric
+    )
+    assert pruned.candidates_examined == (
+        len(pruned.results) + pruned.rejected_window + pruned.duplicates
+    )
+
+
 def signatures(out: GenerationOutcome) -> list[str]:
     return [r.signature for r in out.results]
+
+
+def emitted(out: GenerationOutcome) -> list:
+    """The emitted graphs themselves, in order, not only their classes."""
+    return [(r.signature, r.graph, r.fringe_codes) for r in out.results]
 
 
 FORCING_SPACES = {
@@ -360,10 +591,51 @@ def test_pruned_enumeration_matches_reference_on_forcing_spaces(model_with_cl, m
     assert reference.status == pruned.status == "exhausted"
     assert reference.rejected_spec == 0
     assert signatures(pruned) == signatures(reference)
-    assert pruned.candidates_examined == reference.candidates_examined
-    assert (pruned.rejected_window, pruned.rejected_oov, pruned.duplicates) == (
-        reference.rejected_window, reference.rejected_oov, reference.duplicates
+    assert_cuts_accounted(pruned, reference)
+
+
+@pytest.mark.parametrize("space", sorted(FORCING_SPACES))
+def test_symmetry_and_vocabulary_cuts_keep_the_sequence_on_forcing_spaces(
+    model_with_cl, model_without_cl, monkeypatch, space
+):
+    spec = forcing_spec(**FORCING_SPACES[space])
+    for model, window in ((model_with_cl, (3.2, 3.75)), (model_without_cl, (-1e9, 1e9))):
+        pruned = run_generation(spec, model, window)
+        reference = run_without_symmetry_or_vocabulary(monkeypatch, spec, model, window)
+        assert reference.status == pruned.status == "exhausted"
+        assert emitted(pruned) == emitted(reference)
+        assert_cuts_accounted(pruned, reference)
+
+
+def without_descriptor(model: ModelBundle, name: str) -> ModelBundle:
+    """The model with one descriptor and its weight removed: its
+    configuration becomes out of vocabulary."""
+    keep = [j for j, other in enumerate(model.registry.names) if other != name]
+    assert len(keep) == len(model.registry) - 1
+    std = model.standardizer
+    return ModelBundle(
+        DescriptorRegistry(model.registry.rho, tuple(model.registry.descriptors[j] for j in keep)),
+        Standardizer(std.feature_min[keep], std.feature_max[keep], std.value_min, std.value_max),
+        Hyperplane(model.hyperplane.w[keep], model.hyperplane.b),
+        model.lam,
     )
+
+
+# each a key that only one cut tests: a vertex family whose edges the model
+# knows, an interior edge, and a link edge whose ec_int key the model knows
+@pytest.mark.parametrize(
+    "descriptor",
+    ["fc:C(-Cl)", "na:Cl", "ac_lf:(C,Cl,1)", "ns_int:(O,2)", "ec_int:(C2,O2,1)", "ec_lnk:(C2,C3,1)"],
+)
+def test_each_vocabulary_cut_drops_only_what_would_end_oov(model_with_cl, monkeypatch, descriptor):
+    spec = forcing_spec(SMALL_CATALOG, cl_positions=(2, 5, 8, 11))
+    model = without_descriptor(model_with_cl, descriptor)
+    pruned = run_generation(spec, model, (-1e9, 1e9))
+    reference = run_without_symmetry_or_vocabulary(monkeypatch, spec, model, (-1e9, 1e9))
+    assert emitted(pruned) == emitted(reference)
+    assert_cuts_accounted(pruned, reference)
+    assert pruned.cut_vocabulary > 0
+    assert reference.rejected_oov > 0
 
 
 IB_TAGS = ("AmD", "HcL", "Tg", "RfId", "Prm")
@@ -387,6 +659,18 @@ def test_ib_search_exhausts_without_spec_rejections(ib_exhausted, tag):
 
 
 @pytest.mark.parametrize("tag", IB_TAGS)
+def test_ib_symmetry_and_vocabulary_cuts_keep_the_sequence(model_with_cl, ib_exhausted, monkeypatch, tag):
+    pruned = ib_exhausted[tag]
+    reference = run_without_symmetry_or_vocabulary(
+        monkeypatch, build_instance_Ib(tag, 14), model_with_cl, (-1e9, 1e9)
+    )
+    assert reference.status == "exhausted"
+    assert emitted(pruned) == emitted(reference)
+    assert_cuts_accounted(pruned, reference)
+    assert pruned.dropped_symmetric > 0
+
+
+@pytest.mark.parametrize("tag", IB_TAGS)
 def test_ib_reference_is_prefix_of_pruned(model_with_cl, ib_exhausted, monkeypatch, tag):
     spec = build_instance_Ib(tag, 14)
     reference = run_unpruned(monkeypatch, spec, model_with_cl, (-1e9, 1e9), limit_candidates=1500)
@@ -395,3 +679,95 @@ def test_ib_reference_is_prefix_of_pruned(model_with_cl, ib_exhausted, monkeypat
     got = signatures(reference)
     assert got  # the cap leaves a prefix worth comparing
     assert signatures(ib_exhausted[tag])[: len(got)] == got
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    # "C" fills the seed's link ends and "C(-H)" the ring, so every drawn
+    # space has members; the bridge and substituent trees vary, in any order
+    catalog=st.sets(st.sampled_from(("C(-H)(-H)", "C(-Cl)", "O")), min_size=1).flatmap(
+        lambda codes: st.permutations(["C", "C(-H)", *sorted(codes)])
+    ),
+    cl_positions=st.sets(st.sampled_from(FREE_POSITIONS), min_size=1, max_size=4),
+    a2_max_len=st.sampled_from((2, 3)),
+    narrow=st.booleans(),
+    knows_cl=st.booleans(),
+)
+def test_symmetry_and_vocabulary_cuts_keep_the_sequence_on_drawn_spaces(
+    model_with_cl, model_without_cl, catalog, cl_positions, a2_max_len, narrow, knows_cl
+):
+    spec = forcing_spec(tuple(catalog), a2_max_len=a2_max_len, cl_positions=tuple(sorted(cl_positions)))
+    model = model_with_cl if knows_cl else model_without_cl
+    window = (3.2, 3.75) if narrow else (-1e9, 1e9)
+    with pytest.MonkeyPatch.context() as patch:
+        pruned = run_generation(spec, model, window)
+        reference = run_without_symmetry_or_vocabulary(patch, spec, model, window)
+    assert emitted(pruned) == emitted(reference)
+    assert_cuts_accounted(pruned, reference)
+
+
+def brute_force_automorphisms(sk: generate.Skeleton) -> set[tuple[int, ...]]:
+    """Non-identity vertex permutations checked one by one against the
+    definition: bonds with multiplicities and link flags, tips, element and
+    fringe-code restrictions."""
+    links = set(sk.link_edges)
+    bonds = Counter(
+        (frozenset((u, v)), m, (u, v) in links) for u, v, m in sk.edges
+    )
+    found = set()
+    n = sk.n_vertices
+    for perm in itertools.permutations(range(n)):
+        if perm == tuple(range(n)):
+            continue
+        image = {v + 1: perm[v] + 1 for v in range(n)}
+        mapped = Counter(
+            (frozenset(image[x] for x in pair), m, link) for (pair, m, link), k in bonds.items()
+            for _ in range(k)
+        )
+        if mapped != bonds:
+            continue
+        if {image[t] for t in sk.tips} != set(sk.tips):
+            continue
+        if any(
+            sk.allowed_elements[image[v]] != sk.allowed_elements[v]
+            or sk.allowed_codes[image[v]] != sk.allowed_codes[v]
+            for v in range(1, n + 1)
+        ):
+            continue
+        found.add(perm)
+    return found
+
+
+@st.composite
+def small_skeletons(draw) -> generate.Skeleton:
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    edges = tuple((u, v, draw(st.integers(1, 2))) for u, v in chosen)
+    link_edges = tuple((u, v) for u, v, _ in edges if draw(st.booleans()))
+    tips = frozenset(draw(st.sets(st.integers(1, n))))
+    elements = {v: draw(st.sampled_from((("C",), ("C", "O")))) for v in range(1, n + 1)}
+    codes = {v: draw(st.sampled_from((("C",), ("C", "C(-H)")))) for v in range(1, n + 1)}
+    return generate.Skeleton(n, edges, link_edges, tips, elements, codes)
+
+
+def _uniform_skeleton(n, edges, link_edges=(), tips=()):
+    return generate.Skeleton(
+        n, tuple(edges), tuple(link_edges), frozenset(tips),
+        {v: ("C",) for v in range(1, n + 1)}, {v: ("C",) for v in range(1, n + 1)},
+    )
+
+
+SQUARE = [(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_skeletons())
+# the square's 8 symmetries drop to 4 once two opposite edges are links
+@example(_uniform_skeleton(4, SQUARE, link_edges=[(1, 2), (3, 4)]))
+# a path's reversal is no automorphism once only one end is a tip
+@example(_uniform_skeleton(3, [(1, 2, 1), (2, 3, 1)], tips=[3]))
+# nor once the two ends differ in bond multiplicity
+@example(_uniform_skeleton(3, [(1, 2, 1), (2, 3, 2)]))
+def test_skeleton_automorphisms_match_brute_force(sk):
+    assert set(generate._automorphisms(sk)) == brute_force_automorphisms(sk)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from corpus import make_polymer
@@ -188,6 +190,31 @@ def test_checker_flags_na_violation():
     report = check_satisfies(g, spec)
     assert not report.passed
     assert any("na[O]" in f for f in report.failures())
+
+
+def test_failed_families_name_each_failing_check_once():
+    spec = build_instance_Ib("AmD", 14)
+    g = parse_pmg(
+        make_polymer(
+            bridge_a=("O",),
+            bridge_b=("O",),
+            subst={2: ("O",), 3: ("O",), 5: ("O",), 6: ("O",), 8: ("S(2)", "C")},
+        )
+    )
+    report = check_satisfies(g, spec)
+    families = report.failed_families()
+    assert families == sorted(set(families))
+    assert {"na", "fringe trees in catalog"} <= set(families)
+    assert all(any(f.startswith(family) for f in report.failures()) for family in families)
+
+
+def test_spec_value_of_the_wrong_type_is_a_spec_error():
+    text = build_instance_Ib("AmD", 14).to_json()
+    for key, value in (("n_int", 5), ("na", {"C": 3}), ("na", [1, 2]), ("rho", [2]), ("n", ["a", 2])):
+        broken = json.loads(text)
+        broken[key] = value
+        with pytest.raises(SpecError, match=repr(key)):
+            TopologicalSpec.from_json(json.dumps(broken))
 
 
 def test_checker_flags_unknown_fringe():

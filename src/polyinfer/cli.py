@@ -24,7 +24,15 @@ from .features import (
     standardize,
 )
 from .generate import run_generation, verify_roundtrip
-from .milp import InverseProblemSpec, MilpError, build_inverse_milp, emit_lp, predicted_value, solve
+from .milp import (  # `solve` is unused here; perfbench's tracer and its test look up `cli.solve`
+    InverseProblemSpec,
+    MilpError,
+    build_inverse_milp,
+    emit_lp,
+    predicted_value,
+    solve,  # noqa: F401
+    solve_inverse,
+)
 from .model import ModelBundle
 from .regress import RegressError, cross_validate, lasso_fit, select_lambda
 from .topospec import SpecError, TopologicalSpec, build_instance_Ib, check_satisfies
@@ -57,6 +65,15 @@ def _merged(args: argparse.Namespace, config: dict[str, str], key: str, default,
     if key in config:
         return cast(config[key])
     return default
+
+
+def _budget(args: argparse.Namespace, config: dict[str, str], key: str, default, cast):
+    """A `--limit-*` budget from the flag or the config file: absent or a
+    non-negative number (NaN would never expire)."""
+    value = _merged(args, config, key, default, cast)
+    if value is not None and not value >= 0:
+        raise ValueError(f"--{key.replace('_', '-')} must be a non-negative number, got {value}")
+    return value
 
 
 def _parse_window(text: str | None) -> tuple[float, float]:
@@ -193,11 +210,10 @@ def cmd_infer(args, config) -> int:
     window = _parse_window(_merged(args, config, "window", None, str))
     epsilon = _merged(args, config, "epsilon", 1e-5, float)
     spec = _inverse_spec(bundle, window, epsilon)
-    model = build_inverse_milp(spec)
+    limit_seconds = _budget(args, config, "limit_seconds", 120.0, float)
     if args.emit_lp:
-        _write(args.emit_lp, emit_lp(model))
-    limit_seconds = _merged(args, config, "limit_seconds", 120.0, float)
-    sol = solve(model, max_seconds=limit_seconds)
+        _write(args.emit_lp, emit_lp(build_inverse_milp(spec)))
+    sol = solve_inverse(spec, max_seconds=limit_seconds)
     payload: dict = {
         "status": sol.status,
         "epsilon": epsilon,
@@ -227,15 +243,6 @@ def cmd_infer(args, config) -> int:
     return EXIT_OK if sol.status == "feasible" else EXIT_ERROR
 
 
-def cmd_emit_lp(args, config) -> int:
-    bundle = ModelBundle.from_json(Path(args.model).read_text())
-    window = _parse_window(_merged(args, config, "window", None, str))
-    epsilon = _merged(args, config, "epsilon", 1e-5, float)
-    _write(args.out, emit_lp(build_inverse_milp(_inverse_spec(bundle, window, epsilon))))
-    print(f"wrote LP to {args.out}")
-    return EXIT_OK
-
-
 def cmd_spec_ib(args, config) -> int:
     spec = build_instance_Ib(args.property, args.n_lb, rho=_merged(args, config, "rho", 2, int))
     _write(args.out, spec.to_json())
@@ -248,14 +255,16 @@ def cmd_generate(args, config) -> int:
     spec = TopologicalSpec.from_json(Path(args.spec).read_text())
     window = _parse_window(_merged(args, config, "window", None, str))
     covariates = _parse_covariates(args.covariate)
+    limit_candidates = _budget(args, config, "limit_candidates", None, int)
+    limit_seconds = _budget(args, config, "limit_seconds", None, float)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outcome = run_generation(
         spec,
         bundle,
         window,
-        limit_candidates=_merged(args, config, "limit_candidates", None, int),
-        limit_seconds=_merged(args, config, "limit_seconds", None, float),
+        limit_candidates=limit_candidates,
+        limit_seconds=limit_seconds,
         covariates=covariates or None,
     )
     manifest_path = out_dir / "manifest.jsonl"
@@ -398,13 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit-seconds", dest="limit_seconds", type=float)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_infer)
-
-    p = sub.add_parser("emit-lp", help="write the inverse MILP in LP format")
-    p.add_argument("--model", required=True)
-    p.add_argument("--window")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_emit_lp)
 
     p = sub.add_parser("spec-ib", help="write the parameterized two-ring instance")
     p.add_argument("--property", required=True, choices=["AmD", "HcL", "RfId", "Tg", "Prm"])

@@ -1,14 +1,19 @@
-"""Mixed-integer linear feasibility models and an exact solver.
+"""Mixed-integer linear feasibility models and two exact solvers.
 
 The inverse-prediction model encodes descriptor box bounds, integrality,
 the two-sided target window on the prediction, and tolerance-relaxed
 normalization rows linking raw descriptors to their standardized
-counterparts.  The solver is branch-and-bound over a phase-1 simplex
-with Bland's rule, on a tableau whose pivots touch only the nonzero
-entries of the pivot row.  On rational arithmetic it is exact, and any
-returned assignment is re-checked constraint by constraint with exact
-fractions before being accepted.  `MilpSolution` reports the nodes and
-pivots spent, and the subproblems a budget left unexplored.
+counterparts.  It is K independent blocks (x_j, xh_j) coupled only by
+the two window rows.  `solve_inverse` reduces each block exactly, in
+rational arithmetic, to an interval of xh_j whose ends are nondecreasing
+in x_j, and branches on the Lasso support alone: the LP relaxation on a
+box is then a sum of interval ends, with no simplex.  `solve` is the
+general solver, for any model (an LP file, say): branch-and-bound over a
+phase-1 simplex with Bland's rule, on a tableau whose pivots touch only
+the nonzero entries of the pivot row.  Both are exact, and both accept
+an assignment only after re-checking it constraint by constraint with
+exact fractions.  `MilpSolution` reports the nodes and pivots spent, and
+the subproblems a budget left unexplored.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -323,12 +329,15 @@ class InverseProblemSpec:
             raise MilpError("descriptor array lengths disagree")
         if not all(map(math.isfinite, (self.y_lo, self.y_hi, self.epsilon))):
             raise MilpError("target window and epsilon must be finite")
-        if self.epsilon <= 0:
-            raise MilpError("epsilon must be positive")
+        if not 0 < self.epsilon < 1:
+            raise MilpError("epsilon must lie strictly between 0 and 1")
         if not self.y_lo < self.y_hi:
             raise MilpError("target window is degenerate")
         if np.any(self.feat_min > self.feat_max):
             raise MilpError("descriptor minimum above maximum")
+        for j in self.integer_indices:
+            if not (float(self.feat_min[j]).is_integer() and float(self.feat_max[j]).is_integer()):
+                raise MilpError(f"integer descriptor {j + 1} has a non-integer bound")
 
     @property
     def k(self) -> int:
@@ -342,9 +351,61 @@ def _rhs_at_least(coef: float, value: float) -> float:
     """The smallest float not below the exact product coef*value, so the
     point that makes a row tight in exact arithmetic stays feasible."""
     rhs = coef * value
-    if Fraction(rhs) < Fraction(coef) * Fraction(value):
+    # rhs < coef*value exactly, compared as integer ratios (positive denominators)
+    (n, d), (cn, cd), (vn, vd) = rhs.as_integer_ratio(), coef.as_integer_ratio(), value.as_integer_ratio()
+    if n * cd * vd < cn * vn * d:
         rhs = math.nextafter(rhs, math.inf)
     return rhs
+
+
+class _NormRows(NamedTuple):
+    """lo_coef*x - span*xh <= lo_rhs  and  span*xh - hi_coef*x <= hi_rhs."""
+
+    span: float
+    lo_coef: float
+    lo_rhs: float
+    hi_coef: float
+    hi_rhs: float
+
+
+class _Block(NamedTuple):
+    """Descriptor j's variables and rows, in the floats the model holds:
+    x_j in [mn, mx], xh_j in [h_lo, h_hi], and the normalization rows
+    (None for a constant descriptor, whose xh_j is pinned at 0)."""
+
+    mn: float
+    mx: float
+    h_lo: float
+    h_hi: float
+    rows: _NormRows | None
+
+
+def _block(spec: InverseProblemSpec, j: int) -> _Block:
+    """Descriptor j's block; `build_inverse_milp` writes it and
+    `solve_inverse` reduces it, so the two cannot disagree."""
+    eps = spec.epsilon
+    mn, mx = float(spec.feat_min[j]), float(spec.feat_max[j])
+    if mx <= mn:
+        return _Block(mn, mx, 0.0, 0.0, None)
+    span = mx - mn
+    corners = [
+        factor * (bound - mn) / span
+        for factor in (1 - eps, 1 + eps)
+        for bound in (mn, mx)
+    ]
+    rows = _NormRows(
+        span=span,
+        lo_coef=1 - eps,
+        lo_rhs=_rhs_at_least(1 - eps, mn),
+        hi_coef=1 + eps,
+        hi_rhs=_rhs_at_least(-(1 + eps), mn),
+    )
+    return _Block(mn, mx, min(corners), max(corners), rows)
+
+
+def _window_rhs(spec: InverseProblemSpec) -> tuple[float, float]:
+    """Right-hand sides of the window rows on sum(w*xh)."""
+    return spec.y_lo - spec.hyperplane.b, spec.y_hi - spec.hyperplane.b
 
 
 def build_inverse_milp(spec: InverseProblemSpec) -> MilpModel:
@@ -352,42 +413,194 @@ def build_inverse_milp(spec: InverseProblemSpec) -> MilpModel:
     tolerance-relaxed normalization rows and the target window rows."""
     variables: list[Variable] = []
     constraints: list[Constraint] = []
-    eps = spec.epsilon
-    const = spec.constant_mask()
     for j in range(spec.k):
-        mn, mx = float(spec.feat_min[j]), float(spec.feat_max[j])
-        variables.append(Variable(f"x_{j + 1}", mn, mx, integer=j in spec.integer_indices))
-        if const[j]:
-            variables.append(Variable(f"xh_{j + 1}", 0.0, 0.0))
+        block = _block(spec, j)
+        x, xh = f"x_{j + 1}", f"xh_{j + 1}"
+        variables.append(Variable(x, block.mn, block.mx, integer=j in spec.integer_indices))
+        variables.append(Variable(xh, block.h_lo, block.h_hi))
+        r = block.rows
+        if r is None:
             continue
-        span = mx - mn
-        corners = [
-            factor * (bound - mn) / span
-            for factor in (1 - eps, 1 + eps)
-            for bound in (mn, mx)
-        ]
-        variables.append(Variable(f"xh_{j + 1}", min(corners), max(corners)))
         constraints.append(
-            Constraint(
-                name=f"norm_lo_{j + 1}",
-                coeffs=((f"x_{j + 1}", 1 - eps), (f"xh_{j + 1}", -span)),
-                sense="<=",
-                rhs=_rhs_at_least(1 - eps, mn),
-            )
+            Constraint(f"norm_lo_{j + 1}", ((x, r.lo_coef), (xh, -r.span)), "<=", r.lo_rhs)
         )
         constraints.append(
-            Constraint(
-                name=f"norm_hi_{j + 1}",
-                coeffs=((f"xh_{j + 1}", span), (f"x_{j + 1}", -(1 + eps))),
-                sense="<=",
-                rhs=_rhs_at_least(-(1 + eps), mn),
-            )
+            Constraint(f"norm_hi_{j + 1}", ((xh, r.span), (x, -r.hi_coef)), "<=", r.hi_rhs)
         )
     w = spec.hyperplane.w
     terms = tuple((f"xh_{j + 1}", float(w[j])) for j in range(spec.k) if w[j] != 0.0)
-    constraints.append(Constraint("window_lo", terms, ">=", spec.y_lo - spec.hyperplane.b))
-    constraints.append(Constraint("window_hi", terms, "<=", spec.y_hi - spec.hyperplane.b))
+    lo, hi = _window_rhs(spec)
+    constraints.append(Constraint("window_lo", terms, ">=", lo))
+    constraints.append(Constraint("window_hi", terms, "<=", hi))
     return MilpModel(tuple(variables), tuple(constraints))
+
+
+# ---------------------------------------------------------------------------
+# The inverse model in reduced form
+
+
+class _ExactBlock:
+    """A non-constant descriptor's block in exact arithmetic.
+
+    Its rows and xh box give xh in [low(x), high(x)], with
+    low(x) = max(h_lo, a1*x + b1) and high(x) = min(h_hi, a2*x + b2); both
+    ends are nondecreasing in x (a1, a2 > 0 for 0 < eps < 1).  The box
+    [lo, hi] is the data range cut to where low(x) <= high(x), rounded
+    inward when x is integer.  For x >= min, the outward rounding of the
+    right-hand sides already gives h_lo = 0 <= a2*x + b2 and
+    a1*x + b1 <= a2*x + b2, so only a1*x + b1 <= h_hi can cut the range.
+    """
+
+    __slots__ = ("integer", "h_lo", "h_hi", "a1", "b1", "a2", "b2", "lo", "hi")
+
+    def __init__(self, block: _Block, integer: bool):
+        r = block.rows
+        span = Fraction(r.span)
+        self.integer = integer
+        self.h_lo, self.h_hi = Fraction(block.h_lo), Fraction(block.h_hi)
+        self.a1, self.b1 = Fraction(r.lo_coef) / span, -Fraction(r.lo_rhs) / span
+        self.a2, self.b2 = Fraction(r.hi_coef) / span, Fraction(r.hi_rhs) / span
+        lo = Fraction(block.mn)
+        hi = min(Fraction(block.mx), (self.h_hi - self.b1) / self.a1)
+        self.lo, self.hi = (math.ceil(lo), math.floor(hi)) if integer else (lo, hi)
+
+    def low(self, x) -> Fraction:
+        return max(self.h_lo, self.a1 * x + self.b1)
+
+    def high(self, x) -> Fraction:
+        return min(self.h_hi, self.a2 * x + self.b2)
+
+
+class _Reduction:
+    """The inverse model reduced exactly to its support.
+
+    Blocks off the support (zero weight or constant descriptor) sit at
+    x = min, xh = 0, which meets their rows exactly.  On the support,
+    block i adds w_i*xh_i to the window sum.  At fixed x that term ranges
+    over [lower(i, x), upper(i, x)]; over a box [a, b] of x it ranges over
+    [lower(i, start), upper(i, finish)], where the start is the box end at
+    which the term is least (a for w > 0, b for w < 0) and the finish the
+    other.  Summing those ends gives the LP relaxation of the full model
+    on the box.  Both ends are memoized per x value.
+    """
+
+    def __init__(self, spec: InverseProblemSpec):
+        w = spec.hyperplane.w
+        self.mins = [float(v) for v in spec.feat_min]
+        self.support = [j for j in range(spec.k) if w[j] != 0.0 and spec.feat_max[j] > spec.feat_min[j]]
+        self.blocks = [_ExactBlock(_block(spec, j), j in spec.integer_indices) for j in self.support]
+        self.w = [Fraction(float(w[j])) for j in self.support]
+        self.rising = [wi > 0 for wi in self.w]
+        lo, hi = _window_rhs(spec)
+        self.w_lo, self.w_hi = Fraction(lo), Fraction(hi)
+        self._lower: list[dict] = [{} for _ in self.support]
+        self._upper: list[dict] = [{} for _ in self.support]
+
+    def lower(self, i: int, x) -> Fraction:
+        memo = self._lower[i]
+        if x not in memo:
+            b = self.blocks[i]
+            memo[x] = self.w[i] * (b.low(x) if self.rising[i] else b.high(x))
+        return memo[x]
+
+    def upper(self, i: int, x) -> Fraction:
+        memo = self._upper[i]
+        if x not in memo:
+            b = self.blocks[i]
+            memo[x] = self.w[i] * (b.high(x) if self.rising[i] else b.low(x))
+        return memo[x]
+
+    def box(self, i: int, a, b) -> tuple:
+        """(a, b, least term, greatest term) of block i over [a, b]."""
+        if self.rising[i]:
+            return a, b, self.lower(i, a), self.upper(i, b)
+        return a, b, self.lower(i, b), self.upper(i, a)
+
+    def reach(self, i: int, a, b, target: Fraction):
+        """The x in [a, b] nearest the start at which block i's term can
+        reach `target`, given that it can at the finish."""
+        blk, w = self.blocks[i], self.w[i]
+        if self.rising[i]:  # high(x) >= target/w
+            return max(a, (target / w - blk.b2) / blk.a2)
+        return min(b, (target / w - blk.b1) / blk.a1)  # low(x) <= target/w
+
+    def lift(self, x: list) -> dict[str, Fraction]:
+        """Every variable: the support at `x`, each term raised from its
+        least in support order until the sum meets the window's lower end."""
+        assignment: dict[str, Fraction] = {}
+        for j, mn in enumerate(self.mins):
+            assignment[f"x_{j + 1}"] = Fraction(mn)
+            assignment[f"xh_{j + 1}"] = Fraction(0)
+        lows = [self.lower(i, xi) for i, xi in enumerate(x)]
+        deficit = self.w_lo - sum(lows, Fraction(0))
+        for i, j in enumerate(self.support):
+            term = lows[i]
+            if deficit > 0:
+                term = min(lows[i] + deficit, self.upper(i, x[i]))
+                deficit -= term - lows[i]
+            assignment[f"x_{j + 1}"] = Fraction(x[i])
+            assignment[f"xh_{j + 1}"] = term / self.w[i]
+        return assignment
+
+
+def solve_inverse(
+    spec: InverseProblemSpec,
+    max_nodes: int = 200_000,
+    max_seconds: float = 120.0,
+) -> MilpSolution:
+    """First feasible point of `build_inverse_milp(spec)` by depth-first
+    branch and bound on its reduced form (`_Reduction`).
+
+    A node is a box on the support's x; its bound, the interval of
+    reachable window sums, is updated from the parent's in O(1).  Its
+    point is the fractional-knapsack one: every block at the start of its
+    box, then blocks raised to the finish in support order until the sum
+    meets the window's lower end.  Only the last raised block can stop
+    short.  If its x is fractional and rounding it towards the finish
+    overshoots the window, the node branches at its floor and ceiling;
+    continuous descriptors never branch.  An answer is accepted only
+    through `verify_assignment` on the full model.  `nodes` counts the
+    interval relaxations evaluated; no simplex runs, so `pivots` reads 0.
+    """
+    red = _Reduction(spec)
+    w_lo, w_hi = red.w_lo, red.w_hi
+    root = [red.box(i, b.lo, b.hi) for i, b in enumerate(red.blocks)]
+    stack = [(root, sum((e[2] for e in root), Fraction(0)), sum((e[3] for e in root), Fraction(0)))]
+    deadline = time.monotonic() + max_seconds
+    nodes = 0
+    while stack:
+        if nodes >= max_nodes or time.monotonic() > deadline:
+            return MilpSolution(status="bound-limit", nodes=nodes, open_nodes=len(stack))
+        boxes, least, most = stack.pop()
+        nodes += 1
+        if most < w_lo or least > w_hi:
+            continue
+        x = [a if up else b for (a, b, _, _), up in zip(boxes, red.rising)]
+        total, i = least, 0
+        while total < w_lo and total - boxes[i][2] + boxes[i][3] < w_lo:
+            a, b, lo_i, hi_i = boxes[i]
+            x[i] = b if red.rising[i] else a
+            total += hi_i - lo_i
+            i += 1
+        if total < w_lo:  # block i stops short of its finish
+            a, b, lo_i, hi_i = boxes[i]
+            x[i] = red.reach(i, a, b, w_lo - total + lo_i)
+            if red.blocks[i].integer and x[i].denominator != 1:
+                ahead = math.ceil(x[i]) if red.rising[i] else math.floor(x[i])
+                if total - lo_i + red.lower(i, ahead) > w_hi:
+                    floor_v = math.floor(x[i])
+                    for part in ((a, floor_v), (floor_v + 1, b)):  # the ceiling side first
+                        child = list(boxes)
+                        child[i] = red.box(i, *part)
+                        stack.append((child, least - lo_i + child[i][2], most - hi_i + child[i][3]))
+                    continue
+                x[i] = ahead
+        assignment = red.lift(x)
+        violated = verify_assignment(build_inverse_milp(spec), assignment)
+        if violated:  # pragma: no cover - exact arithmetic should not land here
+            raise MilpError(f"solver produced invalid point: {violated}")
+        return MilpSolution(status="feasible", assignment=assignment, nodes=nodes)
+    return MilpSolution(status="infeasible", nodes=nodes)
 
 
 def exact_standardized(spec: InverseProblemSpec, assignment: dict[str, Fraction]) -> list[Fraction]:

@@ -191,15 +191,60 @@ def test_infer_infeasible_exit_three(trained_model, tmp_path):
     assert sol["nodes"] >= 1 and sol["open_nodes"] == 0
 
 
-def test_emit_lp_standalone(trained_model, tmp_path):
+def test_infer_emit_lp_writes_the_inverse_model(trained_model, tmp_path):
+    from polyinfer.cli import _inverse_spec
+    from polyinfer.milp import build_inverse_milp
+    from polyinfer.model import ModelBundle
+
     code = run(
-        "emit-lp",
+        "infer",
         "--model", trained_model,
         "--window", "2.2,2.6",
-        "--out", tmp_path / "out.lp",
+        "--emit-lp", tmp_path / "out.lp",
+        "--out", tmp_path / "solution.json",
     )
     assert code == 0
-    assert "Subject To" in (tmp_path / "out.lp").read_text()
+    bundle = ModelBundle.from_json(Path(trained_model).read_text())
+    want = build_inverse_milp(_inverse_spec(bundle, (2.2, 2.6), 1e-5))
+    assert parse_lp((tmp_path / "out.lp").read_text()) == want
+    sol = json.loads((tmp_path / "solution.json").read_text())
+    assert sol["nodes"] >= 1 and sol["pivots"] == 0  # no simplex runs on this path
+    with pytest.raises(SystemExit):  # the separate emit-lp subcommand is gone
+        run("emit-lp", "--model", trained_model, "--window", "2.2,2.6", "--out", tmp_path / "x.lp")
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_infer_rejects_an_invalid_time_budget(trained_model, tmp_path, capsys, value):
+    assert run("infer", "--model", trained_model, "--window", "2.2,2.6", f"--limit-seconds={value}") == 1
+    from_flag = capsys.readouterr().err
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text(f"window=2.2,2.6\nlimit_seconds={value}\n")
+    assert run("--config", cfg, "infer", "--model", trained_model) == 1
+    from_config = capsys.readouterr().err
+    assert from_flag == from_config
+    assert from_flag.startswith("error: --limit-seconds must be a non-negative number")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("limit_candidates", "-5"),
+    ("limit_seconds", "nan"),
+    ("limit_seconds", "-0.5"),
+])
+def test_generate_rejects_an_invalid_budget(trained_model, tmp_path, capsys, key, value):
+    spec_path = tmp_path / "spec.json"
+    assert run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path) == 0
+    flag = f"--{key.replace('_', '-')}"
+    common = ["--model", trained_model, "--spec", spec_path, "--window", "2.2,2.6"]
+    capsys.readouterr()
+    assert run("generate", *common, f"{flag}={value}", "--out-dir", tmp_path / "a") == 1
+    from_flag = capsys.readouterr().err
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    assert run("--config", cfg, "generate", *common, "--out-dir", tmp_path / "b") == 1
+    from_config = capsys.readouterr().err
+    assert from_flag == from_config
+    assert from_flag.startswith(f"error: {flag} must be a non-negative number")
+    assert not (tmp_path / "a").exists()
 
 
 def test_missing_window_is_clean_error(trained_model, capsys):

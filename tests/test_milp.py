@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from inverse_models import beyond_reach, synthetic_trained_spec
 from polyinfer import milp
 from polyinfer.milp import (
     Constraint,
@@ -19,15 +20,18 @@ from polyinfer.milp import (
     MilpModel,
     Variable,
     _lp_feasible,
+    _Reduction,
     build_inverse_milp,
     emit_lp,
     exact_standardized,
     parse_lp,
     predicted_value,
     solve,
+    solve_inverse,
     verify_assignment,
 )
 from polyinfer.regress import Hyperplane
+from test_acceptance import trained_inverse_base
 
 
 def exhaustive_feasible(model: MilpModel) -> dict[str, int] | None:
@@ -306,6 +310,236 @@ def test_exact_standardized_constant_descriptor():
     assert sol.status == "feasible"
     assert sol.assignment["xh_1"] == 0
     assert exact_standardized(spec, sol.assignment)[0] == 0
+
+
+# -- the inverse model in reduced form ------------------------------------------
+
+
+def assert_inverse_answer(spec: InverseProblemSpec, sol) -> None:
+    """Verified on the full model, predicted within eps*sum|w| of the window."""
+    assert sol.status == "feasible"
+    assert verify_assignment(build_inverse_milp(spec), sol.assignment) == []
+    delta = spec.epsilon * float(np.sum(np.abs(spec.hyperplane.w)))
+    y = predicted_value(spec, sol.assignment)
+    assert spec.y_lo - delta <= y <= spec.y_hi + delta
+
+
+def assert_same_decision(spec: InverseProblemSpec) -> str:
+    """`solve_inverse` decides as `solve` on the full model does."""
+    want = solve(build_inverse_milp(spec), max_seconds=20.0)
+    got = solve_inverse(spec, max_seconds=20.0)
+    assert want.status != "bound-limit"
+    assert got.status == want.status
+    assert got.pivots == 0 and got.open_nodes == 0
+    if got.status == "feasible":
+        assert_inverse_answer(spec, got)
+    return got.status
+
+
+def criterion_5_specs():
+    """The 100 specs of acceptance criterion 5, drawn as it draws them."""
+    h, X = trained_inverse_base()
+    k = X.shape[1]
+    eps = 1e-5
+    rng = np.random.default_rng(99)
+    for case in range(100):
+        if case < 70:
+            center = float(h.b + h.w @ rng.uniform(0.1, 0.9, size=k))
+            window = (center - 0.04, center + 0.04)
+        else:
+            top = float(h.b + np.sum(np.abs(h.w)) * (1 + eps)) + 1.0
+            window = (top + case, top + case + 1)
+        yield InverseProblemSpec(
+            hyperplane=h,
+            y_lo=window[0],
+            y_hi=window[1],
+            feat_min=X.min(axis=0),
+            feat_max=X.max(axis=0),
+            integer_indices=frozenset(range(k)),
+            epsilon=eps,
+        )
+
+
+def test_solve_inverse_decides_as_solve_on_criterion_5_specs():
+    decisions = [assert_same_decision(spec) for spec in criterion_5_specs()]
+    assert decisions.count("feasible") >= 40 and decisions.count("infeasible") >= 30
+
+
+def test_solve_inverse_decides_as_solve_on_random_trained_specs():
+    decisions = []
+    for seed in range(200):
+        spec = random_trained_spec(seed)
+        decisions += [assert_same_decision(spec), assert_same_decision(beyond_reach(spec))]
+    assert decisions.count("feasible") >= 150 and decisions.count("infeasible") >= 200
+
+
+def relaxation_is_nonempty(red: _Reduction, boxes: list[tuple]) -> bool:
+    """Whether the interval of window sums over the support boxes meets the window."""
+    ends = [red.box(i, a, b) for i, (a, b) in enumerate(boxes)]
+    least = sum((e[2] for e in ends), Fraction(0))
+    most = sum((e[3] for e in ends), Fraction(0))
+    return least <= red.w_hi and most >= red.w_lo
+
+
+def full_lp_is_feasible(model: MilpModel, boxes: dict[str, tuple]) -> bool:
+    """Phase-1 simplex on the full model with the given variable boxes."""
+    index = {v.name: j for j, v in enumerate(model.variables)}
+    bounds = [boxes.get(v.name, (Fraction(v.lower), Fraction(v.upper))) for v in model.variables]
+    rows = [
+        ({index[var]: Fraction(coef) for var, coef in c.coeffs}, c.sense, Fraction(c.rhs))
+        for c in model.constraints
+    ]
+    point, _ = _lp_feasible(bounds, rows)
+    return point is not None
+
+
+@st.composite
+def drawn_inverse_specs(draw):
+    """Weights negative, zero or tiny; integer, constant and continuous
+    descriptors; windows from wide to narrow around a point in the box."""
+    k = draw(st.integers(1, 4))
+    weight = st.one_of(
+        st.just(0.0),
+        st.floats(-2.0, 2.0, allow_nan=False),
+        st.sampled_from([1e-9, -1e-9, 3e-7, -2e-6]),
+    )
+    w = np.array([draw(weight) for _ in range(k)])
+    feat_min, feat_max, integer = [], [], set()
+    for j in range(k):
+        kind = draw(st.sampled_from(["integer", "integer", "constant", "continuous"]))
+        if kind == "continuous":
+            lo = draw(st.floats(-5.0, 5.0, allow_nan=False))
+            hi = lo + draw(st.floats(0.01, 5.0, allow_nan=False))
+        else:
+            lo = float(draw(st.integers(-3, 5)))
+            hi = lo if kind == "constant" else lo + draw(st.integers(1, 6))
+            integer.add(j)
+        feat_min.append(lo)
+        feat_max.append(hi)
+    b = draw(st.floats(-1.0, 1.0, allow_nan=False))
+    center = b + sum(wj * draw(st.floats(-0.1, 1.1, allow_nan=False)) for wj in w)
+    half = draw(st.sampled_from([1e-7, 1e-4, 0.01, 0.1, 0.5]))
+    return InverseProblemSpec(
+        hyperplane=Hyperplane(w=w, b=b),
+        y_lo=center - half,
+        y_hi=center + half,
+        feat_min=np.array(feat_min),
+        feat_max=np.array(feat_max),
+        integer_indices=frozenset(integer),
+        epsilon=draw(st.sampled_from([1e-5, 1e-3, 0.1, 1e-17])),  # 1 +- 1e-17 rounds to 1
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_inverse_specs(), st.data())
+def test_solve_inverse_and_interval_relaxation_match_the_full_model(spec, data):
+    assert_same_decision(spec)
+    red = _Reduction(spec)
+    model = build_inverse_milp(spec)
+    for _ in range(3):
+        boxes = []
+        for blk in red.blocks:
+            if blk.integer:
+                a = data.draw(st.integers(blk.lo, blk.hi))
+                boxes.append((a, data.draw(st.integers(a, blk.hi))))
+            else:
+                boxes.append((blk.lo, blk.hi))
+        named = {
+            f"x_{j + 1}": (Fraction(a), Fraction(b)) for j, (a, b) in zip(red.support, boxes)
+        }
+        assert relaxation_is_nonempty(red, boxes) == full_lp_is_feasible(model, named)
+
+
+@pytest.mark.parametrize("k", [100, 250])
+def test_solve_inverse_on_synthetic_models(k):
+    spec = synthetic_trained_spec(k, seed=0)
+    assert len(spec.hyperplane.support()) == k // 4
+    assert_inverse_answer(spec, solve_inverse(spec, max_seconds=2.0))
+    far = solve_inverse(beyond_reach(spec), max_seconds=2.0)
+    assert (far.status, far.nodes) == ("infeasible", 1)
+
+
+def test_solve_inverse_branches_to_an_integer_infeasible_verdict():
+    # x/10 in [0.42, 0.48] for integer x in [0, 10]: the relaxation meets
+    # the window, no integer point does
+    spec = one_dim_spec(y_lo=0.42, y_hi=0.48)
+    sol = solve_inverse(spec)
+    assert (sol.status, sol.open_nodes, sol.pivots) == ("infeasible", 0, 0)
+    assert sol.nodes == 3  # the root and its two children
+    assert solve(build_inverse_milp(spec)).status == "infeasible"
+
+
+def test_solve_inverse_budgets():
+    spec = random_trained_spec(30)  # the search needs 7 nodes
+    assert solve_inverse(spec).nodes == 7
+    sol = solve_inverse(spec, max_nodes=1)
+    assert (sol.status, sol.nodes, sol.open_nodes) == ("bound-limit", 1, 2)
+    sol = solve_inverse(spec, max_nodes=0)
+    assert (sol.status, sol.nodes, sol.open_nodes) == ("bound-limit", 0, 1)
+    sol = solve_inverse(spec, max_seconds=-1.0)
+    assert (sol.status, sol.nodes, sol.open_nodes) == ("bound-limit", 0, 1)
+
+
+def test_continuous_descriptor_takes_a_fractional_value_without_branching():
+    spec = InverseProblemSpec(
+        hyperplane=Hyperplane(w=np.array([1.0]), b=0.0),
+        y_lo=0.42,
+        y_hi=0.43,
+        feat_min=np.array([0.0]),
+        feat_max=np.array([10.0]),
+        integer_indices=frozenset(),
+    )
+    sol = solve_inverse(spec)
+    assert sol.nodes == 1
+    assert_inverse_answer(spec, sol)
+    assert sol.assignment["x_1"].denominator != 1
+
+
+def test_box_is_cut_where_the_float_span_falls_short_of_the_range():
+    # fl(4.15 - 0.35) + 0.35 < 4.15 exactly, and at eps = 1e-17 both row
+    # coefficients are 1: x_1 = 4.15 would need xh_1 above its box
+    spec = InverseProblemSpec(
+        hyperplane=Hyperplane(w=np.array([1.0, 1.0]), b=0.0),
+        y_lo=1.5,
+        y_hi=1.6,
+        feat_min=np.array([0.35, 0.0]),
+        feat_max=np.array([4.15, 4.0]),
+        integer_indices=frozenset({1}),
+        epsilon=1e-17,
+    )
+    sol = solve_inverse(spec)
+    assert_inverse_answer(spec, sol)
+    assert sol.assignment["x_1"] < Fraction(4.15)
+    assert solve(build_inverse_milp(spec)).status == "feasible"
+
+
+def test_off_support_descriptors_sit_at_their_minimum():
+    spec = InverseProblemSpec(
+        hyperplane=Hyperplane(w=np.array([0.0, 0.7, 1.0, -0.5]), b=0.1),
+        y_lo=0.5,
+        y_hi=0.6,
+        feat_min=np.array([2.0, 3.0, 0.0, 1.0]),
+        feat_max=np.array([9.0, 3.0, 4.0, 6.0]),
+        integer_indices=frozenset(range(4)),
+    )
+    sol = solve_inverse(spec)
+    assert_inverse_answer(spec, sol)
+    assert (sol.assignment["x_1"], sol.assignment["xh_1"]) == (2, 0)  # zero weight
+    assert (sol.assignment["x_2"], sol.assignment["xh_2"]) == (3, 0)  # constant descriptor
+
+
+def test_spec_rejects_epsilon_of_one_or_more_and_fractional_integer_bounds():
+    with pytest.raises(MilpError, match="epsilon"):
+        one_dim_spec(eps=1.0)
+    with pytest.raises(MilpError, match="non-integer bound"):
+        InverseProblemSpec(
+            hyperplane=Hyperplane(w=np.array([1.0]), b=0.0),
+            y_lo=0.0,
+            y_hi=1.0,
+            feat_min=np.array([0.5]),
+            feat_max=np.array([3.0]),
+            integer_indices=frozenset({0}),
+        )
 
 
 # -- sparse simplex against the dense reference ---------------------------------

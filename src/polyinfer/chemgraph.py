@@ -5,6 +5,11 @@ connecting-edges have been merged into one edge; the edges that every
 path between the former connecting-edges must traverse are marked as
 link-edges and always form a circular set (one common cycle such that
 removing any member turns the rest into bridges).
+
+Validation reads one adjacency: connectivity, valences and the link
+set are checked off `_adj`, and the circular-set test is one lowlink DFS
+of the graph without the first link edge.  `parse_pmg` checks the
+records line by line and leaves only that structural part to the graph.
 """
 
 from __future__ import annotations
@@ -163,10 +168,9 @@ def leaf_strip_heights(vertices, edges) -> tuple[dict[int, int], set[int]]:
     tree: set[int] = set()
     alive = set(vertices)
     level = 0
-    while True:
-        leaves = [v for v in alive if len(adj[v]) == 1]
-        if not leaves:
-            break
+    leaves = [v for v in adj if len(adj[v]) == 1]
+    while leaves:
+        touched: list[int] = []
         for v in leaves:
             heights[v] = level
             tree.add(v)
@@ -174,7 +178,10 @@ def leaf_strip_heights(vertices, edges) -> tuple[dict[int, int], set[int]]:
             alive.discard(v)
             for w in adj[v]:
                 adj[w].discard(v)
+                touched.append(w)
             adj[v] = set()
+        # only a vertex that lost a neighbor can have become a leaf
+        leaves = [w for w in dict.fromkeys(touched) if w in alive and len(adj[w]) == 1]
         level += 1
     # heights of survivors adjacent to stripped vertices
     neighbor_of: dict[int, list[int]] = {v: [] for v in alive}
@@ -195,8 +202,11 @@ def is_circular_set(vertices, edges, marked) -> bool:
 
     For non-bridges e and f, "f is a bridge of G - e" holds exactly when
     every cycle through e passes through f; that relation is symmetric and
-    transitive, so testing every member against the first one settles all
-    pairs: two bridge passes in all.
+    transitive, so testing every member against the first one, e0 = (a, b),
+    settles all pairs.  One lowlink DFS of G - e0 from a decides it: b must
+    be reached (e0 is no bridge of G), and every other member f must be a
+    tree-edge bridge of G - e0 whose child side holds b, so that e0 crosses
+    f's cut (f is then no bridge of G either).
     """
     edges = [_norm_edge(u, v) for u, v in edges]
     marked = [_norm_edge(u, v) for u, v in marked]
@@ -207,12 +217,58 @@ def is_circular_set(vertices, edges, marked) -> bool:
     edge_set = set(edges)
     if any(e not in edge_set for e in marked):
         return False
-    all_bridges = bridges(vertices, edges)
-    if any(e in all_bridges for e in marked):
-        return False  # a bridge is on no cycle
     e0 = marked[0]
-    rem_bridges = bridges(vertices, [f for f in edges if f != e0])
-    return all(f in rem_bridges for f in marked[1:])
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
+    for idx, e in enumerate(edges):
+        if e != e0:  # every copy of e0 goes
+            u, v = e
+            adj[u].append((v, idx))
+            adj[v].append((u, idx))
+    a, b = e0
+    order = {a: 0}
+    low = {a: 0}
+    end: dict[int, int] = {}  # one past the last discovery index in the subtree
+    parent: dict[int, int] = {}
+    counter = 1
+    # iterative DFS; (vertex, incoming edge index, neighbor iterator)
+    stack = [(a, -1, iter(adj[a]))]
+    while stack:
+        u, in_idx, it = stack[-1]
+        for w, idx in it:
+            if idx == in_idx:
+                continue
+            if w not in order:
+                order[w] = low[w] = counter
+                counter += 1
+                parent[w] = u
+                stack.append((w, idx, iter(adj[w])))
+                break
+            if order[w] < low[u]:
+                low[u] = order[w]
+        else:
+            stack.pop()
+            end[u] = counter
+            if stack:
+                p = stack[-1][0]
+                if low[u] < low[p]:
+                    low[p] = low[u]
+    if b not in order:
+        # e0 is a bridge of G, or a parallel copy of it keeps it on a
+        # cycle that no other member can share
+        return len(marked) == 1 and edges.count(e0) > 1
+    at_b = order[b]
+    for x, y in marked[1:]:
+        if parent.get(y) == x:
+            child = y
+        elif parent.get(x) == y:
+            child = x
+        else:
+            return False  # no tree edge, so no bridge of G - e0
+        if low[child] <= order[parent[child]]:
+            return False
+        if not order[child] <= at_b < end[child]:
+            return False  # e0 does not cross f's cut: f is a bridge of G
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -309,34 +365,78 @@ class ChemicalGraph(_AtomBondGraph):
         for sym in (s for _, s in self.atoms):
             if sym not in ELEMENTS:
                 raise GraphError(f"unknown element symbol {sym!r}")
-        if not is_connected(ids, seen_edges):
+        self._validate_structure()
+
+    def _validate_structure(self) -> None:
+        """The checks on a nonempty graph whose atom ids are distinct, whose
+        elements are known and whose bonds are distinct, ordered pairs of
+        known atoms with multiplicity 1..3: connectivity, valences and the
+        link edges, all read off `_adj`."""
+        adj = self._adj
+        labels = self._labels
+        start = self.atoms[0][0]
+        seen = {start}
+        queue = [start]
+        for u in queue:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        if len(seen) != len(adj):
             raise GraphError("graph is not connected")
         for i, sym in self.atoms:
-            if sym == "H" and len(self._adj[i]) > 1:
-                raise GraphError(f"hydrogen {i} has {len(self._adj[i])} neighbors, not 1")
-            ele = self.beta_sum(i) - valence(sym)
-            if abs(ele) > self.max_abs_charge:
+            nbrs = adj[i]
+            if sym == "H" and len(nbrs) > 1:
+                raise GraphError(f"hydrogen {i} has {len(nbrs)} neighbors, not 1")
+            bond_sum = sum(nbrs.values())
+            val = ELEMENTS[sym][0]
+            if abs(bond_sum - val) > self.max_abs_charge:
                 raise GraphError(
                     f"valence violation at atom {i} ({sym}): bond sum "
-                    f"{self.beta_sum(i)} vs valence {valence(sym)}"
+                    f"{bond_sum} vs valence {val}"
                 )
         if self.link_edges:
-            if any(e not in seen_edges for e in self.link_edges):
+            if any(v not in adj.get(u, ()) for u, v in self.link_edges):
                 raise GraphError("link edge is not an existing bond")
-            if any(self.label(u) == "H" or self.label(v) == "H" for u, v in self.link_edges):
+            if any(labels[u] == "H" or labels[v] == "H" for u, v in self.link_edges):
                 raise GraphError("link edge touches a hydrogen")
             # hydrogens have one neighbor (checked above) and lie on no
             # cycle; dropping them changes no bridge among heavy edges
             heavy = [i for i, s in self.atoms if s != "H"]
-            heavy_set = set(heavy)
             heavy_edges = [
-                (u, v) for u, v in seen_edges if u in heavy_set and v in heavy_set
+                (u, v) for u, v, _ in self.bonds if labels[u] != "H" and labels[v] != "H"
             ]
             if not is_circular_set(heavy, heavy_edges, self.link_edges):
                 raise GraphError("link-edge set is not a circular set")
         if self.connecting is not None:
             if self.connecting not in self.link_edges:
                 raise GraphError("connecting vertices must span a link edge")
+
+    @classmethod
+    def _from_checked_records(
+        cls,
+        atoms: list[tuple[int, str]],
+        bonds: list[tuple[int, int, int]],
+        link_edges: frozenset[Edge],
+        connecting: Edge | None,
+        max_abs_charge: int,
+    ) -> "ChemicalGraph":
+        """A graph from records that already hold what `_validate` checks
+        before `_validate_structure`: at least one atom, distinct ids,
+        known elements, and distinct bonds (u < v, multiplicity 1..3)
+        between known atoms; link edges and `connecting` normalized.  Only
+        the structure is checked."""
+        g = object.__new__(cls)
+        for name, value in (
+            ("atoms", tuple(sorted(atoms))),
+            ("bonds", tuple(sorted(bonds))),
+            ("link_edges", link_edges),
+            ("connecting", connecting),
+            ("max_abs_charge", max_abs_charge),
+        ):
+            object.__setattr__(g, name, value)
+        g._validate_structure()
+        return g
 
     # -- basic accessors ----------------------------------------------------
 
@@ -372,29 +472,29 @@ class SuppressedGraph(_AtomBondGraph):
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def rank(self) -> int:
-        return rank(self.vertex_ids, self.edge_list)
-
 
 def hydrogen_suppress(g: ChemicalGraph) -> SuppressedGraph:
     """Remove all H vertices, recording how many were attached where."""
+    labels = g._labels
     keep = [(i, s) for i, s in g.atoms if s != "H"]
     if not keep:
         raise GraphError("hydrogen-only graph has no suppressed form")
-    keep_ids = {i for i, _ in keep}
-    bonds = tuple((u, v, m) for u, v, m in g.bonds if u in keep_ids and v in keep_ids)
-    h_counts = {i: 0 for i in keep_ids}
-    for u, v, _ in g.bonds:
-        if u in keep_ids and g.label(v) == "H":
-            h_counts[u] += 1
-        elif v in keep_ids and g.label(u) == "H":
+    h_counts = {i: 0 for i, _ in keep}
+    bonds = []
+    for u, v, m in g.bonds:
+        if labels[v] == "H":
+            if labels[u] != "H":
+                h_counts[u] += 1
+        elif labels[u] == "H":
             h_counts[v] += 1
+        else:
+            bonds.append((u, v, m))
     return SuppressedGraph(
         atoms=tuple(keep),
-        bonds=bonds,
+        bonds=tuple(bonds),
         link_edges=g.link_edges,
         connecting=g.connecting,
-        hydrogens=tuple(sorted(h_counts.items())),
+        hydrogens=tuple(h_counts.items()),  # ascending, as `atoms`
     )
 
 
@@ -423,7 +523,12 @@ PMG_HEADER = "PMG 1"
 
 
 def parse_pmg(text: str, max_abs_charge: int = 0) -> ChemicalGraph:
-    """Parse the line-oriented PMG format into a validated ChemicalGraph."""
+    """Parse the line-oriented PMG format into a validated ChemicalGraph.
+
+    The line checks establish every record-level invariant (ids, elements,
+    bonds, LINK and CONNECT names) with its line number, so the graph is
+    built from the records with only its structure left to check.
+    """
     atoms: list[tuple[int, str]] = []
     bonds: list[tuple[int, int, int]] = []
     links: list[Edge] = []
@@ -439,20 +544,23 @@ def parse_pmg(text: str, max_abs_charge: int = 0) -> ChemicalGraph:
             raise PmgParseError(f"{what} is not an integer: {token!r}", lineno) from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0] if "#" in raw else raw
+        parts = line.split()
+        if not parts:
             continue
         if not header_seen:
-            if line != PMG_HEADER:
+            if line.strip() != PMG_HEADER:
                 raise PmgParseError(f"expected {PMG_HEADER!r} header", lineno)
             header_seen = True
             continue
-        parts = line.split()
         kind = parts[0]
         if kind == "ATOM":
             if len(parts) != 3:
                 raise PmgParseError("ATOM needs <id> <element>", lineno)
-            i = want_int(parts[1], lineno, "atom id")
+            try:
+                i = int(parts[1])
+            except ValueError:
+                i = want_int(parts[1], lineno, "atom id")
             sym = parts[2]
             if i in atom_ids:
                 raise PmgParseError(f"duplicate atom id {i}", lineno)
@@ -463,16 +571,19 @@ def parse_pmg(text: str, max_abs_charge: int = 0) -> ChemicalGraph:
         elif kind == "BOND":
             if len(parts) != 4:
                 raise PmgParseError("BOND needs <id1> <id2> <mult>", lineno)
-            u = want_int(parts[1], lineno, "atom id")
-            v = want_int(parts[2], lineno, "atom id")
-            m = want_int(parts[3], lineno, "multiplicity")
+            try:
+                u, v, m = int(parts[1]), int(parts[2]), int(parts[3])
+            except ValueError:  # name the first token that is no integer
+                u = want_int(parts[1], lineno, "atom id")
+                v = want_int(parts[2], lineno, "atom id")
+                m = want_int(parts[3], lineno, "multiplicity")
             if u == v:
                 raise PmgParseError("self-loop bond", lineno)
             if u not in atom_ids or v not in atom_ids:
                 raise PmgParseError(f"bond references undeclared atom {u}-{v}", lineno)
             if m not in (1, 2, 3):
                 raise PmgParseError(f"multiplicity {m} outside 1..3", lineno)
-            e = _norm_edge(u, v)
+            e = (u, v) if u < v else (v, u)
             if e in bond_set:
                 raise PmgParseError(f"duplicate bond {u}-{v}", lineno)
             bond_set.add(e)
@@ -504,13 +615,11 @@ def parse_pmg(text: str, max_abs_charge: int = 0) -> ChemicalGraph:
 
     if not header_seen:
         raise PmgParseError("missing PMG header")
+    if not atoms:
+        raise PmgParseError("empty graph")
     try:
-        return ChemicalGraph(
-            atoms=tuple(atoms),
-            bonds=tuple(bonds),
-            link_edges=frozenset(links),
-            connecting=connect,
-            max_abs_charge=max_abs_charge,
+        return ChemicalGraph._from_checked_records(
+            atoms, bonds, frozenset(links), connect, max_abs_charge
         )
     except GraphError as exc:
         raise PmgParseError(str(exc)) from exc

@@ -23,11 +23,10 @@ from .features import (
     load_dataset,
     standardize,
 )
-from .generate import run_generation, verify_roundtrip
+from .generate import RoundtripCheck, run_generation, verify_roundtrip
 from .milp import (  # `solve` is unused here; perfbench's tracer and its test look up `cli.solve`
     InverseProblemSpec,
     MilpError,
-    build_inverse_milp,
     emit_lp,
     predicted_value,
     solve,  # noqa: F401
@@ -211,9 +210,11 @@ def cmd_infer(args, config) -> int:
     epsilon = _merged(args, config, "epsilon", 1e-5, float)
     spec = _inverse_spec(bundle, window, epsilon)
     limit_seconds = _budget(args, config, "limit_seconds", 120.0, float)
-    if args.emit_lp:
-        _write(args.emit_lp, emit_lp(build_inverse_milp(spec)))
     sol = solve_inverse(spec, max_seconds=limit_seconds)
+    # written after the search: the full model is built once, by the
+    # certificate of a feasible answer or here, and not held during the search
+    if args.emit_lp:
+        _write(args.emit_lp, emit_lp(spec.model))
     payload: dict = {
         "status": sol.status,
         "epsilon": epsilon,
@@ -330,8 +331,14 @@ def cmd_verify(args, config) -> int:
     covariates = _parse_covariates(args.covariate)
     all_ok = True
     for path in args.graph_files:
-        g = parse_pmg(Path(path).read_text())
-        checks = verify_roundtrip(g, spec, bundle, window, covariates or None)
+        # a file that cannot be read as a graph fails on its own; the rest
+        # are still checked
+        try:
+            g = parse_pmg(Path(path).read_text())
+        except (OSError, GraphError) as exc:
+            checks = [RoundtripCheck("parse", False, str(exc))]
+        else:
+            checks = verify_roundtrip(g, spec, bundle, window, covariates or None)
         ok = all(c.ok for c in checks)
         all_ok &= ok
         print(f"{path}: {'PASS' if ok else 'FAIL'}")

@@ -48,12 +48,10 @@ from .topospec import SeedEdge, TopologicalSpec, check_satisfies, find_expansion
 from .twolayer import (
     RootedTree,
     TwoLayeredDecomposition,
-    adjacency_of,
     adjacency_str,
     as_decomposition,
-    config_str,
     decompose,
-    make_edge_config,
+    edge_keys,
     parse_code,
     symbol_str,
 )
@@ -313,8 +311,8 @@ class _EdgeVerdicts(dict):
 
     def __missing__(self, key):
         (a, d), (b, dp), m, is_link = key
-        cfg = make_edge_config(a, d, b, dp, m)
-        keys = {"ec_int": config_str(cfg), "ac_int": adjacency_str(adjacency_of(cfg))}
+        ec, ac = edge_keys(a, d, b, dp, m)
+        keys = {"ec_int": ec, "ac_int": ac}
         if is_link:
             keys.update(ec_lnk=keys["ec_int"], ac_lnk=keys["ac_int"])
         bounds = [getattr(self.spec, family).get(k) for family, k in keys.items()]
@@ -758,11 +756,12 @@ def verify_roundtrip(
         )
     )
     report = check_satisfies(dec, spec)
+    passed = report.passed
     checks.append(
         RoundtripCheck(
             "specification",
-            report.passed,
-            "pass" if report.passed else "; ".join(report.failures()[:4]),
+            passed,
+            "pass" if passed else "; ".join(report.failures()[:4]),
         )
     )
     prediction, oov = model.predict_graph(dec, covariates)

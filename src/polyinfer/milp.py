@@ -23,6 +23,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -346,6 +347,13 @@ class InverseProblemSpec:
     def constant_mask(self) -> np.ndarray:
         return self.feat_max <= self.feat_min
 
+    @cached_property
+    def model(self) -> "MilpModel":
+        """`build_inverse_milp(self)`, built on first use and kept: one
+        model is both the one an LP file shows and the one `solve_inverse`
+        certifies its answer on."""
+        return build_inverse_milp(self)
+
 
 def _rhs_at_least(coef: float, value: float) -> float:
     """The smallest float not below the exact product coef*value, so the
@@ -559,8 +567,9 @@ def solve_inverse(
     short.  If its x is fractional and rounding it towards the finish
     overshoots the window, the node branches at its floor and ceiling;
     continuous descriptors never branch.  An answer is accepted only
-    through `verify_assignment` on the full model.  `nodes` counts the
-    interval relaxations evaluated; no simplex runs, so `pivots` reads 0.
+    through `verify_assignment` on the full model, `spec.model`.  `nodes`
+    counts the interval relaxations evaluated; no simplex runs, so `pivots`
+    reads 0.
     """
     red = _Reduction(spec)
     w_lo, w_hi = red.w_lo, red.w_hi
@@ -596,7 +605,7 @@ def solve_inverse(
                     continue
                 x[i] = ahead
         assignment = red.lift(x)
-        violated = verify_assignment(build_inverse_milp(spec), assignment)
+        violated = verify_assignment(spec.model, assignment)
         if violated:  # pragma: no cover - exact arithmetic should not land here
             raise MilpError(f"solver produced invalid point: {violated}")
         return MilpSolution(status="feasible", assignment=assignment, nodes=nodes)

@@ -6,14 +6,20 @@ are kept, pendant interior trees may hang off path vertices, and every
 interior vertex carries a fringe tree from a fixed catalog.  Counting
 bounds constrain elements, symbols, edge configurations and fringe-tree
 usage.  `check_satisfies` measures every bound on a concrete graph and
-searches for a structural expansion witness.
+searches for a structural expansion witness.  What both read off a
+specification (the sorted bound rows, the declared-key sets, the seed
+placement order with each vertex's filters and ready edges) is worked
+out once per specification object and kept on it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .chemgraph import ChemicalGraph, is_connected, parse_pmg
 from .data import example_polymer_text, fringe_catalog_text
@@ -148,6 +154,16 @@ class TopologicalSpec:
                 raise SpecError(f"fringe_edge references unknown edge {name!r}")
             if any(code not in self.fringe_catalog for code in codes):
                 raise SpecError(f"fringe_edge[{name}] outside the catalog")
+
+    # Worked out on first use and kept on this object, so that they live
+    # exactly as long as the specification they describe.
+    @cached_property
+    def _bound_table(self) -> "_BoundTable":
+        return _BoundTable(self)
+
+    @cached_property
+    def _witness_plan(self) -> "_WitnessPlan":
+        return _witness_plan(self)
 
     def vertex_catalog(self, vertex: str) -> tuple[str, ...]:
         return self.fringe_vertex.get(vertex, self.fringe_catalog)
@@ -379,8 +395,7 @@ def build_instance_Ib(pi: str, n_lb: int, rho: int = 2) -> TopologicalSpec:
 # Satisfaction checking
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     name: str
     lower: float
     upper: float
@@ -422,6 +437,25 @@ class SpecReport:
         return sorted({re.split(r"[\[:]", f, maxsplit=1)[0] for f in self.failures()})
 
 
+class _BoundTable:
+    """The bounds and declared keys of a specification in the order
+    `check_satisfies` reports them, worked out once per specification."""
+
+    def __init__(self, spec: TopologicalSpec):
+        # per count family: (name, key, lower, upper) rows, keys sorted
+        self.rows = tuple(
+            (attr, tuple((f"{attr}[{key}]", key, lo, hi) for key, (lo, hi) in sorted(getattr(spec, attr).items())))
+            for attr in COUNT_BOUNDS
+        )
+        # (membership name, profile family, declared keys)
+        self.memberships = (
+            ("elements within alphabet", "na", frozenset(spec.elements)),
+            ("interior symbols declared", "ns_int", frozenset(spec.ns_int)),
+            *((f"{attr} configs declared", attr, frozenset(getattr(spec, attr))) for attr in CONFIG_BOUNDS),
+            ("fringe trees in catalog", "fc", frozenset(spec.fringe_catalog)),
+        )
+
+
 def check_satisfies(
     g: ChemicalGraph | TwoLayeredDecomposition,
     spec: TopologicalSpec,
@@ -430,29 +464,23 @@ def check_satisfies(
     """Measure every bound of the specification on a graph (or its
     decomposition) and search for a seed-expansion witness of its interior
     (skippable for callers that constructed the graph as an expansion in
-    the first place)."""
+    the first place).  The bound rows and declared-key sets come from the
+    table kept on the specification."""
     dec = as_decomposition(g, spec.rho)
     profile = dec.profile
+    table = spec._bound_table
     checks = [
         BoundCheck("n", *spec.n, profile.n),
         BoundCheck("n_int", *spec.n_int, profile.n_int),
         BoundCheck("n_lnk", *spec.n_lnk, profile.link_vertices),  # not the link-edge count
     ]
-    for attr in COUNT_BOUNDS:
+    new = tuple.__new__  # what BoundCheck(...) runs, without its argument binding
+    for attr, rows in table.rows:
         counts = getattr(profile, attr)
-        for key, (lo, hi) in sorted(getattr(spec, attr).items()):
-            checks.append(BoundCheck(f"{attr}[{key}]", lo, hi, counts.get(key, 0)))
-    memberships = [
-        ("elements within alphabet", all(a in spec.elements for a in profile.na)),
-        ("interior symbols declared", all(k in spec.ns_int for k in profile.ns_int)),
-    ]
-    for attr in CONFIG_BOUNDS:
-        declared = getattr(spec, attr)
-        memberships.append(
-            (f"{attr} configs declared", all(k in declared for k in getattr(profile, attr)))
-        )
-    memberships.append(
-        ("fringe trees in catalog", all(code in spec.fringe_catalog for code in profile.fc))
+        checks += [new(BoundCheck, (name, lo, hi, counts.get(key, 0))) for name, key, lo, hi in rows]
+    memberships = tuple(
+        (name, getattr(profile, attr).keys() <= declared)
+        for name, attr, declared in table.memberships
     )
 
     if search_witness:
@@ -461,7 +489,7 @@ def check_satisfies(
         witness, message = None, "witness search skipped"
     return SpecReport(
         checks=tuple(checks),
-        memberships=tuple(memberships),
+        memberships=memberships,
         witness=witness,
         witness_message=message,
         witness_searched=search_witness,
@@ -470,6 +498,96 @@ def check_satisfies(
 
 # ---------------------------------------------------------------------------
 # Expansion witness search
+
+
+@dataclass(frozen=True)
+class _PlannedEdge:
+    """A seed edge with the bounds the witness search reads."""
+
+    name: str
+    u: str
+    v: str
+    exact: bool
+    link: bool
+    multiplicities: frozenset[int]  # exact edges: the admissible ones
+    bonds: tuple[float, float, float, float]  # bd2 lower, upper, bd3 lower, upper
+    path_len: Bounds | None
+    catalog: frozenset[str]  # fringe codes of a replaced edge's internal vertices
+    branch_count: Bounds
+    branch_height: Bounds
+
+    def bonds_ok(self, mults: list[int]) -> bool:
+        lo2, hi2, lo3, hi3 = self.bonds
+        return lo2 <= mults.count(2) <= hi2 and lo3 <= mults.count(3) <= hi3
+
+
+@dataclass(frozen=True)
+class _PlannedVertex:
+    """A seed vertex in placement order with its candidate filters."""
+
+    name: str
+    allowed: frozenset[str]  # elements of its image
+    catalog: frozenset[str]  # fringe codes of its image
+    degree: int  # seed degree
+    anchor: str | None  # an earlier vertex joined to it by a kept edge
+    ready: tuple[_PlannedEdge, ...]  # edges to earlier vertices, seed.edges order
+    branch_count: Bounds
+    branch_height: Bounds
+
+
+@dataclass(frozen=True)
+class _WitnessPlan:
+    """What the witness search reads off a specification, worked out once
+    per specification: the seed vertices in placement order and the seed
+    edges by name."""
+
+    vertices: tuple[_PlannedVertex, ...]
+    edges: dict[str, _PlannedEdge]
+
+
+def _witness_plan(spec: TopologicalSpec) -> _WitnessPlan:
+    seed = spec.seed
+    heavy = tuple(a for a in spec.elements if a != "H")
+    edges: dict[str, _PlannedEdge] = {}
+    for e in seed.edges:
+        # an absent bd2/bd3 bound admits any count up to the path length
+        lo2, hi2 = spec.double_bonds.get(e.name, (0, math.inf))
+        lo3, hi3 = spec.triple_bonds.get(e.name, (0, math.inf))
+        edges[e.name] = _PlannedEdge(
+            name=e.name,
+            u=e.u,
+            v=e.v,
+            exact=e.kind == "exact",
+            link=e.link,
+            multiplicities=frozenset(
+                m for m in (1, 2, 3) if lo2 <= (m == 2) <= hi2 and lo3 <= (m == 3) <= hi3
+            ),
+            bonds=(lo2, hi2, lo3, hi3),
+            path_len=spec.path_len.get(e.name),
+            catalog=frozenset(spec.edge_catalog(e.name)),
+            branch_count=spec.branch_count_edge.get(e.name, (0, 0)),
+            branch_height=spec.branch_height_edge.get(e.name, (0, 0)),
+        )
+    vertices = []
+    placed: set[str] = set()
+    for sv in _seed_order(seed):
+        placed.add(sv)
+        ready = tuple(
+            edges[e.name] for e in seed.edges
+            if sv in (e.u, e.v) and e.u in placed and e.v in placed
+        )
+        anchor = next((e.u if e.v == sv else e.v for e in ready if e.exact), None)
+        vertices.append(_PlannedVertex(
+            name=sv,
+            allowed=frozenset(spec.vertex_elements.get(sv, heavy)),
+            catalog=frozenset(spec.vertex_catalog(sv)),
+            degree=seed.degree(sv),
+            anchor=anchor,
+            ready=ready,
+            branch_count=spec.branch_count_vertex.get(sv, (0, 0)),
+            branch_height=spec.branch_height_vertex.get(sv, (0, 0)),
+        ))
+    return _WitnessPlan(tuple(vertices), edges)
 
 
 def find_expansion_witness(
@@ -482,15 +600,27 @@ def find_expansion_witness(
     edges to vertex-disjoint paths within their length bounds, and the
     remaining interior vertices must hang as pendant trees from allowed
     attachment points within the branch-count and branch-height bounds.
+
+    The placement order, each seed vertex's filters and the seed edges
+    that become ready as it is placed come from the plan kept on the
+    specification.  A seed vertex joined by a kept edge to an earlier one
+    is tried only at the interior neighbors of that vertex's image, in
+    ascending id: every other candidate fails the kept edge, so the search
+    takes the same successful branches in the same order.
     """
+    plan = spec._witness_plan
+    order = plan.vertices
     s = dec.suppressed
-    interior = sorted(dec.interior_vertices)
+    inside = dec.interior_vertices
+    interior = sorted(inside)
+    if len(interior) < len(order):
+        return None, "interior smaller than seed"
     adj: dict[int, dict[int, int]] = {
-        v: {w: m for w, m in s.neighbors(v).items() if w in dec.interior_vertices}
-        for v in interior
+        v: {w: m for w, m in s._adj[v].items() if w in inside} for v in interior
     }
-    seed = spec.seed
-    order = _seed_order(seed)
+    labels = s._labels
+    code = {v: dec.fringe_trees[v].code for v in interior}
+    link_edges = s.link_edges
     images: dict[str, int] = {}
     used: set[int] = set()
     path_of: dict[str, list[int]] = {}
@@ -499,96 +629,62 @@ def find_expansion_witness(
     def norm(u: int, v: int) -> tuple[int, int]:
         return (u, v) if u <= v else (v, u)
 
-    def candidates(sv: str) -> list[int]:
-        allowed = spec.vertex_elements.get(sv, tuple(a for a in spec.elements if a != "H"))
-        seed_deg = seed.degree(sv)
-        may_attach = spec.branch_count_vertex.get(sv, (0, 0))[1] > 0
-        catalog = spec.vertex_catalog(sv)
-        out = []
-        for v in interior:
-            if v in used or s.label(v) not in allowed:
-                continue
-            if dec.fringe_trees[v].code not in catalog:
-                continue
-            deg = len(adj[v])
-            # each incident seed edge consumes one interior edge at the image;
-            # only attachments may account for extra interior degree
-            if deg < seed_deg or (not may_attach and deg != seed_deg):
-                continue
-            out.append(v)
-        return out
-
-    def bond_profile_ok(edge: SeedEdge, mults: list[int]) -> bool:
-        d2 = sum(1 for m in mults if m == 2)
-        d3 = sum(1 for m in mults if m == 3)
-        lo2, hi2 = spec.double_bonds.get(edge.name, (0, len(mults)))
-        lo3, hi3 = spec.triple_bonds.get(edge.name, (0, len(mults)))
-        return lo2 <= d2 <= hi2 and lo3 <= d3 <= hi3
-
-    def edges_ready(sv: str) -> list[SeedEdge]:
-        return [
-            e
-            for e in seed.edges
-            if sv in (e.u, e.v)
-            and e.u in images
-            and e.v in images
-            and e.name not in path_of
-            and not (e.kind == "exact" and e.name in exact_done)
-        ]
-
-    exact_done: set[str] = set()
-
     def try_place(pos: int) -> bool:
         if pos == len(order):
             return finish()
         sv = order[pos]
-        for v in candidates(sv):
-            images[sv] = v
+        may_attach = sv.branch_count[1] > 0
+        pool = interior if sv.anchor is None else sorted(adj[images[sv.anchor]])
+        for v in pool:
+            if v in used or labels[v] not in sv.allowed or code[v] not in sv.catalog:
+                continue
+            deg = len(adj[v])
+            # each incident seed edge consumes one interior edge at the image;
+            # only attachments may account for extra interior degree
+            if deg < sv.degree or (not may_attach and deg != sv.degree):
+                continue
+            images[sv.name] = v
             used.add(v)
-            if place_edges(edges_ready(sv), pos):
+            if place_edges(sv.ready, 0, pos):
                 return True
             used.discard(v)
-            del images[sv]
+            del images[sv.name]
         return False
 
-    def place_edges(pending: list[SeedEdge], pos: int) -> bool:
-        if not pending:
+    def place_edges(pending: tuple[_PlannedEdge, ...], i: int, pos: int) -> bool:
+        if i == len(pending):
             return try_place(pos + 1)
-        edge, rest = pending[0], pending[1:]
+        edge = pending[i]
         a, b = images[edge.u], images[edge.v]
-        if edge.kind == "exact":
+        if edge.exact:
             m = adj[a].get(b)
-            if m is None or norm(a, b) in used_edges:
+            e = norm(a, b)
+            if m is None or e in used_edges or m not in edge.multiplicities:
                 return False
-            if not bond_profile_ok(edge, [m]):
+            if e in link_edges:  # kept seed edges are never link-edges
                 return False
-            if norm(a, b) in s.link_edges:  # kept seed edges are never link-edges
-                return False
-            used_edges.add(norm(a, b))
-            exact_done.add(edge.name)
-            if place_edges(rest, pos):
+            used_edges.add(e)
+            if place_edges(pending, i + 1, pos):
                 return True
-            exact_done.discard(edge.name)
-            used_edges.discard(norm(a, b))
+            used_edges.discard(e)
             return False
-        lo, hi = spec.path_len.get(edge.name, (1, len(interior)))
-        edge_catalog = spec.edge_catalog(edge.name)
+        lo, hi = edge.path_len or (1, len(interior))
         for path in _paths_between(adj, a, b, lo, hi, used, used_edges):
-            mults = [adj[path[i]][path[i + 1]] for i in range(len(path) - 1)]
-            if not bond_profile_ok(edge, mults):
-                continue
-            if any(dec.fringe_trees[v].code not in edge_catalog for v in path[1:-1]):
-                continue
-            path_edges = {norm(path[i], path[i + 1]) for i in range(len(path) - 1)}
-            if edge.link and not all(e in s.link_edges for e in path_edges):
-                continue
-            if not edge.link and any(e in s.link_edges for e in path_edges):
+            mults = [adj[path[k]][path[k + 1]] for k in range(len(path) - 1)]
+            if not edge.bonds_ok(mults):
                 continue
             internals = path[1:-1]
+            if any(code[v] not in edge.catalog for v in internals):
+                continue
+            path_edges = {norm(path[k], path[k + 1]) for k in range(len(path) - 1)}
+            if edge.link and not path_edges <= link_edges:
+                continue
+            if not edge.link and not path_edges.isdisjoint(link_edges):
+                continue
             used.update(internals)
             used_edges.update(path_edges)
             path_of[edge.name] = list(path)
-            if place_edges(rest, pos):
+            if place_edges(pending, i + 1, pos):
                 return True
             del path_of[edge.name]
             used_edges.difference_update(path_edges)
@@ -629,25 +725,26 @@ def find_expansion_witness(
             covered |= inner
             covered.add(norm(anchor, first))
             attach_at.setdefault(anchor, []).append(_component_height(adj, anchor, comp))
-        if covered != {norm(u, v) for u, v in dec.interior_edges}:
+        if covered != dec.interior_edges:  # both hold (u, v) with u < v
             return False  # an interior edge escaped the expansion
 
-        for sv, img in images.items():
-            heights = attach_at.get(img, [])
-            lo, hi = spec.branch_count_vertex.get(sv, (0, 0))
+        for sv in order:
+            heights = attach_at.get(images[sv.name], [])
+            lo, hi = sv.branch_count
             if not lo <= len(heights) <= hi:
                 return False
-            ch_lo, ch_hi = spec.branch_height_vertex.get(sv, (0, 0))
+            ch_lo, ch_hi = sv.branch_height
             if not ch_lo <= max(heights, default=0) <= ch_hi:
                 return False
         consumed = set(images.values())
         for name, path in path_of.items():
+            edge = plan.edges[name]
             internals = path[1:-1]
             branched = [v for v in internals if attach_at.get(v)]
-            lo, hi = spec.branch_count_edge.get(name, (0, 0))
+            lo, hi = edge.branch_count
             if not lo <= len(branched) <= hi:
                 return False
-            ch_lo, ch_hi = spec.branch_height_edge.get(name, (0, 0))
+            ch_lo, ch_hi = edge.branch_height
             height = max((h for v in internals for h in attach_at.get(v, [])), default=0)
             if not ch_lo <= height <= ch_hi:
                 return False
@@ -663,10 +760,7 @@ def find_expansion_witness(
         return True
 
     witness: dict | None = None
-    if len(interior) < len(seed.vertices):
-        return None, "interior smaller than seed"
-    ok = try_place(0)
-    if not ok:
+    if not try_place(0):
         return None, "no seed-expansion embedding found"
     return witness, "witness found"
 

@@ -5,14 +5,17 @@ Vertices of the hydrogen-suppressed graph that are stripped away within
 vertices, vertices of undefined height and tree vertices of height at
 least rho) is interior.  Exterior edges hang off interior roots as
 fringe trees, which carry their original hydrogens and are compared by a
-canonical parenthesized code.
+canonical parenthesized code.  `decompose` fills in each fringe node's
+code bottom-up as it builds the tree, and `count_profile` reads every
+count in one pass, with the configuration keys of an edge memoized on
+its (element, degree, element, degree, multiplicity).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .chemgraph import (
     ChemicalGraph,
@@ -62,8 +65,23 @@ def encode_tree(t: RootedTree) -> str:
     multiplicities 1..3, sorted by (multiplicity, code); two rooted
     chemical trees get the same string iff they are rooted-isomorphic.
     """
-    parts = sorted((m, encode_tree(c)) for m, c in t.children)
-    return t.label + "".join(f"({BOND_MARK[m]}{code})" for m, code in parts)
+    return _join_code(t.label, [(m, encode_tree(c)) for m, c in t.children])
+
+
+def _join_code(label: str, groups: list[tuple[int, str]]) -> str:
+    """The code of a node from its children's (multiplicity, code) pairs."""
+    return label + "".join(f"({BOND_MARK[m]}{code})" for m, code in sorted(groups))
+
+
+def _coded_tree(label: str, children: tuple[tuple[int, RootedTree], ...]) -> RootedTree:
+    """A RootedTree whose `code` is filled in from its children's, the
+    string `encode_tree` would compute, without a second recursion."""
+    tree = RootedTree(label, children)
+    tree.__dict__["code"] = _join_code(label, [(m, c.code) for m, c in children])
+    return tree
+
+
+_HYDROGEN = _coded_tree("H", ())  # the one hydrogen leaf every fringe tree shares
 
 
 def parse_code(code: str) -> RootedTree:
@@ -114,6 +132,14 @@ def make_edge_config(a: str, d: int, b: str, dp: int, m: int) -> EdgeConfig:
     if _vertex_symbol_key(a, d) <= _vertex_symbol_key(b, dp):
         return (a, d, b, dp, m)
     return (b, dp, a, d, m)
+
+
+@cache  # bounded: elements x suppressed degrees (<= 6) x multiplicities
+def edge_keys(a: str, d: int, b: str, dp: int, m: int) -> tuple[str, str]:
+    """The `ec_int` and `ac_int` keys of an interior edge between an (a, d)
+    and a (b, dp) vertex with multiplicity m."""
+    cfg = make_edge_config(a, d, b, dp, m)
+    return config_str(cfg), adjacency_str(adjacency_of(cfg))
 
 
 def make_adjacency_config(a: str, b: str, m: int) -> AdjacencyConfig:
@@ -177,17 +203,19 @@ def as_decomposition(
 
 
 def decompose(g: ChemicalGraph | SuppressedGraph, rho: int) -> TwoLayeredDecomposition:
-    """Partition the hydrogen-suppressed graph at branch parameter rho."""
+    """Partition the hydrogen-suppressed graph at branch parameter rho.
+
+    Each fringe tree is built bottom-up with its canonical code filled in
+    as it goes, and every hydrogen in it is one shared leaf."""
     if rho < 1:
         raise GraphError("rho must be at least 1")
     s = hydrogen_suppress(g) if isinstance(g, ChemicalGraph) else g
-    heights, tree_vertices = leaf_strip_heights(s.vertex_ids, s.edge_list)
+    edges = s.edge_list
+    heights, tree_vertices = leaf_strip_heights(s.vertex_ids, edges)
     exterior = frozenset(v for v in tree_vertices if heights[v] < rho)
     interior = frozenset(v for v in s.vertex_ids if v not in exterior)
-    ext_edges = frozenset(
-        (u, v) for u, v in s.edge_list if u in exterior or v in exterior
-    )
-    int_edges = frozenset(e for e in s.edge_list if e not in ext_edges)
+    ext_edges = frozenset((u, v) for u, v in edges if u in exterior or v in exterior)
+    int_edges = frozenset(e for e in edges if e not in ext_edges)
 
     return TwoLayeredDecomposition(
         rho=rho,
@@ -201,17 +229,23 @@ def decompose(g: ChemicalGraph | SuppressedGraph, rho: int) -> TwoLayeredDecompo
 
 
 def _build_fringe(s: SuppressedGraph, root: int, exterior: frozenset[int]) -> RootedTree:
+    adj, labels, h_count = s._adj, s._labels, s.h_count
+
     def build(v: int, parent: int | None) -> RootedTree:
-        children: list[tuple[int, RootedTree]] = []
-        for _ in range(s.h_count.get(v, 0)):
-            children.append((1, RootedTree("H")))
-        for w, m in sorted(s.neighbors(v).items()):
-            if w == parent or w not in exterior:
-                continue
-            children.append((m, build(w, v)))
-        return RootedTree(s.label(v), tuple(children))
+        below = [(w, m) for w, m in adj[v].items() if w != parent and w in exterior]
+        if not below:
+            return _bare_tree(labels[v], h_count.get(v, 0))
+        children = [(1, _HYDROGEN)] * h_count.get(v, 0)
+        children += [(m, build(w, v)) for w, m in sorted(below)]
+        return _coded_tree(labels[v], tuple(children))
 
     return build(root, None)
+
+
+@cache  # bounded: elements x hydrogen counts (<= 6)
+def _bare_tree(label: str, hydrogens: int) -> RootedTree:
+    """The fringe tree of a vertex that carries only hydrogens."""
+    return _coded_tree(label, ((1, _HYDROGEN),) * hydrogens)
 
 
 def edge_config(dec: TwoLayeredDecomposition, e: tuple[int, int]) -> EdgeConfig:
@@ -234,17 +268,18 @@ def leaf_edge_adjacency_configs(s: SuppressedGraph) -> list[AdjacencyConfig]:
     the non-leaf endpoint comes first (canonical order when both ends are
     leaves).
     """
+    adj, labels = s._adj, s._labels
     out: list[AdjacencyConfig] = []
     for u, v, m in s.bonds:
-        du, dv = s.degree(u), s.degree(v)
+        du, dv = len(adj[u]), len(adj[v])
         if du != 1 and dv != 1:
             continue
         if du == 1 and dv == 1:
-            out.append(make_adjacency_config(s.label(u), s.label(v), m))
+            out.append(make_adjacency_config(labels[u], labels[v], m))
         elif dv == 1:
-            out.append((s.label(u), s.label(v), m))
+            out.append((labels[u], labels[v], m))
         else:
-            out.append((s.label(v), s.label(u), m))
+            out.append((labels[v], labels[u], m))
     return sorted(out)
 
 
@@ -280,32 +315,36 @@ class CountProfile:
 
 
 def count_profile(dec: TwoLayeredDecomposition) -> CountProfile:
+    """All counts of one decomposition in one pass over its vertices and
+    edges.  The rank is |E| - |V| + 1: the suppressed graph of a validated
+    (connected) chemical graph is connected."""
     s = dec.suppressed
+    adj, labels = s._adj, s._labels
     na = Counter(sym for _, sym in s.atoms)
     hydrogens = sum(h for _, h in s.hydrogens)
     if hydrogens:
         na["H"] = hydrogens
-
-    def symbol(v: int) -> str:
-        return symbol_str(s.label(v), s.degree(v))
-
-    configs = {e: edge_config(dec, e) for e in dec.interior_edges}
-    link = [configs[e] for e in s.link_edges]  # link edges lie on a cycle: interior
+    interior = dec.interior_vertices
+    keys: dict[tuple[int, int], tuple[str, str]] = {}  # interior edge -> (ec key, ac key)
+    for e in dec.interior_edges:
+        u, v = e
+        keys[e] = edge_keys(labels[u], len(adj[u]), labels[v], len(adj[v]), adj[u][v])
+    link = [keys[e] for e in s.link_edges]  # link edges lie on a cycle: interior
     link_degree = Counter(v for e in s.link_edges for v in e)
     return CountProfile(
         n=len(s.atoms),
-        rank=s.rank(),
-        n_int=len(dec.interior_vertices),
+        rank=len(s.bonds) - len(s.atoms) + 1,
+        n_int=len(interior),
         link_edges=len(s.link_edges),
         link_vertices=sum(1 for c in link_degree.values() if c == 2),
         na=na,
-        na_int=Counter(s.label(v) for v in dec.interior_vertices),
-        ns_int=Counter(symbol(v) for v in dec.interior_vertices),
-        ns_cnt=Counter(symbol(v) for v in s.connecting or ()),
-        ec_int=Counter(config_str(c) for c in configs.values()),
-        ec_lnk=Counter(config_str(c) for c in link),
-        ac_int=Counter(adjacency_str(adjacency_of(c)) for c in configs.values()),
-        ac_lnk=Counter(adjacency_str(adjacency_of(c)) for c in link),
+        na_int=Counter(labels[v] for v in interior),
+        ns_int=Counter(symbol_str(labels[v], len(adj[v])) for v in interior),
+        ns_cnt=Counter(symbol_str(labels[v], len(adj[v])) for v in s.connecting or ()),
+        ec_int=Counter(ec for ec, _ in keys.values()),
+        ec_lnk=Counter(ec for ec, _ in link),
+        ac_int=Counter(ac for _, ac in keys.values()),
+        ac_lnk=Counter(ac for _, ac in link),
         ac_lf=Counter(adjacency_str(c) for c in leaf_edge_adjacency_configs(s)),
         fc=Counter(ft.code for ft in dec.fringe_trees.values()),
     )

@@ -1,0 +1,395 @@
+"""Earlier implementations of the per-graph checks, kept as references.
+
+`find_expansion_witness` scanned every interior vertex for every seed
+vertex and rebuilt the seed order and filters on each call;
+`is_circular_set` made two bridge passes; fringe trees were built with
+their codes left to `encode_tree`; `count_profile` read every count
+through the graph accessors and took the rank after a connectivity pass.
+The equivalence tests require the current code to return what these do.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from polyinfer.chemgraph import SuppressedGraph, _norm_edge, bridges, rank
+from polyinfer.topospec import SeedEdge, SeedGraph, TopologicalSpec
+from polyinfer.twolayer import (
+    AdjacencyConfig,
+    CountProfile,
+    RootedTree,
+    TwoLayeredDecomposition,
+    adjacency_of,
+    adjacency_str,
+    config_str,
+    edge_config,
+    encode_tree,
+    make_adjacency_config,
+    symbol_str,
+)
+
+
+def two_pass_is_circular_set(vertices, edges, marked) -> bool:
+    """Whether `marked` edges all lie on one cycle that removing any one of
+    them turns the rest into bridges.
+
+    For non-bridges e and f, "f is a bridge of G - e" holds exactly when
+    every cycle through e passes through f; that relation is symmetric and
+    transitive, so testing every member against the first one settles all
+    pairs: two bridge passes in all.
+    """
+    edges = [_norm_edge(u, v) for u, v in edges]
+    marked = [_norm_edge(u, v) for u, v in marked]
+    if len(set(marked)) != len(marked):
+        return False
+    if not marked:
+        return True
+    edge_set = set(edges)
+    if any(e not in edge_set for e in marked):
+        return False
+    all_bridges = bridges(vertices, edges)
+    if any(e in all_bridges for e in marked):
+        return False  # a bridge is on no cycle
+    e0 = marked[0]
+    rem_bridges = bridges(vertices, [f for f in edges if f != e0])
+    return all(f in rem_bridges for f in marked[1:])
+
+
+def reference_build_fringe(s: SuppressedGraph, root: int, exterior: frozenset[int]) -> RootedTree:
+    def build(v: int, parent: int | None) -> RootedTree:
+        children: list[tuple[int, RootedTree]] = []
+        for _ in range(s.h_count.get(v, 0)):
+            children.append((1, RootedTree("H")))
+        for w, m in sorted(s.neighbors(v).items()):
+            if w == parent or w not in exterior:
+                continue
+            children.append((m, build(w, v)))
+        return RootedTree(s.label(v), tuple(children))
+
+    return build(root, None)
+
+
+def reference_leaf_edge_adjacency_configs(s: SuppressedGraph) -> list[AdjacencyConfig]:
+    """Adjacency configurations of leaf edges, oriented inner-to-leaf.
+
+    A leaf edge is incident to a degree-1 vertex of the suppressed graph;
+    the non-leaf endpoint comes first (canonical order when both ends are
+    leaves).
+    """
+    out: list[AdjacencyConfig] = []
+    for u, v, m in s.bonds:
+        du, dv = s.degree(u), s.degree(v)
+        if du != 1 and dv != 1:
+            continue
+        if du == 1 and dv == 1:
+            out.append(make_adjacency_config(s.label(u), s.label(v), m))
+        elif dv == 1:
+            out.append((s.label(u), s.label(v), m))
+        else:
+            out.append((s.label(v), s.label(u), m))
+    return sorted(out)
+
+
+def reference_count_profile(dec: TwoLayeredDecomposition) -> CountProfile:
+    s = dec.suppressed
+    na = Counter(sym for _, sym in s.atoms)
+    hydrogens = sum(h for _, h in s.hydrogens)
+    if hydrogens:
+        na["H"] = hydrogens
+
+    def symbol(v: int) -> str:
+        return symbol_str(s.label(v), s.degree(v))
+
+    configs = {e: edge_config(dec, e) for e in dec.interior_edges}
+    link = [configs[e] for e in s.link_edges]  # link edges lie on a cycle: interior
+    link_degree = Counter(v for e in s.link_edges for v in e)
+    return CountProfile(
+        n=len(s.atoms),
+        rank=rank(s.vertex_ids, s.edge_list),
+        n_int=len(dec.interior_vertices),
+        link_edges=len(s.link_edges),
+        link_vertices=sum(1 for c in link_degree.values() if c == 2),
+        na=na,
+        na_int=Counter(s.label(v) for v in dec.interior_vertices),
+        ns_int=Counter(symbol(v) for v in dec.interior_vertices),
+        ns_cnt=Counter(symbol(v) for v in s.connecting or ()),
+        ec_int=Counter(config_str(c) for c in configs.values()),
+        ec_lnk=Counter(config_str(c) for c in link),
+        ac_int=Counter(adjacency_str(adjacency_of(c)) for c in configs.values()),
+        ac_lnk=Counter(adjacency_str(adjacency_of(c)) for c in link),
+        ac_lf=Counter(adjacency_str(c) for c in reference_leaf_edge_adjacency_configs(s)),
+        fc=Counter(encode_tree(ft) for ft in dec.fringe_trees.values()),
+    )
+
+
+def reference_find_expansion_witness(
+    dec: TwoLayeredDecomposition, spec: TopologicalSpec
+) -> tuple[dict | None, str]:
+    """Backtracking embedding of the seed graph into the interior.
+
+    Seed vertices map to distinct interior vertices respecting their
+    element restriction; kept edges map to interior edges, replaceable
+    edges to vertex-disjoint paths within their length bounds, and the
+    remaining interior vertices must hang as pendant trees from allowed
+    attachment points within the branch-count and branch-height bounds.
+    """
+    s = dec.suppressed
+    interior = sorted(dec.interior_vertices)
+    adj: dict[int, dict[int, int]] = {
+        v: {w: m for w, m in s.neighbors(v).items() if w in dec.interior_vertices}
+        for v in interior
+    }
+    seed = spec.seed
+    order = _seed_order(seed)
+    images: dict[str, int] = {}
+    used: set[int] = set()
+    path_of: dict[str, list[int]] = {}
+    used_edges: set[tuple[int, int]] = set()
+
+    def norm(u: int, v: int) -> tuple[int, int]:
+        return (u, v) if u <= v else (v, u)
+
+    def candidates(sv: str) -> list[int]:
+        allowed = spec.vertex_elements.get(sv, tuple(a for a in spec.elements if a != "H"))
+        seed_deg = seed.degree(sv)
+        may_attach = spec.branch_count_vertex.get(sv, (0, 0))[1] > 0
+        catalog = spec.vertex_catalog(sv)
+        out = []
+        for v in interior:
+            if v in used or s.label(v) not in allowed:
+                continue
+            if dec.fringe_trees[v].code not in catalog:
+                continue
+            deg = len(adj[v])
+            # each incident seed edge consumes one interior edge at the image;
+            # only attachments may account for extra interior degree
+            if deg < seed_deg or (not may_attach and deg != seed_deg):
+                continue
+            out.append(v)
+        return out
+
+    def bond_profile_ok(edge: SeedEdge, mults: list[int]) -> bool:
+        d2 = sum(1 for m in mults if m == 2)
+        d3 = sum(1 for m in mults if m == 3)
+        lo2, hi2 = spec.double_bonds.get(edge.name, (0, len(mults)))
+        lo3, hi3 = spec.triple_bonds.get(edge.name, (0, len(mults)))
+        return lo2 <= d2 <= hi2 and lo3 <= d3 <= hi3
+
+    def edges_ready(sv: str) -> list[SeedEdge]:
+        return [
+            e
+            for e in seed.edges
+            if sv in (e.u, e.v)
+            and e.u in images
+            and e.v in images
+            and e.name not in path_of
+            and not (e.kind == "exact" and e.name in exact_done)
+        ]
+
+    exact_done: set[str] = set()
+
+    def try_place(pos: int) -> bool:
+        if pos == len(order):
+            return finish()
+        sv = order[pos]
+        for v in candidates(sv):
+            images[sv] = v
+            used.add(v)
+            if place_edges(edges_ready(sv), pos):
+                return True
+            used.discard(v)
+            del images[sv]
+        return False
+
+    def place_edges(pending: list[SeedEdge], pos: int) -> bool:
+        if not pending:
+            return try_place(pos + 1)
+        edge, rest = pending[0], pending[1:]
+        a, b = images[edge.u], images[edge.v]
+        if edge.kind == "exact":
+            m = adj[a].get(b)
+            if m is None or norm(a, b) in used_edges:
+                return False
+            if not bond_profile_ok(edge, [m]):
+                return False
+            if norm(a, b) in s.link_edges:  # kept seed edges are never link-edges
+                return False
+            used_edges.add(norm(a, b))
+            exact_done.add(edge.name)
+            if place_edges(rest, pos):
+                return True
+            exact_done.discard(edge.name)
+            used_edges.discard(norm(a, b))
+            return False
+        lo, hi = spec.path_len.get(edge.name, (1, len(interior)))
+        edge_catalog = spec.edge_catalog(edge.name)
+        for path in _paths_between(adj, a, b, lo, hi, used, used_edges):
+            mults = [adj[path[i]][path[i + 1]] for i in range(len(path) - 1)]
+            if not bond_profile_ok(edge, mults):
+                continue
+            if any(dec.fringe_trees[v].code not in edge_catalog for v in path[1:-1]):
+                continue
+            path_edges = {norm(path[i], path[i + 1]) for i in range(len(path) - 1)}
+            if edge.link and not all(e in s.link_edges for e in path_edges):
+                continue
+            if not edge.link and any(e in s.link_edges for e in path_edges):
+                continue
+            internals = path[1:-1]
+            used.update(internals)
+            used_edges.update(path_edges)
+            path_of[edge.name] = list(path)
+            if place_edges(rest, pos):
+                return True
+            del path_of[edge.name]
+            used_edges.difference_update(path_edges)
+            used.difference_update(internals)
+        return False
+
+    def finish() -> bool:
+        # leftover interior vertices must form pendant trees, each hanging
+        # from exactly one used vertex by exactly one edge, and together
+        # with the seed-edge images they must cover every interior edge
+        leftover = {v for v in interior if v not in used}
+        attach_at: dict[int, list[int]] = {}  # anchor -> heights of blocks
+        covered: set[tuple[int, int]] = set(used_edges)
+        seen: set[int] = set()
+        for v0 in sorted(leftover):
+            if v0 in seen:
+                continue
+            comp = {v0}
+            seen.add(v0)
+            queue = [v0]
+            anchor_edges: list[tuple[int, int]] = []
+            while queue:
+                x = queue.pop()
+                for y in adj[x]:
+                    if y in leftover:
+                        if y not in seen:
+                            seen.add(y)
+                            comp.add(y)
+                            queue.append(y)
+                    else:
+                        anchor_edges.append((y, x))
+            if len(anchor_edges) != 1:
+                return False  # pendant component must hang by one edge
+            anchor, first = anchor_edges[0]
+            inner = {norm(x, y) for x in comp for y in adj[x] if y in comp}
+            if len(inner) != len(comp) - 1:
+                return False  # pendant component must be a tree
+            covered |= inner
+            covered.add(norm(anchor, first))
+            attach_at.setdefault(anchor, []).append(_component_height(adj, anchor, comp))
+        if covered != {norm(u, v) for u, v in dec.interior_edges}:
+            return False  # an interior edge escaped the expansion
+
+        for sv, img in images.items():
+            heights = attach_at.get(img, [])
+            lo, hi = spec.branch_count_vertex.get(sv, (0, 0))
+            if not lo <= len(heights) <= hi:
+                return False
+            ch_lo, ch_hi = spec.branch_height_vertex.get(sv, (0, 0))
+            if not ch_lo <= max(heights, default=0) <= ch_hi:
+                return False
+        consumed = set(images.values())
+        for name, path in path_of.items():
+            internals = path[1:-1]
+            branched = [v for v in internals if attach_at.get(v)]
+            lo, hi = spec.branch_count_edge.get(name, (0, 0))
+            if not lo <= len(branched) <= hi:
+                return False
+            ch_lo, ch_hi = spec.branch_height_edge.get(name, (0, 0))
+            height = max((h for v in internals for h in attach_at.get(v, [])), default=0)
+            if not ch_lo <= height <= ch_hi:
+                return False
+            consumed.update(internals)
+        if any(anchor not in consumed for anchor in attach_at):
+            return False
+        nonlocal witness
+        witness = {
+            "images": dict(images),
+            "paths": {k: list(v) for k, v in path_of.items()},
+            "attachments": {str(k): v for k, v in sorted(attach_at.items())},
+        }
+        return True
+
+    witness: dict | None = None
+    if len(interior) < len(seed.vertices):
+        return None, "interior smaller than seed"
+    ok = try_place(0)
+    if not ok:
+        return None, "no seed-expansion embedding found"
+    return witness, "witness found"
+
+
+def _seed_order(seed: SeedGraph) -> list[str]:
+    """Place vertices so each one is adjacent to an earlier one via a kept
+    edge when possible; path edges anchor new components."""
+    exact_adj: dict[str, set[str]] = {v: set() for v in seed.vertices}
+    any_adj: dict[str, set[str]] = {v: set() for v in seed.vertices}
+    for e in seed.edges:
+        any_adj[e.u].add(e.v)
+        any_adj[e.v].add(e.u)
+        if e.kind == "exact":
+            exact_adj[e.u].add(e.v)
+            exact_adj[e.v].add(e.u)
+    order: list[str] = []
+    placed: set[str] = set()
+    while len(order) < len(seed.vertices):
+        nxt = None
+        for v in seed.vertices:
+            if v in placed:
+                continue
+            if exact_adj[v] & placed:
+                nxt = v
+                break
+        if nxt is None:
+            for v in seed.vertices:
+                if v not in placed and (not placed or any_adj[v] & placed):
+                    nxt = v
+                    break
+        if nxt is None:
+            nxt = next(v for v in seed.vertices if v not in placed)
+        order.append(nxt)
+        placed.add(nxt)
+    return order
+
+
+def _paths_between(adj, a: int, b: int, lo: int, hi: int, used: set[int], used_edges):
+    """Simple a-b paths of length lo..hi whose internal vertices are free."""
+    def norm(u, v):
+        return (u, v) if u <= v else (v, u)
+
+    path = [a]
+    on_path = {a}
+
+    def extend(current: int, length: int):
+        for w in sorted(adj[current]):
+            e = norm(current, w)
+            if e in used_edges:
+                continue
+            if w == b:
+                if lo <= length + 1 <= hi:
+                    yield path + [b]
+                continue
+            if w in on_path or w in used or length + 1 >= hi:
+                continue
+            path.append(w)
+            on_path.add(w)
+            yield from extend(w, length + 1)
+            on_path.discard(w)
+            path.pop()
+
+    yield from extend(a, 0)
+
+
+def _component_height(adj, anchor: int, comp: set[int]) -> int:
+    """Longest distance from the anchor into its pendant component."""
+    best = 0
+    stack = [(anchor, 0, {anchor})]
+    while stack:
+        v, d, seen = stack.pop()
+        for w in adj[v]:
+            if w in comp and w not in seen:
+                best = max(best, d + 1)
+                stack.append((w, d + 1, seen | {w}))
+    return best

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyinfer import chemgraph
 from polyinfer.chemgraph import (
@@ -25,6 +27,7 @@ from polyinfer.chemgraph import (
     valence,
 )
 from polyinfer.data import demo_polymer_text
+from reference_checks import two_pass_is_circular_set
 
 ETHANE = """PMG 1
 ATOM 1 C
@@ -371,6 +374,36 @@ def test_circular_set_matches_reference():
         assert is_circular_set(vertices, edges, marked) == expected, (edges, marked)
         positives += expected
     assert cases // 4 < positives < cases - cases // 4
+
+
+@st.composite
+def graphs_with_marked_edges(draw):
+    """A random connected graph (a random tree plus chords, now and then a
+    parallel copy of an edge) and a marked list that may repeat an edge,
+    name a non-edge, reverse an edge or hold bridges; half the time it is
+    drawn mostly from one cut-pair class, so that circular sets are
+    common."""
+    n = draw(st.integers(2, 9))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+    edges = list(dict.fromkeys(tuple(sorted(e)) for e in tree + chords if e[0] != e[1]))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=1))
+    vertices = range(n)
+    non_bridges = [e for e in edges if e not in bridges(vertices, edges)]
+    pool = edges + [(0, n)]  # (0, n) is no edge of the graph
+    if non_bridges and draw(st.booleans()):
+        e0 = draw(st.sampled_from(non_bridges))
+        pool = cut_pair_class(vertices, edges, e0) + draw(st.lists(st.sampled_from(edges), max_size=2))
+    marked = draw(st.lists(st.sampled_from(pool), max_size=5))
+    flips = draw(st.lists(st.booleans(), min_size=len(marked), max_size=len(marked)))
+    return vertices, edges, [(v, u) if flip else (u, v) for (u, v), flip in zip(marked, flips)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_with_marked_edges())
+def test_circular_set_matches_the_two_pass_test(case):
+    vertices, edges, marked = case
+    assert is_circular_set(vertices, edges, marked) == two_pass_is_circular_set(vertices, edges, marked)
 
 
 def test_graph_construction_rejects_bad_links():

@@ -213,6 +213,30 @@ def test_infer_emit_lp_writes_the_inverse_model(trained_model, tmp_path):
         run("emit-lp", "--model", trained_model, "--window", "2.2,2.6", "--out", tmp_path / "x.lp")
 
 
+def test_infer_builds_the_inverse_model_once(trained_model, tmp_path, monkeypatch):
+    from polyinfer import cli, milp
+
+    built = []
+
+    def counting(spec):
+        built.append(spec)
+        return original(spec)
+
+    original = milp.build_inverse_milp
+    monkeypatch.setattr(milp, "build_inverse_milp", counting)
+    monkeypatch.setattr(cli, "build_inverse_milp", counting, raising=False)
+    code = run(
+        "infer",
+        "--model", trained_model,
+        "--window", "2.2,2.6",
+        "--emit-lp", tmp_path / "out.lp",
+        "--out", tmp_path / "solution.json",
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "solution.json").read_text())["status"] == "feasible"
+    assert len(built) == 1  # the LP file and the certificate read one model
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_infer_rejects_an_invalid_time_budget(trained_model, tmp_path, capsys, value):
     assert run("infer", "--model", trained_model, "--window", "2.2,2.6", f"--limit-seconds={value}") == 1
@@ -375,6 +399,34 @@ def test_verify_fails_outside_window(corpus_dir, trained_model, tmp_path):
         sample,
     )
     assert code == 1
+
+
+def test_verify_reports_an_unreadable_graph_and_checks_the_rest(trained_model, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path)
+    good = tmp_path / "good.pmg"
+    good.write_text(make_polymer())
+    bad = tmp_path / "bad.pmg"
+    bad.write_text("PMG 1\nATOM 1 C\nATOM 2 H\nBOND 1 2 1\n")  # carbon with bond sum 1
+    missing = tmp_path / "missing.pmg"
+    capsys.readouterr()
+    code = run(
+        "verify",
+        "--model", trained_model,
+        "--spec", spec_path,
+        "--window=-1e9,1e9",
+        bad, good, missing,
+    )
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [
+        f"{bad}: FAIL",
+        "  BAD parse: valence violation at atom 1 (C): bond sum 1 vs valence 4",
+    ]
+    assert out[2].startswith(f"{good}: ")
+    assert any(line.startswith("  ok  decomposition:") for line in out[3:7])
+    assert out[-2] == f"{missing}: FAIL"
+    assert out[-1].startswith("  BAD parse: ") and "No such file" in out[-1]
 
 
 def test_check_subcommand(tmp_path):

@@ -8,6 +8,7 @@ from corpus import make_polymer
 from polyinfer.chemgraph import parse_pmg
 from polyinfer.data import example_polymer_text, fringe_catalog_text
 from polyinfer.topospec import (
+    PROPERTY_ELEMENTS,
     SeedEdge,
     SeedGraph,
     SpecError,
@@ -15,9 +16,13 @@ from polyinfer.topospec import (
     build_instance_Ib,
     check_satisfies,
     element_set,
+    find_expansion_witness,
     load_fringe_catalog,
     two_ring_seed,
 )
+from polyinfer.twolayer import decompose
+from reference_checks import reference_find_expansion_witness
+from spechelpers import SMALL_CATALOG, forcing_spec, oracle_candidates
 
 
 # -- element sets -------------------------------------------------------------
@@ -227,9 +232,8 @@ def test_checker_flags_unknown_fringe():
     assert any("fringe trees in catalog" in f for f in report.failures())
 
 
-def test_checker_flags_wrong_topology():
-    spec = build_instance_Ib("AmD", 14)
-    # single-ring monomer cannot embed the two-ring seed
+def single_ring_text() -> str:
+    """A benzene ring with two link edges: a single-ring monomer."""
     text = """PMG 1
 ATOM 1 C
 ATOM 2 C
@@ -248,7 +252,13 @@ LINK 2 3
 """
     for i, h in ((1, 7), (2, 8), (3, 9), (4, 10), (5, 11), (6, 12)):
         text += f"ATOM {h} H\nBOND {i} {h} 1\n"
-    g = parse_pmg(text)
+    return text
+
+
+def test_checker_flags_wrong_topology():
+    spec = build_instance_Ib("AmD", 14)
+    # single-ring monomer cannot embed the two-ring seed
+    g = parse_pmg(single_ring_text())
     report = check_satisfies(g, spec)
     assert report.witness is None
     assert not report.passed
@@ -331,3 +341,44 @@ def test_demo_polymer_link_counts_keep_both_meanings():
     assert featurize(g, reg).values[reg.names.index("n_lnk")] == 6
     report = check_satisfies(g, build_instance_Ib("AmD", 14))
     assert next(c.measured for c in report.checks if c.name == "n_lnk") == 4
+
+
+# -- the witness search against the earlier full-scan search ------------------
+
+
+def assert_same_witness(text: str, spec: TopologicalSpec) -> bool:
+    """The same (witness, message), dict order included; whether one exists."""
+    dec = decompose(parse_pmg(text), spec.rho)
+    got = find_expansion_witness(dec, spec)
+    want = reference_find_expansion_witness(dec, spec)
+    assert json.dumps(got) == json.dumps(want), text
+    return got[0] is not None
+
+
+def test_witness_matches_reference_on_a_closed_space():
+    space = list(oracle_candidates((2, 3, 5, 6), 3))
+    closed = forcing_spec(SMALL_CATALOG, 3, (2, 3, 5, 6))
+    # a2 bridges of two atoms and Cl at the pinned positions 5 and 6 leave
+    # no embedding under this one
+    narrow = forcing_spec(SMALL_CATALOG, 2, (2, 3))
+    assert all(assert_same_witness(text, closed) for text in space)
+    found = [assert_same_witness(text, narrow) for text in space]
+    assert 0 < sum(found) < len(found)
+
+
+def test_witness_matches_reference_on_the_example_polymers():
+    texts = [example_polymer_text(i) for i in (1, 2, 3, 4)]
+    for tag in PROPERTY_ELEMENTS:
+        for n_lb in (14, 17, 27):
+            spec = build_instance_Ib(tag, n_lb)
+            for text in texts:
+                assert_same_witness(text, spec)
+
+
+def test_witness_matches_reference_without_a_witness():
+    cases = [
+        (single_ring_text(), build_instance_Ib("AmD", 14)),  # interior smaller than seed
+        (make_polymer(bridge_a=("C", "C"), subst={2: ("C", "C", "C")}), build_instance_Ib("AmD", 16)),
+    ]
+    for text, spec in cases:
+        assert not assert_same_witness(text, spec)

@@ -1,22 +1,28 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from corpus import synthetic_corpus
 from polyinfer.chemgraph import GraphError, hydrogen_suppress, parse_pmg
-from polyinfer.data import demo_polymer_text
+from polyinfer.data import demo_polymer_text, example_polymer_text
 from polyinfer.twolayer import (
+    CountProfile,
     RootedTree,
     config_str,
     count_profile,
     decompose,
     edge_config,
+    encode_tree,
     leaf_edge_adjacency_configs,
     make_edge_config,
     parse_code,
 )
+from reference_checks import reference_build_fringe, reference_count_profile
+from spechelpers import oracle_candidates
 
 BENZENE = """PMG 1
 ATOM 1 C
@@ -279,3 +285,26 @@ def test_leaf_edge_configs_orientation():
     configs = leaf_edge_adjacency_configs(demo_polymer)
     # the carbonyl leaf is recorded inner-first
     assert ("C", "O", 2) in configs
+
+
+def test_count_profile_and_fringe_trees_match_the_references():
+    texts = [
+        demo_polymer_text(),
+        BENZENE,
+        *(example_polymer_text(i) for i in (1, 2, 3, 4)),
+        *(text for _, text in synthetic_corpus(random.Random(5), 60)),
+        *oracle_candidates((2, 5, 9), 3),
+    ]
+    for text in texts:
+        g = parse_pmg(text)
+        for rho in (1, 2, 3):
+            dec = decompose(g, rho)
+            for root, tree in dec.fringe_trees.items():
+                assert tree == reference_build_fringe(dec.suppressed, root, dec.exterior_vertices)
+                assert tree.code == encode_tree(tree)
+            got, want = count_profile(dec), reference_count_profile(dec)
+            for field in dataclasses.fields(CountProfile):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert a == b, (field.name, text)
+                if isinstance(b, dict):  # the same keys in the same order
+                    assert list(a.items()) == list(b.items()), (field.name, text)

@@ -498,24 +498,6 @@ def hydrogen_suppress(g: ChemicalGraph) -> SuppressedGraph:
     )
 
 
-def reattach_hydrogens(s: SuppressedGraph) -> ChemicalGraph:
-    """Rebuild a full chemical graph from a suppressed one (fresh H ids)."""
-    atoms = list(s.atoms)
-    bonds = list(s.bonds)
-    next_id = max(i for i, _ in atoms) + 1
-    for v, count in s.hydrogens:
-        for _ in range(count):
-            atoms.append((next_id, "H"))
-            bonds.append((v, next_id, 1))
-            next_id += 1
-    return ChemicalGraph(
-        atoms=tuple(atoms),
-        bonds=tuple(bonds),
-        link_edges=s.link_edges,
-        connecting=s.connecting,
-    )
-
-
 # ---------------------------------------------------------------------------
 # PMG text format
 

@@ -2,8 +2,12 @@
 
 Enumerates expansions of a specification's seed graph in a fixed order:
 replacement path lengths ascending, then pendant-branch placements, then
-bond assignments, then fringe-tree choices in catalog order.  The search
-stays inside the specification instead of filtering after the fact:
+bond assignments, then fringe-tree choices in catalog order.  The seed
+bounds, catalogs and alphabets come from the specification's plan, the
+same reading of the seed structure the checker uses.  Pendant trees at
+seed vertices are never built, though the checker accepts them where
+`branch_count_vertex` allows them.  The search stays inside the
+specification instead of filtering after the fact:
 
 * a skeleton is admitted on its link-vertex count and interior size before
   its bond assignments are expanded, since path lengths fix the first and
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 
 from .chemgraph import ChemicalGraph, valence
 from .model import ModelBundle
-from .topospec import SeedEdge, TopologicalSpec, check_satisfies, find_expansion_witness
+from .topospec import PlannedEdge, TopologicalSpec, check_satisfies, find_expansion_witness
 from .twolayer import (
     RootedTree,
     TwoLayeredDecomposition,
@@ -142,21 +146,16 @@ class Skeleton:
     edges: tuple[tuple[int, int, int], ...]  # (u, v, multiplicity)
     link_edges: tuple[tuple[int, int], ...]
     tips: frozenset[int]
-    allowed_elements: dict[int, tuple[str, ...]]
-    allowed_codes: dict[int, tuple[str, ...]]  # per-vertex fringe restriction
-
-
-def _path_edge_names(spec: TopologicalSpec) -> list[SeedEdge]:
-    return [e for e in spec.seed.edges if e.kind == "path"]
+    allowed_elements: dict[int, frozenset[str]]
+    allowed_codes: dict[int, frozenset[str]]  # per-vertex fringe restriction
 
 
 def _iter_skeletons(spec: TopologicalSpec):
     """Skeletons in enumeration order whose link-vertex count and interior
-    size are within the spec's `n_lnk`, `n_int` and `n` bounds."""
-    path_edges = _path_edge_names(spec)
-    length_ranges = [
-        range(spec.path_len[e.name][0], spec.path_len[e.name][1] + 1) for e in path_edges
-    ]
+    size are within the spec's `n_lnk`, `n_int` and `n` bounds.  Every seed
+    bound is read off the spec's plan, as the checker reads it."""
+    path_edges = [e for e in spec.plan.edges.values() if not e.exact]
+    length_ranges = [range(e.path_len[0], e.path_len[1] + 1) for e in path_edges]
     for lengths in itertools.product(*length_ranges):
         if not spec.n_lnk[0] <= _link_vertices(path_edges, lengths) <= spec.n_lnk[1]:
             continue
@@ -164,7 +163,7 @@ def _iter_skeletons(spec: TopologicalSpec):
         yield from _iter_branch_layouts(spec, path_edges, lengths, path_size)
 
 
-def _link_vertices(path_edges: list[SeedEdge], lengths) -> int:
+def _link_vertices(path_edges: list[PlannedEdge], lengths) -> int:
     """Vertices with two incident link edges (the spec's `n_lnk`): every
     internal vertex of a link path, and seed vertices that end two of them."""
     internal = 0
@@ -183,8 +182,8 @@ def _iter_branch_layouts(spec: TopologicalSpec, path_edges, lengths, path_size: 
     Each branch vertex is interior, so the depths add to `path_size`."""
     per_edge_options: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
     for e, length in zip(path_edges, lengths):
-        lo, hi = spec.branch_count_edge.get(e.name, (0, 0))
-        ch_lo, ch_hi = spec.branch_height_edge.get(e.name, (0, 0))
+        lo, hi = e.branch_count
+        ch_lo, ch_hi = e.branch_height
         options = []
         for count in range(lo, min(hi, length - 1) + 1):
             for chosen in itertools.combinations(range(length - 1), count):
@@ -198,95 +197,76 @@ def _iter_branch_layouts(spec: TopologicalSpec, path_edges, lengths, path_size: 
             yield from _iter_bond_assignments(spec, path_edges, lengths, combo)
 
 
-def _iter_bond_assignments(spec, path_edges, lengths, branch_combo):
-    """Multiplicity choices: kept seed edges by their exact bd2/bd3 bounds,
-    path edges by double/triple counts and positions; pendant edges single."""
-    seed = spec.seed
-    vertex_id: dict[str, int] = {}
-    nxt = 1
-    for name in seed.vertices:
-        vertex_id[name] = nxt
-        nxt += 1
+def _bond_patterns(edge: PlannedEdge, length: int) -> list[tuple[int, ...]]:
+    """Multiplicities along a replaced edge with its bd2/bd3 counts in
+    bounds: by double count, triple count, then positions."""
+    lo2, hi2, lo3, hi3 = edge.bonds
+    patterns = []
+    for d2 in range(lo2, min(hi2, length) + 1):
+        for d3 in range(lo3, min(hi3, length - d2) + 1):
+            for dbl_pos in itertools.combinations(range(length), d2):
+                rest = [i for i in range(length) if i not in dbl_pos]
+                for trp_pos in itertools.combinations(rest, d3):
+                    mults = [1] * length
+                    for i in dbl_pos:
+                        mults[i] = 2
+                    for i in trp_pos:
+                        mults[i] = 3
+                    patterns.append(tuple(mults))
+    return patterns
 
-    exact_options: list[list[int]] = []
-    exact_edges = [e for e in seed.edges if e.kind == "exact"]
-    for e in exact_edges:
-        lo2, hi2 = spec.double_bonds.get(e.name, (0, 1))
-        lo3, hi3 = spec.triple_bonds.get(e.name, (0, 1))
-        mults = []
-        if lo2 == 0 and lo3 == 0:
-            mults.append(1)
-        if hi2 >= 1 and lo3 == 0:
-            mults.append(2)
-        if hi3 >= 1 and lo2 == 0:
-            mults.append(3)
-        exact_options.append(mults)
 
-    path_bond_options: list[list[tuple[int, ...]]] = []
-    for e, length in zip(path_edges, lengths):
-        lo2, hi2 = spec.double_bonds.get(e.name, (0, 0))
-        lo3, hi3 = spec.triple_bonds.get(e.name, (0, 0))
-        options: list[tuple[int, ...]] = []
-        for d2 in range(lo2, min(hi2, length) + 1):
-            for d3 in range(lo3, min(hi3, length - d2) + 1):
-                for dbl_pos in itertools.combinations(range(length), d2):
-                    rest = [i for i in range(length) if i not in dbl_pos]
-                    for trp_pos in itertools.combinations(rest, d3):
-                        mults = [1] * length
-                        for i in dbl_pos:
-                            mults[i] = 2
-                        for i in trp_pos:
-                            mults[i] = 3
-                        options.append(tuple(mults))
-        path_bond_options.append(options)
+def _iter_bond_assignments(spec: TopologicalSpec, path_edges: list[PlannedEdge], lengths, branch_combo):
+    """Multiplicity choices: kept seed edges by their admissible
+    multiplicities, replaced edges by `_bond_patterns`; pendant edges
+    single.  The vertices with their restrictions, the link edges and the
+    tips follow from the lengths and branch layout alone, so the skeletons
+    yielded here share them."""
+    plan = spec.plan
+    vertex_id = {name: i for i, name in enumerate(spec.seed.vertices, start=1)}
+    allowed = {vertex_id[v.name]: v.allowed for v in plan.vertices}
+    codes = {vertex_id[v.name]: v.catalog for v in plan.vertices}
+    exact_edges = [e for e in plan.edges.values() if e.exact]
+    exact_options = [sorted(e.multiplicities) for e in exact_edges]
+    path_options = [_bond_patterns(e, length) for e, length in zip(path_edges, lengths)]
 
+    chains: list[list[int]] = []
+    pendants: list[list[tuple[int, int, int]]] = []  # per replaced edge
+    link_edges: list[tuple[int, int]] = []
+    tips: set[int] = set()
+    counter = len(vertex_id) + 1
+    for e, length, (slots, depths) in zip(path_edges, lengths, branch_combo):
+        chain = [vertex_id[e.u]]
+        for _ in range(length - 1):
+            chain.append(counter)
+            allowed[counter] = plan.heavy
+            codes[counter] = e.catalog
+            counter += 1
+        chain.append(vertex_id[e.v])
+        chains.append(chain)
+        if e.link:
+            link_edges += zip(chain, chain[1:])
+        branch_edges = []
+        for slot, depth in zip(slots, depths):
+            prev = chain[slot + 1]
+            for _ in range(depth):
+                branch_edges.append((prev, counter, 1))
+                allowed[counter] = plan.heavy
+                codes[counter] = plan.catalog
+                prev = counter
+                counter += 1
+            tips.add(prev)
+        pendants.append(branch_edges)
+
+    link_edges, tips = tuple(link_edges), frozenset(tips)
     for exact_mults in itertools.product(*exact_options):
-        for path_mults in itertools.product(*path_bond_options):
-            edges: list[tuple[int, int, int]] = []
-            link_edges: list[tuple[int, int]] = []
-            allowed: dict[int, tuple[str, ...]] = {}
-            codes: dict[int, tuple[str, ...]] = {}
-            tips: set[int] = set()
-            counter = len(seed.vertices) + 1
-            heavy = tuple(a for a in spec.elements if a != "H")
-            for name in seed.vertices:
-                allowed[vertex_id[name]] = spec.vertex_elements.get(name, heavy)
-                codes[vertex_id[name]] = spec.vertex_catalog(name)
-            for e, m in zip(exact_edges, exact_mults):
-                edges.append((vertex_id[e.u], vertex_id[e.v], m))
-            for (e, length), mults, (slots, depths) in zip(
-                zip(path_edges, lengths), path_mults, branch_combo
-            ):
-                chain = [vertex_id[e.u]]
-                for _ in range(length - 1):
-                    chain.append(counter)
-                    allowed[counter] = heavy
-                    codes[counter] = spec.edge_catalog(e.name)
-                    counter += 1
-                chain.append(vertex_id[e.v])
-                for i in range(length):
-                    edges.append((chain[i], chain[i + 1], mults[i]))
-                    if e.link:
-                        link_edges.append((chain[i], chain[i + 1]))
-                for slot, depth in zip(slots, depths):
-                    anchor = chain[slot + 1]
-                    prev = anchor
-                    for d in range(depth):
-                        edges.append((prev, counter, 1))
-                        allowed[counter] = heavy
-                        codes[counter] = spec.fringe_catalog
-                        prev = counter
-                        if d == depth - 1:
-                            tips.add(counter)
-                        counter += 1
-            yield Skeleton(
-                n_vertices=counter - 1,
-                edges=tuple(edges),
-                link_edges=tuple(link_edges),
-                tips=frozenset(tips),
-                allowed_elements=allowed,
-                allowed_codes=codes,
-            )
+        kept = [(vertex_id[e.u], vertex_id[e.v], m) for e, m in zip(exact_edges, exact_mults)]
+        for path_mults in itertools.product(*path_options):
+            edges = list(kept)
+            for chain, mults, branch_edges in zip(chains, path_mults, pendants):
+                edges += zip(chain, chain[1:], mults)
+                edges += branch_edges
+            yield Skeleton(counter - 1, tuple(edges), link_edges, tips, allowed, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +426,8 @@ def _assign_fringes(
     heavy = 0
 
     def admissible(entry: CatalogEntry) -> bool:
-        if fc[entry.code] + 1 > spec.fc.get(entry.code, (0, sk.n_vertices + spec.n[1]))[1]:
+        bound = spec.fc.get(entry.code)
+        if bound is not None and fc[entry.code] + 1 > bound[1]:
             return False
         for elem, cnt in entry.elements:
             bound = spec.na.get(elem)

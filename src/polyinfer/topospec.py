@@ -7,9 +7,13 @@ interior vertex carries a fringe tree from a fixed catalog.  Counting
 bounds constrain elements, symbols, edge configurations and fringe-tree
 usage.  `check_satisfies` measures every bound on a concrete graph and
 searches for a structural expansion witness.  What both read off a
-specification (the sorted bound rows, the declared-key sets, the seed
-placement order with each vertex's filters and ready edges) is worked
-out once per specification object and kept on it.
+specification (the sorted bound rows, the declared-key sets) is worked out
+once per specification object and kept on it.  So is its plan
+(`TopologicalSpec.plan`), the one reading of the seed structure: each
+seed vertex's element and catalog filters and each seed edge's
+multiplicities, bond, path-length, catalog and branch bounds, with an
+absent bound read one way.  The witness search and the skeleton
+enumerator in `generate` both take their seed bounds from it.
 """
 
 from __future__ import annotations
@@ -148,6 +152,9 @@ class TopologicalSpec:
                 raise SpecError(f"fringe_vertex references unknown vertex {v!r}")
             if any(code not in self.fringe_catalog for code in codes):
                 raise SpecError(f"fringe_vertex[{v}] outside the catalog")
+        for e in self.seed.edges:
+            if e.kind == "path" and e.name not in self.path_len:
+                raise SpecError(f"replaceable seed edge {e.name!r} has no path_len bound")
         edge_names = {e.name for e in self.seed.edges}
         for name, codes in self.fringe_edge.items():
             if name not in edge_names:
@@ -162,8 +169,8 @@ class TopologicalSpec:
         return _BoundTable(self)
 
     @cached_property
-    def _witness_plan(self) -> "_WitnessPlan":
-        return _witness_plan(self)
+    def plan(self) -> "SpecPlan":
+        return _build_plan(self)
 
     def vertex_catalog(self, vertex: str) -> tuple[str, ...]:
         return self.fringe_vertex.get(vertex, self.fringe_catalog)
@@ -497,12 +504,12 @@ def check_satisfies(
 
 
 # ---------------------------------------------------------------------------
-# Expansion witness search
+# Specification plan: the one reading of the seed structure
 
 
 @dataclass(frozen=True)
-class _PlannedEdge:
-    """A seed edge with the bounds the witness search reads."""
+class PlannedEdge:
+    """A seed edge with its bounds, absent ones read as `SpecPlan` says."""
 
     name: str
     u: str
@@ -511,7 +518,7 @@ class _PlannedEdge:
     link: bool
     multiplicities: frozenset[int]  # exact edges: the admissible ones
     bonds: tuple[float, float, float, float]  # bd2 lower, upper, bd3 lower, upper
-    path_len: Bounds | None
+    path_len: Bounds | None  # declared for every replaceable edge
     catalog: frozenset[str]  # fringe codes of a replaced edge's internal vertices
     branch_count: Bounds
     branch_height: Bounds
@@ -522,7 +529,7 @@ class _PlannedEdge:
 
 
 @dataclass(frozen=True)
-class _PlannedVertex:
+class PlannedVertex:
     """A seed vertex in placement order with its candidate filters."""
 
     name: str
@@ -530,30 +537,38 @@ class _PlannedVertex:
     catalog: frozenset[str]  # fringe codes of its image
     degree: int  # seed degree
     anchor: str | None  # an earlier vertex joined to it by a kept edge
-    ready: tuple[_PlannedEdge, ...]  # edges to earlier vertices, seed.edges order
+    ready: tuple[PlannedEdge, ...]  # edges to earlier vertices, seed.edges order
     branch_count: Bounds
     branch_height: Bounds
 
 
 @dataclass(frozen=True)
-class _WitnessPlan:
-    """What the witness search reads off a specification, worked out once
-    per specification: the seed vertices in placement order and the seed
-    edges by name."""
+class SpecPlan:
+    """What the witness search and the skeleton enumerator read off a
+    specification's seed structure, worked out once per specification: the
+    seed vertices in placement order, the seed edges by name in seed order,
+    the alphabet without hydrogen and the full catalog.
 
-    vertices: tuple[_PlannedVertex, ...]
-    edges: dict[str, _PlannedEdge]
+    Absent bounds read one way: a seed vertex without `vertex_elements`
+    takes the heavy alphabet, an edge without a bd2 or bd3 bound admits any
+    count up to its path length, and an edge or vertex without a branch
+    bound admits no branch.  `path_len` is never absent on a replaceable
+    edge: the specification rejects that."""
+
+    vertices: tuple[PlannedVertex, ...]
+    edges: dict[str, PlannedEdge]
+    heavy: frozenset[str]
+    catalog: frozenset[str]
 
 
-def _witness_plan(spec: TopologicalSpec) -> _WitnessPlan:
+def _build_plan(spec: TopologicalSpec) -> SpecPlan:
     seed = spec.seed
-    heavy = tuple(a for a in spec.elements if a != "H")
-    edges: dict[str, _PlannedEdge] = {}
+    heavy = frozenset(a for a in spec.elements if a != "H")
+    edges: dict[str, PlannedEdge] = {}
     for e in seed.edges:
-        # an absent bd2/bd3 bound admits any count up to the path length
         lo2, hi2 = spec.double_bonds.get(e.name, (0, math.inf))
         lo3, hi3 = spec.triple_bonds.get(e.name, (0, math.inf))
-        edges[e.name] = _PlannedEdge(
+        edges[e.name] = PlannedEdge(
             name=e.name,
             u=e.u,
             v=e.v,
@@ -577,7 +592,7 @@ def _witness_plan(spec: TopologicalSpec) -> _WitnessPlan:
             if sv in (e.u, e.v) and e.u in placed and e.v in placed
         )
         anchor = next((e.u if e.v == sv else e.v for e in ready if e.exact), None)
-        vertices.append(_PlannedVertex(
+        vertices.append(PlannedVertex(
             name=sv,
             allowed=frozenset(spec.vertex_elements.get(sv, heavy)),
             catalog=frozenset(spec.vertex_catalog(sv)),
@@ -587,7 +602,11 @@ def _witness_plan(spec: TopologicalSpec) -> _WitnessPlan:
             branch_count=spec.branch_count_vertex.get(sv, (0, 0)),
             branch_height=spec.branch_height_vertex.get(sv, (0, 0)),
         ))
-    return _WitnessPlan(tuple(vertices), edges)
+    return SpecPlan(tuple(vertices), edges, heavy, frozenset(spec.fringe_catalog))
+
+
+# ---------------------------------------------------------------------------
+# Expansion witness search
 
 
 def find_expansion_witness(
@@ -608,7 +627,7 @@ def find_expansion_witness(
     ascending id: every other candidate fails the kept edge, so the search
     takes the same successful branches in the same order.
     """
-    plan = spec._witness_plan
+    plan = spec.plan
     order = plan.vertices
     s = dec.suppressed
     inside = dec.interior_vertices
@@ -651,7 +670,7 @@ def find_expansion_witness(
             del images[sv.name]
         return False
 
-    def place_edges(pending: tuple[_PlannedEdge, ...], i: int, pos: int) -> bool:
+    def place_edges(pending: tuple[PlannedEdge, ...], i: int, pos: int) -> bool:
         if i == len(pending):
             return try_place(pos + 1)
         edge = pending[i]
@@ -668,7 +687,7 @@ def find_expansion_witness(
                 return True
             used_edges.discard(e)
             return False
-        lo, hi = edge.path_len or (1, len(interior))
+        lo, hi = edge.path_len
         for path in _paths_between(adj, a, b, lo, hi, used, used_edges):
             mults = [adj[path[k]][path[k + 1]] for k in range(len(path) - 1)]
             if not edge.bonds_ok(mults):

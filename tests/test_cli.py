@@ -319,6 +319,24 @@ def test_spec_file_with_a_missing_or_unknown_key_is_clean_error(trained_model, t
             assert "error:" in err and key in err
 
 
+def test_spec_file_without_a_path_length_is_clean_error(trained_model, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path)
+    sample = tmp_path / "sample.pmg"
+    sample.write_text(make_polymer())
+    spec = json.loads(spec_path.read_text())
+    del spec["path_len"]["a2"]
+    spec_path.write_text(json.dumps(spec))
+    for argv in (
+        ["check", "--spec", spec_path, "--graph", sample],
+        ["generate", "--model", trained_model, "--spec", spec_path,
+         "--window", "2.2,2.6", "--out-dir", tmp_path / "gen"],
+    ):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "'a2' has no path_len" in err
+
+
 def test_spec_file_with_a_wrongly_typed_value_is_clean_error(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import itertools
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import polyinfer
 from corpus import make_polymer, synthetic_corpus
 from polyinfer import generate, twolayer
-from polyinfer.chemgraph import parse_pmg
+from polyinfer.chemgraph import ChemicalGraph, parse_pmg, serialize_pmg
 from polyinfer.cli import main
 from polyinfer.features import DescriptorRegistry, Standardizer
 from polyinfer.generate import (
@@ -26,7 +27,7 @@ from polyinfer.generate import (
 )
 from polyinfer.model import ModelBundle
 from polyinfer.regress import Hyperplane
-from polyinfer.topospec import build_instance_Ib, check_satisfies
+from polyinfer.topospec import CONFIG_BOUNDS, build_instance_Ib, check_satisfies
 from spechelpers import FREE_POSITIONS, SMALL_CATALOG, forcing_spec, oracle_candidates, train_model
 
 
@@ -325,7 +326,7 @@ def test_status_stays_incomplete_when_consumer_stops(model_with_cl, spec_full):
 
 def reference_iter_skeletons(spec):
     """Every skeleton, then the admission test on the finished skeleton."""
-    path_edges = [e for e in spec.seed.edges if e.kind == "path"]
+    path_edges = [e for e in spec.plan.edges.values() if not e.exact]
     length_ranges = [
         range(spec.path_len[e.name][0], spec.path_len[e.name][1] + 1) for e in path_edges
     ]
@@ -771,3 +772,94 @@ SQUARE = [(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 4, 1)]
 @example(_uniform_skeleton(3, [(1, 2, 1), (2, 3, 2)]))
 def test_skeleton_automorphisms_match_brute_force(sk):
     assert set(generate._automorphisms(sk)) == brute_force_automorphisms(sk)
+
+
+# -- the enumerator reads the seed bounds off the checker's plan --------------
+
+
+def cc_bridge_polymer() -> ChemicalGraph:
+    """The two-carbon a2 bridge polymer with the bridge's middle bond made
+    double: bridge atoms 14 and 15 each give up a hydrogen."""
+    g = parse_pmg(make_polymer(bridge_b=("C", "C")))
+    labels = dict(g.atoms)
+    spare = {
+        min(w for u, v, _ in g.bonds for x, w in ((u, v), (v, u)) if x == end and labels[w] == "H")
+        for end in (14, 15)
+    }
+    return ChemicalGraph(
+        atoms=tuple(a for a in g.atoms if a[0] not in spare),
+        bonds=tuple(
+            (u, v, 2 if (u, v) == (14, 15) else m) for u, v, m in g.bonds if spare.isdisjoint((u, v))
+        ),
+        link_edges=g.link_edges,
+    )
+
+
+def test_absent_bond_bound_is_read_as_the_checker_reads_it():
+    # no bd2 bound on a2 admits any double-bond count: the checker accepts
+    # a C=C bridge there, so the enumerator must build it
+    g = cc_bridge_polymer()
+    base = forcing_spec(SMALL_CATALOG, cl_positions=())
+    profile = twolayer.decompose(g, 2).profile
+    spec = dataclasses.replace(
+        base,
+        double_bonds={k: b for k, b in base.double_bonds.items() if k != "a2"},
+        **{attr: {**getattr(base, attr), **{k: (0, 40) for k in getattr(profile, attr)}}
+           for attr in CONFIG_BOUNDS},
+    )
+    assert check_satisfies(g, spec).passed
+    model = train_model([make_polymer(), serialize_pmg(g)])
+    out = run_generation(spec, model, (-1e9, 1e9))
+    assert out.status == "exhausted"
+    assert canonical_signature(g, 2) in {r.signature for r in out.results}
+
+
+def link_path_multiplicities(sk: generate.Skeleton, start: int, end: int) -> tuple[int, ...]:
+    """Bond multiplicities along the link path of a skeleton from `start` to `end`."""
+    bond, links = {}, {}
+    for u, v, m in sk.edges:
+        bond[u, v] = bond[v, u] = m
+    for u, v in sk.link_edges:
+        links.setdefault(u, []).append(v)
+        links.setdefault(v, []).append(u)
+    path = [start]
+    while path[-1] != end:
+        path.append(next(w for w in links[path[-1]] if w not in path))
+    return tuple(bond[x, y] for x, y in zip(path, path[1:]))
+
+
+BOND_BOUNDS = st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=2, max_size=2).map(sorted).map(tuple))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fixed_dictionaries({
+    (attr, name): BOND_BOUNDS for attr in ("double_bonds", "triple_bonds") for name in ("a1", "a2")
+}))
+def test_skeleton_bond_patterns_are_those_the_plan_admits(bounds):
+    base = forcing_spec(SMALL_CATALOG)
+    tables = {
+        attr: {k: b for k, b in getattr(base, attr).items() if k not in ("a1", "a2")}
+        for attr in ("double_bonds", "triple_bonds")
+    }
+    for (attr, name), b in bounds.items():
+        if b is not None:  # absent otherwise
+            tables[attr][name] = b
+    spec = dataclasses.replace(
+        base, path_len={"a1": (1, 3), "a2": (1, 3)}, n_int=(0, 40), n_lnk=(0, 40), **tables
+    )
+    a1, a2 = spec.plan.edges["a1"], spec.plan.edges["a2"]
+    ids = {name: i for i, name in enumerate(spec.seed.vertices, start=1)}
+    got = Counter(
+        tuple(link_path_multiplicities(sk, ids[e.u], ids[e.v]) for e in (a1, a2))
+        for sk in generate._iter_skeletons(spec)
+    )
+
+    def admitted(edge, length):
+        return [p for p in itertools.product((1, 2, 3), repeat=length) if edge.bonds_ok(list(p))]
+
+    want = Counter(
+        pair
+        for len1, len2 in itertools.product((1, 2, 3), repeat=2)
+        for pair in itertools.product(admitted(a1, len1), admitted(a2, len2))
+    )
+    assert got == want

@@ -1,0 +1,147 @@
+"""Check that two checkouts generate, verify and check alike.
+
+    python3 tools/same_outputs.py PARENT CHANGE [--work DIR]
+
+Builds the inputs once, with PARENT's code: the generator tests' model
+(`model_with_cl` in `tests/test_generate.py`), the tests' forcing spec over
+the small catalog, and the two-ring instance Ib for AmD, HcL, Tg, RfId and
+Prm at n_lb 14 and for AmD at n_lb 17.  For each spec it then runs
+`python -m polyinfer.cli generate` in each checkout, as a subprocess with
+that checkout's `src/` on PYTHONPATH, with an open window and no budget,
+and compares the two output directories file by file, `manifest.jsonl`
+included.  On identical directories it also compares the stdout of
+`verify` over every generated file and of `check --verbose` on up to 16 of
+them.  It prints one line per spec and stage and reports the first file
+that differs.  The exit status is 0 when every output is identical and 1
+otherwise.  Neither checkout is written to; everything goes under
+`--work` (a temporary directory by default).
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+IB_CASES = [(tag, 14) for tag in ("AmD", "HcL", "Tg", "RfId", "Prm")] + [("AmD", 17)]
+OPEN_WINDOW = "--window=-1e9,1e9"
+CHECKED_FILES = 16  # `check` starts one process per graph, so it samples
+
+# mirrors the `model_with_cl` fixture and the `spec_full` forcing spec
+BUILD_INPUTS = """
+import random, sys
+from corpus import make_polymer, synthetic_corpus
+from spechelpers import SMALL_CATALOG, forcing_spec, train_model
+
+out = sys.argv[1]
+model = train_model([t for _, t in synthetic_corpus(random.Random(3), 25)]
+                    + [make_polymer(subst={2: ("Cl",)})])
+open(f"{out}/model.json", "w").write(model.to_json())
+open(f"{out}/forcing.json", "w").write(forcing_spec(SMALL_CATALOG).to_json())
+"""
+
+
+def run_python(checkout: Path, args: list[str], extra_path: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    paths = [str(checkout / "src"), *(str(checkout / p) for p in extra_path)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=False)
+
+
+def polyinfer(checkout: Path, *args) -> subprocess.CompletedProcess:
+    return run_python(checkout, ["-m", "polyinfer.cli", *map(str, args)])
+
+
+def build_inputs(parent: Path, work: Path) -> dict[str, Path]:
+    """Spec files by case name, plus the model at `work/model.json`."""
+    proc = run_python(parent, ["-c", BUILD_INPUTS, str(work)], extra_path=("tests",))
+    if proc.returncode != 0:
+        raise SystemExit(f"building the inputs failed:\n{proc.stderr}")
+    specs = {"forcing": work / "forcing.json"}
+    for tag, n_lb in IB_CASES:
+        path = work / f"Ib-{tag}-{n_lb}.json"
+        proc = polyinfer(parent, "spec-ib", "--property", tag, "--n-lb", n_lb, "--out", path)
+        if proc.returncode != 0:
+            raise SystemExit(f"spec-ib {tag} {n_lb} failed:\n{proc.stderr}")
+        specs[path.stem] = path
+    return specs
+
+
+def first_difference(left: Path, right: Path) -> str | None:
+    """The first file name, in sorted order, that is missing on one side
+    or whose bytes differ; None when the directories hold the same files."""
+    names = sorted({p.name for p in left.iterdir()} | {p.name for p in right.iterdir()})
+    for name in names:
+        a, b = left / name, right / name
+        if not (a.exists() and b.exists() and filecmp.cmp(a, b, shallow=False)):
+            return name
+    return None
+
+
+def compare_case(name: str, spec: Path, model: Path, sides: dict[str, Path], work: Path) -> bool:
+    out_dirs = {side: work / side / name for side in sides}
+    for side, checkout in sides.items():
+        shutil.rmtree(out_dirs[side], ignore_errors=True)
+        proc = polyinfer(checkout, "generate", "--model", model, "--spec", spec, OPEN_WINDOW,
+                         "--out-dir", out_dirs[side])
+        if proc.returncode != 0:
+            print(f"{name}: generate failed in {side}:\n{proc.stderr}")
+            return False
+    differs = first_difference(*out_dirs.values())
+    if differs is not None:
+        print(f"{name}: generate output differs first at {differs}")
+        return False
+    graphs = sorted(p.name for p in out_dirs["parent"].glob("*.pmg"))
+    print(f"{name}: generate identical ({len(graphs)} graphs and manifest.jsonl)")
+    if not graphs:
+        return True
+
+    # the same file names on both sides, so the printed paths match
+    graph_dir = out_dirs["parent"]
+    verify = {
+        side: polyinfer(checkout, "verify", "--model", model, "--spec", spec, OPEN_WINDOW,
+                        *(graph_dir / g for g in graphs)).stdout
+        for side, checkout in sides.items()
+    }
+    if verify["parent"] != verify["change"]:
+        print(f"{name}: verify stdout differs")
+        return False
+    print(f"{name}: verify stdout identical")
+
+    step = max(len(graphs) // CHECKED_FILES, 1)
+    sample = graphs[::step][:CHECKED_FILES]
+    for g in sample:
+        check = {
+            side: polyinfer(checkout, "check", "--verbose", "--spec", spec, "--graph", graph_dir / g).stdout
+            for side, checkout in sides.items()
+        }
+        if check["parent"] != check["change"]:
+            print(f"{name}: check --verbose output differs on {g}")
+            return False
+    print(f"{name}: check --verbose identical on {len(sample)} graphs")
+    return True
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--work", type=Path, help="directory for inputs and outputs")
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = (args.work or Path(tmp)).resolve()
+        work.mkdir(parents=True, exist_ok=True)
+        specs = build_inputs(sides["parent"], work)
+        model = work / "model.json"
+        same = [compare_case(name, spec, model, sides, work) for name, spec in specs.items()]
+    print("identical" if all(same) else "DIFFERENT")
+    return 0 if all(same) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -294,26 +295,10 @@ def cmd_generate(args, config) -> int:
                 )
                 + "\n"
             )
-        fh.write(
-            json.dumps(
-                {
-                    "summary": {
-                        "status": outcome.status,
-                        "results": len(outcome.results),
-                        "candidates_examined": outcome.candidates_examined,
-                        "rejected_spec": outcome.rejected_spec,
-                        "rejected_by": dict(sorted(outcome.rejected_by.items())),
-                        "rejected_window": outcome.rejected_window,
-                        "rejected_oov": outcome.rejected_oov,
-                        "duplicates": outcome.duplicates,
-                        "dropped_symmetric": outcome.dropped_symmetric,
-                        "cut_vocabulary": outcome.cut_vocabulary,
-                    }
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        summary = {f.name: getattr(outcome, f.name) for f in dataclasses.fields(outcome)}
+        summary["results"] = len(outcome.results)
+        summary["rejected_by"] = dict(sorted(outcome.rejected_by.items()))
+        fh.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
     print(
         f"generate: {len(outcome.results)} graphs ({outcome.status}); "
         f"examined={outcome.candidates_examined} spec-rejected={outcome.rejected_spec} "

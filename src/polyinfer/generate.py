@@ -3,31 +3,32 @@
 Enumerates expansions of a specification's seed graph in a fixed order:
 replacement path lengths ascending, then pendant-branch placements, then
 bond assignments, then fringe-tree choices in catalog order.  The seed
-bounds, catalogs and alphabets come from the specification's plan, the
-same reading of the seed structure the checker uses.  Pendant trees at
-seed vertices are never built, though the checker accepts them where
-`branch_count_vertex` allows them.  The search stays inside the
+bounds, catalogs, alphabets, count bounds and declared keys all come from
+the specification's plan, the one reading of it the checker uses too.  A
+specification that allows pendant trees at a seed vertex is refused with a
+`SpecError`: the enumerator never builds them.  The search stays inside the
 specification instead of filtering after the fact:
 
 * a skeleton is admitted on its link-vertex count and interior size before
   its bond assignments are expanded, since path lengths fix the first and
   lengths plus branch depths fix the second;
-* a vertex's fringe options are filtered on what depends on the vertex and
-  the catalog entry alone: valence, height, alphabet, the declared interior
-  symbol and the declared leaf-edge configurations;
-* a partial fringe assignment is cut as soon as an interior edge with both
-  ends assigned has an undeclared edge or adjacency configuration, or one
-  past its upper bound, and on the fringe-tree, element and size bounds;
-* the same filters and edge cuts also drop what the trained model has no
-  descriptor for (its vocabulary): a fringe code, interior symbol, element
-  or leaf-edge configuration, and an interior edge whose `ec_int` key, or
-  on a link edge `ec_lnk` key, the registry lacks;
+* a fringe choice adds fixed counts to the profile (an element, its
+  symbol, its tree's elements, leaf edges and code), and so does an
+  interior edge once both its ends are assigned (its edge and adjacency
+  configurations, and on a link edge their link counterparts).  One memo
+  holds these counts per choice and per edge, and a partial assignment is
+  cut as soon as it adds an undeclared key, or passes the upper bound of
+  any bounded key or the size bound;
+* the same memo also drops what the trained model has no descriptor for
+  (its vocabulary): a choice or edge that adds a key of a descriptor
+  family the registry lacks;
 * a complete assignment is kept only if its tuple of catalog indices is
   lexicographically no greater than its image under every automorphism of
   the skeleton (the lex-leader rule of Crawford, Ginsberg, Luks and Roy,
-  KR 1996).  The enumeration runs in lexicographic order and every cut is
-  automorphism-invariant, so the lex-leader is the first member of its
-  orbit enumerated, and the graphs emitted are the same as without it.
+  KR 1996).  The automorphisms come from the same canonical search that
+  signs the graphs.  The enumeration runs in lexicographic order and every
+  cut is automorphism-invariant, so the lex-leader is the first member of
+  its orbit enumerated, and the graphs emitted are the same as without it.
 
 The cuts only drop candidates the full check would reject or the model
 would report as out of vocabulary, and the lex-leader test only drops
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 
 from .chemgraph import ChemicalGraph, valence
 from .model import ModelBundle
-from .topospec import PlannedEdge, TopologicalSpec, check_satisfies, find_expansion_witness
+from .topospec import PlannedEdge, SpecError, TopologicalSpec, check_satisfies, find_expansion_witness
 from .twolayer import (
     RootedTree,
     TwoLayeredDecomposition,
@@ -273,112 +274,116 @@ def _iter_bond_assignments(spec: TopologicalSpec, path_edges: list[PlannedEdge],
 # Fringe assignment and materialization
 
 
-_UNKNOWN = "unknown"  # verdict of an edge whose configuration the model lacks
+_UNKNOWN = "unknown"  # verdict of a choice that adds a key the model lacks
 
 
-class _EdgeVerdicts(dict):
-    """Memo for one spec and model vocabulary: `(end_u, end_v, multiplicity,
-    is_link)` -> the `((family, key), upper)` counters one interior edge
-    adds, None when one of its configurations is undeclared, or `_UNKNOWN`
-    when its `ec_int` key, or on a link edge its `ec_lnk` key, is missing
-    from the vocabulary.  An end is `(element, degree)` with the degree
-    taken in the hydrogen-suppressed graph."""
+class _Contributions(dict):
+    """Memo for one spec, catalog and model vocabulary, keyed by a fringe
+    choice `(code, degree)` or an interior edge `(end_u, end_v,
+    multiplicity, is_link)`, where an end is `(element, degree)` and every
+    degree is taken in the hydrogen-suppressed graph.  The verdict is None
+    when the choice adds a key one of the spec's membership tests rejects,
+    `_UNKNOWN` when it adds a key of a descriptor family the vocabulary
+    lacks, and otherwise the `(row name, count, upper)` of each bounded key
+    it adds to the count profile, read off the spec's plan."""
 
-    def __init__(self, spec: TopologicalSpec, vocabulary: dict[str, frozenset[str]]):
+    def __init__(
+        self, spec: TopologicalSpec, catalog: list[CatalogEntry], vocabulary: dict[str, frozenset[str]]
+    ):
         super().__init__()
-        self.spec = spec
+        self.plan = spec.plan
+        self.entries = {c.code: c for c in catalog}
         self.vocabulary = vocabulary
 
     def __missing__(self, key):
-        (a, d), (b, dp), m, is_link = key
-        ec, ac = edge_keys(a, d, b, dp, m)
-        keys = {"ec_int": ec, "ac_int": ac}
-        if is_link:
-            keys.update(ec_lnk=keys["ec_int"], ac_lnk=keys["ac_int"])
-        bounds = [getattr(self.spec, family).get(k) for family, k in keys.items()]
-        if None in bounds:
+        if len(key) == 2:
+            code, degree = key
+            c = self.entries[code]
+            adds = {
+                "na": dict(c.elements),
+                "na_int": {c.element: 1},
+                "ns_int": {symbol_str(c.element, degree): 1},
+                "ac_lf": Counter(c.leaf_adjacencies),
+                "fc": {code: 1},
+            }
+        else:
+            (a, d), (b, dp), m, is_link = key
+            ec, ac = edge_keys(a, d, b, dp, m)
+            adds = {"ec_int": {ec: 1}, "ac_int": {ac: 1}}
+            if is_link:
+                adds.update(ec_lnk={ec: 1}, ac_lnk={ac: 1})
+        declared, vocabulary = self.plan.declared, self.vocabulary
+        if any(not keys.keys() <= declared[f][1] for f, keys in adds.items() if f in declared):
             verdict = None
-        elif any(keys[f] not in self.vocabulary[f] for f in keys if f.startswith("ec_")):
+        elif any(not keys.keys() <= vocabulary[f] for f, keys in adds.items() if f in vocabulary):
             verdict = _UNKNOWN
         else:
-            verdict = tuple((fk, hi) for fk, (_, hi) in zip(keys.items(), bounds))
+            rows = []
+            for family, keys in adds.items():
+                bounds = self.plan.bounds[family]
+                for k, count in keys.items():
+                    if k in bounds:
+                        name, _, upper = bounds[k]
+                        rows.append((name, count, upper))
+            verdict = tuple(rows)
         self[key] = verdict
         return verdict
 
 
 def _automorphisms(sk: Skeleton) -> list[tuple[int, ...]]:
-    """Every non-identity automorphism of a skeleton as a permutation of its
-    0-based vertex positions (`perm[v]` is the image of v).
+    """Every non-identity automorphism of a skeleton, once each, as a
+    permutation of its 0-based vertex positions (`perm[v]` is the image of
+    v).
 
     An automorphism keeps the bonds with their multiplicities and link
     flags, the tips, and each vertex's element and fringe-code
     restrictions, so it maps every candidate of the skeleton onto an
-    isomorphic one.  Plain backtracking over vertices in order, each image
-    checked against the bonds and non-bonds to the earlier images, is
-    enough: skeletons have a few dozen vertices and few symmetries.
+    isomorphic one.  They come from the canonical search: the leaves that
+    reach its least encoding are one such leaf composed with each
+    automorphism (McKay and Piperno, J. Symb. Comput. 60, 2014).
     """
     n = sk.n_vertices
     links = set(sk.link_edges)
-    bond: dict[tuple[int, int], tuple] = {}
-    for u, v, m in sk.edges:
-        pair = (min(u, v) - 1, max(u, v) - 1)
-        bond[pair] = tuple(sorted(bond.get(pair, ()) + ((m, (u, v) in links),)))
-
-    def label(x: int, y: int):
-        return bond.get((x, y) if x < y else (y, x))
-
-    incident: list[list] = [[] for _ in range(n)]
-    for (x, y), lab in bond.items():
-        incident[x].append(lab)
-        incident[y].append(lab)
-    color = [
-        (sk.allowed_elements[v + 1], sk.allowed_codes[v + 1], v + 1 in sk.tips, sorted(incident[v]))
-        for v in range(n)
+    colors = [
+        (tuple(sorted(sk.allowed_elements[v])), tuple(sorted(sk.allowed_codes[v])), v in sk.tips)
+        for v in range(1, n + 1)
     ]
-    perm: list[int] = []
-    used = [False] * n
-    found: list[tuple[int, ...]] = []
-
-    def extend(x: int):
-        if x == n:
-            if any(perm[v] != v for v in range(n)):
-                found.append(tuple(perm))
-            return
-        for y in range(n):
-            if used[y] or color[y] != color[x]:
-                continue
-            if all(label(x, w) == label(y, perm[w]) for w in range(x)):
-                perm.append(y)
-                used[y] = True
-                extend(x + 1)
-                used[y] = False
-                perm.pop()
-
-    extend(0)
-    return found
+    adj: list[list[tuple[int, tuple[int, bool]]]] = [[] for _ in range(n)]
+    for u, v, m in sk.edges:
+        lab = (m, (u, v) in links)
+        adj[u - 1].append((v - 1, lab))
+        adj[v - 1].append((u - 1, lab))
+    first, *others = _canonical_search(colors, adj)[1]
+    found: dict[tuple[int, ...], None] = {}
+    for order in others:
+        perm = [0] * n
+        for x, y in zip(first, order):
+            perm[x] = y
+        found[tuple(perm)] = None
+    found.pop(tuple(range(n)), None)
+    return list(found)
 
 
 def _assign_fringes(
     spec: TopologicalSpec,
     sk: Skeleton,
     catalog: list[CatalogEntry],
-    verdicts: _EdgeVerdicts,
+    memo: _Contributions,
     outcome: GenerationOutcome,
 ):
     """Fringe choices for vertices 1..n_vertices, in vertex then catalog
-    order, cut as soon as a partial assignment breaks a bound or membership
-    that `check_satisfies` tests on every completion of it, or fixes a
-    configuration outside the model's vocabulary (`verdicts.vocabulary`),
-    and kept only when the tuple of catalog indices is the lex-leader of
-    its orbit under the skeleton's automorphisms.  Vocabulary cuts and
-    non-leaders are counted in `outcome.cut_vocabulary` and
+    order, cut as soon as a partial assignment breaks an upper bound or
+    membership that `check_satisfies` tests on every completion of it, or
+    adds a key outside the model's vocabulary, and kept only when the tuple
+    of catalog indices is the lex-leader of its orbit under the skeleton's
+    automorphisms.  What each choice adds comes from `memo`; vocabulary
+    cuts and non-leaders are counted in `outcome.cut_vocabulary` and
     `outcome.dropped_symmetric`."""
     bond_sum = Counter()
     skeleton_degree = Counter()
     links = set(sk.link_edges)
     # each edge is judged when its later end is assigned
     back_edges: list[list[tuple[int, int, bool]]] = [[] for _ in range(sk.n_vertices)]
-    vocabulary = verdicts.vocabulary
     for u, v, m in sk.edges:
         bond_sum[u] += m
         bond_sum[v] += m
@@ -387,9 +392,8 @@ def _assign_fringes(
         first, last = sorted((u, v))
         back_edges[last - 1].append((first - 1, m, (u, v) in links))
 
-    # per vertex: (entry, end, whether the model knows the entry's fringe
-    # code, elements, leaf edges and interior symbol)
-    choices: list[list[tuple[CatalogEntry, tuple[str, int], bool]]] = []
+    # per vertex: (entry, end, the memo's verdict on the entry there)
+    choices: list[list[tuple[CatalogEntry, tuple[str, int], tuple | str]]] = []
     for v in range(1, sk.n_vertices + 1):
         opts = []
         for c in catalog:
@@ -398,58 +402,29 @@ def _assign_fringes(
                 and c.code in sk.allowed_codes[v]
                 and c.free_valence == bond_sum[v]
                 and (v not in sk.tips or c.height == spec.rho)
-                and all(e == "H" or e in spec.elements for e, _ in c.elements)
-                and all(k in spec.ac_lf for k in c.leaf_adjacencies)
             ):
                 continue
-            end = (c.element, skeleton_degree[v] + c.heavy_children)
-            symbol = symbol_str(*end)
-            if symbol in spec.ns_int:
-                known = (
-                    c.code in vocabulary["fc"]
-                    and symbol in vocabulary["ns_int"]
-                    and all(e in vocabulary["na"] for e, _ in c.elements)
-                    and all(k in vocabulary["ac_lf"] for k in c.leaf_adjacencies)
-                )
-                opts.append((c, end, known))
+            degree = skeleton_degree[v] + c.heavy_children
+            verdict = memo[(c.code, degree)]
+            if verdict is not None:
+                opts.append((c, (c.element, degree), verdict))
         if not opts:
             return
         choices.append(opts)
 
     automorphisms: list[tuple[int, ...]] | None = None  # found at the first completion
     position = {c.code: i for i, c in enumerate(catalog)}
-    na = Counter()
-    fc = Counter()
-    edge_counts = Counter()  # (family, key) -> interior edges counted so far
+    counts = Counter()  # row name -> what the choices so far add to it
     ends: list[tuple[str, int]] = []
     picked: list[CatalogEntry] = []
     heavy = 0
 
-    def admissible(entry: CatalogEntry) -> bool:
-        bound = spec.fc.get(entry.code)
-        if bound is not None and fc[entry.code] + 1 > bound[1]:
-            return False
-        for elem, cnt in entry.elements:
-            bound = spec.na.get(elem)
-            if bound is not None and na[elem] + cnt > bound[1]:
-                return False
-        remaining = len(choices) - len(picked) - 1
-        return heavy + entry.heavy_atoms + remaining <= spec.n[1]
+    def fits(rows) -> bool:
+        return all(counts[name] + count <= upper for name, count, upper in rows)
 
-    def count_edges(pos: int, end: tuple[str, int], counted: list) -> bool:
-        for w, m, is_link in back_edges[pos]:
-            verdict = verdicts[(ends[w], end, m, is_link)]
-            if verdict is None:
-                return False
-            if verdict is _UNKNOWN:
-                outcome.cut_vocabulary += 1
-                return False
-            for key, upper in verdict:
-                if edge_counts[key] >= upper:
-                    return False
-                edge_counts[key] += 1
-                counted.append(key)
-        return True
+    def tally(rows, sign: int):
+        for name, count, _ in rows:
+            counts[name] += sign * count
 
     def lex_leader() -> bool:
         nonlocal automorphisms
@@ -466,29 +441,34 @@ def _assign_fringes(
             else:
                 outcome.dropped_symmetric += 1
             return
-        for entry, end, known in choices[pos]:
-            if not known:
+        remaining = len(choices) - pos - 1
+        for entry, end, rows in choices[pos]:
+            if rows is _UNKNOWN:
                 outcome.cut_vocabulary += 1
                 continue
-            if not admissible(entry):
+            if heavy + entry.heavy_atoms + remaining > spec.n[1] or not fits(rows):
                 continue
-            counted: list = []
-            if count_edges(pos, end, counted):
+            counted = []  # the closed edges' rows, tallied one edge at a time
+            for w, m, is_link in back_edges[pos]:
+                edge = memo[(ends[w], end, m, is_link)]
+                if edge is _UNKNOWN:
+                    outcome.cut_vocabulary += 1
+                if edge is None or edge is _UNKNOWN or not fits(edge):
+                    break
+                tally(edge, 1)
+                counted.append(edge)
+            else:
+                tally(rows, 1)
                 picked.append(entry)
                 ends.append(end)
-                fc[entry.code] += 1
-                for elem, cnt in entry.elements:
-                    na[elem] += cnt
                 heavy += entry.heavy_atoms
                 yield from rec(pos + 1)
                 heavy -= entry.heavy_atoms
-                for elem, cnt in entry.elements:
-                    na[elem] -= cnt
-                fc[entry.code] -= 1
                 ends.pop()
                 picked.pop()
-            for key in counted:
-                edge_counts[key] -= 1
+                tally(rows, -1)
+            for edge in counted:
+                tally(edge, -1)
 
     try:
         yield from rec(0)
@@ -548,7 +528,7 @@ def canonical_signature(g: ChemicalGraph | TwoLayeredDecomposition, rho: int) ->
         lab = (s.neighbors(u)[v], ((u, v) if u <= v else (v, u)) in s.link_edges)
         adj[index[u]].append((index[v], lab))
         adj[index[v]].append((index[u], lab))
-    return _canonical_form(colors, adj)
+    return _canonical_search(colors, adj)[0]
 
 
 def _refine(colors: list[int], adj) -> list[int]:
@@ -565,13 +545,16 @@ def _refine(colors: list[int], adj) -> list[int]:
         colors = new
 
 
-def _canonical_form(raw_colors, adj) -> str:
+def _canonical_search(raw_colors, adj) -> tuple[str, list[list[int]]]:
+    """Individualization-refinement over every branch: the least leaf
+    encoding, and the vertex order of each leaf that reaches it."""
     n = len(raw_colors)
     base = {c: i for i, c in enumerate(sorted(set(raw_colors)))}
     start = _refine([base[c] for c in raw_colors], adj)
     label_of = {i: repr(c) for i, c in enumerate(raw_colors)}
 
     best: list[str] = []
+    leaves: list[list[int]] = []
 
     def encode(order: list[int]) -> str:
         pos = {v: i for i, v in enumerate(order)}
@@ -594,8 +577,10 @@ def _canonical_form(raw_colors, adj) -> str:
             order = sorted(range(n), key=lambda v: colors[v])
             cand = encode(order)
             if not best or cand < best[0]:
-                best.clear()
-                best.append(cand)
+                best[:] = [cand]
+                leaves.clear()
+            if cand == best[0]:
+                leaves.append(order)
             return
         mark = max(colors) + 1
         for v in cell:
@@ -604,7 +589,7 @@ def _canonical_form(raw_colors, adj) -> str:
             search(_refine(branched, adj))
 
     search(start)
-    return best[0]
+    return best[0], leaves
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +616,14 @@ def iter_generate(
         raise ValueError(
             f"spec rho {spec.rho} differs from the model's {model.registry.rho}"
         )
+    for v in spec.plan.vertices:
+        if v.branch_count[1] > 0:
+            raise SpecError(
+                f"seed vertex {v.name!r} admits pendant branches (branch_count_vertex), "
+                "which generation does not build"
+            )
     catalog = [CatalogEntry.build(code) for code in spec.fringe_catalog]
-    verdicts = _EdgeVerdicts(spec, model.registry.vocabulary)
+    memo = _Contributions(spec, catalog, model.registry.vocabulary)
     lo, hi = window
     seen: set[str] = set()
     deadline = None if limit_seconds is None else time.monotonic() + limit_seconds
@@ -648,7 +639,7 @@ def iter_generate(
         # skeletons without a single complete assignment
         if out_of_time():
             return
-        for assignment in _assign_fringes(spec, sk, catalog, verdicts, outcome):
+        for assignment in _assign_fringes(spec, sk, catalog, memo, outcome):
             if out_of_time():
                 return
             if limit_candidates is not None and outcome.candidates_examined >= limit_candidates:

@@ -6,14 +6,14 @@ are kept, pendant interior trees may hang off path vertices, and every
 interior vertex carries a fringe tree from a fixed catalog.  Counting
 bounds constrain elements, symbols, edge configurations and fringe-tree
 usage.  `check_satisfies` measures every bound on a concrete graph and
-searches for a structural expansion witness.  What both read off a
-specification (the sorted bound rows, the declared-key sets) is worked out
-once per specification object and kept on it.  So is its plan
-(`TopologicalSpec.plan`), the one reading of the seed structure: each
-seed vertex's element and catalog filters and each seed edge's
-multiplicities, bond, path-length, catalog and branch bounds, with an
-absent bound read one way.  The witness search and the skeleton
-enumerator in `generate` both take their seed bounds from it.
+searches for a structural expansion witness.  Everything either reads off
+a specification is compiled once per specification object into its plan
+(`TopologicalSpec.plan`) and kept on it: the count bounds as rows by
+family and key, the declared keys each membership test admits, and the
+one reading of the seed structure, that is each seed vertex's element and
+catalog filters and each seed edge's multiplicities, bond, path-length,
+catalog and branch bounds, with an absent bound read one way.  The checker
+and the search in `generate` both take their bounds from it.
 """
 
 from __future__ import annotations
@@ -162,12 +162,8 @@ class TopologicalSpec:
             if any(code not in self.fringe_catalog for code in codes):
                 raise SpecError(f"fringe_edge[{name}] outside the catalog")
 
-    # Worked out on first use and kept on this object, so that they live
-    # exactly as long as the specification they describe.
-    @cached_property
-    def _bound_table(self) -> "_BoundTable":
-        return _BoundTable(self)
-
+    # Worked out on first use and kept on this object, so that it lives
+    # exactly as long as the specification it describes.
     @cached_property
     def plan(self) -> "SpecPlan":
         return _build_plan(self)
@@ -444,25 +440,6 @@ class SpecReport:
         return sorted({re.split(r"[\[:]", f, maxsplit=1)[0] for f in self.failures()})
 
 
-class _BoundTable:
-    """The bounds and declared keys of a specification in the order
-    `check_satisfies` reports them, worked out once per specification."""
-
-    def __init__(self, spec: TopologicalSpec):
-        # per count family: (name, key, lower, upper) rows, keys sorted
-        self.rows = tuple(
-            (attr, tuple((f"{attr}[{key}]", key, lo, hi) for key, (lo, hi) in sorted(getattr(spec, attr).items())))
-            for attr in COUNT_BOUNDS
-        )
-        # (membership name, profile family, declared keys)
-        self.memberships = (
-            ("elements within alphabet", "na", frozenset(spec.elements)),
-            ("interior symbols declared", "ns_int", frozenset(spec.ns_int)),
-            *((f"{attr} configs declared", attr, frozenset(getattr(spec, attr))) for attr in CONFIG_BOUNDS),
-            ("fringe trees in catalog", "fc", frozenset(spec.fringe_catalog)),
-        )
-
-
 def check_satisfies(
     g: ChemicalGraph | TwoLayeredDecomposition,
     spec: TopologicalSpec,
@@ -472,22 +449,24 @@ def check_satisfies(
     decomposition) and search for a seed-expansion witness of its interior
     (skippable for callers that constructed the graph as an expansion in
     the first place).  The bound rows and declared-key sets come from the
-    table kept on the specification."""
+    plan kept on the specification."""
     dec = as_decomposition(g, spec.rho)
     profile = dec.profile
-    table = spec._bound_table
+    plan = spec.plan
     checks = [
         BoundCheck("n", *spec.n, profile.n),
         BoundCheck("n_int", *spec.n_int, profile.n_int),
         BoundCheck("n_lnk", *spec.n_lnk, profile.link_vertices),  # not the link-edge count
     ]
     new = tuple.__new__  # what BoundCheck(...) runs, without its argument binding
-    for attr, rows in table.rows:
+    for attr, rows in plan.bounds.items():
         counts = getattr(profile, attr)
-        checks += [new(BoundCheck, (name, lo, hi, counts.get(key, 0))) for name, key, lo, hi in rows]
+        checks += [
+            new(BoundCheck, (name, lo, hi, counts.get(key, 0))) for key, (name, lo, hi) in rows.items()
+        ]
     memberships = tuple(
-        (name, getattr(profile, attr).keys() <= declared)
-        for name, attr, declared in table.memberships
+        (name, getattr(profile, attr).keys() <= keys)
+        for attr, (name, keys) in plan.declared.items()
     )
 
     if search_witness:
@@ -504,7 +483,7 @@ def check_satisfies(
 
 
 # ---------------------------------------------------------------------------
-# Specification plan: the one reading of the seed structure
+# Specification plan: the one reading of a specification
 
 
 @dataclass(frozen=True)
@@ -544,10 +523,14 @@ class PlannedVertex:
 
 @dataclass(frozen=True)
 class SpecPlan:
-    """What the witness search and the skeleton enumerator read off a
-    specification's seed structure, worked out once per specification: the
-    seed vertices in placement order, the seed edges by name in seed order,
-    the alphabet without hydrogen and the full catalog.
+    """What the checker, the witness search and the generator read off a
+    specification, worked out once per specification: the seed vertices in
+    placement order, the seed edges by name in seed order, the alphabet
+    without hydrogen, the full catalog, the count bounds and the declared
+    keys.  `bounds` maps each count family, in the order `check_satisfies`
+    reports them, to `key -> (row name, lower, upper)` with keys sorted;
+    `declared` maps each profile family whose keys must be declared to its
+    membership test's name and the keys it admits.
 
     Absent bounds read one way: a seed vertex without `vertex_elements`
     takes the heavy alphabet, an edge without a bd2 or bd3 bound admits any
@@ -559,11 +542,14 @@ class SpecPlan:
     edges: dict[str, PlannedEdge]
     heavy: frozenset[str]
     catalog: frozenset[str]
+    bounds: dict[str, dict[str, tuple[str, int, int]]]
+    declared: dict[str, tuple[str, frozenset[str]]]
 
 
 def _build_plan(spec: TopologicalSpec) -> SpecPlan:
     seed = spec.seed
     heavy = frozenset(a for a in spec.elements if a != "H")
+    catalog = frozenset(spec.fringe_catalog)
     edges: dict[str, PlannedEdge] = {}
     for e in seed.edges:
         lo2, hi2 = spec.double_bonds.get(e.name, (0, math.inf))
@@ -602,7 +588,17 @@ def _build_plan(spec: TopologicalSpec) -> SpecPlan:
             branch_count=spec.branch_count_vertex.get(sv, (0, 0)),
             branch_height=spec.branch_height_vertex.get(sv, (0, 0)),
         ))
-    return SpecPlan(tuple(vertices), edges, heavy, frozenset(spec.fringe_catalog))
+    bounds = {
+        attr: {key: (f"{attr}[{key}]", lo, hi) for key, (lo, hi) in sorted(getattr(spec, attr).items())}
+        for attr in COUNT_BOUNDS
+    }
+    declared = {
+        "na": ("elements within alphabet", frozenset(spec.elements)),
+        "ns_int": ("interior symbols declared", frozenset(spec.ns_int)),
+        **{attr: (f"{attr} configs declared", frozenset(getattr(spec, attr))) for attr in CONFIG_BOUNDS},
+        "fc": ("fringe trees in catalog", catalog),
+    }
+    return SpecPlan(tuple(vertices), edges, heavy, catalog, bounds, declared)
 
 
 # ---------------------------------------------------------------------------

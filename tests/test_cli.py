@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import random
@@ -11,6 +12,7 @@ import pytest
 from corpus import make_polymer, synthetic_corpus
 from polyinfer.cli import main
 from polyinfer.milp import parse_lp
+from spechelpers import SMALL_CATALOG, forcing_spec
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +350,19 @@ def test_spec_file_with_a_wrongly_typed_value_is_clean_error(tmp_path, capsys):
     assert run("check", "--spec", spec_path, "--graph", sample) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "'n_int'" in err
+
+
+def test_generate_refuses_seed_vertex_branches(trained_model, tmp_path, capsys):
+    # the checker accepts pendant trees at b2 here, but the enumerator
+    # builds none, so an exhausted search would claim what it never ran
+    spec = forcing_spec(SMALL_CATALOG)
+    spec = dataclasses.replace(spec, branch_count_vertex={**spec.branch_count_vertex, "b2": (0, 1)})
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec.to_json())
+    assert run("generate", "--model", trained_model, "--spec", spec_path,
+               "--window=-1e9,1e9", "--out-dir", tmp_path / "gen") == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'b2'" in err
 
 
 def test_config_file_defaults(trained_model, tmp_path):

@@ -707,6 +707,70 @@ def test_symmetry_and_vocabulary_cuts_keep_the_sequence_on_drawn_spaces(
     assert_cuts_accounted(pruned, reference)
 
 
+PROFILE_FAMILIES = ("na", "na_int", "ns_int", "ac_lf", "fc", "ec_int", "ac_int", "ec_lnk", "ac_lnk")
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    # a bridge tree in every catalog, so every drawn space has members
+    catalog=st.sets(st.sampled_from(("C(-H)(-H)", "C(-Cl)", "O")), min_size=1)
+    .filter(lambda codes: codes & {"C(-H)(-H)", "O"})
+    .flatmap(lambda codes: st.permutations(["C", "C(-H)", *sorted(codes)])),
+    cl_positions=st.sets(st.sampled_from(FREE_POSITIONS), min_size=1, max_size=4),
+    a2_max_len=st.sampled_from((2, 3)),
+    knows_cl=st.booleans(),
+)
+def test_memo_counts_add_up_to_the_profile(model_with_cl, model_without_cl, catalog, cl_positions,
+                                           a2_max_len, knows_cl):
+    # every upper-bound cut rests on this: what the memo says each vertex
+    # and edge adds sums to the count profile of the graph they make.  Every
+    # key of a forcing space is bounded, so the rows cover the whole profile.
+    spec = forcing_spec(tuple(catalog), a2_max_len=a2_max_len, cl_positions=tuple(sorted(cl_positions)))
+    model = model_with_cl if knows_cl else model_without_cl
+    entries = [generate.CatalogEntry.build(code) for code in spec.fringe_catalog]
+    memo = generate._Contributions(spec, entries, model.registry.vocabulary)
+    complete = 0
+    for sk in generate._iter_skeletons(spec):
+        links = set(sk.link_edges)
+        for assignment in generate._assign_fringes(spec, sk, entries, memo, GenerationOutcome()):
+            complete += 1
+            dec = twolayer.decompose(generate._materialize(sk, assignment), spec.rho)
+            s = dec.suppressed
+            end = {v: (s.label(v), len(s.neighbors(v))) for v in range(1, sk.n_vertices + 1)}
+            verdicts = [memo[(entry.code, end[v][1])] for v, entry in enumerate(assignment, start=1)]
+            verdicts += [
+                memo[(end[min(u, v)], end[max(u, v)], m, (u, v) in links)] for u, v, m in sk.edges
+            ]
+            summed = Counter()
+            for rows in verdicts:
+                for name, count, _ in rows:
+                    summed[name] += count
+            profile = dec.profile
+            assert summed == Counter({
+                f"{family}[{key}]": count
+                for family in PROFILE_FAMILIES
+                for key, count in getattr(profile, family).items()
+            })
+    assert complete
+
+
+# each bound is on a family only the full check tested before the memo
+@pytest.mark.parametrize("family,key,upper", [
+    ("na_int", "O", 1),
+    ("ns_int", "(C,3)", 7),
+    ("ac_lf", "(C,Cl,1)", 3),
+])
+def test_every_bounded_family_is_cut_during_the_search(model_with_cl, monkeypatch, family, key, upper):
+    spec = forcing_spec(SMALL_CATALOG, cl_positions=(2, 5, 8, 11))
+    spec = dataclasses.replace(spec, **{family: {**getattr(spec, family), key: (0, upper)}})
+    pruned = run_generation(spec, model_with_cl, (-1e9, 1e9))
+    reference = run_without_symmetry_or_vocabulary(monkeypatch, spec, model_with_cl, (-1e9, 1e9))
+    assert reference.status == pruned.status == "exhausted"
+    assert reference.rejected_spec > 0
+    assert pruned.rejected_spec == 0
+    assert emitted(pruned) == emitted(reference)
+
+
 def brute_force_automorphisms(sk: generate.Skeleton) -> set[tuple[int, ...]]:
     """Non-identity vertex permutations checked one by one against the
     definition: bonds with multiplicities and link flags, tips, element and

@@ -2,16 +2,19 @@
 
     python3 tools/same_outputs.py PARENT CHANGE [--work DIR]
 
-Builds the inputs once, with PARENT's code: the generator tests' model
-(`model_with_cl` in `tests/test_generate.py`), the tests' forcing spec over
-the small catalog, and the two-ring instance Ib for AmD, HcL, Tg, RfId and
-Prm at n_lb 14 and for AmD at n_lb 17.  For each spec it then runs
+Builds the inputs once, with PARENT's code: the generator tests' two
+models (`model_with_cl` and the Cl-free `model_without_cl` in
+`tests/test_generate.py`), the tests' forcing spec over the small catalog,
+and the two-ring instance Ib for AmD, HcL, Tg, RfId and Prm at n_lb 14 and
+for AmD at n_lb 17.  The forcing spec runs with both models, so the
+vocabulary cuts and symmetric drops in the manifest are compared too; the
+Ib specs run with `model_with_cl`.  For each case it then runs
 `python -m polyinfer.cli generate` in each checkout, as a subprocess with
 that checkout's `src/` on PYTHONPATH, with an open window and no budget,
 and compares the two output directories file by file, `manifest.jsonl`
 included.  On identical directories it also compares the stdout of
 `verify` over every generated file and of `check --verbose` on up to 16 of
-them.  It prints one line per spec and stage and reports the first file
+them.  It prints one line per case and stage and reports the first file
 that differs.  The exit status is 0 when every output is identical and 1
 otherwise.  Neither checkout is written to; everything goes under
 `--work` (a temporary directory by default).
@@ -32,7 +35,8 @@ IB_CASES = [(tag, 14) for tag in ("AmD", "HcL", "Tg", "RfId", "Prm")] + [("AmD",
 OPEN_WINDOW = "--window=-1e9,1e9"
 CHECKED_FILES = 16  # `check` starts one process per graph, so it samples
 
-# mirrors the `model_with_cl` fixture and the `spec_full` forcing spec
+# mirrors the `model_with_cl` and `model_without_cl` fixtures and the
+# `spec_full` forcing spec
 BUILD_INPUTS = """
 import random, sys
 from corpus import make_polymer, synthetic_corpus
@@ -42,6 +46,9 @@ out = sys.argv[1]
 model = train_model([t for _, t in synthetic_corpus(random.Random(3), 25)]
                     + [make_polymer(subst={2: ("Cl",)})])
 open(f"{out}/model.json", "w").write(model.to_json())
+model = train_model([make_polymer(), make_polymer(bridge_a=("O",)),
+                     make_polymer(bridge_b=("C", "C")), make_polymer(bridge_a=("O",), bridge_b=("C", "O"))])
+open(f"{out}/model-without-cl.json", "w").write(model.to_json())
 open(f"{out}/forcing.json", "w").write(forcing_spec(SMALL_CATALOG).to_json())
 """
 
@@ -56,19 +63,23 @@ def polyinfer(checkout: Path, *args) -> subprocess.CompletedProcess:
     return run_python(checkout, ["-m", "polyinfer.cli", *map(str, args)])
 
 
-def build_inputs(parent: Path, work: Path) -> dict[str, Path]:
-    """Spec files by case name, plus the model at `work/model.json`."""
+def build_inputs(parent: Path, work: Path) -> dict[str, tuple[Path, Path]]:
+    """(spec file, model file) by case name."""
     proc = run_python(parent, ["-c", BUILD_INPUTS, str(work)], extra_path=("tests",))
     if proc.returncode != 0:
         raise SystemExit(f"building the inputs failed:\n{proc.stderr}")
-    specs = {"forcing": work / "forcing.json"}
+    model = work / "model.json"
+    cases = {
+        "forcing": (work / "forcing.json", model),
+        "forcing-without-cl": (work / "forcing.json", work / "model-without-cl.json"),
+    }
     for tag, n_lb in IB_CASES:
         path = work / f"Ib-{tag}-{n_lb}.json"
         proc = polyinfer(parent, "spec-ib", "--property", tag, "--n-lb", n_lb, "--out", path)
         if proc.returncode != 0:
             raise SystemExit(f"spec-ib {tag} {n_lb} failed:\n{proc.stderr}")
-        specs[path.stem] = path
-    return specs
+        cases[path.stem] = (path, model)
+    return cases
 
 
 def first_difference(left: Path, right: Path) -> str | None:
@@ -136,9 +147,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = (args.work or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
-        specs = build_inputs(sides["parent"], work)
-        model = work / "model.json"
-        same = [compare_case(name, spec, model, sides, work) for name, spec in specs.items()]
+        cases = build_inputs(sides["parent"], work)
+        same = [compare_case(name, spec, model, sides, work) for name, (spec, model) in cases.items()]
     print("identical" if all(same) else "DIFFERENT")
     return 0 if all(same) else 1
 

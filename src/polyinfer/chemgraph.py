@@ -70,10 +70,6 @@ def split_symbol(symbol: str) -> tuple[str, int]:
     return symbol, 0
 
 
-def element_sort_key(symbol: str) -> tuple[str, int]:
-    return split_symbol(symbol)
-
-
 # ---------------------------------------------------------------------------
 # Plain-graph helpers (work on explicit vertex/edge collections)
 
@@ -150,50 +146,6 @@ def bridges(vertices, edges) -> set[Edge]:
                         out.add(_norm_edge(parent, u))
         # tree edges with low[child] > order[parent] are bridges
     return out
-
-
-def leaf_strip_heights(vertices, edges) -> tuple[dict[int, int], set[int]]:
-    """Heights by iterated leaf removal.
-
-    Removes degree-1 vertices round by round; a vertex removed in
-    round i has height i.  Surviving vertices adjacent to a removed one get
-    height 1 + max over removed neighbors; others stay without a height.
-    Returns (heights, tree_vertices).
-    """
-    adj = {v: set() for v in vertices}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    heights: dict[int, int] = {}
-    tree: set[int] = set()
-    alive = set(vertices)
-    level = 0
-    leaves = [v for v in adj if len(adj[v]) == 1]
-    while leaves:
-        touched: list[int] = []
-        for v in leaves:
-            heights[v] = level
-            tree.add(v)
-        for v in leaves:
-            alive.discard(v)
-            for w in adj[v]:
-                adj[w].discard(v)
-                touched.append(w)
-            adj[v] = set()
-        # only a vertex that lost a neighbor can have become a leaf
-        leaves = [w for w in dict.fromkeys(touched) if w in alive and len(adj[w]) == 1]
-        level += 1
-    # heights of survivors adjacent to stripped vertices
-    neighbor_of: dict[int, list[int]] = {v: [] for v in alive}
-    for u, v in edges:
-        if u in alive and v in tree:
-            neighbor_of[u].append(v)
-        if v in alive and u in tree:
-            neighbor_of[v].append(u)
-    for v in alive:
-        if neighbor_of[v]:
-            heights[v] = 1 + max(heights[w] for w in neighbor_of[v])
-    return heights, tree
 
 
 def is_circular_set(vertices, edges, marked) -> bool:

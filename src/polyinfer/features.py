@@ -21,8 +21,8 @@ import numpy as np
 from .chemgraph import (
     ChemicalGraph,
     GraphError,
-    element_sort_key,
     parse_pmg,
+    split_symbol,
 )
 from .twolayer import (
     TwoLayeredDecomposition,
@@ -196,7 +196,7 @@ def load_dataset(
 
 def _sorted_keys(kind: str, keys) -> list[str]:
     if kind == "na":
-        return sorted(keys, key=element_sort_key)
+        return sorted(keys, key=split_symbol)
     return sorted(keys)
 
 

@@ -47,7 +47,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .chemgraph import ChemicalGraph, valence
+from .chemgraph import ChemicalGraph, GraphError, valence
 from .model import ModelBundle
 from .topospec import PlannedEdge, SpecError, TopologicalSpec, check_satisfies, find_expansion_witness
 from .twolayer import (
@@ -717,16 +717,20 @@ def verify_roundtrip(
     covariates: dict[str, float] | None = None,
 ) -> list[RoundtripCheck]:
     """Recompute decomposition, specification bounds, features and the
-    prediction; one named check per stage."""
-    checks: list[RoundtripCheck] = []
-    dec = decompose(g, spec.rho)
-    checks.append(
+    prediction; one named check per stage.  A graph that cannot be
+    decomposed (hydrogen only) fails the decomposition check, and no later
+    stage runs."""
+    try:
+        dec = decompose(g, spec.rho)
+    except GraphError as exc:
+        return [RoundtripCheck("decomposition", False, str(exc))]
+    checks = [
         RoundtripCheck(
             "decomposition",
             len(dec.interior_vertices) > 0,
             f"{len(dec.interior_vertices)} interior / {len(dec.exterior_vertices)} exterior",
         )
-    )
+    ]
     report = check_satisfies(dec, spec)
     passed = report.passed
     checks.append(

@@ -344,9 +344,6 @@ class InverseProblemSpec:
     def k(self) -> int:
         return len(self.hyperplane.w)
 
-    def constant_mask(self) -> np.ndarray:
-        return self.feat_max <= self.feat_min
-
     @cached_property
     def model(self) -> "MilpModel":
         """`build_inverse_milp(self)`, built on first use and kept: one
@@ -412,8 +409,17 @@ def _block(spec: InverseProblemSpec, j: int) -> _Block:
 
 
 def _window_rhs(spec: InverseProblemSpec) -> tuple[float, float]:
-    """Right-hand sides of the window rows on sum(w*xh)."""
-    return spec.y_lo - spec.hyperplane.b, spec.y_hi - spec.hyperplane.b
+    """Right-hand sides of the window rows on sum(w*xh): y_lo - b and
+    y_hi - b rounded inward, so a window sum between them puts sum + b
+    inside [y_lo, y_hi] in exact arithmetic."""
+    b = Fraction(float(spec.hyperplane.b))
+    lo, hi = Fraction(float(spec.y_lo)) - b, Fraction(float(spec.y_hi)) - b
+    lo_rhs, hi_rhs = float(lo), float(hi)
+    if lo_rhs < lo:
+        lo_rhs = math.nextafter(lo_rhs, math.inf)
+    if hi_rhs > hi:
+        hi_rhs = math.nextafter(hi_rhs, -math.inf)
+    return lo_rhs, hi_rhs
 
 
 def build_inverse_milp(spec: InverseProblemSpec) -> MilpModel:
@@ -613,15 +619,18 @@ def solve_inverse(
 
 
 def exact_standardized(spec: InverseProblemSpec, assignment: dict[str, Fraction]) -> list[Fraction]:
-    """Standardize the raw solution exactly (constant descriptors map to 0)."""
+    """Standardize the raw solution exactly (constant descriptors map to 0).
+
+    The divisor is the float span max - min: the one the Standardizer the
+    hyperplane was fit on divides by, and the one the model rows hold.
+    """
     out: list[Fraction] = []
-    const = spec.constant_mask()
     for j in range(spec.k):
-        if const[j]:
+        rows = _block(spec, j).rows
+        if rows is None:
             out.append(Fraction(0))
             continue
-        span = Fraction(float(spec.feat_max[j])) - Fraction(float(spec.feat_min[j]))
-        out.append((assignment[f"x_{j + 1}"] - Fraction(float(spec.feat_min[j]))) / span)
+        out.append((assignment[f"x_{j + 1}"] - Fraction(float(spec.feat_min[j]))) / Fraction(rows.span))
     return out
 
 

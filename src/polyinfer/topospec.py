@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -433,11 +432,15 @@ class SpecReport:
         return out
 
     def failed_families(self) -> list[str]:
-        """The distinct families of `failures()`, sorted: each entry's text
-        before its first '[' or ':', so a bound names its count family
-        ("ec_int", "n"), a membership test its own name, and a failed
-        witness search "witness"."""
-        return sorted({re.split(r"[\[:]", f, maxsplit=1)[0] for f in self.failures()})
+        """The distinct families of `failures()`, sorted: a failed bound
+        names its count family, its name up to any '[' ("ec_int", "n"), a
+        failed membership test its own name, and a failed witness search
+        "witness"."""
+        out = {c.name.partition("[")[0] for c in self.checks if not c.ok}
+        out.update(name for name, ok in self.memberships if not ok)
+        if self.witness_searched and self.witness is None:
+            out.add("witness")
+        return sorted(out)
 
 
 def check_satisfies(

@@ -2,13 +2,16 @@
 
 Vertices of the hydrogen-suppressed graph that are stripped away within
 `rho` rounds of leaf removal are exterior; everything else (cycle
-vertices, vertices of undefined height and tree vertices of height at
-least rho) is interior.  Exterior edges hang off interior roots as
-fringe trees, which carry their original hydrogens and are compared by a
-canonical parenthesized code.  `decompose` fills in each fringe node's
-code bottom-up as it builds the tree, and `count_profile` reads every
-count in one pass, with the configuration keys of an edge memoized on
-its (element, degree, element, degree, multiplicity).
+vertices, tree vertices of height at least rho, and a vertex that loses
+all its neighbours in one round, as neopentane's centre does) is
+interior.  `decompose` does the stripping itself: rho rounds on a
+degree table over the suppressed graph's adjacency.  Exterior vertices
+hang off interior roots as fringe trees, which carry their original
+hydrogens and are compared by a canonical parenthesized code.
+`decompose` fills in each fringe node's code bottom-up as it builds the
+tree, and `count_profile` reads every count in one pass, with the
+configuration keys of an edge memoized on its (element, degree,
+element, degree, multiplicity).
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from .chemgraph import (
     ChemicalGraph,
     GraphError,
     SuppressedGraph,
-    element_sort_key,
     hydrogen_suppress,
-    leaf_strip_heights,
+    split_symbol,
 )
 
 BOND_MARK = {1: "-", 2: "=", 3: "#"}
@@ -125,7 +127,7 @@ AdjacencyConfig = tuple[str, str, int]
 
 
 def _vertex_symbol_key(sym: str, deg: int) -> tuple[tuple[str, int], int]:
-    return (element_sort_key(sym), deg)
+    return (split_symbol(sym), deg)
 
 
 def make_edge_config(a: str, d: int, b: str, dp: int, m: int) -> EdgeConfig:
@@ -143,7 +145,7 @@ def edge_keys(a: str, d: int, b: str, dp: int, m: int) -> tuple[str, str]:
 
 
 def make_adjacency_config(a: str, b: str, m: int) -> AdjacencyConfig:
-    if element_sort_key(a) <= element_sort_key(b):
+    if split_symbol(a) <= split_symbol(b):
         return (a, b, m)
     return (b, a, m)
 
@@ -179,7 +181,6 @@ class TwoLayeredDecomposition:
     interior_vertices: frozenset[int]
     exterior_vertices: frozenset[int]
     interior_edges: frozenset[tuple[int, int]]
-    exterior_edges: frozenset[tuple[int, int]]
     fringe_trees: dict[int, RootedTree]  # per interior root, hydrogens included
 
     @cached_property
@@ -205,25 +206,36 @@ def as_decomposition(
 def decompose(g: ChemicalGraph | SuppressedGraph, rho: int) -> TwoLayeredDecomposition:
     """Partition the hydrogen-suppressed graph at branch parameter rho.
 
-    Each fringe tree is built bottom-up with its canonical code filled in
-    as it goes, and every hydrogen in it is one shared leaf."""
+    Exactly rho rounds of leaf removal run on a degree table over the
+    suppressed graph's adjacency: each round removes the vertices of
+    degree 1 left by the rounds before it, so round i removes the vertices
+    of height i, and the removed ones are the exterior.  Each fringe tree
+    is built bottom-up with its canonical code filled in as it goes, and
+    every hydrogen in it is one shared leaf."""
     if rho < 1:
         raise GraphError("rho must be at least 1")
     s = hydrogen_suppress(g) if isinstance(g, ChemicalGraph) else g
-    edges = s.edge_list
-    heights, tree_vertices = leaf_strip_heights(s.vertex_ids, edges)
-    exterior = frozenset(v for v in tree_vertices if heights[v] < rho)
-    interior = frozenset(v for v in s.vertex_ids if v not in exterior)
-    ext_edges = frozenset((u, v) for u, v in edges if u in exterior or v in exterior)
-    int_edges = frozenset(e for e in edges if e not in ext_edges)
+    adj = s._adj
+    degree = {v: len(nbrs) for v, nbrs in adj.items()}
+    exterior: frozenset[int] = frozenset()
+    leaves = {v for v, d in degree.items() if d == 1}
+    for _ in range(rho):
+        exterior |= leaves
+        for v in leaves:
+            for w in adj[v]:
+                degree[w] -= 1
+        # only a vertex that lost a neighbour can have become a leaf
+        leaves = {w for v in leaves for w in adj[v] if degree[w] == 1 and w not in exterior}
+    interior = frozenset(adj) - exterior
 
     return TwoLayeredDecomposition(
         rho=rho,
         suppressed=s,
         interior_vertices=interior,
         exterior_vertices=exterior,
-        interior_edges=int_edges,
-        exterior_edges=ext_edges,
+        interior_edges=frozenset(
+            (u, v) for u, v, _ in s.bonds if u not in exterior and v not in exterior
+        ),
         fringe_trees={u: _build_fringe(s, u, exterior) for u in sorted(interior)},
     )
 

@@ -18,7 +18,6 @@ from polyinfer.chemgraph import (
     bridges,
     hydrogen_suppress,
     is_circular_set,
-    leaf_strip_heights,
     parse_pmg,
     rank,
     serialize_pmg,
@@ -224,52 +223,6 @@ def test_rank_drop_under_nonseparating_removal():
         for e in non_bridges:
             rest = [f for f in edges if f != e]
             assert rank(vertices, rest) == r - 1
-
-
-# -- heights ------------------------------------------------------------------
-
-
-def pendant_tree_graph(rng: random.Random, cycle_len: int, n: int):
-    """A cycle on 0..cycle_len-1 with random trees hung off it: each later
-    vertex attaches to one earlier vertex."""
-    cycle = [(i, (i + 1) % cycle_len) for i in range(cycle_len)]
-    tree = [(rng.randrange(v), v) for v in range(cycle_len, n)]
-    return list(range(n)), cycle, tree
-
-
-def pendant_heights(cycle_len: int, tree_edges) -> dict[int, int]:
-    """Independent oracle: each vertex's height in its pendant tree, rooted
-    at the tree's cycle vertex; cycle vertices without a tree get none."""
-    children: dict[int, list[int]] = {}
-    for parent, child in tree_edges:  # parent < child, so parent is nearer the cycle
-        children.setdefault(parent, []).append(child)
-
-    def height(v):
-        return 1 + max(height(c) for c in children[v]) if v in children else 0
-
-    heights = {child: height(child) for _, child in tree_edges}
-    heights.update({r: height(r) for r in range(cycle_len) if r in children})
-    return heights
-
-
-def test_leaf_strip_heights_star():
-    # 4-cycle 0-1-2-3 with a three-leaf star centred on 4 hung off vertex 0
-    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (4, 6), (4, 7)]
-    heights, tree = leaf_strip_heights(range(8), edges)
-    assert all(heights[i] == 0 for i in (5, 6, 7))
-    assert heights[4] == 1 and heights[0] == 2
-    assert tree == {4, 5, 6, 7}
-    assert not {1, 2, 3} & heights.keys()
-
-
-def test_rooted_heights_match_oracle():
-    rng = random.Random(5)
-    for _ in range(20):
-        cycle_len = rng.randint(3, 5)
-        vertices, cycle, tree_edges = pendant_tree_graph(rng, cycle_len, cycle_len + rng.randint(0, 8))
-        heights, tree = leaf_strip_heights(vertices, cycle + tree_edges)
-        assert heights == pendant_heights(cycle_len, tree_edges)
-        assert tree == set(range(cycle_len, len(vertices)))
 
 
 # -- link edges -------------------------------------------------------------

@@ -462,6 +462,31 @@ def test_verify_reports_an_unreadable_graph_and_checks_the_rest(trained_model, t
     assert out[-1].startswith("  BAD parse: ") and "No such file" in out[-1]
 
 
+def test_verify_fails_a_hydrogen_only_graph_and_checks_the_rest(trained_model, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path)
+    h2 = tmp_path / "h2.pmg"
+    h2.write_text("PMG 1\nATOM 1 H\nATOM 2 H\nBOND 1 2 1\n")
+    good = tmp_path / "good.pmg"
+    good.write_text(make_polymer())
+    capsys.readouterr()
+    code = run(
+        "verify",
+        "--model", trained_model,
+        "--spec", spec_path,
+        "--window=-1e9,1e9",
+        h2, good,
+    )
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [
+        f"{h2}: FAIL",
+        "  BAD decomposition: hydrogen-only graph has no suppressed form",
+    ]
+    assert out[2] == f"{good}: PASS"
+    assert out[3].startswith("  ok  decomposition:")
+
+
 def test_check_subcommand(tmp_path):
     spec_path = tmp_path / "spec.json"
     run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path)

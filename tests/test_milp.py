@@ -430,6 +430,28 @@ def drawn_inverse_specs(draw):
     )
 
 
+@pytest.mark.parametrize(
+    "w, b, y, feat_min, feat_max, integer",
+    [
+        # fl(1.3 - 0.3) = 1 is below the exact span: the prediction must divide by the float span
+        ([0.0, 1.0, -1.0, 0.0], 0.0, 0.0, [0.0, 0.3, 0.0, 0.0], [1.0, 1.3, 1.0, 1.0], {0, 2, 3}),
+        # 0.4999999 - 1 is not a float: the window rows must round it inward
+        ([0.0, 0.0, -1.0, 0.0], 1.0, 0.5, [0.0] * 4, [1.0] * 4, {0, 1, 3}),
+    ],
+)
+def test_inverse_answer_within_window_at_float_rounding_edges(w, b, y, feat_min, feat_max, integer):
+    spec = InverseProblemSpec(
+        hyperplane=Hyperplane(w=np.array(w), b=b),
+        y_lo=y - 1e-7,
+        y_hi=y + 1e-7,
+        feat_min=np.array(feat_min),
+        feat_max=np.array(feat_max),
+        integer_indices=frozenset(integer),
+        epsilon=1e-17,
+    )
+    assert assert_same_decision(spec) == "feasible"
+
+
 @settings(max_examples=200, deadline=None)
 @given(drawn_inverse_specs(), st.data())
 def test_solve_inverse_and_interval_relaxation_match_the_full_model(spec, data):

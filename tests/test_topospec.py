@@ -211,6 +211,11 @@ def test_failed_families_name_each_failing_check_once():
     assert families == sorted(set(families))
     assert {"na", "fringe trees in catalog"} <= set(families)
     assert all(any(f.startswith(family) for f in report.failures()) for family in families)
+    # a failed witness search is a family of its own; a skipped one is none
+    ring = parse_pmg(single_ring_text())
+    bounds = ["ac_lnk configs declared", "ec_lnk configs declared", "n", "n_int", "n_lnk"]
+    assert check_satisfies(ring, spec).failed_families() == bounds + ["witness"]
+    assert check_satisfies(ring, spec, search_witness=False).failed_families() == bounds
 
 
 def test_spec_value_of_the_wrong_type_is_a_spec_error():

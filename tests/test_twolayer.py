@@ -7,7 +7,7 @@ import random
 import pytest
 
 from corpus import synthetic_corpus
-from polyinfer.chemgraph import GraphError, hydrogen_suppress, parse_pmg
+from polyinfer.chemgraph import GraphError, SuppressedGraph, hydrogen_suppress, parse_pmg
 from polyinfer.data import demo_polymer_text, example_polymer_text
 from polyinfer.twolayer import (
     CountProfile,
@@ -194,8 +194,10 @@ def test_partition_invariants():
         dec = decompose(g, rho=rho)
         assert dec.interior_vertices | dec.exterior_vertices == set(s.vertex_ids)
         assert not dec.interior_vertices & dec.exterior_vertices
-        assert dec.interior_edges | dec.exterior_edges == set(s.edge_list)
-        assert not dec.interior_edges & dec.exterior_edges
+        # an edge is interior iff neither end is exterior
+        assert dec.interior_edges == {
+            e for e in s.edge_list if not set(e) & dec.exterior_vertices
+        }
         # every suppressed vertex is in exactly one fringe tree
         assert sum(ft.heavy_size() for ft in dec.fringe_trees.values()) == len(s.atoms)
 
@@ -224,6 +226,72 @@ def test_demo_polymer_target_fringe_count():
     assert roots == [1, 2, 4, 9, 20]
 
 
+def pendant_tree_graph(rng: random.Random, cycle_len: int, n: int):
+    """A cycle on 0..cycle_len-1 with random trees hung off it: each later
+    vertex attaches to one earlier vertex."""
+    cycle = [(i, (i + 1) % cycle_len) for i in range(cycle_len)]
+    tree = [(rng.randrange(v), v) for v in range(cycle_len, n)]
+    return list(range(n)), cycle, tree
+
+
+def pendant_heights(cycle_len: int, tree_edges) -> dict[int, int]:
+    """Independent oracle: each vertex's height in its pendant tree, rooted
+    at the tree's cycle vertex; cycle vertices without a tree get none."""
+    children: dict[int, list[int]] = {}
+    for parent, child in tree_edges:  # parent < child, so parent is nearer the cycle
+        children.setdefault(parent, []).append(child)
+
+    def height(v):
+        return 1 + max(height(c) for c in children[v]) if v in children else 0
+
+    heights = {child: height(child) for _, child in tree_edges}
+    heights.update({r: height(r) for r in range(cycle_len) if r in children})
+    return heights
+
+
+def carbon_skeleton(vertices, edges) -> SuppressedGraph:
+    """A hydrogen-suppressed graph of carbons joined by single bonds."""
+    return SuppressedGraph(
+        atoms=tuple((v, "C") for v in vertices),
+        bonds=tuple(sorted((min(u, v), max(u, v), 1) for u, v in edges)),
+        link_edges=frozenset(),
+        connecting=None,
+        hydrogens=tuple((v, 0) for v in vertices),
+    )
+
+
+def test_decompose_strips_leaves_round_by_round():
+    # 4-cycle 0-1-2-3 with a three-leaf star centred on 4 hung off vertex 0
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (4, 6), (4, 7)]
+    s = carbon_skeleton(range(8), edges)
+    assert decompose(s, rho=1).exterior_vertices == {5, 6, 7}
+    for rho in (2, 3):
+        dec = decompose(s, rho=rho)
+        assert dec.exterior_vertices == {4, 5, 6, 7}
+        assert dec.interior_vertices == {0, 1, 2, 3}
+        assert dec.interior_edges == {(0, 1), (1, 2), (2, 3), (0, 3)}
+    # neopentane: the first round leaves the centre with no neighbour, so
+    # no round takes it
+    neopentane = carbon_skeleton(range(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
+    for rho in (1, 2, 3, 4):
+        dec = decompose(neopentane, rho=rho)
+        assert dec.interior_vertices == {0}
+        assert dec.exterior_vertices == {1, 2, 3, 4}
+        assert not dec.interior_edges
+
+
+def test_exterior_matches_pendant_heights_oracle():
+    rng = random.Random(5)
+    for _ in range(20):
+        cycle_len = rng.randint(3, 5)
+        vertices, cycle, tree_edges = pendant_tree_graph(rng, cycle_len, cycle_len + rng.randint(0, 8))
+        s = carbon_skeleton(vertices, cycle + tree_edges)
+        heights = pendant_heights(cycle_len, tree_edges)
+        tree = range(cycle_len, len(vertices))
+        for rho in (1, 2, 3):
+            assert decompose(s, rho=rho).exterior_vertices == {v for v in tree if heights[v] < rho}
+
+
 # -- edge configurations -----------------------------------------------------
 
 
@@ -239,7 +307,7 @@ def test_edge_config_symmetric_endpoints():
 def test_edge_config_requires_interior_edge():
     g = parse_pmg(demo_polymer_text())
     dec = decompose(g, rho=2)
-    ext_edge = next(iter(dec.exterior_edges))
+    ext_edge = next(e for e in dec.suppressed.edge_list if e not in dec.interior_edges)
     with pytest.raises(GraphError, match="interior"):
         edge_config(dec, ext_edge)
 

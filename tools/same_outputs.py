@@ -1,4 +1,4 @@
-"""Check that two checkouts generate, verify and check alike.
+"""Check that two checkouts featurize, generate, verify and check alike.
 
     python3 tools/same_outputs.py PARENT CHANGE [--work DIR]
 
@@ -14,10 +14,13 @@ that checkout's `src/` on PYTHONPATH, with an open window and no budget,
 and compares the two output directories file by file, `manifest.jsonl`
 included.  On identical directories it also compares the stdout of
 `verify` over every generated file and of `check --verbose` on up to 16 of
-them.  It prints one line per case and stage and reports the first file
-that differs.  The exit status is 0 when every output is identical and 1
-otherwise.  Neither checkout is written to; everything goes under
-`--work` (a temporary directory by default).
+them.  A featurize stage runs `featurize` in each checkout on the CLI
+tests' synthetic corpus plus the demo polymer at rho 1 to 4 and compares
+`registry.json` and the matrix CSV byte for byte.  It prints one line per
+case and stage and reports the first file that differs.  The exit status
+is 0 when every output is identical and 1 otherwise.  Neither checkout is
+written to; everything goes under `--work` (a temporary directory by
+default).
 """
 
 from __future__ import annotations
@@ -34,12 +37,15 @@ from pathlib import Path
 IB_CASES = [(tag, 14) for tag in ("AmD", "HcL", "Tg", "RfId", "Prm")] + [("AmD", 17)]
 OPEN_WINDOW = "--window=-1e9,1e9"
 CHECKED_FILES = 16  # `check` starts one process per graph, so it samples
+FEATURIZE_RHOS = (1, 2, 3, 4)
 
-# mirrors the `model_with_cl` and `model_without_cl` fixtures and the
-# `spec_full` forcing spec
+# mirrors the `model_with_cl` and `model_without_cl` fixtures, the
+# `spec_full` forcing spec and the CLI tests' `corpus_dir`, with the demo
+# polymer added to the corpus
 BUILD_INPUTS = """
-import random, sys
+import os, random, sys
 from corpus import make_polymer, synthetic_corpus
+from polyinfer.data import demo_polymer_text
 from spechelpers import SMALL_CATALOG, forcing_spec, train_model
 
 out = sys.argv[1]
@@ -50,6 +56,13 @@ model = train_model([make_polymer(), make_polymer(bridge_a=("O",)),
                      make_polymer(bridge_b=("C", "C")), make_polymer(bridge_a=("O",), bridge_b=("C", "O"))])
 open(f"{out}/model-without-cl.json", "w").write(model.to_json())
 open(f"{out}/forcing.json", "w").write(forcing_spec(SMALL_CATALOG).to_json())
+os.makedirs(f"{out}/corpus/graphs")
+rows = ["id,value"]
+for rid, text in synthetic_corpus(random.Random(21), 40) + [("demo", demo_polymer_text())]:
+    open(f"{out}/corpus/graphs/{rid}.pmg", "w").write(text)
+    atoms = [l.split()[2] for l in text.splitlines() if l.startswith("ATOM")]
+    rows.append(f"{rid},{1.0 + 0.3 * atoms.count('O') + 0.05 * sum(a != 'H' for a in atoms):.6f}")
+open(f"{out}/corpus/values.csv", "w").write("\\n".join(rows) + "\\n")
 """
 
 
@@ -137,6 +150,29 @@ def compare_case(name: str, spec: Path, model: Path, sides: dict[str, Path], wor
     return True
 
 
+def compare_featurize(sides: dict[str, Path], work: Path) -> bool:
+    corpus = work / "corpus"
+    same = True
+    for rho in FEATURIZE_RHOS:
+        out_dirs = {side: work / side / f"featurize-rho{rho}" for side in sides}
+        for side, checkout in sides.items():
+            shutil.rmtree(out_dirs[side], ignore_errors=True)
+            proc = polyinfer(checkout, "featurize", "--graphs", corpus / "graphs",
+                             "--values", corpus / "values.csv", "--rho", rho,
+                             "--out-registry", out_dirs[side] / "registry.json",
+                             "--out-matrix", out_dirs[side] / "matrix.csv")
+            if proc.returncode != 0:
+                print(f"featurize rho={rho}: failed in {side}:\n{proc.stderr}")
+                return False
+        differs = first_difference(*out_dirs.values())
+        if differs is not None:
+            print(f"featurize rho={rho}: output differs first at {differs}")
+            same = False
+        else:
+            print(f"featurize rho={rho}: registry.json and matrix.csv identical")
+    return same
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -148,7 +184,8 @@ def main(argv: list[str] | None = None) -> int:
         work = (args.work or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
         cases = build_inputs(sides["parent"], work)
-        same = [compare_case(name, spec, model, sides, work) for name, (spec, model) in cases.items()]
+        same = [compare_featurize(sides, work)]
+        same += [compare_case(name, spec, model, sides, work) for name, (spec, model) in cases.items()]
     print("identical" if all(same) else "DIFFERENT")
     return 0 if all(same) else 1
 

@@ -143,14 +143,13 @@ def _fit_bundle(args, config):
     std, Xs, ys = standardize(dataset, registry)
     lam = _merged(args, config, "lam", None, float)
     seed = _merged(args, config, "seed", 0, int)
-    reports = {}
     if lam is None:
-        lam, reports = select_lambda(Xs, ys, seed=seed)
-    return dataset, report, registry, std, Xs, ys, lam, seed, reports
+        lam, _ = select_lambda(Xs, ys, seed=seed)
+    return dataset, report, registry, std, Xs, ys, lam, seed
 
 
 def cmd_train(args, config) -> int:
-    dataset, report, registry, std, Xs, ys, lam, _, _ = _fit_bundle(args, config)
+    dataset, report, registry, std, Xs, ys, lam, _ = _fit_bundle(args, config)
     h = lasso_fit(Xs, ys, lam)
     if not h.converged:
         print(f"warning: lasso stopped unconverged after {h.sweeps} sweeps "
@@ -163,7 +162,7 @@ def cmd_train(args, config) -> int:
 
 
 def cmd_cv(args, config) -> int:
-    dataset, elim, registry, std, Xs, ys, lam, seed, _ = _fit_bundle(args, config)
+    dataset, _, registry, _, Xs, ys, lam, seed = _fit_bundle(args, config)
     runs = _merged(args, config, "runs", 10, int)
     folds = _merged(args, config, "folds", 5, int)
     rep = cross_validate(Xs, ys, lam, runs=runs, folds=folds, seed=seed)

@@ -343,6 +343,6 @@ def standardize(dataset: Dataset, registry: DescriptorRegistry) -> tuple[Standar
         value_min=float(a.min()),
         value_max=float(a.max()),
     )
-    Xs = np.vstack([std.transform(row) for row in X])
+    Xs = std.transform(X)
     ys = np.array([std.transform_value(v) for v in a])
     return std, Xs, ys

@@ -124,7 +124,9 @@ class GenerationOutcome:
     rejected_oov: int = 0
     duplicates: int = 0
     dropped_symmetric: int = 0  # complete assignments that are not their orbit's lex-leader
-    cut_vocabulary: int = 0  # partial assignments cut on the model's vocabulary
+    # fringe options dropped on the model's vocabulary when a vertex's list is
+    # built, plus closed edges cut on it during the search
+    cut_vocabulary: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +378,12 @@ def _assign_fringes(
     membership that `check_satisfies` tests on every completion of it, or
     adds a key outside the model's vocabulary, and kept only when the tuple
     of catalog indices is the lex-leader of its orbit under the skeleton's
-    automorphisms.  What each choice adds comes from `memo`; vocabulary
-    cuts and non-leaders are counted in `outcome.cut_vocabulary` and
-    `outcome.dropped_symmetric`."""
+    automorphisms.  What each choice adds comes from `memo`.  A choice
+    whose own keys miss the vocabulary is dropped once, when its vertex's
+    options are listed, and a vertex left without options ends the
+    skeleton; a closed edge's miss is cut on each visit.  Both kinds of
+    vocabulary cut are counted in `outcome.cut_vocabulary`, non-leaders
+    in `outcome.dropped_symmetric`."""
     bond_sum = Counter()
     skeleton_degree = Counter()
     links = set(sk.link_edges)
@@ -392,8 +397,8 @@ def _assign_fringes(
         first, last = sorted((u, v))
         back_edges[last - 1].append((first - 1, m, (u, v) in links))
 
-    # per vertex: (entry, end, the memo's verdict on the entry there)
-    choices: list[list[tuple[CatalogEntry, tuple[str, int], tuple | str]]] = []
+    # per vertex: (entry, end, the rows the memo says the entry adds there)
+    choices: list[list[tuple[CatalogEntry, tuple[str, int], tuple]]] = []
     for v in range(1, sk.n_vertices + 1):
         opts = []
         for c in catalog:
@@ -406,7 +411,9 @@ def _assign_fringes(
                 continue
             degree = skeleton_degree[v] + c.heavy_children
             verdict = memo[(c.code, degree)]
-            if verdict is not None:
+            if verdict is _UNKNOWN:
+                outcome.cut_vocabulary += 1
+            elif verdict is not None:
                 opts.append((c, (c.element, degree), verdict))
         if not opts:
             return
@@ -443,9 +450,6 @@ def _assign_fringes(
             return
         remaining = len(choices) - pos - 1
         for entry, end, rows in choices[pos]:
-            if rows is _UNKNOWN:
-                outcome.cut_vocabulary += 1
-                continue
             if heavy + entry.heavy_atoms + remaining > spec.n[1] or not fits(rows):
                 continue
             counted = []  # the closed edges' rows, tallied one edge at a time

@@ -8,9 +8,10 @@ the two window rows.  `solve_inverse` reduces each block exactly, in
 rational arithmetic, to an interval of xh_j whose ends are nondecreasing
 in x_j, and branches on the Lasso support alone: the LP relaxation on a
 box is then a sum of interval ends, with no simplex.  `solve` is the
-general solver, for any model (an LP file, say): branch-and-bound over a
-phase-1 simplex with Bland's rule, on a tableau whose pivots touch only
-the nonzero entries of the pivot row.  Both are exact, and both accept
+general solver, for any model (one `parse_lp` read back from the LP
+text `emit_lp` writes, say): branch-and-bound over a phase-1 simplex
+with Bland's rule, on a tableau whose pivots touch only the nonzero
+entries of the pivot row.  Both are exact, and both accept
 an assignment only after re-checking it constraint by constraint with
 exact fractions.  `MilpSolution` reports the nodes and pivots spent, and
 the subproblems a budget left unexplored.
@@ -19,7 +20,6 @@ the subproblems a budget left unexplored.
 from __future__ import annotations
 
 import math
-import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -673,142 +673,61 @@ def emit_lp(model: MilpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-_TOKEN = re.compile(
-    r"\s*(<=|>=|=|\+|-|:|[A-Za-z_][A-Za-z0-9_()]*|\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-)
-
-
-def _tokenize(line: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN.match(line, pos)
-        if not m:
-            raise MilpError(f"cannot tokenize LP text at: {line[pos:]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
-
-
-def _merge_signs(tokens: list[str]) -> list[str]:
-    """Fold a sign token into a following numeric token."""
-    out: list[str] = []
-    i = 0
-    while i < len(tokens):
-        if tokens[i] in ("+", "-") and i + 1 < len(tokens) and _NUM.match(tokens[i + 1]):
-            out.append(tokens[i] + tokens[i + 1])
-            i += 2
-        else:
-            out.append(tokens[i])
-            i += 1
-    return out
-
-
-_SECTIONS = {
-    "minimize": "objective",
-    "maximize": "objective",
-    "subject": "constraints",
-    "st": "constraints",
-    "bounds": "bounds",
-    "generals": "generals",
-    "general": "generals",
-    "gen": "generals",
-    "end": "end",
-}
-
-_NUM = re.compile(r"^(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|(?i:inf(?:inity)?))$")
-
-
 def parse_lp(text: str) -> MilpModel:
-    """Parse the LP grammar produced by emit_lp (plus unbounded defaults)."""
+    """Read back the LP text `emit_lp` writes.
+
+    A term is `[sign] [coefficient] variable`, a missing sign or
+    coefficient reading as + or 1.  Variables keep bounds-line order, and
+    every constraint and generals name needs a bounds line.  Any other
+    line raises MilpError naming it.
+    """
     section = None
     constraints: list[Constraint] = []
-    bounds: dict[str, tuple[float, float]] = {}
+    bounded: list[Variable] = []
     integers: set[str] = set()
-    seen_vars: list[str] = []  # first-use order, for vars without a bounds line
-    bounds_order: list[str] = []  # authoritative variable order
-
-    def note_var(name: str) -> None:
-        if name not in bounds:
-            bounds[name] = (0.0, math.inf)
-            seen_vars.append(name)
-
+    named: list[tuple[str, str]] = []  # (variable, the line naming it)
     for raw in text.splitlines():
         line = raw.split("\\", 1)[0].strip()
-        if not line:
-            continue
-        head = line.split()[0].lower()
-        if head in _SECTIONS and (head != "st" or line.lower() in ("st", "st.")):
-            section = _SECTIONS[head]
-            continue
-        if section == "objective":
-            continue  # feasibility models carry an empty objective
-        if section == "constraints":
-            tokens = _tokenize(line)
-            if ":" not in tokens:
-                raise MilpError(f"constraint without name: {line!r}")
-            name = tokens[0]
-            rest = tokens[tokens.index(":") + 1 :]
-            coeffs: list[tuple[str, float]] = []
-            sense = None
-            rhs: float | None = None
-            sign = 1.0
-            pending: float | None = None
-            i = 0
-            while i < len(rest):
-                tok = rest[i]
-                if tok in ("<=", ">=", "="):
-                    sense = tok
-                    i += 1
-                    continue
-                if sense is not None:
-                    rhs_sign = 1.0
-                    if tok in ("+", "-"):
-                        rhs_sign = -1.0 if tok == "-" else 1.0
-                        i += 1
-                        tok = rest[i]
-                    rhs = rhs_sign * float(tok)
-                    i += 1
-                    continue
-                if tok == "+":
-                    sign = 1.0
-                elif tok == "-":
-                    sign = -1.0
-                elif _NUM.match(tok):
-                    pending = float(tok)
-                else:
-                    coef = sign * (1.0 if pending is None else pending)
-                    if coef != 0.0:
-                        coeffs.append((tok, coef))
-                    note_var(tok)
-                    sign, pending = 1.0, None
-                i += 1
-            if sense is None or rhs is None:
-                raise MilpError(f"constraint without sense or rhs: {line!r}")
-            constraints.append(Constraint(name, tuple(coeffs), sense, rhs))
-        elif section == "bounds":
-            tokens = _merge_signs(_tokenize(line))
-            if len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-                name = tokens[2]
-                bounds[name] = (float(tokens[0]), float(tokens[4]))
-                bounds_order.append(name)
-            elif len(tokens) == 2 and tokens[1].lower() == "free":
-                bounds[tokens[0]] = (-math.inf, math.inf)
-                bounds_order.append(tokens[0])
-            else:
-                raise MilpError(f"cannot parse bounds line: {line!r}")
-        elif section == "generals":
-            for tok in line.split():
-                integers.add(tok)
-                note_var(tok)
-        elif section == "end":
+        if line == "End":
             break
-        else:
-            raise MilpError(f"content outside any section: {line!r}")
-
-    ordered = bounds_order + [n for n in seen_vars if n not in bounds_order]
-    variables = tuple(
-        Variable(name, bounds[name][0], bounds[name][1], integer=name in integers)
-        for name in ordered
-    )
+        try:
+            if line in ("Minimize", "Subject To", "Bounds", "Generals"):
+                section = line
+            elif not line or section == "Minimize":
+                continue  # feasibility models carry an empty objective
+            elif section == "Subject To":
+                name, _, body = line.partition(":")
+                *terms, sense, rhs = body.split()
+                coeffs, sign, coef = [], None, None
+                for tok in terms:
+                    if tok in ("+", "-"):
+                        sign = tok
+                    elif tok[0] in "0123456789.":
+                        coef = float(tok)
+                    else:
+                        value = (-1.0 if sign == "-" else 1.0) * (1.0 if coef is None else coef)
+                        if value:  # an empty row is written `+ 0 <variable>`
+                            coeffs.append((tok, value))
+                        named.append((tok, line))
+                        sign = coef = None
+                if sign or coef is not None:
+                    raise ValueError("a term without a variable")
+                constraints.append(Constraint(name, tuple(coeffs), sense, float(rhs)))
+            elif section == "Bounds":
+                lo, le, name, le2, hi = line.split()
+                if le != "<=" or le2 != "<=":
+                    raise ValueError("not lo <= name <= hi")
+                bounded.append(Variable(name, float(lo), float(hi)))
+            elif section == "Generals":
+                integers.update(line.split())
+                named += [(tok, line) for tok in line.split()]
+            else:
+                raise ValueError("outside any section")
+        except ValueError as exc:  # MilpError included
+            raise MilpError(f"cannot read LP line {line!r}: {exc}") from None
+    declared = {v.name for v in bounded}
+    for var, line in named:
+        if var not in declared:
+            raise MilpError(f"cannot read LP line {line!r}: {var} has no bounds line")
+    variables = tuple(Variable(v.name, v.lower, v.upper, v.name in integers) for v in bounded)
     return MilpModel(variables, tuple(constraints))

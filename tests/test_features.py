@@ -285,6 +285,9 @@ def test_standardize_min_max_map():
     assert np.allclose(Xs[:, nonconst].max(axis=0), 1.0)
     assert np.all(Xs[:, std.constant_mask] == 0.0)
     assert ys.min() == 0.0 and ys.max() == 1.0
+    # the whole matrix maps exactly as each row does alone
+    X, _ = feature_matrix(ds, reg)
+    assert np.array_equal(Xs, np.vstack([std.transform(row) for row in X]))
 
 
 def test_standardize_value_roundtrip():

@@ -639,6 +639,32 @@ def test_each_vocabulary_cut_drops_only_what_would_end_oov(model_with_cl, monkey
     assert reference.rejected_oov > 0
 
 
+def test_a_vertex_left_without_vocabulary_options_ends_its_skeleton(model_without_cl):
+    # the forcing space's first skeleton, relabelled so that a ring vertex
+    # comes last, after both bridge vertices, and allowed only C(-Cl),
+    # which the model has never seen; no other vertex may take C(-Cl)
+    spec = forcing_spec(SMALL_CATALOG)
+    sk = next(generate._iter_skeletons(spec))
+    label = {**{v: v for v in range(1, sk.n_vertices + 1)}, 12: 14, 14: 12}
+    codes = {label[v]: allowed - {"C(-Cl)"} for v, allowed in sk.allowed_codes.items()}
+    last = dataclasses.replace(
+        sk,
+        edges=tuple((label[u], label[v], m) for u, v, m in sk.edges),
+        link_edges=tuple((label[u], label[v]) for u, v in sk.link_edges),
+        tips=frozenset(label[v] for v in sk.tips),
+        allowed_elements={label[v]: e for v, e in sk.allowed_elements.items()},
+        allowed_codes={**codes, 14: frozenset({"C(-Cl)"})},
+    )
+    entries = [generate.CatalogEntry.build(code) for code in spec.fringe_catalog]
+    memo = generate._Contributions(spec, entries, model_without_cl.registry.vocabulary)
+    # with C(-H) there instead, prefixes reach the last vertex
+    viable = dataclasses.replace(last, allowed_codes={**codes, 14: frozenset({"C(-H)"})})
+    assert len(list(generate._assign_fringes(spec, viable, entries, memo, GenerationOutcome()))) > 1
+    outcome = GenerationOutcome()
+    assert list(generate._assign_fringes(spec, last, entries, memo, outcome)) == []
+    assert outcome.cut_vocabulary == 1  # the one option dropped, not one per prefix
+
+
 IB_TAGS = ("AmD", "HcL", "Tg", "RfId", "Prm")
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import random
+import re
 import signal
 from fractions import Fraction
 
@@ -794,3 +795,38 @@ End
 """
     m = parse_lp(text)
     assert m.constraints[0].coeffs == (("x", 1.0), ("y", 2.0))
+
+
+READABLE_LP = """\\ a comment
+Minimize
+ obj:
+Subject To
+ c: x + 2 y <= 4
+Bounds
+ 0 <= x <= 9
+ -inf <= y <= inf
+Generals
+ x
+End
+"""
+
+
+@pytest.mark.parametrize("line,bad", [
+    (" c: x + 2 y <= 4", " c x + 2 y <= 4"),  # no name
+    (" c: x + 2 y <= 4", " c: x + 2 y 4"),  # no sense
+    (" c: x + 2 y <= 4", " c: x + 2 y <="),
+    (" c: x + 2 y <= 4", " c: x + 2 y <= four"),
+    (" c: x + 2 y <= 4", " c: x + 2 <= 4"),  # a coefficient without its variable
+    (" c: x + 2 y <= 4", " c: x + 2 z <= 4"),  # z has no bounds line
+    (" -inf <= y <= inf", " -inf <= y"),
+    (" -inf <= y <= inf", " y free"),
+    (" -inf <= y <= inf", " -inf >= y >= inf"),
+    (" -inf <= y <= inf", " 1 <= y <= 0"),
+    (" x\nEnd", " w\nEnd"),  # a generals name without a bounds line
+    ("Minimize", "x <= 4\nMinimize"),  # text outside any section
+    ("Minimize", "Maximize"),
+])
+def test_lp_reader_names_the_line_it_cannot_read(line, bad):
+    assert READABLE_LP.count(line) == 1 and parse_lp(READABLE_LP).constraints
+    with pytest.raises(MilpError, match=re.escape(repr(bad.split("\n")[0].strip()))):
+        parse_lp(READABLE_LP.replace(line, bad))

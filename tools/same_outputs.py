@@ -14,7 +14,10 @@ that checkout's `src/` on PYTHONPATH, with an open window and no budget,
 and compares the two output directories file by file, `manifest.jsonl`
 included.  On identical directories it also compares the stdout of
 `verify` over every generated file and of `check --verbose` on up to 16 of
-them.  A featurize stage runs `featurize` in each checkout on the CLI
+them.  When every graph file and every per-graph manifest record are
+identical and only the summary line differs, it names the summary keys
+that moved (parent -> change) and still compares `verify` and `check`.
+A featurize stage runs `featurize` in each checkout on the CLI
 tests' synthetic corpus plus the demo polymer at rho 1 to 4 and compares
 `registry.json` and the matrix CSV byte for byte.  It prints one line per
 case and stage and reports the first file that differs.  The exit status
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import shutil
 import subprocess
@@ -95,15 +99,27 @@ def build_inputs(parent: Path, work: Path) -> dict[str, tuple[Path, Path]]:
     return cases
 
 
-def first_difference(left: Path, right: Path) -> str | None:
-    """The first file name, in sorted order, that is missing on one side
-    or whose bytes differ; None when the directories hold the same files."""
+def differences(left: Path, right: Path) -> list[str]:
+    """The file names, in sorted order, that are missing on one side or
+    whose bytes differ; empty when the directories hold the same files."""
     names = sorted({p.name for p in left.iterdir()} | {p.name for p in right.iterdir()})
-    for name in names:
-        a, b = left / name, right / name
-        if not (a.exists() and b.exists() and filecmp.cmp(a, b, shallow=False)):
-            return name
-    return None
+    return [
+        name for name in names
+        if not ((left / name).exists() and (right / name).exists()
+                and filecmp.cmp(left / name, right / name, shallow=False))
+    ]
+
+
+def summary_moves(left: Path, right: Path) -> dict[str, tuple] | None:
+    """The summary keys whose values differ, as (left, right), when two
+    manifests differ only in their summary; None otherwise."""
+    (*records_l, last_l), (*records_r, last_r) = (
+        (d / "manifest.jsonl").read_text().splitlines() for d in (left, right)
+    )
+    if records_l != records_r:
+        return None
+    a, b = json.loads(last_l)["summary"], json.loads(last_r)["summary"]
+    return {k: (a.get(k), b.get(k)) for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)} or None
 
 
 def compare_case(name: str, spec: Path, model: Path, sides: dict[str, Path], work: Path) -> bool:
@@ -115,14 +131,19 @@ def compare_case(name: str, spec: Path, model: Path, sides: dict[str, Path], wor
         if proc.returncode != 0:
             print(f"{name}: generate failed in {side}:\n{proc.stderr}")
             return False
-    differs = first_difference(*out_dirs.values())
-    if differs is not None:
-        print(f"{name}: generate output differs first at {differs}")
+    differing = differences(*out_dirs.values())
+    moved = summary_moves(*out_dirs.values()) if differing == ["manifest.jsonl"] else None
+    if differing and not moved:
+        print(f"{name}: generate output differs first at {differing[0]}")
         return False
     graphs = sorted(p.name for p in out_dirs["parent"].glob("*.pmg"))
-    print(f"{name}: generate identical ({len(graphs)} graphs and manifest.jsonl)")
+    if moved:
+        print(f"{name}: generate identical ({len(graphs)} graphs and their manifest records); "
+              "summary differs: " + ", ".join(f"{k} {a} -> {b}" for k, (a, b) in moved.items()))
+    else:
+        print(f"{name}: generate identical ({len(graphs)} graphs and manifest.jsonl)")
     if not graphs:
-        return True
+        return not moved
 
     # the same file names on both sides, so the printed paths match
     graph_dir = out_dirs["parent"]
@@ -147,7 +168,7 @@ def compare_case(name: str, spec: Path, model: Path, sides: dict[str, Path], wor
             print(f"{name}: check --verbose output differs on {g}")
             return False
     print(f"{name}: check --verbose identical on {len(sample)} graphs")
-    return True
+    return not moved
 
 
 def compare_featurize(sides: dict[str, Path], work: Path) -> bool:
@@ -164,9 +185,9 @@ def compare_featurize(sides: dict[str, Path], work: Path) -> bool:
             if proc.returncode != 0:
                 print(f"featurize rho={rho}: failed in {side}:\n{proc.stderr}")
                 return False
-        differs = first_difference(*out_dirs.values())
-        if differs is not None:
-            print(f"featurize rho={rho}: output differs first at {differs}")
+        differing = differences(*out_dirs.values())
+        if differing:
+            print(f"featurize rho={rho}: output differs first at {differing[0]}")
             same = False
         else:
             print(f"featurize rho={rho}: registry.json and matrix.csv identical")

@@ -6,10 +6,12 @@ path between the former connecting-edges must traverse are marked as
 link-edges and always form a circular set (one common cycle such that
 removing any member turns the rest into bridges).
 
-Validation reads one adjacency: connectivity, valences and the link
-set are checked off `_adj`, and the circular-set test is one lowlink DFS
-of the graph without the first link edge.  `parse_pmg` checks the
-records line by line and leaves only that structural part to the graph.
+A graph is read through two cached dicts, `labels` (id -> element) and
+`adj` (id -> neighbour -> multiplicity).  Validation reads one
+adjacency: connectivity, valences and the link set are checked off
+`adj`, and the circular-set test is one lowlink DFS of the graph
+without the first link edge.  `parse_pmg` checks the records line by
+line and leaves only that structural part to the graph.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class PmgParseError(GraphError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 # ---------------------------------------------------------------------------
@@ -97,55 +98,6 @@ def is_connected(vertices, edges) -> bool:
                 seen.add(w)
                 queue.append(w)
     return len(seen) == len(vertices)
-
-
-def rank(vertices, edges) -> int:
-    """Cycle rank |E| - |V| + 1 of a connected graph."""
-    vertices = list(vertices)
-    edges = list(edges)
-    if not is_connected(vertices, edges):
-        raise GraphError("rank undefined for disconnected graph")
-    return len(edges) - len(vertices) + 1
-
-def bridges(vertices, edges) -> set[Edge]:
-    """All bridges of a connected graph, by DFS lowlink."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
-    for idx, (u, v) in enumerate(edges):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
-    order: dict[int, int] = {}
-    low: dict[int, int] = {}
-    out: set[Edge] = set()
-    counter = 0
-    for start in vertices:
-        if start in order:
-            continue
-        # iterative DFS; (vertex, incoming edge index, neighbor iterator)
-        stack = [(start, -1, iter(adj[start]))]
-        order[start] = low[start] = counter
-        counter += 1
-        while stack:
-            u, in_idx, it = stack[-1]
-            advanced = False
-            for w, idx in it:
-                if idx == in_idx:
-                    continue
-                if w not in order:
-                    order[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, idx, iter(adj[w])))
-                    advanced = True
-                    break
-                low[u] = min(low[u], order[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] > order[parent]:
-                        out.add(_norm_edge(parent, u))
-        # tree edges with low[child] > order[parent] are bridges
-    return out
 
 
 def is_circular_set(vertices, edges, marked) -> bool:
@@ -235,30 +187,18 @@ class _AtomBondGraph:
     bonds: tuple[tuple[int, int, int], ...]
 
     @cached_property
-    def _labels(self) -> dict[int, str]:
+    def labels(self) -> dict[int, str]:
+        """Element of each atom, by id."""
         return dict(self.atoms)
 
     @cached_property
-    def _adj(self) -> dict[int, dict[int, int]]:
+    def adj(self) -> dict[int, dict[int, int]]:
+        """Neighbours of each atom, by id, mapped to bond multiplicity."""
         adj: dict[int, dict[int, int]] = {i: {} for i, _ in self.atoms}
         for u, v, m in self.bonds:
             adj[u][v] = m
             adj[v][u] = m
         return adj
-
-    def label(self, v: int) -> str:
-        return self._labels[v]
-
-    def neighbors(self, v: int) -> dict[int, int]:
-        return self._adj[v]
-
-    @property
-    def vertex_ids(self) -> list[int]:
-        return [i for i, _ in self.atoms]
-
-    @property
-    def edge_list(self) -> list[Edge]:
-        return [(u, v) for u, v, _ in self.bonds]
 
     def mass_average(self) -> float:
         heavy = [ELEMENTS[s][1] for _, s in self.atoms if s != "H"]
@@ -323,9 +263,9 @@ class ChemicalGraph(_AtomBondGraph):
         """The checks on a nonempty graph whose atom ids are distinct, whose
         elements are known and whose bonds are distinct, ordered pairs of
         known atoms with multiplicity 1..3: connectivity, valences and the
-        link edges, all read off `_adj`."""
-        adj = self._adj
-        labels = self._labels
+        link edges, all read off `adj`."""
+        adj = self.adj
+        labels = self.labels
         start = self.atoms[0][0]
         seen = {start}
         queue = [start]
@@ -392,14 +332,11 @@ class ChemicalGraph(_AtomBondGraph):
 
     # -- basic accessors ----------------------------------------------------
 
-    def beta_sum(self, v: int) -> int:
-        return sum(self._adj[v].values())
-
     def non_hydrogen_count(self) -> int:
         return sum(1 for _, s in self.atoms if s != "H")
 
     def heavy_neighbor_count(self, v: int) -> int:
-        return sum(1 for w in self._adj[v] if self._labels[w] != "H")
+        return sum(1 for w in self.adj[v] if self.labels[w] != "H")
 
 
 @dataclass(frozen=True)
@@ -421,13 +358,10 @@ class SuppressedGraph(_AtomBondGraph):
     def h_count(self) -> dict[int, int]:
         return dict(self.hydrogens)
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
 
 def hydrogen_suppress(g: ChemicalGraph) -> SuppressedGraph:
     """Remove all H vertices, recording how many were attached where."""
-    labels = g._labels
+    labels = g.labels
     keep = [(i, s) for i, s in g.atoms if s != "H"]
     if not keep:
         raise GraphError("hydrogen-only graph has no suppressed form")

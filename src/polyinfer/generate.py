@@ -521,7 +521,7 @@ def canonical_signature(g: ChemicalGraph | TwoLayeredDecomposition, rho: int) ->
     connecting = set(s.connecting or ())
     colors = [
         (
-            s.label(v),
+            s.labels[v],
             dec.fringe_trees[v].code,
             v in connecting,
         )
@@ -529,7 +529,7 @@ def canonical_signature(g: ChemicalGraph | TwoLayeredDecomposition, rho: int) ->
     ]
     adj: list[list[tuple[int, tuple[int, bool]]]] = [[] for _ in vertices]
     for u, v in dec.interior_edges:
-        lab = (s.neighbors(u)[v], ((u, v) if u <= v else (v, u)) in s.link_edges)
+        lab = (s.adj[u][v], ((u, v) if u <= v else (v, u)) in s.link_edges)
         adj[index[u]].append((index[v], lab))
         adj[index[v]].append((index[u], lab))
     return _canonical_search(colors, adj)[0]

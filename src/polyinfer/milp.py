@@ -659,8 +659,9 @@ def emit_lp(model: MilpModel) -> str:
         for var, coef in c.coeffs:
             sign = "-" if coef < 0 else "+"
             terms.append(f"{sign} {_fmt(abs(coef))} {var}")
-        body = " ".join(terms) if terms else "+ 0 " + model.variables[0].name
-        out.append(f" {c.name}: {body} {c.sense} {_fmt(c.rhs)}")
+        if not terms and model.variables:  # an empty row keeps one term
+            terms.append("+ 0 " + model.variables[0].name)
+        out.append(f" {c.name}: " + " ".join(terms + [c.sense, _fmt(c.rhs)]))
     out.append("Bounds")
     for v in model.variables:
         out.append(f" {_fmt(v.lower)} <= {v.name} <= {_fmt(v.upper)}")

@@ -139,25 +139,35 @@ class TopologicalSpec:
         for code in self.fc:
             if code not in self.fringe_catalog:
                 raise SpecError(f"fc bound references unknown fringe tree {code!r}")
-        for code in self.fringe_catalog:
+        for i, code in enumerate(self.fringe_catalog):
+            if code in self.fringe_catalog[:i]:
+                raise SpecError(f"catalog code {code!r} is repeated")
             tree = parse_code(code)
             if tree.code != code:
                 raise SpecError(f"catalog code {code!r} is not canonical")
             if tree.heavy_height() > self.rho:
                 raise SpecError(f"catalog tree {code!r} taller than rho")
+        # a table keyed by a vertex or edge the seed lacks would bound nothing
         seed_vertices = set(self.seed.vertices)
+        for attr in ("vertex_elements", "branch_count_vertex", "branch_height_vertex", "fringe_vertex"):
+            for v in getattr(self, attr):
+                if v not in seed_vertices:
+                    raise SpecError(f"{attr} references unknown vertex {v!r}")
+        edge_names = {e.name for e in self.seed.edges}
+        for attr in (
+            "path_len", "branch_count_edge", "branch_height_edge", "double_bonds",
+            "triple_bonds", "fringe_edge",
+        ):
+            for name in getattr(self, attr):
+                if name not in edge_names:
+                    raise SpecError(f"{attr} references unknown edge {name!r}")
         for v, codes in self.fringe_vertex.items():
-            if v not in seed_vertices:
-                raise SpecError(f"fringe_vertex references unknown vertex {v!r}")
             if any(code not in self.fringe_catalog for code in codes):
                 raise SpecError(f"fringe_vertex[{v}] outside the catalog")
         for e in self.seed.edges:
             if e.kind == "path" and e.name not in self.path_len:
                 raise SpecError(f"replaceable seed edge {e.name!r} has no path_len bound")
-        edge_names = {e.name for e in self.seed.edges}
         for name, codes in self.fringe_edge.items():
-            if name not in edge_names:
-                raise SpecError(f"fringe_edge references unknown edge {name!r}")
             if any(code not in self.fringe_catalog for code in codes):
                 raise SpecError(f"fringe_edge[{name}] outside the catalog")
 
@@ -634,9 +644,9 @@ def find_expansion_witness(
     if len(interior) < len(order):
         return None, "interior smaller than seed"
     adj: dict[int, dict[int, int]] = {
-        v: {w: m for w, m in s._adj[v].items() if w in inside} for v in interior
+        v: {w: m for w, m in s.adj[v].items() if w in inside} for v in interior
     }
-    labels = s._labels
+    labels = s.labels
     code = {v: dec.fringe_trees[v].code for v in interior}
     link_edges = s.link_edges
     images: dict[str, int] = {}

@@ -215,7 +215,7 @@ def decompose(g: ChemicalGraph | SuppressedGraph, rho: int) -> TwoLayeredDecompo
     if rho < 1:
         raise GraphError("rho must be at least 1")
     s = hydrogen_suppress(g) if isinstance(g, ChemicalGraph) else g
-    adj = s._adj
+    adj = s.adj
     degree = {v: len(nbrs) for v, nbrs in adj.items()}
     exterior: frozenset[int] = frozenset()
     leaves = {v for v, d in degree.items() if d == 1}
@@ -241,7 +241,7 @@ def decompose(g: ChemicalGraph | SuppressedGraph, rho: int) -> TwoLayeredDecompo
 
 
 def _build_fringe(s: SuppressedGraph, root: int, exterior: frozenset[int]) -> RootedTree:
-    adj, labels, h_count = s._adj, s._labels, s.h_count
+    adj, labels, h_count = s.adj, s.labels, s.h_count
 
     def build(v: int, parent: int | None) -> RootedTree:
         below = [(w, m) for w, m in adj[v].items() if w != parent and w in exterior]
@@ -267,10 +267,8 @@ def edge_config(dec: TwoLayeredDecomposition, e: tuple[int, int]) -> EdgeConfig:
     key = (u, v) if u <= v else (v, u)
     if key not in dec.interior_edges:
         raise GraphError(f"edge {e} is not interior")
-    s = dec.suppressed
-    return make_edge_config(
-        s.label(u), s.degree(u), s.label(v), s.degree(v), s.neighbors(u)[v]
-    )
+    adj, labels = dec.suppressed.adj, dec.suppressed.labels
+    return make_edge_config(labels[u], len(adj[u]), labels[v], len(adj[v]), adj[u][v])
 
 
 def leaf_edge_adjacency_configs(s: SuppressedGraph) -> list[AdjacencyConfig]:
@@ -280,7 +278,7 @@ def leaf_edge_adjacency_configs(s: SuppressedGraph) -> list[AdjacencyConfig]:
     the non-leaf endpoint comes first (canonical order when both ends are
     leaves).
     """
-    adj, labels = s._adj, s._labels
+    adj, labels = s.adj, s.labels
     out: list[AdjacencyConfig] = []
     for u, v, m in s.bonds:
         du, dv = len(adj[u]), len(adj[v])
@@ -331,7 +329,7 @@ def count_profile(dec: TwoLayeredDecomposition) -> CountProfile:
     edges.  The rank is |E| - |V| + 1: the suppressed graph of a validated
     (connected) chemical graph is connected."""
     s = dec.suppressed
-    adj, labels = s._adj, s._labels
+    adj, labels = s.adj, s.labels
     na = Counter(sym for _, sym in s.atoms)
     hydrogens = sum(h for _, h in s.hydrogens)
     if hydrogens:

@@ -2,17 +2,19 @@
 
 `find_expansion_witness` scanned every interior vertex for every seed
 vertex and rebuilt the seed order and filters on each call;
-`is_circular_set` made two bridge passes; fringe trees were built with
-their codes left to `encode_tree`; `count_profile` read every count
-through the graph accessors and took the rank after a connectivity pass.
-The equivalence tests require the current code to return what these do.
+`is_circular_set` made two bridge passes (`bridges` here is the finder
+they and the circular-set oracles use); fringe trees were built with
+their codes left to `encode_tree`; `count_profile` read every edge's
+configuration through `edge_config` and took the rank after a
+connectivity pass.  The equivalence tests require the current code to
+return what these do.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from polyinfer.chemgraph import SuppressedGraph, _norm_edge, bridges, rank
+from polyinfer.chemgraph import Edge, GraphError, SuppressedGraph, _norm_edge, is_connected
 from polyinfer.topospec import SeedEdge, SeedGraph, TopologicalSpec
 from polyinfer.twolayer import (
     AdjacencyConfig,
@@ -27,6 +29,37 @@ from polyinfer.twolayer import (
     make_adjacency_config,
     symbol_str,
 )
+
+
+def bridges(vertices, edges) -> set[Edge]:
+    """All bridges, by a recursive lowlink DFS from every unvisited vertex.
+    A parallel copy of an edge is a back edge, since the walk skips only the
+    edge index it came in by."""
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
+    for idx, (u, v) in enumerate(edges):
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
+    order: dict[int, int] = {}
+    low: dict[int, int] = {}
+    out: set[Edge] = set()
+
+    def visit(u: int, in_idx: int) -> None:
+        order[u] = low[u] = len(order)
+        for w, idx in adj[u]:
+            if idx == in_idx:
+                continue
+            if w in order:
+                low[u] = min(low[u], order[w])
+            else:
+                visit(w, idx)
+                low[u] = min(low[u], low[w])
+                if low[w] > order[u]:
+                    out.add(_norm_edge(u, w))
+
+    for v in adj:
+        if v not in order:
+            visit(v, -1)
+    return out
 
 
 def two_pass_is_circular_set(vertices, edges, marked) -> bool:
@@ -60,11 +93,11 @@ def reference_build_fringe(s: SuppressedGraph, root: int, exterior: frozenset[in
         children: list[tuple[int, RootedTree]] = []
         for _ in range(s.h_count.get(v, 0)):
             children.append((1, RootedTree("H")))
-        for w, m in sorted(s.neighbors(v).items()):
+        for w, m in sorted(s.adj[v].items()):
             if w == parent or w not in exterior:
                 continue
             children.append((m, build(w, v)))
-        return RootedTree(s.label(v), tuple(children))
+        return RootedTree(s.labels[v], tuple(children))
 
     return build(root, None)
 
@@ -76,17 +109,18 @@ def reference_leaf_edge_adjacency_configs(s: SuppressedGraph) -> list[AdjacencyC
     the non-leaf endpoint comes first (canonical order when both ends are
     leaves).
     """
+    adj, labels = s.adj, s.labels
     out: list[AdjacencyConfig] = []
     for u, v, m in s.bonds:
-        du, dv = s.degree(u), s.degree(v)
+        du, dv = len(adj[u]), len(adj[v])
         if du != 1 and dv != 1:
             continue
         if du == 1 and dv == 1:
-            out.append(make_adjacency_config(s.label(u), s.label(v), m))
+            out.append(make_adjacency_config(labels[u], labels[v], m))
         elif dv == 1:
-            out.append((s.label(u), s.label(v), m))
+            out.append((labels[u], labels[v], m))
         else:
-            out.append((s.label(v), s.label(u), m))
+            out.append((labels[v], labels[u], m))
     return sorted(out)
 
 
@@ -98,19 +132,22 @@ def reference_count_profile(dec: TwoLayeredDecomposition) -> CountProfile:
         na["H"] = hydrogens
 
     def symbol(v: int) -> str:
-        return symbol_str(s.label(v), s.degree(v))
+        return symbol_str(s.labels[v], len(s.adj[v]))
+
+    if not is_connected(s.adj, ((u, v) for u, v, _ in s.bonds)):
+        raise GraphError("rank undefined for disconnected graph")
 
     configs = {e: edge_config(dec, e) for e in dec.interior_edges}
     link = [configs[e] for e in s.link_edges]  # link edges lie on a cycle: interior
     link_degree = Counter(v for e in s.link_edges for v in e)
     return CountProfile(
         n=len(s.atoms),
-        rank=rank(s.vertex_ids, s.edge_list),
+        rank=len(s.bonds) - len(s.atoms) + 1,
         n_int=len(dec.interior_vertices),
         link_edges=len(s.link_edges),
         link_vertices=sum(1 for c in link_degree.values() if c == 2),
         na=na,
-        na_int=Counter(s.label(v) for v in dec.interior_vertices),
+        na_int=Counter(s.labels[v] for v in dec.interior_vertices),
         ns_int=Counter(symbol(v) for v in dec.interior_vertices),
         ns_cnt=Counter(symbol(v) for v in s.connecting or ()),
         ec_int=Counter(config_str(c) for c in configs.values()),
@@ -136,7 +173,7 @@ def reference_find_expansion_witness(
     s = dec.suppressed
     interior = sorted(dec.interior_vertices)
     adj: dict[int, dict[int, int]] = {
-        v: {w: m for w, m in s.neighbors(v).items() if w in dec.interior_vertices}
+        v: {w: m for w, m in s.adj[v].items() if w in dec.interior_vertices}
         for v in interior
     }
     seed = spec.seed
@@ -156,7 +193,7 @@ def reference_find_expansion_witness(
         catalog = spec.vertex_catalog(sv)
         out = []
         for v in interior:
-            if v in used or s.label(v) not in allowed:
+            if v in used or s.labels[v] not in allowed:
                 continue
             if dec.fringe_trees[v].code not in catalog:
                 continue

@@ -40,7 +40,7 @@ def dataset_from_texts(texts, values=None, covariates=None):
 
 
 def relabel(g: ChemicalGraph, rng: random.Random) -> ChemicalGraph:
-    ids = g.vertex_ids
+    ids = list(g.labels)
     new = list(ids)
     rng.shuffle(new)
     mapping = dict(zip(ids, new))

@@ -131,7 +131,7 @@ def test_signature_invariant_under_relabeling():
     rng = random.Random(19)
     g = parse_pmg(make_polymer(bridge_a=("C", "O"), subst={2: ("Cl",)}))
     base = canonical_signature(g, 2)
-    ids = g.vertex_ids
+    ids = list(g.labels)
     for _ in range(4):
         new = list(ids)
         rng.shuffle(new)
@@ -163,7 +163,7 @@ def test_verify_roundtrip_reports(model_with_cl, spec_full):
     # two fresh hydrogens keep the valences legal): a check must flip
     from polyinfer.chemgraph import ChemicalGraph
 
-    top = max(g.vertex_ids)
+    top = max(g.labels)
     atoms = g.atoms + ((top + 1, "H"), (top + 2, "H"))
     bonds = tuple(
         (u, v, 1 if (u, v) == (2, 3) else m) for u, v, m in g.bonds
@@ -762,7 +762,7 @@ def test_memo_counts_add_up_to_the_profile(model_with_cl, model_without_cl, cata
             complete += 1
             dec = twolayer.decompose(generate._materialize(sk, assignment), spec.rho)
             s = dec.suppressed
-            end = {v: (s.label(v), len(s.neighbors(v))) for v in range(1, sk.n_vertices + 1)}
+            end = {v: (s.labels[v], len(s.adj[v])) for v in range(1, sk.n_vertices + 1)}
             verdicts = [memo[(entry.code, end[v][1])] for v, entry in enumerate(assignment, start=1)]
             verdicts += [
                 memo[(end[min(u, v)], end[max(u, v)], m, (u, v) in links)] for u, v, m in sk.edges

@@ -783,6 +783,12 @@ def test_lp_empty_constraints():
     assert parse_lp(text) == m
 
 
+def test_lp_roundtrip_empty_row_without_variables():
+    m = MilpModel((), (Constraint("c", (), "<=", -1.0),))
+    assert solve(m).status == "infeasible"
+    assert parse_lp(emit_lp(m)) == m
+
+
 def test_lp_parses_unsigned_coefficients():
     text = """Minimize
  obj:

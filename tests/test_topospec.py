@@ -319,6 +319,30 @@ def test_spec_rejects_inverted_bounds():
         )
 
 
+@pytest.mark.parametrize(
+    "table",
+    ["vertex_elements", "branch_count_vertex", "branch_height_vertex", "path_len",
+     "branch_count_edge", "branch_height_edge", "double_bonds", "triple_bonds"],
+)
+def test_spec_rejects_a_table_key_the_seed_lacks(table):
+    import dataclasses
+
+    spec = build_instance_Ib("AmD", 14)
+    value = ("C",) if table == "vertex_elements" else (0, 1)
+    kind = "vertex" if table.endswith(("vertex", "elements")) else "edge"
+    with pytest.raises(SpecError, match=rf"{table} references unknown {kind} 'zz'"):
+        dataclasses.replace(spec, **{table: {**getattr(spec, table), "zz": value}})
+
+
+def test_spec_rejects_a_repeated_catalog_code():
+    import dataclasses
+
+    spec = build_instance_Ib("AmD", 14)
+    first = spec.fringe_catalog[0]
+    with pytest.raises(SpecError, match=f"catalog code {first!r} is repeated"):
+        dataclasses.replace(spec, fringe_catalog=(first,) + spec.fringe_catalog)
+
+
 def test_spec_json_roundtrip_with_catalog_restrictions():
     import dataclasses
 

@@ -192,11 +192,11 @@ def test_partition_invariants():
     s = hydrogen_suppress(g)
     for rho in (1, 2, 3):
         dec = decompose(g, rho=rho)
-        assert dec.interior_vertices | dec.exterior_vertices == set(s.vertex_ids)
+        assert dec.interior_vertices | dec.exterior_vertices == set(s.adj)
         assert not dec.interior_vertices & dec.exterior_vertices
         # an edge is interior iff neither end is exterior
         assert dec.interior_edges == {
-            e for e in s.edge_list if not set(e) & dec.exterior_vertices
+            (u, v) for u, v, _ in s.bonds if not {u, v} & dec.exterior_vertices
         }
         # every suppressed vertex is in exactly one fringe tree
         assert sum(ft.heavy_size() for ft in dec.fringe_trees.values()) == len(s.atoms)
@@ -307,7 +307,7 @@ def test_edge_config_symmetric_endpoints():
 def test_edge_config_requires_interior_edge():
     g = parse_pmg(demo_polymer_text())
     dec = decompose(g, rho=2)
-    ext_edge = next(e for e in dec.suppressed.edge_list if e not in dec.interior_edges)
+    ext_edge = next((u, v) for u, v, _ in dec.suppressed.bonds if (u, v) not in dec.interior_edges)
     with pytest.raises(GraphError, match="interior"):
         edge_config(dec, ext_edge)
 

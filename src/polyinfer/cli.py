@@ -34,7 +34,7 @@ from .milp import (  # `solve` is unused here; perfbench's tracer and its test l
     solve_inverse,
 )
 from .model import ModelBundle
-from .regress import RegressError, cross_validate, lasso_fit, select_lambda
+from .regress import RegressError, cross_validate, lasso_fit, lasso_path, select_lambda
 from .topospec import SpecError, TopologicalSpec, build_instance_Ib, check_satisfies
 
 EXIT_OK = 0
@@ -150,7 +150,7 @@ def _fit_bundle(args, config):
 
 def cmd_train(args, config) -> int:
     dataset, report, registry, std, Xs, ys, lam, _ = _fit_bundle(args, config)
-    h = lasso_fit(Xs, ys, lam)
+    h = lasso_fit(Xs, ys, lam, start=lasso_path(Xs, ys, [lam])[0])
     if not h.converged:
         print(f"warning: lasso stopped unconverged after {h.sweeps} sweeps "
               f"(KKT violation {h.kkt:.3g})", file=sys.stderr)

@@ -42,7 +42,7 @@ class ModelBundle:
                 "standardizer": json.loads(self.standardizer.to_json()),
                 "w": h.w.tolist(),
                 "b": h.b,
-                "fit": {"sweeps": h.sweeps, "kkt": h.kkt, "converged": h.converged},
+                "fit": {"steps": h.steps, "sweeps": h.sweeps, "kkt": h.kkt, "converged": h.converged},
                 "lambda": self.lam,
             },
             sort_keys=True,
@@ -65,6 +65,7 @@ class ModelBundle:
                     sweeps=int(fit.get("sweeps", 0)),
                     kkt=fit.get("kkt"),
                     converged=fit.get("converged"),
+                    steps=int(fit.get("steps", 0)),  # absent from model files written before the path
                 ),
                 lam=float(d["lambda"]),
             )

@@ -1,19 +1,33 @@
-"""Lasso-penalized linear prediction by cyclic coordinate descent.
+"""Lasso-penalized linear prediction: an exact homotopy path, certified.
 
 The objective is (1/(2|D|))·sum of squared errors plus lambda times the
 L1 norm of the weights *including the bias*; an opt-in flag restores the
-conventional unpenalized intercept.  The solver works on the Gram matrix
-of the features with the bias as one more column.  It stops on a KKT
-certificate: the largest violation of the stationarity conditions,
-recomputed from a fresh residual, at most `DEFAULT_TOL`.  A fit that runs
-out of sweeps is returned with `converged` False rather than raised.
+conventional unpenalized intercept.  Both solvers work on the Gram matrix
+of the features with the bias as one more column.
+
+`lasso_path` follows the LARS-Lasso homotopy (Osborne, Presnell & Turlach,
+"A new approach to variable selection in least squares problems", IMA J.
+Numer. Anal. 20(3), 2000; Efron, Hastie, Johnstone & Tibshirani, "Least
+Angle Regression", Ann. Statist. 32(2), 2004) from the penalty at which
+the first column enters down through the requested penalties.  Between
+knots the solution is linear in lambda; at a knot one column joins the
+active set or one leaves it.  Ties go to the lower column index (registry
+order, the bias last), and a column whose join would make the active Gram
+matrix singular is skipped until the active set changes, so dependent
+columns never join together and the support never exceeds rank([X, 1]).
+
+`lasso_fit` is the one certifier.  It checks a start against the KKT
+conditions: the largest violation of the stationarity conditions,
+recomputed from a fresh residual, at most `DEFAULT_TOL`.  A certified
+start, such as a path point, returns with 0 sweeps; any other start is
+polished by cyclic coordinate descent with soft thresholding until it
+is certified.  A fit that runs out of sweeps is returned with
+`converged` False rather than raised.
 
 Also provides the repeated k-fold cross-validation protocol (10 runs of 5
 folds by default) with the median test R^2 and the mean selected-descriptor
-count.  Each fold walks its penalties from the largest down, warm-starting
-every fit from the previous one (Friedman, Hastie & Tibshirani,
-"Regularization Paths for Generalized Linear Models via Coordinate
-Descent", JSS 33(1), 2010).
+count.  Each fold follows one path through all its penalties and
+certifies every point.
 """
 
 from __future__ import annotations
@@ -26,6 +40,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9  # KKT violation at which a fit stops
 DEFAULT_MAX_SWEEPS = 100_000
+_DEPENDENT = 1e-10  # Schur complement on the active set, as a share of the Gram diagonal, of a column in their span
+_KNOT_TIE = 1e-12  # relative gap within which two path events share a knot
 _TIE_TOL = 1e-4  # median R^2 gap within which select_lambda prefers the sparser penalty
 
 
@@ -41,6 +57,7 @@ class Hyperplane:
     sweeps: int = field(default=0, compare=False)
     kkt: float | None = field(default=None, compare=False)
     converged: bool | None = field(default=None, compare=False)
+    steps: int = field(default=0, compare=False)  # homotopy knots of the `lasso_path` start
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.w)) or not np.isfinite(self.b):
@@ -79,6 +96,101 @@ def kkt_violation(X: np.ndarray, y: np.ndarray, h: Hyperplane, lam: float, penal
     return _stationarity(grad, np.append(h.w, h.b), lam, penalize_bias)
 
 
+def _training_data(X, y, lams) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] < 1:
+        raise RegressError("X and y shapes do not line up")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise RegressError("non-finite training data")
+    if not all(0.0 <= lam < np.inf for lam in lams):  # NaN too
+        raise RegressError("lambda must be a finite non-negative number")
+    return X, y
+
+
+def lasso_path(X: np.ndarray, y: np.ndarray, lams: list[float], penalize_bias: bool = True) -> list[Hyperplane]:
+    """The Lasso solution at each penalty in `lams`, in the order given,
+    from one LARS-Lasso homotopy on the Gram matrix of Z = [X, 1].
+
+    With active set A and signs s (0 for the unpenalized bias, which is
+    active throughout), the solution on A is u - lam*v, where
+    G_AA u = Z_A^T y / n and G_AA v = s_A, and every column's correlation
+    with the residual is a + lam*d.  Going down from the penalty at which
+    the first column enters, the next knot is the largest penalty at which
+    an inactive column's correlation reaches +-lam or an active weight
+    reaches zero; ties go to the lower column index.  A column whose
+    Schur complement on A is at most _DEPENDENT of its Gram diagonal lies
+    in the span of A and does not join; the column that has just joined
+    cannot leave at once, nor can the one that has just left rejoin with
+    the sign it had.  The points are exact up to rounding but not
+    certified: each reports the knots passed before it as `steps`, and
+    `lasso_fit(..., start=point)` certifies it.  A path that has not
+    reached the smallest penalty after 10 knots per column stops there,
+    and its remaining points come from its last linear piece.
+    """
+    X, y = _training_data(X, y, lams)
+    n, k = X.shape
+    Z = np.hstack([X, np.ones((n, 1))])
+    gram = Z.T @ Z / n
+    corr = Z.T @ y / n
+    diag = gram.diagonal()
+    penalized = np.ones(k + 1, dtype=bool)
+    penalized[k] = penalize_bias
+    active = ~penalized
+    sign = np.zeros(k + 1)
+    pending = sorted(range(len(lams)), key=lambda i: lams[i], reverse=True)
+    points: list[Hyperplane | None] = [None] * len(lams)
+    knot = np.inf
+    joined, left, left_sign = -1, -1, 0.0
+    max_steps = 10 * (k + 1)
+    for steps in range(max_steps + 1):
+        A = np.flatnonzero(active)
+        gram_A = gram[A]
+        sol = np.linalg.solve(gram[np.ix_(A, A)], np.column_stack([corr[A], sign[A], gram_A]))
+        u, v = sol[:, 0], sol[:, 1]
+        a = corr - gram_A.T @ u
+        d = gram_A.T @ v
+        schur = diag - np.einsum("ij,ij->j", gram_A, sol[:, 2:])
+
+        # an inactive correlation a + lam*d meets s*lam, as lam falls, at s*a / (1 - s*d)
+        event = np.full(k + 1, -np.inf)
+        event_sign = np.zeros(k + 1)
+        free = ~active & penalized & (schur > _DEPENDENT * diag)
+        for s in (1.0, -1.0):
+            slope = 1.0 - s * d
+            meets = free & (slope > 0.0)
+            if s == left_sign:
+                meets[left] = False
+            at = np.full(k + 1, -np.inf)
+            at[meets] = s * a[meets] / slope[meets]
+            event_sign[at > event] = s
+            event = np.maximum(event, at)
+        # an active weight u - lam*v that moves against its sign reaches zero at u/v
+        shrinks = sign[A] * v < 0.0
+        shrinks[A == joined] = False
+        event[A[shrinks]] = u[shrinks] / v[shrinks]
+        np.minimum(event, knot, out=event)
+
+        nxt = float(event.max())
+        last = nxt <= 0.0 or steps == max_steps
+        while pending and (last or lams[pending[0]] >= nxt):
+            i = pending.pop(0)
+            coef = np.zeros(k + 1)
+            coef[A] = u - lams[i] * v
+            points[i] = Hyperplane(coef[:k].copy(), float(coef[k]), steps=steps)
+        if not pending:
+            break
+        j = int(np.flatnonzero(event >= nxt * (1.0 - _KNOT_TIE))[0])  # ties: the lower column index
+        if active[j]:
+            joined, left, left_sign = -1, j, sign[j]
+            active[j], sign[j] = False, 0.0
+        else:
+            joined, left_sign = j, 0.0
+            active[j], sign[j] = True, event_sign[j]
+        knot = nxt
+    return points
+
+
 def lasso_fit(
     X: np.ndarray,
     y: np.ndarray,
@@ -87,24 +199,18 @@ def lasso_fit(
     penalize_bias: bool = True,
     start: Hyperplane | None = None,
 ) -> Hyperplane:
-    """Cyclic coordinate descent with soft thresholding on the Gram matrix.
+    """Certify `start` (zero when it is None) and polish it, if need be, by
+    cyclic coordinate descent with soft thresholding on the Gram matrix.
 
-    Starts from `start`, or from zero when it is None, and sweeps every
-    coordinate in order: the features, then the bias.  Stops when the KKT
-    violation computed from a fresh residual is at most DEFAULT_TOL, or after
-    max_sweeps sweeps; the result reports its sweeps, that violation and
-    whether it converged.  The objective is compared between the start
-    and the result only: an increase raises RegressError.
+    A start whose KKT violation, computed from a fresh residual, is at most
+    DEFAULT_TOL returns with 0 sweeps.  Otherwise every coordinate is swept
+    in order, the features then the bias, until the violation is at most
+    DEFAULT_TOL or after max_sweeps sweeps; the result reports its sweeps,
+    that violation, whether it converged and the start's `steps`.  The
+    objective is compared between the start and the result only: an
+    increase raises RegressError.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] < 1:
-        raise RegressError("X and y shapes do not line up")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise RegressError("non-finite training data")
-    if lam < 0:
-        raise RegressError("lambda must be non-negative")
-
+    X, y = _training_data(X, y, [lam])
     n, k = X.shape
     if start is None:
         start = Hyperplane(np.zeros(k), 0.0)
@@ -138,7 +244,7 @@ def lasso_fit(
             if _stationarity(grad, coef, lam, penalize_bias) <= DEFAULT_TOL:
                 break  # the running gradient screens; a fresh residual certifies
         kkt = kkt_violation(X, y, Hyperplane(coef[:k], coef[k]), lam, penalize_bias)
-    h = Hyperplane(coef[:k].copy(), float(coef[k]), sweeps, kkt, kkt <= DEFAULT_TOL)
+    h = Hyperplane(coef[:k].copy(), float(coef[k]), sweeps, kkt, kkt <= DEFAULT_TOL, start.steps)
     end_obj = objective(X, y, h, lam, penalize_bias)
     if end_obj > start_obj + 1e-12 * max(1.0, abs(start_obj)):
         raise RegressError(f"objective increased from {start_obj!r} to {end_obj!r}")
@@ -198,9 +304,9 @@ def _cv_path(
     penalize_bias: bool,
 ) -> dict[float, CvReport]:
     """Cross-validate every penalty in `lams` on the same `runs` random fold
-    partitions.  Each trial trains on the other folds, walking the distinct
-    penalties from the largest down with each fit warm-started from the
-    previous one, and reports test R^2 on the held-out fold."""
+    partitions.  Each trial trains on the other folds, following one path
+    through the distinct penalties and certifying each of its points with
+    one `lasso_fit`, and reports test R^2 on the held-out fold."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -213,9 +319,9 @@ def _cv_path(
         for test_idx in _fold_indices(n, folds, rng):
             mask = np.zeros(n, dtype=bool)
             mask[test_idx] = True
-            h = None
-            for lam in path:
-                h = lasso_fit(X[~mask], y[~mask], lam, penalize_bias=penalize_bias, start=h)
+            X_train, y_train = X[~mask], y[~mask]
+            for lam, start in zip(path, lasso_path(X_train, y_train, path, penalize_bias)):
+                h = lasso_fit(X_train, y_train, lam, penalize_bias=penalize_bias, start=start)
                 fits[lam].append((r_squared(h, X[mask], y[mask]), h))
     reports = {}
     for lam, trials in fits.items():
@@ -246,10 +352,10 @@ def cross_validate(
     penalize_bias: bool = True,
 ) -> CvReport:
     """Repeat `runs` random fold partitions; each trial trains on the
-    other folds and reports test R^2 on the held-out one.  The fits walk
-    down the grid values above `lam` to reach it, as in `select_lambda`."""
-    path = [g for g in lambda_grid() if g > lam] + [lam]
-    return _cv_path(X, y, path, runs, folds, seed, penalize_bias)[lam]
+    other folds and reports test R^2 on the held-out one.  A path's point
+    at `lam` does not depend on the other penalties it visits, so this
+    reports what `select_lambda` reports for `lam`."""
+    return _cv_path(X, y, [lam], runs, folds, seed, penalize_bias)[lam]
 
 
 def select_lambda(

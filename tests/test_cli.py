@@ -140,15 +140,22 @@ def test_train_records_the_fit(trained_model):
 
     text = Path(trained_model).read_text()
     fit = json.loads(text)["fit"]
-    assert fit["converged"] is True and fit["sweeps"] > 0 and fit["kkt"] <= 1e-9
+    assert fit["converged"] is True and fit["steps"] > 0 and fit["kkt"] <= 1e-9
     h = ModelBundle.from_json(text).hyperplane
-    assert (h.sweeps, h.kkt, h.converged) == (fit["sweeps"], fit["kkt"], True)
+    assert (h.steps, h.sweeps, h.kkt, h.converged) == (fit["steps"], fit["sweeps"], fit["kkt"], True)
+    older = json.loads(text)
+    del older["fit"]["steps"]  # model files written before the path
+    assert ModelBundle.from_json(json.dumps(older)).hyperplane.steps == 0
 
 
 def test_train_warns_when_the_fit_does_not_converge(corpus_dir, tmp_path, monkeypatch, capsys):
-    import polyinfer.cli
-    from polyinfer.regress import lasso_fit
+    import numpy as np
 
+    import polyinfer.cli
+    from polyinfer.regress import Hyperplane, lasso_fit
+
+    # a zero start instead of the path's, which would need no sweep at all
+    monkeypatch.setattr(polyinfer.cli, "lasso_path", lambda X, y, lams: [Hyperplane(np.zeros(X.shape[1]), 0.0)])
     monkeypatch.setattr(polyinfer.cli, "lasso_fit", functools.partial(lasso_fit, max_sweeps=3))
     code = run(
         "train",

@@ -18,6 +18,7 @@ from polyinfer.regress import (
     kkt_violation,
     lambda_grid,
     lasso_fit,
+    lasso_path,
     objective,
     predict,
     r_squared,
@@ -92,6 +93,9 @@ def test_rejects_bad_inputs():
         lasso_fit(np.array([[1.0, np.nan]]), np.array([1.0]), 0.1)
     with pytest.raises(RegressError):
         lasso_fit(np.ones((3, 2)), np.ones(3), -0.5)
+    for lam in (float("nan"), float("inf")):
+        with pytest.raises(RegressError, match="lambda"):
+            lasso_path(np.ones((3, 2)), np.ones(3), [0.1, lam])
 
 
 def test_objective_increase_raises(monkeypatch):
@@ -453,3 +457,68 @@ def test_warm_start_reaches_the_cold_objective(problem):
     # relative; the absolute floor admits the ~tol^2 gap a certified fit
     # may leave where the optimum is exactly zero
     assert abs(a - c) <= 1e-9 * max(abs(a), abs(c)) + 1e-15
+
+
+# -- the homotopy path -----------------------------------------------------------
+
+
+def _rank(X: np.ndarray) -> int:
+    return int(np.linalg.matrix_rank(np.hstack([X, np.ones((len(X), 1))])))
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-5, 1e-6, 0.0])
+def test_path_alone_certifies_on_corpus(cli_corpus, lam):
+    X, y = cli_corpus
+    point = lasso_path(X, y, [lam])[0]
+    h = lasso_fit(X, y, lam, start=point)
+    assert h.sweeps == 0 and h.converged and h.steps == point.steps > 0
+    assert len(h.support()) + (h.b != 0.0) <= _rank(X)
+
+
+def test_path_above_lambda_max_is_the_null_model():
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(20, 3))
+    y = rng.normal(size=20) + 2.0
+    lam_max = float(np.max(np.abs(np.append(X.T @ y, np.sum(y))))) / 20
+    zero = lasso_path(X, y, [1.01 * lam_max])[0]
+    assert np.all(zero.w == 0.0) and zero.b == 0.0 and zero.steps == 0
+    lam_max = float(np.max(np.abs(X.T @ (y - np.mean(y))))) / 20  # with the bias unpenalized
+    flat = lasso_path(X, y, [1.01 * lam_max], False)[0]
+    assert np.all(flat.w == 0.0) and flat.b == pytest.approx(np.mean(y)) and flat.steps == 0
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(warm_start_problems())
+def test_path_start_reaches_the_cold_objective(problem):
+    X, y, lam, penalize_bias, _ = problem
+    point = lasso_path(X, y, [lam], penalize_bias)[0]
+    fit = lasso_fit(X, y, lam, penalize_bias=penalize_bias, start=point)
+    cold = lasso_fit(X, y, lam, penalize_bias=penalize_bias)
+    assert fit.converged and fit.kkt <= regress.DEFAULT_TOL and fit.steps == point.steps
+    a = objective(X, y, fit, lam, penalize_bias)
+    c = objective(X, y, cold, lam, penalize_bias)
+    assert abs(a - c) <= 1e-9 * max(abs(a), abs(c)) + 1e-15
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(warm_start_problems())
+def test_path_support_stays_within_rank_and_apart_from_twins(problem):
+    X, y, _, penalize_bias, _ = problem
+    Z = np.hstack([X, np.ones((len(y), 1))])
+    twins = [(i, j) for i in range(Z.shape[1]) for j in range(i) if np.array_equal(Z[:, i], Z[:, j])]
+    for point in lasso_path(X, y, [1.0, 0.1, 1e-2, 1e-3, 0.0], penalize_bias):
+        coef = np.append(point.w, point.b)
+        assert np.count_nonzero(coef) <= _rank(X)
+        assert not any(coef[i] != 0.0 and coef[j] != 0.0 for i, j in twins)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(warm_start_problems())
+def test_each_path_point_matches_a_one_penalty_path(problem):
+    X, y, _, penalize_bias, _ = problem
+    grid = [0.0, 1.0, 1e-3, 0.1, 1e-2]  # any order: points come back in the order asked
+    for lam, point in zip(grid, lasso_path(X, y, grid, penalize_bias)):
+        alone = lasso_path(X, y, [lam], penalize_bias)[0]
+        a = objective(X, y, point, lam, penalize_bias)
+        b = objective(X, y, alone, lam, penalize_bias)
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)) + 1e-15

@@ -5,6 +5,13 @@ descriptors first, then per-key count families in sorted key order.  A
 feature vector holds one real per descriptor; configurations that a graph
 exhibits but the registry does not know go into an out-of-vocabulary
 report instead of the vector.
+
+A dataset record decomposes its graph at most once per rho and keeps the
+decomposition, so the registry and the feature matrix read one count
+profile per record.  `featurize` fills the vector through one column
+index per registry (scalar columns, covariate columns, and per count
+family a key -> column map) in one pass over the profile's counters,
+which also collects the out-of-vocabulary keys.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +59,14 @@ class Descriptor:
         return f"{self.kind}:{self.key}" if self.key else self.kind
 
 
+class _Columns(NamedTuple):
+    """Where each descriptor of a registry sits in its vectors."""
+
+    scalars: tuple[tuple[int, str], ...]  # (column, kind)
+    covariates: tuple[tuple[int, str], ...]  # (column, covariate name)
+    families: dict[str, dict[str, int]]  # count family -> key -> column
+
+
 @dataclass(frozen=True)
 class DescriptorRegistry:
     rho: int
@@ -73,7 +89,24 @@ class DescriptorRegistry:
     def vocabulary(self) -> dict[str, frozenset[str]]:
         """Known keys per count family, built once per registry: the
         configurations the model has a descriptor for."""
-        return {kind: frozenset(self.keys_of(kind)) for kind in FAMILY_KINDS}
+        return {kind: frozenset(keys) for kind, keys in self.columns.families.items()}
+
+    @cached_property
+    def columns(self) -> _Columns:
+        """The column of every descriptor, built once per registry; a key
+        missing from its family's map is out of vocabulary."""
+        scalars, covariates = [], []
+        families: dict[str, dict[str, int]] = {kind: {} for kind in FAMILY_KINDS}
+        for j, d in enumerate(self.descriptors):
+            if d.kind in SCALAR_KINDS:
+                scalars.append((j, d.kind))
+            elif d.kind == "cov":
+                covariates.append((j, d.key))
+            elif d.kind in families and d.key not in families[d.kind]:
+                families[d.kind][d.key] = j
+            else:
+                raise FeatureError(f"registry descriptor {d.name!r} is unknown or repeated")
+        return _Columns(tuple(scalars), tuple(covariates), families)
 
     def to_json(self) -> str:
         payload = {
@@ -110,6 +143,17 @@ class DataRecord:
     graph: ChemicalGraph
     value: float
     covariates: dict[str, float] = field(default_factory=dict)
+    # rho -> decomposition of `graph`, filled on first read
+    _decompositions: dict[int, TwoLayeredDecomposition] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def decomposition(self, rho: int) -> TwoLayeredDecomposition:
+        """The graph's decomposition at rho, computed once and kept."""
+        dec = self._decompositions.get(rho)
+        if dec is None:
+            dec = self._decompositions[rho] = decompose(self.graph, rho)
+        return dec
 
 
 @dataclass(frozen=True)
@@ -207,7 +251,7 @@ def build_registry(dataset: Dataset, rho: int) -> DescriptorRegistry:
         raise FeatureError("empty dataset")
     observed: dict[str, set[str]] = {k: set() for k in FAMILY_KINDS}
     for rec in dataset.records:
-        profile = decompose(rec.graph, rho).profile
+        profile = rec.decomposition(rho).profile
         for kind, keys in observed.items():
             keys.update(getattr(profile, kind))
 
@@ -237,6 +281,8 @@ def featurize(
     """
     dec = as_decomposition(g, registry.rho)
     profile = dec.profile
+    columns = registry.columns
+    values = np.zeros(len(registry), dtype=float)
     scalars = {
         "n": profile.n,
         "rank": profile.rank,
@@ -244,22 +290,21 @@ def featurize(
         "ms_avg": dec.suppressed.mass_average(),
         "n_lnk": profile.link_edges,  # link edges, not the spec's link vertices
     }
-    values = np.zeros(len(registry), dtype=float)
-    for j, d in enumerate(registry.descriptors):
-        if d.kind in scalars:
-            values[j] = scalars[d.kind]
-        elif d.kind == "cov":
-            if covariates is None or d.key not in covariates:
-                raise FeatureError(f"missing covariate {d.key!r}")
-            values[j] = covariates[d.key]
-        else:
-            values[j] = getattr(profile, d.kind).get(d.key, 0)
+    for j, kind in columns.scalars:
+        values[j] = scalars[kind]
+    for j, key in columns.covariates:
+        if covariates is None or key not in covariates:
+            raise FeatureError(f"missing covariate {key!r}")
+        values[j] = covariates[key]
 
     oov: list[str] = []
-    for kind, known in registry.vocabulary.items():
-        for key in getattr(profile, kind):
-            if key not in known:
+    for kind, index in columns.families.items():
+        for key, count in getattr(profile, kind).items():
+            j = index.get(key)
+            if j is None:
                 oov.append(f"{kind}:{key}")
+            else:
+                values[j] = count
     return FeatureVector(values=values, oov=tuple(sorted(oov)))
 
 
@@ -269,7 +314,7 @@ def feature_matrix(
     rows = []
     oovs = []
     for rec in dataset.records:
-        fv = featurize(rec.graph, registry, rec.covariates)
+        fv = featurize(rec.decomposition(registry.rho), registry, rec.covariates)
         rows.append(fv.values)
         oovs.append(fv.oov)
     return np.vstack(rows), oovs

@@ -90,17 +90,28 @@ class MilpSolution:
 
 
 def verify_assignment(model: MilpModel, assignment: dict[str, Fraction]) -> list[str]:
-    """Names of violated bounds/constraints under exact rational arithmetic."""
+    """Names of violated bounds/constraints under exact rational arithmetic.
+
+    A model repeats few distinct floats across its bounds, coefficients and
+    right-hand sides, so each is converted to a `Fraction` once per call."""
+    exact: dict[float, Fraction] = {}
+
+    def q(x: float) -> Fraction:
+        f = exact.get(x)
+        if f is None:
+            f = exact[x] = Fraction(x)
+        return f
+
     bad: list[str] = []
     for v in model.variables:
         val = assignment[v.name]
-        if val < Fraction(v.lower) or val > Fraction(v.upper):
+        if val < q(v.lower) or val > q(v.upper):
             bad.append(f"bounds:{v.name}")
         if v.integer and val.denominator != 1:
             bad.append(f"integrality:{v.name}")
     for c in model.constraints:
-        lhs = sum((Fraction(coef) * assignment[var] for var, coef in c.coeffs), Fraction(0))
-        rhs = Fraction(c.rhs)
+        lhs = sum((q(coef) * assignment[var] for var, coef in c.coeffs), Fraction(0))
+        rhs = q(c.rhs)
         ok = lhs <= rhs if c.sense == "<=" else lhs >= rhs if c.sense == ">=" else lhs == rhs
         if not ok:
             bad.append(f"constraint:{c.name}")

@@ -6,15 +6,19 @@ vertex and rebuilt the seed order and filters on each call;
 they and the circular-set oracles use); fringe trees were built with
 their codes left to `encode_tree`; `count_profile` read every edge's
 configuration through `edge_config` and took the rank after a
-connectivity pass.  The equivalence tests require the current code to
-return what these do.
+connectivity pass; `featurize` looked each descriptor up on the profile by
+name and collected the out-of-vocabulary keys in a second loop.  The
+equivalence tests require the current code to return what these do.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from polyinfer.chemgraph import Edge, GraphError, SuppressedGraph, _norm_edge, is_connected
+from polyinfer.features import DescriptorRegistry, FeatureError, FeatureVector
 from polyinfer.topospec import SeedEdge, SeedGraph, TopologicalSpec
 from polyinfer.twolayer import (
     AdjacencyConfig,
@@ -23,6 +27,7 @@ from polyinfer.twolayer import (
     TwoLayeredDecomposition,
     adjacency_of,
     adjacency_str,
+    as_decomposition,
     config_str,
     edge_config,
     encode_tree,
@@ -157,6 +162,38 @@ def reference_count_profile(dec: TwoLayeredDecomposition) -> CountProfile:
         ac_lf=Counter(adjacency_str(c) for c in reference_leaf_edge_adjacency_configs(s)),
         fc=Counter(encode_tree(ft) for ft in dec.fringe_trees.values()),
     )
+
+
+def reference_featurize(g, registry: DescriptorRegistry, covariates=None) -> FeatureVector:
+    """Every descriptor read off the profile by name, in registry order,
+    then the out-of-vocabulary keys from a second pass over the families."""
+    dec = as_decomposition(g, registry.rho)
+    profile = dec.profile
+    scalars = {
+        "n": profile.n,
+        "rank": profile.rank,
+        "n_int": profile.n_int,
+        "ms_avg": dec.suppressed.mass_average(),
+        "n_lnk": profile.link_edges,
+    }
+    values = np.zeros(len(registry), dtype=float)
+    for j, d in enumerate(registry.descriptors):
+        if d.kind in scalars:
+            values[j] = scalars[d.kind]
+        elif d.kind == "cov":
+            if covariates is None or d.key not in covariates:
+                raise FeatureError(f"missing covariate {d.key!r}")
+            values[j] = covariates[d.key]
+        else:
+            values[j] = getattr(profile, d.kind).get(d.key, 0)
+
+    oov: list[str] = []
+    for kind in ("na", "ns_int", "ec_int", "ec_lnk", "ac_lf", "fc"):
+        known = set(registry.keys_of(kind))
+        for key in getattr(profile, kind):
+            if key not in known:
+                oov.append(f"{kind}:{key}")
+    return FeatureVector(values=values, oov=tuple(sorted(oov)))
 
 
 def reference_find_expansion_witness(

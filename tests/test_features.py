@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import make_polymer, synthetic_corpus
+from polyinfer import twolayer
 from polyinfer.chemgraph import ChemicalGraph, PmgParseError, parse_pmg
 from polyinfer.data import demo_polymer_text
 from polyinfer.features import (
     DataRecord,
     Dataset,
+    Descriptor,
     DescriptorRegistry,
     FeatureError,
     build_registry,
@@ -21,6 +26,7 @@ from polyinfer.features import (
     standardize,
 )
 from polyinfer.twolayer import decompose
+from reference_checks import reference_featurize
 
 
 def dataset_from_texts(texts, values=None, covariates=None):
@@ -158,6 +164,76 @@ def test_featurize_missing_covariate_fails():
     reg = build_registry(ds, rho=2)
     with pytest.raises(FeatureError, match="covariate"):
         featurize(ds.records[0].graph, reg)
+
+
+def test_featurize_rejects_unknown_or_repeated_descriptors():
+    g = parse_pmg(make_polymer())
+    for descriptors in (
+        (Descriptor("n"), Descriptor("fc", "C(-H)"), Descriptor("fc", "C(-H)")),
+        (Descriptor("n"), Descriptor("ac_int", "(C,C,1)")),
+    ):
+        with pytest.raises(FeatureError, match="unknown or repeated"):
+            featurize(g, DescriptorRegistry(2, descriptors))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_featurize_matches_the_reference_on_drawn_corpora(data):
+    # the registry comes from a drawn sub-corpus, so the other graphs carry
+    # out-of-vocabulary keys; each graph is featurized as a graph, as its
+    # decomposition at the registry's rho and as one at another rho
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    texts = [t for _, t in synthetic_corpus(rng, data.draw(st.integers(2, 10), label="size"))]
+    names = data.draw(st.sampled_from([(), ("fq",), ("fq", "temp")]), label="covariates")
+    covs = [{c: rng.uniform(-50.0, 50.0) for c in names} for _ in texts]
+    train = data.draw(st.integers(1, len(texts)), label="train")
+    rho = data.draw(st.integers(1, 3), label="rho")
+    other_rho = data.draw(st.sampled_from([r for r in (1, 2, 3, 4) if r != rho]), label="other_rho")
+    ds = dataset_from_texts(texts[:train], covariates=covs[:train] if names else None)
+    reg = build_registry(ds, rho)
+    for text, cov in zip(texts, covs):
+        g = parse_pmg(text)
+        for arg in (g, decompose(g, rho), decompose(g, other_rho)):
+            got, want = featurize(arg, reg, cov), reference_featurize(arg, reg, cov)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.oov == want.oov
+        if names:
+            missing = dict(cov)
+            del missing[data.draw(st.sampled_from(names), label="dropped")]
+            for f in (featurize, reference_featurize):
+                with pytest.raises(FeatureError, match="missing covariate"):
+                    f(g, reg, missing)
+
+
+def _count_decompose_calls(monkeypatch) -> list:
+    """Wrap `twolayer.decompose` at every polyinfer module attribute that
+    holds it; the list records each call's graph."""
+    calls = []
+    original = twolayer.decompose
+
+    def counted(g, rho):
+        calls.append(g)
+        return original(g, rho)
+
+    modules = [m for name, m in sys.modules.items()
+               if name.startswith("polyinfer") and getattr(m, "decompose", None) is original]
+    assert {m.__name__ for m in modules} >= {"polyinfer.twolayer", "polyinfer.features"}
+    for m in modules:
+        monkeypatch.setattr(m, "decompose", counted)
+    return calls
+
+
+def test_registry_and_standardize_decompose_each_record_once(monkeypatch):
+    texts = [t for _, t in synthetic_corpus(random.Random(8), 12)]
+    ds = dataset_from_texts(texts, values=[float(k % 5) for k in range(len(texts))])
+    calls = _count_decompose_calls(monkeypatch)
+    reg = build_registry(ds, rho=2)
+    standardize(ds, reg)
+    assert sorted(map(id, calls)) == sorted(id(rec.graph) for rec in ds.records)
+    # another rho is one more decomposition per record, kept beside the first
+    feature_matrix(ds, build_registry(ds, rho=3))
+    feature_matrix(ds, reg)
+    assert len(calls) == 2 * len(ds)
 
 
 # -- stage-1 elimination -----------------------------------------------------

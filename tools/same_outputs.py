@@ -1,4 +1,4 @@
-"""Check that two checkouts featurize, generate, verify and check alike.
+"""Check that two checkouts featurize, train, generate, verify and check alike.
 
     python3 tools/same_outputs.py PARENT CHANGE [--work DIR]
 
@@ -19,11 +19,14 @@ identical and only the summary line differs, it names the summary keys
 that moved (parent -> change) and still compares `verify` and `check`.
 A featurize stage runs `featurize` in each checkout on the CLI
 tests' synthetic corpus plus the demo polymer at rho 1 to 4 and compares
-`registry.json` and the matrix CSV byte for byte.  It prints one line per
-case and stage and reports the first file that differs.  The exit status
-is 0 when every output is identical and 1 otherwise.  Neither checkout is
-written to; everything goes under `--work` (a temporary directory by
-default).
+`registry.json` and the matrix CSV byte for byte.  A train stage runs, on
+the same corpus, `train` with `--lambda` and without it (the penalty then
+chosen by cross-validation) and `cv` with its penalty chosen the same
+way, and compares the model files and the cv report byte for byte.  It
+prints one line per case and stage and reports the first file that
+differs.  The exit status is 0 when every output is identical and 1
+otherwise.  Neither checkout is written to; everything goes under
+`--work` (a temporary directory by default).
 """
 
 from __future__ import annotations
@@ -42,6 +45,12 @@ IB_CASES = [(tag, 14) for tag in ("AmD", "HcL", "Tg", "RfId", "Prm")] + [("AmD",
 OPEN_WINDOW = "--window=-1e9,1e9"
 CHECKED_FILES = 16  # `check` starts one process per graph, so it samples
 FEATURIZE_RHOS = (1, 2, 3, 4)
+# (command, options, output flag, output file): the train stage's runs
+TRAIN_RUNS = (
+    ("train", ("--lambda", "1e-6"), "--out-model", "model-lambda.json"),
+    ("train", (), "--out-model", "model-selected.json"),
+    ("cv", ("--runs", "3"), "--out-report", "cv.json"),
+)
 
 # mirrors the `model_with_cl` and `model_without_cl` fixtures, the
 # `spec_full` forcing spec and the CLI tests' `corpus_dir`, with the demo
@@ -194,6 +203,27 @@ def compare_featurize(sides: dict[str, Path], work: Path) -> bool:
     return same
 
 
+def compare_train(sides: dict[str, Path], work: Path) -> bool:
+    corpus = work / "corpus"
+    same = True
+    for command, options, out_flag, out_name in TRAIN_RUNS:
+        name = " ".join((command, *options))
+        outs = {side: work / side / "train" / out_name for side in sides}
+        for side, checkout in sides.items():
+            outs[side].unlink(missing_ok=True)
+            proc = polyinfer(checkout, command, "--graphs", corpus / "graphs",
+                             "--values", corpus / "values.csv", *options, out_flag, outs[side])
+            if proc.returncode != 0:
+                print(f"{name}: failed in {side}:\n{proc.stderr}")
+                return False
+        if outs["parent"].read_bytes() == outs["change"].read_bytes():
+            print(f"{name}: {out_name} identical")
+        else:
+            print(f"{name}: {out_name} differs")
+            same = False
+    return same
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -205,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         work = (args.work or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
         cases = build_inputs(sides["parent"], work)
-        same = [compare_featurize(sides, work)]
+        same = [compare_featurize(sides, work), compare_train(sides, work)]
         same += [compare_case(name, spec, model, sides, work) for name, (spec, model) in cases.items()]
     print("identical" if all(same) else "DIFFERENT")
     return 0 if all(same) else 1

@@ -34,7 +34,7 @@ from .milp import (  # `solve` is unused here; perfbench's tracer and its test l
     solve_inverse,
 )
 from .model import ModelBundle
-from .regress import RegressError, cross_validate, lasso_fit, lasso_path, select_lambda
+from .regress import RegressError, cross_validate, lasso_fit, select_lambda
 from .topospec import SpecError, TopologicalSpec, build_instance_Ib, check_satisfies
 
 EXIT_OK = 0
@@ -150,10 +150,9 @@ def _fit_bundle(args, config):
 
 def cmd_train(args, config) -> int:
     dataset, report, registry, std, Xs, ys, lam, _ = _fit_bundle(args, config)
-    h = lasso_fit(Xs, ys, lam, start=lasso_path(Xs, ys, [lam])[0])
+    h = lasso_fit(Xs, ys, lam)
     if not h.converged:
-        print(f"warning: lasso stopped unconverged after {h.sweeps} sweeps "
-              f"(KKT violation {h.kkt:.3g})", file=sys.stderr)
+        print(f"warning: lasso fit not certified (KKT violation {h.kkt:.3g})", file=sys.stderr)
     bundle = ModelBundle(registry=registry, standardizer=std, hyperplane=h, lam=lam)
     _write(args.out_model, bundle.to_json() + "\n")
     print(f"trained on {len(dataset)} records, lambda={lam:g}, "

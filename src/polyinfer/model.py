@@ -42,7 +42,7 @@ class ModelBundle:
                 "standardizer": json.loads(self.standardizer.to_json()),
                 "w": h.w.tolist(),
                 "b": h.b,
-                "fit": {"steps": h.steps, "sweeps": h.sweeps, "kkt": h.kkt, "converged": h.converged},
+                "fit": {"steps": h.steps, "kkt": h.kkt, "converged": h.converged},
                 "lambda": self.lam,
             },
             sort_keys=True,
@@ -51,23 +51,41 @@ class ModelBundle:
     @classmethod
     def from_json(cls, text: str) -> "ModelBundle":
         d = json.loads(text)
-        try:
-            registry = DescriptorRegistry.from_json(json.dumps(d["registry"]))
-            if d.get("registry_digest") not in (None, registry.digest()):
-                raise ValueError("model file registry digest mismatch")
-            fit = d.get("fit", {})  # absent from model files written before fits reported
-            return cls(
-                registry=registry,
-                standardizer=Standardizer.from_json(json.dumps(d["standardizer"])),
-                hyperplane=Hyperplane(
-                    w=np.array(d["w"], dtype=float),
-                    b=float(d["b"]),
-                    sweeps=int(fit.get("sweeps", 0)),
-                    kkt=fit.get("kkt"),
-                    converged=fit.get("converged"),
-                    steps=int(fit.get("steps", 0)),  # absent from model files written before the path
-                ),
-                lam=float(d["lambda"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"model file lacks key {exc.args[0]!r}") from None
+        if not isinstance(d, dict):
+            raise ValueError("model file is not a JSON object")
+        registry = _model_value(d, "registry", lambda v: DescriptorRegistry.from_json(json.dumps(v)))
+        if d.get("registry_digest") not in (None, registry.digest()):
+            raise ValueError("model file registry digest mismatch")
+        fit = _model_value(d, "fit", _fit_record) if "fit" in d else {}  # absent from older files
+        return cls(
+            registry=registry,
+            standardizer=_model_value(d, "standardizer", lambda v: Standardizer.from_json(json.dumps(v))),
+            hyperplane=Hyperplane(
+                w=_model_value(d, "w", lambda v: np.array(v, dtype=float)),
+                b=_model_value(d, "b", float),
+                **fit,
+            ),
+            lam=_model_value(d, "lambda", float),
+        )
+
+
+def _model_value(d: dict, key: str, convert):
+    """`convert(d[key])`, with a missing key or a value of the wrong type or
+    shape raised as a ValueError that names the key."""
+    try:
+        return convert(d[key])
+    except KeyError as exc:
+        missing = key if exc.args[0] == key else f"{key}.{exc.args[0]}"
+        raise ValueError(f"model file lacks key {missing!r}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"model file key {key!r} has a malformed value: {exc}") from None
+
+
+def _fit_record(fit: dict) -> dict:
+    """The hyperplane's `kkt` and `steps` from the `"fit"` record; older
+    model files may lack either.  Nothing else in the record is read:
+    `converged` is read off `kkt`, and older files hold a key no longer
+    written."""
+    kkt = fit.get("kkt")
+    return {"kkt": None if kkt is None else float(kkt), "steps": int(fit.get("steps", 0))}
+

@@ -2,8 +2,8 @@
 
 The objective is (1/(2|D|))·sum of squared errors plus lambda times the
 L1 norm of the weights *including the bias*; an opt-in flag restores the
-conventional unpenalized intercept.  Both solvers work on the Gram matrix
-of the features with the bias as one more column.
+conventional unpenalized intercept.  The path works on the Gram matrix of
+the features with the bias as one more column.
 
 `lasso_path` follows the LARS-Lasso homotopy (Osborne, Presnell & Turlach,
 "A new approach to variable selection in least squares problems", IMA J.
@@ -16,13 +16,11 @@ order, the bias last), and a column whose join would make the active Gram
 matrix singular is skipped until the active set changes, so dependent
 columns never join together and the support never exceeds rank([X, 1]).
 
-`lasso_fit` is the one certifier.  It checks a start against the KKT
-conditions: the largest violation of the stationarity conditions,
-recomputed from a fresh residual, at most `DEFAULT_TOL`.  A certified
-start, such as a path point, returns with 0 sweeps; any other start is
-polished by cyclic coordinate descent with soft thresholding until it
-is certified.  A fit that runs out of sweeps is returned with
-`converged` False rather than raised.
+`lasso_fit` is the certificate.  It returns a path point, or a start it is
+given, with its weights unchanged and the largest violation of the KKT
+stationarity conditions, recomputed from a fresh residual; the fit is
+`converged` when that is at most `DEFAULT_TOL`.  A fit that misses the
+certificate is reported, not raised and not improved.
 
 Also provides the repeated k-fold cross-validation protocol (10 runs of 5
 folds by default) with the median test R^2 and the mean selected-descriptor
@@ -38,8 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9  # KKT violation at which a fit stops
-DEFAULT_MAX_SWEEPS = 100_000
+DEFAULT_TOL = 1e-9  # KKT violation up to which a fit is certified
 _DEPENDENT = 1e-10  # Schur complement on the active set, as a share of the Gram diagonal, of a column in their span
 _KNOT_TIE = 1e-12  # relative gap within which two path events share a knot
 _TIE_TOL = 1e-4  # median R^2 gap within which select_lambda prefers the sparser penalty
@@ -53,15 +50,17 @@ class RegressError(ValueError):
 class Hyperplane:
     w: np.ndarray
     b: float
-    # What `lasso_fit` reports of its fit; a hand-built hyperplane has 0 and None.
-    sweeps: int = field(default=0, compare=False)
+    # What `lasso_fit` reports of its fit; a hand-built hyperplane has None and 0.
     kkt: float | None = field(default=None, compare=False)
-    converged: bool | None = field(default=None, compare=False)
-    steps: int = field(default=0, compare=False)  # homotopy knots of the `lasso_path` start
+    steps: int = field(default=0, compare=False)  # homotopy knots of the `lasso_path` point
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.w)) or not np.isfinite(self.b):
             raise RegressError("non-finite hyperplane")
+
+    @property
+    def converged(self) -> bool | None:
+        return None if self.kkt is None else self.kkt <= DEFAULT_TOL
 
     def support(self) -> list[int]:
         return [int(j) for j in np.flatnonzero(self.w)]
@@ -74,26 +73,16 @@ def predict(h: Hyperplane, x: np.ndarray) -> float:
     return float(h.w @ x + h.b)
 
 
-def objective(X: np.ndarray, y: np.ndarray, h: Hyperplane, lam: float, penalize_bias: bool = True) -> float:
-    resid = y - X @ h.w - h.b
-    penalty = np.sum(np.abs(h.w)) + (abs(h.b) if penalize_bias else 0.0)
-    return float(resid @ resid / (2 * len(y)) + lam * penalty)
-
-
-def _stationarity(grad: np.ndarray, coef: np.ndarray, lam: float, penalize_bias: bool) -> float:
-    """Largest KKT violation, given coef = (w, b) and grad = Z^T r / n for
-    the columns Z = [X, 1] and the residual r."""
+def kkt_violation(X: np.ndarray, y: np.ndarray, h: Hyperplane, lam: float, penalize_bias: bool = True) -> float:
+    """Largest violation of the soft-threshold stationarity conditions on the
+    columns Z = [X, 1] and the weights (w, b)."""
+    r = y - X @ h.w - h.b
+    grad = np.append(X.T @ r, np.sum(r)) / len(y)
+    coef = np.append(h.w, h.b)
     viol = np.where(coef != 0.0, np.abs(grad - lam * np.sign(coef)), np.abs(grad) - lam)
     if not penalize_bias:
         viol[-1] = abs(grad[-1])
     return max(0.0, float(viol.max()))
-
-
-def kkt_violation(X: np.ndarray, y: np.ndarray, h: Hyperplane, lam: float, penalize_bias: bool = True) -> float:
-    """Largest violation of the soft-threshold stationarity conditions."""
-    r = y - X @ h.w - h.b
-    grad = np.append(X.T @ r, np.sum(r)) / len(y)
-    return _stationarity(grad, np.append(h.w, h.b), lam, penalize_bias)
 
 
 def _training_data(X, y, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -195,60 +184,21 @@ def lasso_fit(
     X: np.ndarray,
     y: np.ndarray,
     lam: float,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
     penalize_bias: bool = True,
     start: Hyperplane | None = None,
 ) -> Hyperplane:
-    """Certify `start` (zero when it is None) and polish it, if need be, by
-    cyclic coordinate descent with soft thresholding on the Gram matrix.
+    """Certify `start`, or the `lasso_path` point at `lam` when it is None.
 
-    A start whose KKT violation, computed from a fresh residual, is at most
-    DEFAULT_TOL returns with 0 sweeps.  Otherwise every coordinate is swept
-    in order, the features then the bias, until the violation is at most
-    DEFAULT_TOL or after max_sweeps sweeps; the result reports its sweeps,
-    that violation, whether it converged and the start's `steps`.  The
-    objective is compared between the start and the result only: an
-    increase raises RegressError.
+    The result keeps the start's weights and `steps` unchanged and reports
+    as `kkt` its KKT violation, computed from a fresh residual; it is
+    `converged` when that is at most DEFAULT_TOL.
     """
     X, y = _training_data(X, y, [lam])
-    n, k = X.shape
     if start is None:
-        start = Hyperplane(np.zeros(k), 0.0)
-    elif start.w.shape != (k,):
-        raise RegressError(f"start has {start.w.shape} weights for {k} features")
-    Z = np.hstack([X, np.ones((n, 1))])
-    gram = Z.T @ Z / n
-    coef = np.append(start.w, start.b)
-    coef[gram.diagonal() == 0.0] = 0.0  # an all-zero column's weight only adds penalty
-    threshold = [lam] * k + [lam if penalize_bias else 0.0]
-    coords = [(j, float(gram[j, j]), gram[j], threshold[j]) for j in range(k + 1) if gram[j, j] > 0.0]
-    step = np.empty(k + 1)
-    start_obj = objective(X, y, start, lam, penalize_bias)
-
-    sweeps = 0
-    kkt = kkt_violation(X, y, Hyperplane(coef[:k], coef[k]), lam, penalize_bias)
-    while kkt > DEFAULT_TOL and sweeps < max_sweeps:
-        grad = Z.T @ (y - Z @ coef) / n  # Z^T r / n, kept current coordinate by coordinate
-        beta = coef.tolist()  # python floats: the sweep reads and writes them one at a time
-        while sweeps < max_sweeps:
-            sweeps += 1
-            for j, d, gram_j, t in coords:
-                old = beta[j]
-                rho = grad.item(j) + d * old
-                new = (rho - t) / d if rho > t else (rho + t) / d if rho < -t else 0.0  # soft threshold
-                if new != old:
-                    np.multiply(gram_j, new - old, out=step)
-                    np.subtract(grad, step, out=grad)
-                    beta[j] = new
-            coef = np.array(beta)
-            if _stationarity(grad, coef, lam, penalize_bias) <= DEFAULT_TOL:
-                break  # the running gradient screens; a fresh residual certifies
-        kkt = kkt_violation(X, y, Hyperplane(coef[:k], coef[k]), lam, penalize_bias)
-    h = Hyperplane(coef[:k].copy(), float(coef[k]), sweeps, kkt, kkt <= DEFAULT_TOL, start.steps)
-    end_obj = objective(X, y, h, lam, penalize_bias)
-    if end_obj > start_obj + 1e-12 * max(1.0, abs(start_obj)):
-        raise RegressError(f"objective increased from {start_obj!r} to {end_obj!r}")
-    return h
+        start = lasso_path(X, y, [lam], penalize_bias)[0]
+    elif start.w.shape != (X.shape[1],):
+        raise RegressError(f"start has {start.w.shape} weights for {X.shape[1]} features")
+    return Hyperplane(start.w, start.b, kkt_violation(X, y, start, lam, penalize_bias), start.steps)
 
 
 def r_squared(h: Hyperplane, X: np.ndarray, y: np.ndarray) -> float:
@@ -274,7 +224,7 @@ class CvReport:
     median_r2: float
     mean_selected: float  # mean number of selected descriptors over all trials
     kkt_max: float  # largest KKT violation among the trials' fits
-    unconverged: int  # trials whose fit ran out of sweeps
+    unconverged: int  # trials whose fit misses the KKT certificate
 
     def to_json(self) -> str:
         return json.dumps(
@@ -307,6 +257,12 @@ def _cv_path(
     partitions.  Each trial trains on the other folds, following one path
     through the distinct penalties and certifying each of its points with
     one `lasso_fit`, and reports test R^2 on the held-out fold."""
+    if folds < 2:
+        raise RegressError(f"CV needs at least 2 folds, got {folds}")
+    if runs < 1:
+        raise RegressError(f"CV needs at least 1 run, got {runs}")
+    if not lams:
+        raise RegressError("CV needs at least one penalty")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)

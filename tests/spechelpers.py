@@ -13,7 +13,7 @@ from corpus import make_polymer
 from polyinfer.chemgraph import parse_pmg
 from polyinfer.features import DataRecord, Dataset, build_registry, standardize
 from polyinfer.model import ModelBundle
-from polyinfer.regress import lasso_fit, lasso_path
+from polyinfer.regress import lasso_fit
 from polyinfer.topospec import CONFIG_BOUNDS, TopologicalSpec, two_ring_seed
 from polyinfer.twolayer import count_profile, decompose
 
@@ -51,7 +51,7 @@ def train_model(texts: list[str]) -> ModelBundle:
     ds = Dataset(tuple(records))
     reg = build_registry(ds, 2)
     std, Xs, ys = standardize(ds, reg)
-    return ModelBundle(reg, std, lasso_fit(Xs, ys, 1e-6, start=lasso_path(Xs, ys, [1e-6])[0]), 1e-6)
+    return ModelBundle(reg, std, lasso_fit(Xs, ys, 1e-6), 1e-6)
 
 
 def forcing_spec(

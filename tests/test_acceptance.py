@@ -121,7 +121,7 @@ def test_criterion_3_lasso_matches_ols():
         X = rng.normal(size=(50, 5))
         y = rng.normal(size=50)
         t0 = time.monotonic()
-        h = lasso_fit(X, y, lam=0.0)  # objective non-increase asserted inside
+        h = lasso_fit(X, y, lam=0.0)  # the homotopy path to lambda = 0, KKT-certified
         slowest = max(slowest, time.monotonic() - t0)
         A = np.hstack([X, np.ones((50, 1))])
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)

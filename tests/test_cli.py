@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import random
 from pathlib import Path
@@ -135,6 +134,26 @@ def test_cv_deterministic_artifacts(corpus_dir, tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("folds", "1", "at least 2 folds, got 1"),
+    ("folds", "0", "at least 2 folds, got 0"),
+    ("folds", "-2", "at least 2 folds, got -2"),
+    ("runs", "0", "at least 1 run, got 0"),
+    ("runs", "-1", "at least 1 run, got -1"),
+])
+def test_cv_rejects_a_protocol_it_cannot_run(corpus_dir, tmp_path, capsys, key, value, message):
+    common = ["--graphs", corpus_dir / "graphs", "--values", corpus_dir / "values.csv",
+              "--lambda", "1e-6", "--out-report", tmp_path / "cv.json"]
+    assert run("cv", *common, f"--{key}={value}") == 1
+    from_flag = capsys.readouterr().err
+    cfg = tmp_path / "cv.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    assert run("--config", cfg, "cv", *common) == 1
+    assert capsys.readouterr().err == from_flag
+    assert from_flag.startswith("error: CV needs") and message in from_flag
+    assert not (tmp_path / "cv.json").exists()
+
+
 def test_train_records_the_fit(trained_model):
     from polyinfer.model import ModelBundle
 
@@ -142,21 +161,24 @@ def test_train_records_the_fit(trained_model):
     fit = json.loads(text)["fit"]
     assert fit["converged"] is True and fit["steps"] > 0 and fit["kkt"] <= 1e-9
     h = ModelBundle.from_json(text).hyperplane
-    assert (h.steps, h.sweeps, h.kkt, h.converged) == (fit["steps"], fit["sweeps"], fit["kkt"], True)
+    assert "sweeps" not in fit
+    assert (h.steps, h.kkt, h.converged) == (fit["steps"], fit["kkt"], True)
     older = json.loads(text)
     del older["fit"]["steps"]  # model files written before the path
-    assert ModelBundle.from_json(json.dumps(older)).hyperplane.steps == 0
+    older["fit"]["sweeps"] = 0  # and before the path was the only solver
+    h = ModelBundle.from_json(json.dumps(older)).hyperplane
+    assert (h.steps, h.kkt, h.converged) == (0, fit["kkt"], True)
 
 
 def test_train_warns_when_the_fit_does_not_converge(corpus_dir, tmp_path, monkeypatch, capsys):
     import numpy as np
 
-    import polyinfer.cli
-    from polyinfer.regress import Hyperplane, lasso_fit
+    import polyinfer.regress
+    from polyinfer.regress import Hyperplane
 
-    # a zero start instead of the path's, which would need no sweep at all
-    monkeypatch.setattr(polyinfer.cli, "lasso_path", lambda X, y, lams: [Hyperplane(np.zeros(X.shape[1]), 0.0)])
-    monkeypatch.setattr(polyinfer.cli, "lasso_fit", functools.partial(lasso_fit, max_sweeps=3))
+    # a zero start in place of the path's point, which the corpus certifies
+    monkeypatch.setattr(polyinfer.regress, "lasso_path",
+                        lambda X, y, lams, penalize_bias: [Hyperplane(np.zeros(X.shape[1]), 0.0)])
     code = run(
         "train",
         "--graphs", corpus_dir / "graphs",
@@ -165,9 +187,9 @@ def test_train_warns_when_the_fit_does_not_converge(corpus_dir, tmp_path, monkey
         "--out-model", tmp_path / "model.json",
     )
     assert code == 0
-    assert "unconverged after 3 sweeps" in capsys.readouterr().err
+    assert "lasso fit not certified (KKT violation" in capsys.readouterr().err
     fit = json.loads((tmp_path / "model.json").read_text())["fit"]
-    assert fit["converged"] is False and fit["sweeps"] == 3 and fit["kkt"] > 1e-9
+    assert fit["converged"] is False and fit["kkt"] > 1e-9 and fit["steps"] == 0
 
 
 def test_infer_feasible_and_lp(trained_model, tmp_path):
@@ -304,6 +326,27 @@ def test_model_file_without_a_key_is_clean_error(trained_model, tmp_path, capsys
     assert run("infer", "--model", broken, "--window", "2.2,2.6") == 1
     err = capsys.readouterr().err
     assert "error:" in err and "'lambda'" in err
+
+
+def test_model_file_with_a_wrongly_typed_value_is_clean_error(trained_model, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path)
+    sample = tmp_path / "sample.pmg"
+    sample.write_text(make_polymer())
+    broken = tmp_path / "model.json"
+    for key, value in (("fit", None), ("registry", 5), ("standardizer", [1]), ("w", "x"), ("lambda", "x")):
+        model = json.loads(Path(trained_model).read_text())
+        model[key] = value
+        broken.write_text(json.dumps(model))
+        for argv in (
+            ["infer", "--model", broken, "--window", "2.2,2.6"],
+            ["generate", "--model", broken, "--spec", spec_path, "--window", "2.2,2.6",
+             "--out-dir", tmp_path / "gen"],
+            ["verify", "--model", broken, "--spec", spec_path, "--window", "2.2,2.6", sample],
+        ):
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and f"{key!r}" in err
 
 
 def test_spec_file_with_a_missing_or_unknown_key_is_clean_error(trained_model, tmp_path, capsys):

@@ -22,10 +22,11 @@ tests' synthetic corpus plus the demo polymer at rho 1 to 4 and compares
 `registry.json` and the matrix CSV byte for byte.  A train stage runs, on
 the same corpus, `train` with `--lambda` and without it (the penalty then
 chosen by cross-validation) and `cv` with its penalty chosen the same
-way, and compares the model files and the cv report byte for byte.  It
-prints one line per case and stage and reports the first file that
-differs.  The exit status is 0 when every output is identical and 1
-otherwise.  Neither checkout is written to; everything goes under
+way, and compares the model files and the cv report byte for byte; when
+one differs, it names the key paths that moved with both values
+(`fit.sweeps: 0 -> absent`).  It prints one line per case and stage and
+reports the first file that differs.  The exit status is 0 when every
+output is identical and 1 otherwise.  Neither checkout is written to; everything goes under
 `--work` (a temporary directory by default).
 """
 
@@ -119,6 +120,23 @@ def differences(left: Path, right: Path) -> list[str]:
     ]
 
 
+ABSENT = "absent"
+
+
+def json_moves(a: dict, b: dict, prefix: str = "") -> dict[str, tuple]:
+    """The key paths (`fit.kkt`) whose values differ between two JSON
+    objects, as (a, b), with ABSENT for a key one side lacks; nested
+    objects are followed key by key."""
+    moves = {}
+    for k in sorted(a.keys() | b.keys()):
+        left, right = a.get(k, ABSENT), b.get(k, ABSENT)
+        if isinstance(left, dict) and isinstance(right, dict):
+            moves.update(json_moves(left, right, f"{prefix}{k}."))
+        elif left != right:
+            moves[prefix + k] = (left, right)
+    return moves
+
+
 def summary_moves(left: Path, right: Path) -> dict[str, tuple] | None:
     """The summary keys whose values differ, as (left, right), when two
     manifests differ only in their summary; None otherwise."""
@@ -127,8 +145,7 @@ def summary_moves(left: Path, right: Path) -> dict[str, tuple] | None:
     )
     if records_l != records_r:
         return None
-    a, b = json.loads(last_l)["summary"], json.loads(last_r)["summary"]
-    return {k: (a.get(k), b.get(k)) for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k)} or None
+    return json_moves(json.loads(last_l)["summary"], json.loads(last_r)["summary"]) or None
 
 
 def compare_case(name: str, spec: Path, model: Path, sides: dict[str, Path], work: Path) -> bool:
@@ -219,7 +236,9 @@ def compare_train(sides: dict[str, Path], work: Path) -> bool:
         if outs["parent"].read_bytes() == outs["change"].read_bytes():
             print(f"{name}: {out_name} identical")
         else:
-            print(f"{name}: {out_name} differs")
+            moved = json_moves(*(json.loads(outs[side].read_text()) for side in ("parent", "change")))
+            print(f"{name}: {out_name} differs: "
+                  + (", ".join(f"{k}: {a} -> {b}" for k, (a, b) in moved.items()) or "same values, other bytes"))
             same = False
     return same
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -88,13 +90,29 @@ def _parse_window(text: str | None) -> tuple[float, float]:
     return lo, hi
 
 
-def _parse_covariates(pairs: list[str] | None) -> dict[str, float]:
+def _parse_covariates(pairs: list[str] | None, bundle: ModelBundle) -> dict[str, float]:
+    """`--covariate NAME=VALUE` pairs: NAME a covariate of the model's
+    registry, VALUE a finite number, and one pair for each covariate."""
+    known = bundle.registry.keys_of("cov")
     out: dict[str, float] = {}
     for pair in pairs or []:
-        name, sep, value = pair.partition("=")
+        name, sep, text = pair.partition("=")
         if not sep or not name:
             raise ValueError(f"--covariate expects NAME=VALUE, got {pair!r}")
-        out[name] = float(value)
+        if name not in known:
+            raise ValueError(f"--covariate {name}: the model has no such covariate "
+                             f"(it has: {', '.join(known) or 'none'})")
+        try:
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"--covariate {name}: expected a finite number, got {text!r}") from None
+        out[name] = value
+    for name in known:
+        if name not in out:
+            raise ValueError(f"--covariate {name}: missing; the model needs a value "
+                             "for each of its covariates")
     return out
 
 
@@ -254,7 +272,7 @@ def cmd_generate(args, config) -> int:
     bundle = ModelBundle.from_json(Path(args.model).read_text())
     spec = TopologicalSpec.from_json(Path(args.spec).read_text())
     window = _parse_window(_merged(args, config, "window", None, str))
-    covariates = _parse_covariates(args.covariate)
+    covariates = _parse_covariates(args.covariate, bundle)
     limit_candidates = _budget(args, config, "limit_candidates", None, int)
     limit_seconds = _budget(args, config, "limit_seconds", None, float)
     out_dir = Path(args.out_dir)
@@ -311,7 +329,7 @@ def cmd_verify(args, config) -> int:
     bundle = ModelBundle.from_json(Path(args.model).read_text())
     spec = TopologicalSpec.from_json(Path(args.spec).read_text())
     window = _parse_window(_merged(args, config, "window", None, str))
-    covariates = _parse_covariates(args.covariate)
+    covariates = _parse_covariates(args.covariate, bundle)
     all_ok = True
     for path in args.graph_files:
         # a file that cannot be read as a graph fails on its own; the rest
@@ -350,7 +368,10 @@ def cmd_check(args, config) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `polyinfer` parser, built once per process: parsing reads it and
+    never changes it."""
     parser = argparse.ArgumentParser(
         prog="polyinfer",
         description="Polymer property models over monomer graphs and their inversion",
@@ -370,14 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-registry", required=True)
     p.add_argument("--out-matrix", required=True)
     p.add_argument("--out-report")
-    p.set_defaults(handler=cmd_featurize)
 
     p = sub.add_parser("train", help="fit the sparse linear model")
     add_corpus(p)
     p.add_argument("--lambda", dest="lam", type=float, help="penalty; omitted = grid select")
     p.add_argument("--seed", type=int)
     p.add_argument("--out-model", required=True)
-    p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("cv", help="repeated k-fold cross-validation report")
     add_corpus(p)
@@ -387,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out-report", required=True)
     p.add_argument("--out-table")
-    p.set_defaults(handler=cmd_cv)
 
     p = sub.add_parser("infer", help="solve the inverse problem for a window")
     p.add_argument("--model", required=True)
@@ -396,14 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-lp", dest="emit_lp", help="also write the model as an LP file")
     p.add_argument("--limit-seconds", dest="limit_seconds", type=float)
     p.add_argument("--out")
-    p.set_defaults(handler=cmd_infer)
 
     p = sub.add_parser("spec-ib", help="write the parameterized two-ring instance")
     p.add_argument("--property", required=True, choices=["AmD", "HcL", "RfId", "Tg", "Prm"])
     p.add_argument("--n-lb", dest="n_lb", type=int, required=True)
     p.add_argument("--rho", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_spec_ib)
 
     p = sub.add_parser("generate", help="enumerate polymers in spec and window")
     p.add_argument("--model", required=True)
@@ -413,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit-candidates", dest="limit_candidates", type=int)
     p.add_argument("--limit-seconds", dest="limit_seconds", type=float)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("verify", help="re-check generated graphs end to end")
     p.add_argument("--model", required=True)
@@ -421,23 +436,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window")
     p.add_argument("--covariate", action="append")
     p.add_argument("graph_files", nargs="+")
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("check", help="evaluate specification bounds on one graph")
     p.add_argument("--spec", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--verbose", action="store_true")
-    p.set_defaults(handler=cmd_check)
 
     return parser
 
 
+def _handlers() -> dict:
+    """Subcommand -> handler, read at each call: a handler rebound on the
+    module (a tracer or a test wrapping `cmd_infer`, say) is the one that
+    runs."""
+    return {
+        "featurize": cmd_featurize,
+        "train": cmd_train,
+        "cv": cmd_cv,
+        "infer": cmd_infer,
+        "spec-ib": cmd_spec_ib,
+        "generate": cmd_generate,
+        "verify": cmd_verify,
+        "check": cmd_check,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _read_config(args.config)
-        return args.handler(args, config)
+        return _handlers()[args.command](args, config)
     except (GraphError, FeatureError, RegressError, MilpError, SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -93,7 +93,9 @@ def verify_assignment(model: MilpModel, assignment: dict[str, Fraction]) -> list
     """Names of violated bounds/constraints under exact rational arithmetic.
 
     A model repeats few distinct floats across its bounds, coefficients and
-    right-hand sides, so each is converted to a `Fraction` once per call."""
+    right-hand sides, so each is converted to a `Fraction` once per call.
+    Every coefficient is converted, so a non-finite one raises; a term whose
+    value is exactly 0 adds nothing to its row and is skipped."""
     exact: dict[float, Fraction] = {}
 
     def q(x: float) -> Fraction:
@@ -110,7 +112,11 @@ def verify_assignment(model: MilpModel, assignment: dict[str, Fraction]) -> list
         if v.integer and val.denominator != 1:
             bad.append(f"integrality:{v.name}")
     for c in model.constraints:
-        lhs = sum((q(coef) * assignment[var] for var, coef in c.coeffs), Fraction(0))
+        lhs = Fraction(0)
+        for var, coef in c.coeffs:
+            exact_coef, val = q(coef), assignment[var]
+            if val:
+                lhs += exact_coef * val
         rhs = q(c.rhs)
         ok = lhs <= rhs if c.sense == "<=" else lhs >= rhs if c.sense == ">=" else lhs == rhs
         if not ok:
@@ -629,14 +635,18 @@ def solve_inverse(
     return MilpSolution(status="infeasible", nodes=nodes)
 
 
-def exact_standardized(spec: InverseProblemSpec, assignment: dict[str, Fraction]) -> list[Fraction]:
-    """Standardize the raw solution exactly (constant descriptors map to 0).
+def exact_standardized(
+    spec: InverseProblemSpec, assignment: dict[str, Fraction], indices: list[int] | None = None
+) -> list[Fraction]:
+    """Standardize the raw solution exactly (constant descriptors map to 0),
+    at the descriptors `indices` (all of them by default).
 
-    The divisor is the float span max - min: the one the Standardizer the
-    hyperplane was fit on divides by, and the one the model rows hold.
+    The divisor is the float span max - min of `_block(spec, j)`: the one
+    the Standardizer the hyperplane was fit on divides by, and the one the
+    model rows hold.
     """
     out: list[Fraction] = []
-    for j in range(spec.k):
+    for j in range(spec.k) if indices is None else indices:
         rows = _block(spec, j).rows
         if rows is None:
             out.append(Fraction(0))
@@ -646,11 +656,13 @@ def exact_standardized(spec: InverseProblemSpec, assignment: dict[str, Fraction]
 
 
 def predicted_value(spec: InverseProblemSpec, assignment: dict[str, Fraction]) -> float:
-    """Prediction at the exactly re-standardized solution."""
-    xh = exact_standardized(spec, assignment)
-    total = Fraction(0)
-    for j in range(spec.k):
-        total += Fraction(float(spec.hyperplane.w[j])) * xh[j]
+    """Prediction at the exactly re-standardized solution.  Only the
+    descriptors with a nonzero weight enter the exact sum; the others add
+    exactly 0."""
+    w = spec.hyperplane.w
+    support = np.flatnonzero(w).tolist()
+    xh = exact_standardized(spec, assignment, support)
+    total = sum((Fraction(float(w[j])) * v for j, v in zip(support, xh)), Fraction(0))
     return float(total) + spec.hyperplane.b
 
 

@@ -7,18 +7,23 @@ they and the circular-set oracles use); fringe trees were built with
 their codes left to `encode_tree`; `count_profile` read every edge's
 configuration through `edge_config` and took the rank after a
 connectivity pass; `featurize` looked each descriptor up on the profile by
-name and collected the out-of-vocabulary keys in a second loop.  The
-equivalence tests require the current code to return what these do.
+name and collected the out-of-vocabulary keys in a second loop;
+`verify_assignment` multiplied out every term of every row, zero values
+included, and `predicted_value` summed the weighted standardized value of
+every descriptor, zero weights included.  The equivalence tests require
+the current code to return what these do.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
 from polyinfer.chemgraph import Edge, GraphError, SuppressedGraph, _norm_edge, is_connected
 from polyinfer.features import DescriptorRegistry, FeatureError, FeatureVector
+from polyinfer.milp import InverseProblemSpec, MilpModel
 from polyinfer.topospec import SeedEdge, SeedGraph, TopologicalSpec
 from polyinfer.twolayer import (
     AdjacencyConfig,
@@ -467,3 +472,33 @@ def _component_height(adj, anchor: int, comp: set[int]) -> int:
                 best = max(best, d + 1)
                 stack.append((w, d + 1, seen | {w}))
     return best
+
+
+def reference_verify_assignment(model: MilpModel, assignment: dict[str, Fraction]) -> list[str]:
+    """Violated bounds and rows, each row's left side summed over all its
+    terms."""
+    bad: list[str] = []
+    for v in model.variables:
+        val = assignment[v.name]
+        if val < Fraction(v.lower) or val > Fraction(v.upper):
+            bad.append(f"bounds:{v.name}")
+        if v.integer and val.denominator != 1:
+            bad.append(f"integrality:{v.name}")
+    for c in model.constraints:
+        lhs = sum((Fraction(coef) * assignment[var] for var, coef in c.coeffs), Fraction(0))
+        rhs = Fraction(c.rhs)
+        ok = lhs <= rhs if c.sense == "<=" else lhs >= rhs if c.sense == ">=" else lhs == rhs
+        if not ok:
+            bad.append(f"constraint:{c.name}")
+    return bad
+
+
+def reference_predicted_value(spec: InverseProblemSpec, assignment: dict[str, Fraction]) -> float:
+    """b plus the exact sum, over every descriptor, of its weight times its
+    raw value standardized by the float span (0 for a constant one)."""
+    total = Fraction(0)
+    for j in range(spec.k):
+        mn, mx = float(spec.feat_min[j]), float(spec.feat_max[j])
+        xh = Fraction(0) if mx <= mn else (assignment[f"x_{j + 1}"] - Fraction(mn)) / Fraction(mx - mn)
+        total += Fraction(float(spec.hyperplane.w[j])) * xh
+    return float(total) + spec.hyperplane.b

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from corpus import make_polymer, synthetic_corpus
+from polyinfer import cli
 from polyinfer.cli import main
 from polyinfer.milp import parse_lp
 from spechelpers import SMALL_CATALOG, forcing_spec
@@ -268,6 +270,55 @@ def test_infer_builds_the_inverse_model_once(trained_model, tmp_path, monkeypatc
     assert len(built) == 1  # the LP file and the certificate read one model
 
 
+def test_predicted_value_matches_the_full_sum_on_the_corpus_model(trained_model):
+    from fractions import Fraction
+
+    from polyinfer.cli import _inverse_spec
+    from polyinfer.milp import predicted_value, solve_inverse
+    from polyinfer.model import ModelBundle
+    from reference_checks import reference_predicted_value
+
+    bundle = ModelBundle.from_json(Path(trained_model).read_text())
+    std = bundle.standardizer
+    assert 0 < len(bundle.hyperplane.support()) < len(bundle.registry)  # zero weights to skip
+    spec = _inverse_spec(bundle, (2.2, 2.6), 1e-5)
+    sol = solve_inverse(spec)
+    assert sol.status == "feasible"
+    points = [sol.assignment]
+    for t in (Fraction(0), Fraction(1, 3), Fraction(1)):
+        points.append({
+            f"x_{j + 1}": Fraction(float(lo)) + t * (Fraction(float(hi)) - Fraction(float(lo)))
+            for j, (lo, hi) in enumerate(zip(std.feature_min, std.feature_max))
+        })
+    for assignment in points:
+        assert predicted_value(spec, assignment) == reference_predicted_value(spec, assignment)
+
+
+# -- dispatch -------------------------------------------------------------------
+
+
+def test_every_subcommand_has_a_handler():
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._handlers())
+
+
+def test_main_builds_the_parser_once(tmp_path):
+    spec_path = tmp_path / "spec.json"
+    cli.build_parser.cache_clear()
+    assert run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path) == 0
+    assert run("spec-ib", "--property", "HcL", "--n-lb", "14", "--out", spec_path) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_main_runs_the_handler_bound_at_call_time(trained_model, monkeypatch):
+    assert run("infer", "--model", trained_model, "--window", "1e6,2e6") == 3
+    seen = []
+    monkeypatch.setattr(cli, "cmd_infer", lambda args, config: seen.append(args.window) or 0)
+    assert run("infer", "--model", trained_model, "--window", "2.2,2.6") == 0
+    assert seen == ["2.2,2.6"]
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_infer_rejects_an_invalid_time_budget(trained_model, tmp_path, capsys, value):
     assert run("infer", "--model", trained_model, "--window", "2.2,2.6", f"--limit-seconds={value}") == 1
@@ -413,6 +464,87 @@ def test_generate_refuses_seed_vertex_branches(trained_model, tmp_path, capsys):
                "--window=-1e9,1e9", "--out-dir", tmp_path / "gen") == 1
     err = capsys.readouterr().err
     assert "error:" in err and "'b2'" in err
+
+
+@pytest.fixture(scope="module")
+def covariate_model(tmp_path_factory):
+    """A model trained on a corpus with an `fq` covariate column."""
+    root = tmp_path_factory.mktemp("covariate")
+    graphs = root / "graphs"
+    graphs.mkdir()
+    rows = ["id,value,fq"]
+    for i, (rid, text) in enumerate(synthetic_corpus(random.Random(5), 20)):
+        (graphs / f"{rid}.pmg").write_text(text)
+        fq = 1.0 + i % 4
+        rows.append(f"{rid},{1.0 + 0.3 * text.count(' O') + 0.1 * fq:.6f},{fq}")
+    (root / "values.csv").write_text("\n".join(rows) + "\n")
+    out = root / "model.json"
+    assert run("train", "--graphs", graphs, "--values", root / "values.csv",
+               "--lambda", "1e-6", "--out-model", out) == 0
+    return out
+
+
+def covariate_argvs(model, tmp_path, *covariates):
+    """A `generate` and a `verify` run, each with these `--covariate` flags."""
+    spec_path = tmp_path / "spec.json"
+    assert run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path) == 0
+    sample = tmp_path / "sample.pmg"
+    sample.write_text(make_polymer())
+    flags = [f"--covariate={c}" for c in covariates]
+    common = ["--model", model, "--spec", spec_path, "--window=-1e9,1e9", *flags]
+    return [
+        ["generate", *common, "--limit-candidates", "20", "--out-dir", tmp_path / "gen"],
+        ["verify", *common, sample],
+    ]
+
+
+@pytest.mark.parametrize("covariate,message", [
+    ("fq=nan", "error: --covariate fq: expected a finite number, got 'nan'"),
+    ("fq=-inf", "error: --covariate fq: expected a finite number, got '-inf'"),
+    ("fq=abc", "error: --covariate fq: expected a finite number, got 'abc'"),
+    ("fq=", "error: --covariate fq: expected a finite number, got ''"),
+    ("typo=3", "error: --covariate typo: the model has no such covariate (it has: fq)"),
+    ("fq", "error: --covariate expects NAME=VALUE, got 'fq'"),
+])
+def test_covariate_must_be_a_finite_number_the_model_names(
+    covariate_model, tmp_path, capsys, covariate, message
+):
+    for argv in covariate_argvs(covariate_model, tmp_path, covariate):
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "gen").exists()
+
+
+def test_covariate_the_model_carries_must_be_given(covariate_model, tmp_path, capsys):
+    for argv in covariate_argvs(covariate_model, tmp_path):
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --covariate fq: missing; the model needs a value for each of its covariates\n")
+    assert not (tmp_path / "gen").exists()
+
+
+def test_covariate_on_a_model_without_covariates_is_an_error(trained_model, tmp_path, capsys):
+    for argv in covariate_argvs(trained_model, tmp_path, "fq=1"):
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            "error: --covariate fq: the model has no such covariate (it has: none)\n")
+
+
+def test_covariate_value_reaches_the_prediction(covariate_model, tmp_path, capsys):
+    from polyinfer.chemgraph import parse_pmg
+    from polyinfer.model import ModelBundle
+
+    bundle = ModelBundle.from_json(Path(covariate_model).read_text())
+    assert bundle.registry.keys_of("cov") == ["fq"]
+    want, _ = bundle.predict_graph(parse_pmg(make_polymer()), {"fq": 2.5})
+    generate, verify = covariate_argvs(covariate_model, tmp_path, "fq=3", "fq=2.5")  # the last one counts
+    assert run(*generate) == 0
+    capsys.readouterr()
+    run(*verify)
+    assert f"prediction {want:.6g} vs" in capsys.readouterr().out
 
 
 def test_config_file_defaults(trained_model, tmp_path):

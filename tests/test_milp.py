@@ -32,6 +32,7 @@ from polyinfer.milp import (
     verify_assignment,
 )
 from polyinfer.regress import Hyperplane
+from reference_checks import reference_predicted_value, reference_verify_assignment
 from test_acceptance import trained_inverse_base
 
 
@@ -747,6 +748,75 @@ def small_row_systems(draw):
 )
 def test_sparse_simplex_matches_reference_on_drawn_systems(system):
     checked_lp_feasible(*system)
+
+
+# -- exact checks against the full sums -------------------------------------------
+
+
+@st.composite
+def models_with_sparse_assignments(draw):
+    """Integer and continuous variables, rows of every sense, and an
+    assignment that is mostly exactly 0, in or out of bounds; a row's
+    right-hand side is drawn or taken from its exact left side, so rows
+    are met, violated and tight."""
+    n = draw(st.integers(1, 8))
+    variables, assignment = [], {}
+    value = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)),
+                      st.fractions(-12, 12, max_denominator=6))
+    for j in range(n):
+        integer = draw(st.booleans())
+        if integer:
+            lo = float(draw(st.integers(-5, 5)))
+            hi = lo + draw(st.integers(0, 6))
+        else:
+            lo = draw(st.floats(-5.0, 5.0, allow_nan=False))
+            hi = lo + draw(st.floats(0.0, 5.0, allow_nan=False))
+        variables.append(Variable(f"v{j}", lo, hi, integer))
+        assignment[f"v{j}"] = draw(value)
+    coef = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False), st.sampled_from([1e-300, -2.5e-7]))
+    constraints = []
+    for i in range(draw(st.integers(0, 5))):
+        names = draw(st.lists(st.sampled_from(sorted(assignment)), max_size=n, unique=True))
+        coeffs = tuple((name, draw(coef)) for name in names)
+        lhs = sum((Fraction(c) * assignment[v] for v, c in coeffs), Fraction(0))
+        rhs = draw(st.one_of(st.just(float(lhs)), st.floats(-50.0, 50.0, allow_nan=False)))
+        constraints.append(Constraint(f"c{i}", coeffs, draw(st.sampled_from(["<=", ">=", "="])), rhs))
+    return MilpModel(tuple(variables), tuple(constraints)), assignment
+
+
+@settings(max_examples=300, deadline=None)
+@given(models_with_sparse_assignments())
+def test_verify_assignment_matches_the_full_sum(drawn):
+    model, assignment = drawn
+    assert verify_assignment(model, assignment) == reference_verify_assignment(model, assignment)
+
+
+@pytest.mark.parametrize("coef", [float("inf"), float("-inf"), float("nan")])
+def test_verify_assignment_raises_on_a_non_finite_coefficient_against_zero(coef):
+    model = MilpModel(
+        (Variable("x", 0, 3, integer=True), Variable("y", 0, 1)),
+        (Constraint("c", (("x", 1.0), ("y", coef)), "<=", 2.0),),
+    )
+    assignment = {"x": Fraction(1), "y": Fraction(0)}
+    with pytest.raises((OverflowError, ValueError)) as want:
+        reference_verify_assignment(model, assignment)
+    with pytest.raises(want.type):
+        verify_assignment(model, assignment)
+
+
+@pytest.mark.parametrize("k", [25, 47, 100])
+def test_predicted_value_matches_the_full_sum_on_synthetic_models(k):
+    for seed in range(4):
+        spec = synthetic_trained_spec(k, seed)
+        sol = solve_inverse(spec)
+        assert sol.status == "feasible"
+        points = [sol.assignment]
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            x = rng.integers(spec.feat_min, spec.feat_max + 1)
+            points.append({f"x_{j + 1}": Fraction(int(v)) for j, v in enumerate(x)})
+        for assignment in points:
+            assert predicted_value(spec, assignment) == reference_predicted_value(spec, assignment)
 
 
 # -- LP format ----------------------------------------------------------------

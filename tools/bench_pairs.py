@@ -10,11 +10,14 @@ get the same seeds.  Per workload and end-to-end metric it prints each
 side's median and quartiles over the seeds, how many pairs the change won
 (ties count for neither side), and whether a gain may be claimed: the
 change wins at least nine tenths of the pairs and its median beats the
-parent's by more than the parent's interquartile range.  It also prints
-the operations attempted and failed on each side.
+parent's by more than the parent's interquartile range.  It flags a
+metric whose median on the change's side is worse than the parent's by
+more than that metric's `bound` (a share of the parent's median), the
+regression a change must not show on any metric, and it prints the
+operations attempted and failed on each side.
 
-Metric names and which direction is better come from the parent's
-BENCHMARK.json.  `--out` keeps every run's result as one JSON line, and
+Metric names, which direction is better and the bounds come from the
+parent's BENCHMARK.json.  `--out` keeps every run's result as one JSON line, and
 `--summarize FILE` prints the summary of such a file without running
 anything.  The tool only runs the benchmark; it changes nothing in
 either checkout beyond what `perfbench/run.py` itself writes there.
@@ -61,9 +64,10 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(records: list[dict], metrics: dict[str, str]) -> list[str]:
-    """Summary lines; `metrics` maps an end-to-end metric to 'lower' or
-    'higher', whichever is better."""
+def summarize(records: list[dict], metrics: dict[str, tuple[str, float]]) -> list[str]:
+    """Summary lines; `metrics` maps an end-to-end metric to ('lower' or
+    'higher', whichever is better, and the share by which its median may
+    get worse)."""
     out: list[str] = []
     for workload in dict.fromkeys(r["workload"] for r in records):
         pairs: dict[int, dict[str, dict]] = {}
@@ -79,7 +83,7 @@ def summarize(records: list[dict], metrics: dict[str, str]) -> list[str]:
             failed = sum(p[side]["failed"] for p in pairs.values())
             correct = sum(bool(p[side]["correct"]) for p in pairs.values())
             out.append(f"  {side}: {correct}/{len(pairs)} runs correct, {failed}/{attempted} operations failed")
-        for name, better in metrics.items():
+        for name, (better, bound) in metrics.items():
             rows = [
                 (p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
                 for p in pairs.values()
@@ -97,10 +101,12 @@ def summarize(records: list[dict], metrics: dict[str, str]) -> list[str]:
             gap = sign * (p2 - c2)  # positive when the change is better
             claim = wins >= WIN_SHARE * len(rows) and gap > p3 - p1
             rel = (c2 - p2) / p2 * 100 if p2 else 0.0
+            beyond = -gap > bound * abs(p2)  # the change's median worse by more than the bound
             out.append(
                 f"  {name}: parent {p2:.4g} [{p1:.4g}, {p3:.4g}]  change {c2:.4g} [{c1:.4g}, {c3:.4g}]"
                 f"  ({rel:+.1f}%)  change better {wins}/{len(rows)}, worse {losses}/{len(rows)}"
                 f"  gain claimable: {'yes' if claim else 'no'}"
+                f"  worse beyond the {bound:.0%} bound: {'YES' if beyond else 'no'}"
             )
     return out
 
@@ -120,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     bench = args.benchmark or (args.parent / "BENCHMARK.json" if args.parent else None)
     if bench is None:
         parser.error("--benchmark or --parent is required")
-    metrics = {m["name"]: m["better"] for m in json.loads(bench.read_text())["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in json.loads(bench.read_text())["end_to_end"]}
 
     if args.summarize:
         records = [json.loads(line) for line in args.summarize.read_text().splitlines() if line.strip()]

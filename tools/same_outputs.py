@@ -1,4 +1,4 @@
-"""Check that two checkouts featurize, train, generate, verify and check alike.
+"""Check that two checkouts featurize, train, infer, generate, verify and check alike.
 
     python3 tools/same_outputs.py PARENT CHANGE [--work DIR]
 
@@ -24,7 +24,12 @@ the same corpus, `train` with `--lambda` and without it (the penalty then
 chosen by cross-validation) and `cv` with its penalty chosen the same
 way, and compares the model files and the cv report byte for byte; when
 one differs, it names the key paths that moved with both values
-(`fit.sweeps: 0 -> absent`).  It prints one line per case and stage and
+(`fit.sweeps: 0 -> absent`).  An infer stage runs `infer --emit-lp --out`
+in each checkout with the parent's two `train --lambda`/`train` model files,
+on windows of +-0.02 around the predictions of a few corpus members
+(feasible) and on windows beyond b + sum|w| on either side (infeasible),
+and compares the exit code, the `--out` JSON and the LP text byte for
+byte, one line per window.  It prints one line per case and stage and
 reports the first file that differs.  The exit status is 0 when every
 output is identical and 1 otherwise.  Neither checkout is written to; everything goes under
 `--work` (a temporary directory by default).
@@ -52,6 +57,23 @@ TRAIN_RUNS = (
     ("train", (), "--out-model", "model-selected.json"),
     ("cv", ("--runs", "3"), "--out-report", "cv.json"),
 )
+
+INFER_MEMBERS = 4  # corpus members whose predictions centre the feasible infer windows
+INFER_WINDOWS = """
+import sys
+from polyinfer.chemgraph import parse_pmg
+from polyinfer.model import ModelBundle
+
+bundle = ModelBundle.from_json(open(sys.argv[1]).read())
+for path in sys.argv[2:]:
+    pred, _ = bundle.predict_graph(parse_pmg(open(path).read()))
+    print(repr(pred - 0.02), repr(pred + 0.02))
+h, std = bundle.hyperplane, bundle.standardizer
+reach = float(sum(abs(h.w))) * 1.001 + 0.05
+for side in (1, -1):
+    lo, hi = sorted((h.b + side * reach, h.b + side * (reach + 0.05)))
+    print(repr(std.inverse_value(lo)), repr(std.inverse_value(hi)))
+"""
 
 # mirrors the `model_with_cl` and `model_without_cl` fixtures, the
 # `spec_full` forcing spec and the CLI tests' `corpus_dir`, with the demo
@@ -146,6 +168,49 @@ def summary_moves(left: Path, right: Path) -> dict[str, tuple] | None:
     if records_l != records_r:
         return None
     return json_moves(json.loads(last_l)["summary"], json.loads(last_r)["summary"]) or None
+
+
+def infer_windows(parent: Path, model: Path, members: list[Path]) -> list[tuple[str, str]]:
+    """(lo, hi) as text: +-0.02 around each member's prediction, then one
+    window beyond b + sum|w| above and one below, computed with PARENT's
+    code."""
+    proc = run_python(parent, ["-c", INFER_WINDOWS, str(model), *map(str, members)])
+    if proc.returncode != 0:
+        raise SystemExit(f"computing the infer windows failed:\n{proc.stderr}")
+    return [tuple(line.split()) for line in proc.stdout.splitlines()]
+
+
+def compare_infer(sides: dict[str, Path], work: Path) -> bool:
+    graphs = sorted((work / "corpus" / "graphs").glob("*.pmg"))
+    members = graphs[::max(len(graphs) // INFER_MEMBERS, 1)][:INFER_MEMBERS]
+    models = [out_name for command, _, _, out_name in TRAIN_RUNS if command == "train"]
+    same = True
+    for out_name in models:
+        model = work / "parent" / "train" / out_name
+        if not model.exists():
+            print(f"infer {out_name}: no model file from the train stage")
+            return False
+        for i, (lo, hi) in enumerate(infer_windows(sides["parent"], model, members)):
+            name = f"infer {out_name} window {i} [{lo}, {hi}]"
+            outs = {side: work / side / "infer" / f"{model.stem}-{i}" for side in sides}
+            codes = {}
+            for side, checkout in sides.items():
+                shutil.rmtree(outs[side], ignore_errors=True)
+                outs[side].mkdir(parents=True)
+                codes[side] = polyinfer(checkout, "infer", "--model", model, f"--window={lo},{hi}",
+                                        "--emit-lp", outs[side] / "model.lp",
+                                        "--out", outs[side] / "solution.json").returncode
+            if codes["parent"] != codes["change"]:
+                print(f"{name}: exit {codes['parent']} -> {codes['change']}")
+                same = False
+                continue
+            differing = differences(*outs.values())
+            if differing:
+                print(f"{name}: exit {codes['parent']} on both; differs first at {differing[0]}")
+                same = False
+            else:
+                print(f"{name}: exit {codes['parent']}, solution.json and model.lp identical")
+    return same
 
 
 def compare_case(name: str, spec: Path, model: Path, sides: dict[str, Path], work: Path) -> bool:
@@ -254,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         work = (args.work or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
         cases = build_inputs(sides["parent"], work)
-        same = [compare_featurize(sides, work), compare_train(sides, work)]
+        same = [compare_featurize(sides, work), compare_train(sides, work), compare_infer(sides, work)]
         same += [compare_case(name, spec, model, sides, work) for name, (spec, model) in cases.items()]
     print("identical" if all(same) else "DIFFERENT")
     return 0 if all(same) else 1

@@ -79,17 +79,7 @@ class CatalogEntry:
         tree = parse_code(code)
         counts = Counter()
         leaves: list[str] = []
-
-        def walk(t: RootedTree):
-            counts[t.label] += 1
-            for m, c in t.children:
-                if c.label != "H" and c.heavy_size() == 1:
-                    # a heavy leaf of the suppressed graph, seen from its
-                    # parent; the root has a skeleton neighbour besides it
-                    leaves.append(adjacency_str((t.label, c.label, m)))
-                walk(c)
-
-        walk(tree)
+        _tally_tree(tree, counts, leaves)
         return cls(
             code=code,
             tree=tree,
@@ -101,6 +91,18 @@ class CatalogEntry:
             heavy_children=sum(1 for _, c in tree.children if c.label != "H"),
             leaf_adjacencies=tuple(leaves),
         )
+
+
+def _tally_tree(t: RootedTree, counts: Counter, leaves: list[str]) -> None:
+    """Add the elements of a fringe tree to `counts` and the ac_lf keys of
+    its leaf edges to `leaves`, root first."""
+    counts[t.label] += 1
+    for m, c in t.children:
+        if c.label != "H" and c.heavy_size() == 1:
+            # a heavy leaf of the suppressed graph, seen from its parent;
+            # the root has a skeleton neighbour besides it
+            leaves.append(adjacency_str((t.label, c.label, m)))
+        _tally_tree(c, counts, leaves)
 
 
 @dataclass
@@ -506,6 +508,11 @@ def _materialize(sk: Skeleton, assignment: tuple[CatalogEntry, ...]) -> Chemical
 
 # ---------------------------------------------------------------------------
 # Canonical signatures (duplicate suppression)
+#
+# One individualization-refinement search serves the signatures and the
+# skeleton automorphisms.  It recurses at module level, with its best
+# encoding and leaves passed down as lists, so a signature leaves no
+# reference cycle behind for the garbage collector.
 
 
 def canonical_signature(g: ChemicalGraph | TwoLayeredDecomposition, rho: int) -> str:
@@ -552,48 +559,52 @@ def _refine(colors: list[int], adj) -> list[int]:
 def _canonical_search(raw_colors, adj) -> tuple[str, list[list[int]]]:
     """Individualization-refinement over every branch: the least leaf
     encoding, and the vertex order of each leaf that reaches it."""
-    n = len(raw_colors)
     base = {c: i for i, c in enumerate(sorted(set(raw_colors)))}
     start = _refine([base[c] for c in raw_colors], adj)
-    label_of = {i: repr(c) for i, c in enumerate(raw_colors)}
-
+    label_of = [repr(c) for c in raw_colors]
     best: list[str] = []
     leaves: list[list[int]] = []
-
-    def encode(order: list[int]) -> str:
-        pos = {v: i for i, v in enumerate(order)}
-        rows = []
-        for v in order:
-            edges = sorted((pos[w], lab) for w, lab in adj[v])
-            rows.append(label_of[v] + ";" + ",".join(f"{p}:{lab}" for p, lab in edges))
-        return "\n".join(rows)
-
-    def search(colors: list[int]):
-        groups: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            groups.setdefault(c, []).append(v)
-        cell = None
-        for c in sorted(groups):
-            if len(groups[c]) > 1:
-                cell = groups[c]
-                break
-        if cell is None:
-            order = sorted(range(n), key=lambda v: colors[v])
-            cand = encode(order)
-            if not best or cand < best[0]:
-                best[:] = [cand]
-                leaves.clear()
-            if cand == best[0]:
-                leaves.append(order)
-            return
-        mark = max(colors) + 1
-        for v in cell:
-            branched = list(colors)
-            branched[v] = mark
-            search(_refine(branched, adj))
-
-    search(start)
+    _search(start, adj, label_of, best, leaves)
     return best[0], leaves
+
+
+def _search(colors: list[int], adj, label_of: list[str], best: list[str], leaves: list[list[int]]) -> None:
+    """One branch of the canonical search: individualize each vertex of the
+    first non-singleton cell in turn, or, at a leaf (a discrete coloring),
+    keep its encoding in `best` and its vertex order in `leaves` when it is
+    the least so far."""
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        groups.setdefault(c, []).append(v)
+    cell = None
+    for c in sorted(groups):
+        if len(groups[c]) > 1:
+            cell = groups[c]
+            break
+    if cell is None:
+        order = sorted(range(len(colors)), key=colors.__getitem__)
+        cand = _encode(order, adj, label_of)
+        if not best or cand < best[0]:
+            best[:] = [cand]
+            leaves.clear()
+        if cand == best[0]:
+            leaves.append(order)
+        return
+    mark = max(colors) + 1
+    for v in cell:
+        branched = list(colors)
+        branched[v] = mark
+        _search(_refine(branched, adj), adj, label_of, best, leaves)
+
+
+def _encode(order: list[int], adj, label_of: list[str]) -> str:
+    """The adjacency rows of a graph with its vertices in `order`."""
+    pos = {v: i for i, v in enumerate(order)}
+    rows = []
+    for v in order:
+        edges = sorted((pos[w], lab) for w, lab in adj[v])
+        rows.append(label_of[v] + ";" + ",".join(f"{p}:{lab}" for p, lab in edges))
+    return "\n".join(rows)
 
 
 # ---------------------------------------------------------------------------

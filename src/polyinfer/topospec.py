@@ -6,7 +6,12 @@ are kept, pendant interior trees may hang off path vertices, and every
 interior vertex carries a fringe tree from a fixed catalog.  Counting
 bounds constrain elements, symbols, edge configurations and fringe-tree
 usage.  `check_satisfies` measures every bound on a concrete graph and
-searches for a structural expansion witness.  Everything either reads off
+searches for a structural expansion witness; it decides whether the graph
+passed in one pass over the bounds, and its report builds the per-bound
+rows only when they are read.  The witness search frees itself on return
+(its recursive closures are deleted in a `finally`, and the path
+enumeration keeps an explicit stack), so checking a graph leaves no
+reference cycles for the garbage collector.  Everything either reads off
 a specification is compiled once per specification object into its plan
 (`TopologicalSpec.plan`) and kept on it: the count bounds as rows by
 family and key, the declared keys each membership test admits, and the
@@ -27,6 +32,7 @@ from typing import NamedTuple
 from .chemgraph import ChemicalGraph, is_connected, parse_pmg
 from .data import example_polymer_text, fringe_catalog_text
 from .twolayer import (
+    CountProfile,
     TwoLayeredDecomposition,
     as_decomposition,
     decompose,
@@ -420,18 +426,41 @@ class BoundCheck(NamedTuple):
 
 @dataclass(frozen=True)
 class SpecReport:
-    checks: tuple[BoundCheck, ...]
-    memberships: tuple[tuple[str, bool], ...]  # named membership conditions
+    """The outcome of `check_satisfies`.  `passed` is decided when the
+    report is made; the bound rows (`checks`) and the named membership
+    conditions (`memberships`) are built from the profile and the
+    specification's plan on first read and kept, so a caller that only asks
+    whether a graph passed never builds them."""
+
+    spec: TopologicalSpec = field(repr=False, compare=False)
+    profile: CountProfile = field(repr=False, compare=False)
+    passed: bool
     witness: dict | None
     witness_message: str
     witness_searched: bool = True
 
-    @property
-    def passed(self) -> bool:
-        return (
-            all(c.ok for c in self.checks)
-            and all(ok for _, ok in self.memberships)
-            and (self.witness is not None or not self.witness_searched)
+    @cached_property
+    def checks(self) -> tuple[BoundCheck, ...]:
+        spec, profile = self.spec, self.profile
+        checks = [
+            BoundCheck("n", *spec.n, profile.n),
+            BoundCheck("n_int", *spec.n_int, profile.n_int),
+            BoundCheck("n_lnk", *spec.n_lnk, profile.link_vertices),  # not the link-edge count
+        ]
+        new = tuple.__new__  # what BoundCheck(...) runs, without its argument binding
+        for attr, rows in spec.plan.bounds.items():
+            counts = getattr(profile, attr)
+            checks += [
+                new(BoundCheck, (name, lo, hi, counts.get(key, 0))) for key, (name, lo, hi) in rows.items()
+            ]
+        return tuple(checks)
+
+    @cached_property
+    def memberships(self) -> tuple[tuple[str, bool], ...]:
+        """(name, holds) per membership condition, in the plan's order."""
+        return tuple(
+            (name, getattr(self.profile, attr).keys() <= keys)
+            for attr, (name, keys) in self.spec.plan.declared.items()
         )
 
     def failures(self) -> list[str]:
@@ -461,38 +490,41 @@ def check_satisfies(
     """Measure every bound of the specification on a graph (or its
     decomposition) and search for a seed-expansion witness of its interior
     (skippable for callers that constructed the graph as an expansion in
-    the first place).  The bound rows and declared-key sets come from the
-    plan kept on the specification."""
+    the first place).  Whether the counts pass is decided in one pass over
+    the bound rows and declared-key sets of the plan kept on the
+    specification, stopping at the first failure; the report builds its
+    rows only when they are read."""
     dec = as_decomposition(g, spec.rho)
     profile = dec.profile
-    plan = spec.plan
-    checks = [
-        BoundCheck("n", *spec.n, profile.n),
-        BoundCheck("n_int", *spec.n_int, profile.n_int),
-        BoundCheck("n_lnk", *spec.n_lnk, profile.link_vertices),  # not the link-edge count
-    ]
-    new = tuple.__new__  # what BoundCheck(...) runs, without its argument binding
-    for attr, rows in plan.bounds.items():
-        counts = getattr(profile, attr)
-        checks += [
-            new(BoundCheck, (name, lo, hi, counts.get(key, 0))) for key, (name, lo, hi) in rows.items()
-        ]
-    memberships = tuple(
-        (name, getattr(profile, attr).keys() <= keys)
-        for attr, (name, keys) in plan.declared.items()
-    )
-
     if search_witness:
         witness, message = find_expansion_witness(dec, spec)
     else:
         witness, message = None, "witness search skipped"
     return SpecReport(
-        checks=tuple(checks),
-        memberships=memberships,
+        spec=spec,
+        profile=profile,
+        passed=(witness is not None or not search_witness) and _counts_pass(profile, spec),
         witness=witness,
         witness_message=message,
         witness_searched=search_witness,
     )
+
+
+def _counts_pass(profile: CountProfile, spec: TopologicalSpec) -> bool:
+    """Whether every row of `SpecReport.checks` and every membership holds."""
+    if not (
+        spec.n[0] <= profile.n <= spec.n[1]
+        and spec.n_int[0] <= profile.n_int <= spec.n_int[1]
+        and spec.n_lnk[0] <= profile.link_vertices <= spec.n_lnk[1]
+    ):
+        return False
+    plan = spec.plan
+    for attr, rows in plan.bounds.items():
+        get = getattr(profile, attr).get
+        for key, (_, lo, hi) in rows.items():
+            if not lo <= get(key, 0) <= hi:
+                return False
+    return all(getattr(profile, attr).keys() <= keys for attr, (_, keys) in plan.declared.items())
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +820,14 @@ def find_expansion_witness(
         return True
 
     witness: dict | None = None
-    if not try_place(0):
+    try:
+        found = try_place(0)
+    finally:
+        # the three closures reach each other through their cells; emptying
+        # those cells breaks the cycle, so the search is freed on return
+        # instead of at the next garbage collection
+        del try_place, place_edges, finish
+    if not found:
         return None, "no seed-expansion embedding found"
     return witness, "witness found"
 
@@ -827,17 +866,18 @@ def _seed_order(seed: SeedGraph) -> list[str]:
 
 
 def _paths_between(adj, a: int, b: int, lo: int, hi: int, used: set[int], used_edges):
-    """Simple a-b paths of length lo..hi whose internal vertices are free."""
-    def norm(u, v):
-        return (u, v) if u <= v else (v, u)
-
+    """Simple a-b paths of length lo..hi whose internal vertices are free,
+    depth first with neighbors in ascending order.  `used` and `used_edges`
+    are read as each neighbor is tried, so the caller may change them
+    between paths and restore them before asking for the next."""
     path = [a]
     on_path = {a}
-
-    def extend(current: int, length: int):
-        for w in sorted(adj[current]):
-            e = norm(current, w)
-            if e in used_edges:
+    pending = [iter(sorted(adj[a]))]  # per vertex on the path, its untried neighbors
+    while pending:
+        current = path[-1]
+        length = len(path) - 1
+        for w in pending[-1]:
+            if ((current, w) if current <= w else (w, current)) in used_edges:
                 continue
             if w == b:
                 if lo <= length + 1 <= hi:
@@ -847,11 +887,11 @@ def _paths_between(adj, a: int, b: int, lo: int, hi: int, used: set[int], used_e
                 continue
             path.append(w)
             on_path.add(w)
-            yield from extend(w, length + 1)
-            on_path.discard(w)
-            path.pop()
-
-    yield from extend(a, 0)
+            pending.append(iter(sorted(adj[w])))
+            break
+        else:
+            pending.pop()
+            on_path.discard(path.pop())
 
 
 def _component_height(adj, anchor: int, comp: set[int]) -> int:

@@ -9,7 +9,8 @@ degree table over the suppressed graph's adjacency.  Exterior vertices
 hang off interior roots as fringe trees, which carry their original
 hydrogens and are compared by a canonical parenthesized code.
 `decompose` fills in each fringe node's code bottom-up as it builds the
-tree, and `count_profile` reads every count in one pass, with the
+tree, by module-level recursion that leaves no reference cycle behind,
+and `count_profile` reads every count in one pass, with the
 configuration keys of an edge memoized on its (element, degree,
 element, degree, multiplicity).
 """
@@ -236,22 +237,22 @@ def decompose(g: ChemicalGraph | SuppressedGraph, rho: int) -> TwoLayeredDecompo
         interior_edges=frozenset(
             (u, v) for u, v, _ in s.bonds if u not in exterior and v not in exterior
         ),
-        fringe_trees={u: _build_fringe(s, u, exterior) for u in sorted(interior)},
+        fringe_trees={u: _build_fringe(s, u, None, exterior) for u in sorted(interior)},
     )
 
 
-def _build_fringe(s: SuppressedGraph, root: int, exterior: frozenset[int]) -> RootedTree:
-    adj, labels, h_count = s.adj, s.labels, s.h_count
-
-    def build(v: int, parent: int | None) -> RootedTree:
-        below = [(w, m) for w, m in adj[v].items() if w != parent and w in exterior]
-        if not below:
-            return _bare_tree(labels[v], h_count.get(v, 0))
-        children = [(1, _HYDROGEN)] * h_count.get(v, 0)
-        children += [(m, build(w, v)) for w, m in sorted(below)]
-        return _coded_tree(labels[v], tuple(children))
-
-    return build(root, None)
+def _build_fringe(
+    s: SuppressedGraph, v: int, parent: int | None, exterior: frozenset[int]
+) -> RootedTree:
+    """The fringe tree at v: its hydrogens and the exterior vertices below
+    it away from `parent`, built bottom-up by plain recursion."""
+    below = [(w, m) for w, m in s.adj[v].items() if w != parent and w in exterior]
+    hydrogens = s.h_count.get(v, 0)
+    if not below:
+        return _bare_tree(s.labels[v], hydrogens)
+    children = [(1, _HYDROGEN)] * hydrogens
+    children += [(m, _build_fringe(s, w, v, exterior)) for w, m in sorted(below)]
+    return _coded_tree(s.labels[v], tuple(children))
 
 
 @cache  # bounded: elements x hydrogen counts (<= 6)

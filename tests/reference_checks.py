@@ -10,21 +10,24 @@ connectivity pass; `featurize` looked each descriptor up on the profile by
 name and collected the out-of-vocabulary keys in a second loop;
 `verify_assignment` multiplied out every term of every row, zero values
 included, and `predicted_value` summed the weighted standardized value of
-every descriptor, zero weights included.  The equivalence tests require
-the current code to return what these do.
+every descriptor, zero weights included; `check_satisfies` built every
+bound row and membership pair of its report up front and derived the
+verdict, the failures and the failed families from them.  The equivalence
+tests require the current code to return what these do.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from polyinfer.chemgraph import Edge, GraphError, SuppressedGraph, _norm_edge, is_connected
 from polyinfer.features import DescriptorRegistry, FeatureError, FeatureVector
 from polyinfer.milp import InverseProblemSpec, MilpModel
-from polyinfer.topospec import SeedEdge, SeedGraph, TopologicalSpec
+from polyinfer.topospec import BoundCheck, SeedEdge, SeedGraph, TopologicalSpec
 from polyinfer.twolayer import (
     AdjacencyConfig,
     CountProfile,
@@ -199,6 +202,52 @@ def reference_featurize(g, registry: DescriptorRegistry, covariates=None) -> Fea
             if key not in known:
                 oov.append(f"{kind}:{key}")
     return FeatureVector(values=values, oov=tuple(sorted(oov)))
+
+
+class ReferenceReport(NamedTuple):
+    checks: tuple[BoundCheck, ...]
+    memberships: tuple[tuple[str, bool], ...]
+    passed: bool
+    failures: list[str]
+    failed_families: list[str]
+
+
+def reference_spec_report(
+    dec: TwoLayeredDecomposition, spec: TopologicalSpec, search_witness: bool = True
+) -> ReferenceReport:
+    """Every bound row and membership pair built eagerly, in plan order,
+    and the verdict, failures and failed families read off them."""
+    profile = dec.profile
+    checks = [
+        BoundCheck("n", *spec.n, profile.n),
+        BoundCheck("n_int", *spec.n_int, profile.n_int),
+        BoundCheck("n_lnk", *spec.n_lnk, profile.link_vertices),
+    ]
+    for attr, rows in spec.plan.bounds.items():
+        counts = getattr(profile, attr)
+        checks += [BoundCheck(name, lo, hi, counts.get(key, 0)) for key, (name, lo, hi) in rows.items()]
+    memberships = tuple(
+        (name, getattr(profile, attr).keys() <= keys) for attr, (name, keys) in spec.plan.declared.items()
+    )
+    if search_witness:
+        witness, message = reference_find_expansion_witness(dec, spec)
+    else:
+        witness, message = None, "witness search skipped"
+    witness_failed = search_witness and witness is None
+    failures = [f"{c.name}: {c.measured} outside [{c.lower},{c.upper}]" for c in checks if not c.ok]
+    failures += [name for name, ok in memberships if not ok]
+    families = {c.name.partition("[")[0] for c in checks if not c.ok}
+    families.update(name for name, ok in memberships if not ok)
+    if witness_failed:
+        failures.append(f"witness: {message}")
+        families.add("witness")
+    return ReferenceReport(
+        checks=tuple(checks),
+        memberships=memberships,
+        passed=all(c.ok for c in checks) and all(ok for _, ok in memberships) and not witness_failed,
+        failures=failures,
+        failed_families=sorted(families),
+    )
 
 
 def reference_find_expansion_witness(

@@ -59,3 +59,95 @@ def test_every_package_definition_is_named_by_the_program():
         and named[node.name] == _named(node)[node.name]
     )
     assert unnamed == ["milp.py:parse_lp"], unnamed
+
+
+def _nested_functions(fn: ast.AST) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """The functions defined directly in `fn`'s body, at any block depth
+    but not inside another function or class."""
+    out, stack = [], list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(node)
+        elif not isinstance(node, (ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _deleted_in_finally(fn: ast.AST) -> set[str]:
+    return {
+        target.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Try)
+        for stmt in node.finalbody
+        for inner in ast.walk(stmt)
+        if isinstance(inner, ast.Delete)
+        for target in inner.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def recursive_closures(source: str) -> list[str]:
+    """`outer.inner` for each nested function that can reach itself
+    through its siblings' names (itself included), unless `outer` deletes
+    it in a `finally`.  Such a function refers to itself through a closure
+    cell: every call of `outer` makes a reference cycle, which only the
+    cyclic garbage collector frees."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nested = {f.name: f for f in _nested_functions(fn)}
+        calls = {
+            name: {n.id for n in ast.walk(f) if isinstance(n, ast.Name) and n.id in nested}
+            for name, f in nested.items()
+        }
+        deleted = _deleted_in_finally(fn)
+        for name in nested:
+            reach, stack = set(), list(calls[name])
+            while stack:
+                other = stack.pop()
+                if other not in reach:
+                    reach.add(other)
+                    stack.extend(calls[other])
+            if name in reach and name not in deleted:
+                found.append(f"{fn.name}.{name}")
+    return found
+
+
+def test_recursive_closures_are_found():
+    source = '''
+def direct():
+    def walk(t):
+        return [walk(c) for c in t]
+    return walk(())
+
+def mutual():
+    def even(n):
+        return n == 0 or odd(n - 1)
+    def odd(n):
+        return n != 0 and even(n - 1)
+    return even(4)
+
+def released():
+    def rec(n):
+        return n and rec(n - 1)
+    try:
+        return rec(3)
+    finally:
+        del rec
+
+def flat():
+    def step(n):
+        return n + 1
+    return step(step(0))
+'''
+    assert sorted(recursive_closures(source)) == ["direct.walk", "mutual.even", "mutual.odd"]
+
+
+def test_no_recursive_closure_in_package_source():
+    # a recursive closure on the per-graph path makes a reference cycle per
+    # call; recurse at module level, or delete the closure in a `finally`
+    paths = sorted(Path(polyinfer.__file__).parent.glob("*.py"))
+    found = [f"{path.name}:{name}" for path in paths for name in recursive_closures(path.read_text())]
+    assert not found, found

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from corpus import make_polymer
 from polyinfer.chemgraph import parse_pmg
 from polyinfer.data import example_polymer_text, fringe_catalog_text
 from polyinfer.topospec import (
+    COUNT_BOUNDS,
     PROPERTY_ELEMENTS,
     SeedEdge,
     SeedGraph,
@@ -21,7 +25,7 @@ from polyinfer.topospec import (
     two_ring_seed,
 )
 from polyinfer.twolayer import decompose
-from reference_checks import reference_find_expansion_witness
+from reference_checks import reference_find_expansion_witness, reference_spec_report
 from spechelpers import SMALL_CATALOG, forcing_spec, oracle_candidates
 
 
@@ -411,3 +415,71 @@ def test_witness_matches_reference_without_a_witness():
     ]
     for text, spec in cases:
         assert not assert_same_witness(text, spec)
+
+
+# -- the report built on read against the eager one ---------------------------
+
+
+def report_cases() -> list[tuple[str, TopologicalSpec]]:
+    """Forcing-space members under the forcing spec, the example polymers
+    under the instance Ib of each property tag, and two graphs without a
+    witness under theirs."""
+    forcing = forcing_spec(SMALL_CATALOG)
+    cases = [(text, forcing) for text in list(oracle_candidates())[::61]]
+    examples = [example_polymer_text(i) for i in (1, 2, 3, 4)]
+    cases += [(text, build_instance_Ib(tag, n_lb)) for tag in PROPERTY_ELEMENTS
+              for n_lb in (14, 17) for text in examples]
+    cases += [
+        (single_ring_text(), build_instance_Ib("AmD", 14)),
+        (make_polymer(bridge_a=("C", "C"), subst={2: ("C", "C", "C")}), build_instance_Ib("AmD", 16)),
+    ]
+    return cases
+
+
+REPORT_CASES = report_cases()
+SCALAR_MEASURES = {"n": "n", "n_int": "n_int", "n_lnk": "link_vertices"}
+
+
+@st.composite
+def drawn_checks(draw):
+    """A graph's decomposition and its spec with some bounds redrawn near
+    the measured counts, so that some rows fail: a scalar bound, or per
+    count family a few keys rebounded or dropped from the table (a dropped
+    observed key fails that family's membership test; `fc` keys are only
+    rebounded, since they must name catalog codes)."""
+    text, spec = draw(st.sampled_from(REPORT_CASES))
+    dec = decompose(parse_pmg(text), spec.rho)
+    profile = dec.profile
+
+    def near(measured: int) -> tuple[int, int]:
+        lo = draw(st.integers(max(measured - 2, 0), measured + 2))
+        return lo, draw(st.integers(lo, max(lo, measured + 2)))
+
+    changes = {}
+    for attr in draw(st.lists(st.sampled_from([*SCALAR_MEASURES, *COUNT_BOUNDS]), unique=True, max_size=4)):
+        if attr in SCALAR_MEASURES:
+            changes[attr] = near(getattr(profile, SCALAR_MEASURES[attr]))
+            continue
+        table = dict(getattr(spec, attr))
+        counts = getattr(profile, attr)
+        keys = sorted(table.keys() | (set() if attr == "fc" else counts.keys()))
+        for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)) if keys else ():
+            if attr != "fc" and draw(st.booleans()):
+                table.pop(key, None)
+            else:
+                table[key] = near(counts.get(key, 0))
+        changes[attr] = table
+    return dec, dataclasses.replace(spec, **changes)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn_checks(), st.booleans())
+def test_report_built_on_read_matches_the_eager_report(case, search_witness):
+    dec, spec = case
+    report = check_satisfies(dec, spec, search_witness=search_witness)
+    want = reference_spec_report(dec, spec, search_witness)
+    assert report.passed == want.passed
+    assert report.checks == want.checks
+    assert report.memberships == want.memberships
+    assert report.failures() == want.failures
+    assert report.failed_families() == want.failed_families

@@ -58,6 +58,7 @@ TRAIN_RUNS = (
     ("cv", ("--runs", "3"), "--out-report", "cv.json"),
 )
 
+INPUTS = "inputs"  # under --work: the models, specs and corpus, rebuilt on every run
 INFER_MEMBERS = 4  # corpus members whose predictions centre the feasible infer windows
 INFER_WINDOWS = """
 import sys
@@ -113,17 +114,22 @@ def polyinfer(checkout: Path, *args) -> subprocess.CompletedProcess:
 
 
 def build_inputs(parent: Path, work: Path) -> dict[str, tuple[Path, Path]]:
-    """(spec file, model file) by case name."""
-    proc = run_python(parent, ["-c", BUILD_INPUTS, str(work)], extra_path=("tests",))
+    """(spec file, model file) by case name.  The inputs are built afresh
+    into an emptied directory, so a rerun with the same `--work` starts
+    from nothing an earlier run left."""
+    inputs = work / INPUTS
+    shutil.rmtree(inputs, ignore_errors=True)
+    inputs.mkdir(parents=True)
+    proc = run_python(parent, ["-c", BUILD_INPUTS, str(inputs)], extra_path=("tests",))
     if proc.returncode != 0:
         raise SystemExit(f"building the inputs failed:\n{proc.stderr}")
-    model = work / "model.json"
+    model = inputs / "model.json"
     cases = {
-        "forcing": (work / "forcing.json", model),
-        "forcing-without-cl": (work / "forcing.json", work / "model-without-cl.json"),
+        "forcing": (inputs / "forcing.json", model),
+        "forcing-without-cl": (inputs / "forcing.json", inputs / "model-without-cl.json"),
     }
     for tag, n_lb in IB_CASES:
-        path = work / f"Ib-{tag}-{n_lb}.json"
+        path = inputs / f"Ib-{tag}-{n_lb}.json"
         proc = polyinfer(parent, "spec-ib", "--property", tag, "--n-lb", n_lb, "--out", path)
         if proc.returncode != 0:
             raise SystemExit(f"spec-ib {tag} {n_lb} failed:\n{proc.stderr}")
@@ -181,7 +187,7 @@ def infer_windows(parent: Path, model: Path, members: list[Path]) -> list[tuple[
 
 
 def compare_infer(sides: dict[str, Path], work: Path) -> bool:
-    graphs = sorted((work / "corpus" / "graphs").glob("*.pmg"))
+    graphs = sorted((work / INPUTS / "corpus" / "graphs").glob("*.pmg"))
     members = graphs[::max(len(graphs) // INFER_MEMBERS, 1)][:INFER_MEMBERS]
     models = [out_name for command, _, _, out_name in TRAIN_RUNS if command == "train"]
     same = True
@@ -263,7 +269,7 @@ def compare_case(name: str, spec: Path, model: Path, sides: dict[str, Path], wor
 
 
 def compare_featurize(sides: dict[str, Path], work: Path) -> bool:
-    corpus = work / "corpus"
+    corpus = work / INPUTS / "corpus"
     same = True
     for rho in FEATURIZE_RHOS:
         out_dirs = {side: work / side / f"featurize-rho{rho}" for side in sides}
@@ -286,7 +292,7 @@ def compare_featurize(sides: dict[str, Path], work: Path) -> bool:
 
 
 def compare_train(sides: dict[str, Path], work: Path) -> bool:
-    corpus = work / "corpus"
+    corpus = work / INPUTS / "corpus"
     same = True
     for command, options, out_flag, out_name in TRAIN_RUNS:
         name = " ".join((command, *options))

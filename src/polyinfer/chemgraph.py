@@ -10,8 +10,13 @@ A graph is read through two cached dicts, `labels` (id -> element) and
 `adj` (id -> neighbour -> multiplicity).  Validation reads one
 adjacency: connectivity, valences and the link set are checked off
 `adj`, and the circular-set test is one lowlink DFS of the graph
-without the first link edge.  `parse_pmg` checks the records line by
-line and leaves only that structural part to the graph.
+without the first link edge.  Every graph is built by `ChemicalGraph(...)`,
+which checks everything, or by the one trusted constructor
+`ChemicalGraph._from_checked_records`, whose caller has checked the
+records: `parse_pmg` checks them line by line and leaves only the
+structural part to the graph, and the generator, which builds each graph
+as an expansion of a seed, checks each structural fact once where it
+becomes known and leaves nothing to the graph.
 """
 
 from __future__ import annotations
@@ -310,14 +315,17 @@ class ChemicalGraph(_AtomBondGraph):
         atoms: list[tuple[int, str]],
         bonds: list[tuple[int, int, int]],
         link_edges: frozenset[Edge],
-        connecting: Edge | None,
-        max_abs_charge: int,
+        connecting: Edge | None = None,
+        max_abs_charge: int = 0,
+        structure_checked: bool = False,
     ) -> "ChemicalGraph":
-        """A graph from records that already hold what `_validate` checks
-        before `_validate_structure`: at least one atom, distinct ids,
-        known elements, and distinct bonds (u < v, multiplicity 1..3)
-        between known atoms; link edges and `connecting` normalized.  Only
-        the structure is checked."""
+        """The one trusted constructor: a graph from records that already
+        hold what `_validate` checks before `_validate_structure`: at least
+        one atom, distinct ids, known elements, and distinct bonds (u < v,
+        multiplicity 1..3) between known atoms; link edges and `connecting`
+        normalized.  The structure is checked too, unless the caller built
+        the records so that it holds and says so with `structure_checked`;
+        then nothing is checked."""
         g = object.__new__(cls)
         for name, value in (
             ("atoms", tuple(sorted(atoms))),
@@ -327,7 +335,8 @@ class ChemicalGraph(_AtomBondGraph):
             ("max_abs_charge", max_abs_charge),
         ):
             object.__setattr__(g, name, value)
-        g._validate_structure()
+        if not structure_checked:
+            g._validate_structure()
         return g
 
     # -- basic accessors ----------------------------------------------------

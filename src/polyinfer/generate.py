@@ -33,11 +33,24 @@ specification instead of filtering after the fact:
 The cuts only drop candidates the full check would reject or the model
 would report as out of vocabulary, and the lex-leader test only drops
 graphs isomorphic to one already enumerated; every survivor is still
-checked against the full specification, the vocabulary and the model's
-property window before emission.  Isomorphisms that no skeleton
+checked against the full specification's bounds, the vocabulary and the
+model's property window before emission.  Isomorphisms that no skeleton
 automorphism induces, such as between two skeletons, are suppressed by a
 canonical form of the whole monomer graph (interior canonical labeling
 plus fringe codes).
+
+Each candidate is built once and carries its own certificates.  The walk
+that lays out its atoms also builds its decomposition (the skeleton is
+the interior, the fringe trees' heavy atoms the exterior), so it is never
+decomposed, and its graph comes from the trusted constructor, so it is
+never re-validated: each structural fact is checked once where it
+becomes known, the bonds, connectivity and link set per skeleton shape,
+each fringe tree's valences per catalog code, and each root's valence
+when its fringe is chosen.  Every seed vertex must lie on a cycle of the
+seed, or the interior would not be the skeleton; a seed where one does
+not is refused with a `SpecError`.  The witness of an emitted graph is
+the seed embedding it was built as, certified by `check_witness` in one
+pass instead of searched for.
 """
 
 from __future__ import annotations
@@ -47,9 +60,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .chemgraph import ChemicalGraph, GraphError, valence
+from .chemgraph import ChemicalGraph, GraphError, SuppressedGraph, is_circular_set, is_connected, valence
 from .model import ModelBundle
-from .topospec import PlannedEdge, SpecError, TopologicalSpec, check_satisfies, find_expansion_witness
+from .topospec import PlannedEdge, SeedGraph, SpecError, TopologicalSpec, check_satisfies, check_witness
 from .twolayer import (
     RootedTree,
     TwoLayeredDecomposition,
@@ -73,36 +86,74 @@ class CatalogEntry:
     heavy_atoms: int
     heavy_children: int  # the root's non-hydrogen children
     leaf_adjacencies: tuple[str, ...]  # ac_lf keys of the tree's leaf edges
+    # the atoms below the root as `_materialize` numbers them, from 0, and
+    # the bonds to them as (parent, child, multiplicity), the root being -1;
+    # the same for the non-hydrogen atoms alone, with each one's hydrogens
+    atoms: tuple[tuple[int, str], ...]
+    bonds: tuple[tuple[int, int, int], ...]
+    heavy: tuple[tuple[int, str], ...]
+    heavy_bonds: tuple[tuple[int, int, int], ...]
+    hydrogens: tuple[tuple[int, int], ...]
+    root_hydrogens: int
 
     @classmethod
     def build(cls, code: str) -> "CatalogEntry":
+        """The entry of a catalog code, with the one check a fringe tree
+        needs before it is used: every atom below the root keeps its
+        valence and every hydrogen is a leaf (the root's valence is met by
+        the skeleton bonds it is placed at).  Raises GraphError."""
         tree = parse_code(code)
-        counts = Counter()
-        leaves: list[str] = []
-        _tally_tree(tree, counts, leaves)
+        atoms, bonds = _layout(code, tree)
+        label = {-1: tree.label, **dict(atoms)}
+        h_count = Counter(p for p, k, _ in bonds if label[k] == "H")
+        heavy = tuple((k, a) for k, a in atoms if a != "H")
+        inner = {p for p, k, _ in bonds if label[k] != "H"}  # atoms with a heavy child
         return cls(
             code=code,
             tree=tree,
             element=tree.label,
             free_valence=valence(tree.label) - tree.root_bond_sum(),
             height=tree.heavy_height(),
-            elements=tuple(sorted(counts.items())),
+            elements=tuple(sorted(Counter(label.values()).items())),
             heavy_atoms=tree.heavy_size(),
             heavy_children=sum(1 for _, c in tree.children if c.label != "H"),
-            leaf_adjacencies=tuple(leaves),
+            # a heavy leaf of the suppressed graph, seen from its parent; the
+            # root has a skeleton neighbour besides it
+            leaf_adjacencies=tuple(
+                adjacency_str((label[p], label[k], m)) for p, k, m in bonds if label[k] != "H" and k not in inner
+            ),
+            atoms=atoms,
+            bonds=bonds,
+            heavy=heavy,
+            heavy_bonds=tuple(b for b in bonds if label[b[1]] != "H"),
+            hydrogens=tuple((k, h_count[k]) for k, _ in heavy),
+            root_hydrogens=h_count[-1],
         )
 
 
-def _tally_tree(t: RootedTree, counts: Counter, leaves: list[str]) -> None:
-    """Add the elements of a fringe tree to `counts` and the ac_lf keys of
-    its leaf edges to `leaves`, root first."""
-    counts[t.label] += 1
-    for m, c in t.children:
-        if c.label != "H" and c.heavy_size() == 1:
-            # a heavy leaf of the suppressed graph, seen from its parent;
-            # the root has a skeleton neighbour besides it
-            leaves.append(adjacency_str((t.label, c.label, m)))
-        _tally_tree(c, counts, leaves)
+def _layout(code: str, tree: RootedTree):
+    """The atoms below the root of a fringe tree and the bonds to them, in
+    the order `_materialize` numbers them, checking each atom's valence
+    and that each hydrogen is a leaf."""
+    atoms: list[tuple[int, str]] = []
+    bonds: list[tuple[int, int, int]] = []
+    stack = [(-1, tree)]
+    while stack:
+        parent, t = stack.pop()
+        if t.label == "H" and t.children:
+            raise GraphError(f"catalog tree {code!r}: a hydrogen with children is no leaf")
+        for mult, child in t.children:
+            bond_sum = mult + child.root_bond_sum()
+            if bond_sum != valence(child.label):
+                raise GraphError(
+                    f"catalog tree {code!r}: valence violation at {child.label} below the root: "
+                    f"bond sum {bond_sum} vs valence {valence(child.label)}"
+                )
+            k = len(atoms)
+            atoms.append((k, child.label))
+            bonds.append((parent, k, mult))
+            stack.append((k, child))
+    return tuple(atoms), tuple(bonds)
 
 
 @dataclass
@@ -135,16 +186,20 @@ class GenerationOutcome:
 # Skeleton enumeration (interior structure before elements and fringes)
 #
 # Interior counts are read off skeletons, on the premise that every skeleton
-# vertex is interior in the materialized graph: seed and path vertices lie
-# on the seed's cycles, and pendant paths end at tips whose fringe has full
-# height.
+# vertex is interior in the materialized graph: seed vertices lie on the
+# seed's cycles (`iter_generate` refuses a seed where one does not), path
+# vertices on paths between them, and pendant paths end at tips whose
+# fringe has full height.  Every fringe tree is at most rho high (the
+# specification refuses a taller one), so its atoms are the exterior.
 
 
 @dataclass(frozen=True)
 class Skeleton:
     """Interior graph shape: vertices 1..n_vertices and bonds, before
     chemistry.  `tips` are pendant-path ends, which must carry a
-    full-height fringe so they stay interior.
+    full-height fringe so they stay interior.  `witness` is the seed
+    embedding the skeleton was built as, in the form `check_witness`
+    reads: seed vertex i is vertex i, each replaced edge its chain.
     """
 
     n_vertices: int
@@ -153,6 +208,7 @@ class Skeleton:
     tips: frozenset[int]
     allowed_elements: dict[int, frozenset[str]]
     allowed_codes: dict[int, frozenset[str]]  # per-vertex fringe restriction
+    witness: dict | None = None
 
 
 def _iter_skeletons(spec: TopologicalSpec):
@@ -224,9 +280,11 @@ def _bond_patterns(edge: PlannedEdge, length: int) -> list[tuple[int, ...]]:
 def _iter_bond_assignments(spec: TopologicalSpec, path_edges: list[PlannedEdge], lengths, branch_combo):
     """Multiplicity choices: kept seed edges by their admissible
     multiplicities, replaced edges by `_bond_patterns`; pendant edges
-    single.  The vertices with their restrictions, the link edges and the
-    tips follow from the lengths and branch layout alone, so the skeletons
-    yielded here share them."""
+    single.  The vertices with their restrictions, the link edges, the
+    tips and the seed embedding follow from the lengths and branch layout
+    alone, so the skeletons yielded here share them, and so does the
+    structure every candidate built on them has: it is checked here, once
+    (`_check_shape`)."""
     plan = spec.plan
     vertex_id = {name: i for i, name in enumerate(spec.seed.vertices, start=1)}
     allowed = {vertex_id[v.name]: v.allowed for v in plan.vertices}
@@ -236,6 +294,7 @@ def _iter_bond_assignments(spec: TopologicalSpec, path_edges: list[PlannedEdge],
     path_options = [_bond_patterns(e, length) for e, length in zip(path_edges, lengths)]
 
     chains: list[list[int]] = []
+    paths: dict[str, list[int]] = {}  # per replaced edge, by name
     pendants: list[list[tuple[int, int, int]]] = []  # per replaced edge
     link_edges: list[tuple[int, int]] = []
     tips: set[int] = set()
@@ -249,6 +308,7 @@ def _iter_bond_assignments(spec: TopologicalSpec, path_edges: list[PlannedEdge],
             counter += 1
         chain.append(vertex_id[e.v])
         chains.append(chain)
+        paths[e.name] = chain
         if e.link:
             link_edges += zip(chain, chain[1:])
         branch_edges = []
@@ -264,6 +324,12 @@ def _iter_bond_assignments(spec: TopologicalSpec, path_edges: list[PlannedEdge],
         pendants.append(branch_edges)
 
     link_edges, tips = tuple(link_edges), frozenset(tips)
+    pairs = [(vertex_id[e.u], vertex_id[e.v]) for e in exact_edges]
+    for chain, branch_edges in zip(chains, pendants):
+        pairs += zip(chain, chain[1:])
+        pairs += [(u, v) for u, v, _ in branch_edges]
+    _check_shape(counter - 1, pairs, link_edges)
+    witness = {"images": vertex_id, "paths": paths}
     for exact_mults in itertools.product(*exact_options):
         kept = [(vertex_id[e.u], vertex_id[e.v], m) for e, m in zip(exact_edges, exact_mults)]
         for path_mults in itertools.product(*path_options):
@@ -271,7 +337,27 @@ def _iter_bond_assignments(spec: TopologicalSpec, path_edges: list[PlannedEdge],
             for chain, mults, branch_edges in zip(chains, path_mults, pendants):
                 edges += zip(chain, chain[1:], mults)
                 edges += branch_edges
-            yield Skeleton(counter - 1, tuple(edges), link_edges, tips, allowed, codes)
+            yield Skeleton(counter - 1, tuple(edges), link_edges, tips, allowed, codes, witness)
+
+
+def _check_shape(n_vertices: int, pairs: list[tuple[int, int]], link_edges: tuple[tuple[int, int], ...]) -> None:
+    """What `ChemicalGraph` would check of a candidate's structure, on the
+    skeleton shape all its candidates share (their fringe trees hang off it
+    and close no cycle): no self-loop or duplicate bond, connected, and the
+    link edges a circular set.  Raises GraphError."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in pairs:
+        if u == v:
+            raise GraphError(f"self-loop at atom {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise GraphError(f"duplicate bond {e[0]}-{e[1]}")
+        seen.add(e)
+    vertices = range(1, n_vertices + 1)
+    if not is_connected(vertices, pairs):
+        raise GraphError("graph is not connected")
+    if not is_circular_set(vertices, pairs, link_edges):
+        raise GraphError("link-edge set is not a circular set")
 
 
 # ---------------------------------------------------------------------------
@@ -485,25 +571,51 @@ def _assign_fringes(
         del rec
 
 
-def _materialize(sk: Skeleton, assignment: tuple[CatalogEntry, ...]) -> ChemicalGraph:
-    atoms: list[tuple[int, str]] = []
-    bonds: list[tuple[int, int, int]] = [(u, v, m) for u, v, m in sk.edges]
-    nxt = sk.n_vertices + 1
-    for v, entry in zip(range(1, sk.n_vertices + 1), assignment):
-        atoms.append((v, entry.element))
-        stack = [(v, entry.tree)]
-        while stack:
-            parent, tree = stack.pop()
-            for mult, child in tree.children:
-                atoms.append((nxt, child.label))
-                bonds.append((parent, nxt, mult))
-                stack.append((nxt, child))
-                nxt += 1
-    return ChemicalGraph(
-        atoms=tuple(atoms),
-        bonds=tuple(bonds),
-        link_edges=frozenset(sk.link_edges),
+def _materialize(
+    sk: Skeleton, assignment: tuple[CatalogEntry, ...], rho: int
+) -> tuple[ChemicalGraph, TwoLayeredDecomposition]:
+    """A candidate's graph and its decomposition at rho, laid out in one
+    walk: each fringe tree's atoms follow the skeleton's, numbered in its
+    entry's layout order.  The skeleton is the interior and its edges the
+    interior edges, the trees' heavy atoms are the exterior, and each
+    vertex's fringe tree is its entry's.  Nothing is re-checked: the
+    structure was checked once per skeleton shape, each tree's valences
+    once per catalog entry, and each root's valence when its entry was
+    chosen (its free valence is the vertex's skeleton bond sum)."""
+    edges = [(u, v, m) if u < v else (v, u, m) for u, v, m in sk.edges]
+    core = [(v, entry.element) for v, entry in enumerate(assignment, start=1)]
+    atoms, bonds = list(core), list(edges)
+    heavy, heavy_bonds = list(core), list(edges)
+    hydrogens = [(v, entry.root_hydrogens) for v, entry in enumerate(assignment, start=1)]
+    base = sk.n_vertices + 1
+    for v, entry in enumerate(assignment, start=1):
+        if not entry.atoms:
+            continue
+        atoms += [(base + k, a) for k, a in entry.atoms]
+        bonds += [(v if p < 0 else base + p, base + k, m) for p, k, m in entry.bonds]
+        if entry.heavy:  # most trees hold hydrogens only
+            heavy += [(base + k, a) for k, a in entry.heavy]
+            heavy_bonds += [(v if p < 0 else base + p, base + k, m) for p, k, m in entry.heavy_bonds]
+            hydrogens += [(base + k, h) for k, h in entry.hydrogens]
+        base += len(entry.atoms)
+    link_edges = frozenset((u, v) if u < v else (v, u) for u, v in sk.link_edges)
+    g = ChemicalGraph._from_checked_records(atoms, bonds, link_edges, structure_checked=True)
+    suppressed = SuppressedGraph(
+        atoms=tuple(heavy),
+        bonds=tuple(sorted(heavy_bonds)),
+        link_edges=link_edges,
+        connecting=None,
+        hydrogens=tuple(hydrogens),
     )
+    dec = TwoLayeredDecomposition(
+        rho=rho,
+        suppressed=suppressed,
+        interior_vertices=frozenset(range(1, sk.n_vertices + 1)),
+        exterior_vertices=frozenset(i for i, _ in heavy[sk.n_vertices:]),
+        interior_edges=frozenset((u, v) for u, v, _ in edges),
+        fringe_trees={v: entry.tree for v, entry in enumerate(assignment, start=1)},
+    )
+    return g, dec
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +749,15 @@ def iter_generate(
                 f"seed vertex {v.name!r} admits pendant branches (branch_count_vertex), "
                 "which generation does not build"
             )
+    on_cycle = _cycle_vertices(spec.seed)
+    for name in spec.seed.vertices:
+        if name not in on_cycle:
+            raise SpecError(
+                f"seed vertex {name!r} lies on no cycle of the seed; generation needs "
+                "every seed vertex to stay interior"
+            )
+    if spec.rho < 1:
+        raise GraphError("rho must be at least 1")
     catalog = [CatalogEntry.build(code) for code in spec.fringe_catalog]
     memo = _Contributions(spec, catalog, model.registry.vocabulary)
     lo, hi = window
@@ -661,11 +782,10 @@ def iter_generate(
                 outcome.status = "limit-candidates"
                 return
             outcome.candidates_examined += 1
-            g = _materialize(sk, assignment)
-            # one decomposition serves every stage below
-            dec = decompose(g, spec.rho)
+            # the construction's decomposition serves every stage below
+            g, dec = _materialize(sk, assignment, spec.rho)
             # bounds first; the expansion itself is the structural witness,
-            # re-established below for every emitted graph
+            # certified below for every emitted graph
             report = check_satisfies(dec, spec, search_witness=False)
             if not report.passed:
                 outcome.rejected_spec += 1
@@ -683,9 +803,8 @@ def iter_generate(
                 outcome.duplicates += 1
                 continue
             seen.add(sig)
-            witness, message = find_expansion_witness(dec, spec)
-            if witness is None:  # pragma: no cover - construction is a witness
-                raise RuntimeError(f"constructed graph lost its witness: {message}")
+            if not check_witness(dec, spec, sk.witness):
+                raise RuntimeError(f"candidate {outcome.candidates_examined} fails the witness it was built as")
             result = GeneratedGraph(
                 graph=g,
                 prediction=prediction,
@@ -696,6 +815,17 @@ def iter_generate(
             )
             yield result
     outcome.status = "exhausted"
+
+
+def _cycle_vertices(seed: SeedGraph) -> set[str]:
+    """The seed vertices on a cycle of the seed: the ends of each seed edge
+    that is no bridge, that is whose removal leaves the seed connected."""
+    on_cycle: set[str] = set()
+    pairs = [(e.u, e.v) for e in seed.edges]
+    for i, e in enumerate(seed.edges):
+        if is_connected(seed.vertices, pairs[:i] + pairs[i + 1:]):
+            on_cycle.update((e.u, e.v))
+    return on_cycle
 
 
 def run_generation(

@@ -94,8 +94,11 @@ def verify_assignment(model: MilpModel, assignment: dict[str, Fraction]) -> list
 
     A model repeats few distinct floats across its bounds, coefficients and
     right-hand sides, so each is converted to a `Fraction` once per call.
-    Every coefficient is converted, so a non-finite one raises; a term whose
-    value is exactly 0 adds nothing to its row and is skipped."""
+    Every bound and coefficient is converted, so a non-finite one raises; a
+    term whose value is exactly 0 adds nothing to its row and is skipped,
+    and a value that is exactly 0 lies within its bounds when the lower
+    one is not positive and the upper one not negative, which the signs of
+    their numerators say without a rational comparison."""
     exact: dict[float, Fraction] = {}
 
     def q(x: float) -> Fraction:
@@ -107,7 +110,12 @@ def verify_assignment(model: MilpModel, assignment: dict[str, Fraction]) -> list
     bad: list[str] = []
     for v in model.variables:
         val = assignment[v.name]
-        if val < q(v.lower) or val > q(v.upper):
+        lower, upper = q(v.lower), q(v.upper)
+        if val:
+            outside = val < lower or val > upper
+        else:
+            outside = lower.numerator > 0 or upper.numerator < 0
+        if outside:
             bad.append(f"bounds:{v.name}")
         if v.integer and val.denominator != 1:
             bad.append(f"integrality:{v.name}")

@@ -11,7 +11,11 @@ passed in one pass over the bounds, and its report builds the per-bound
 rows only when they are read.  The witness search frees itself on return
 (its recursive closures are deleted in a `finally`, and the path
 enumeration keeps an explicit stack), so checking a graph leaves no
-reference cycles for the garbage collector.  Everything either reads off
+reference cycles for the garbage collector.  A witness that is already
+known, as the generator knows the embedding it built, is certified by
+`check_witness` in one linear pass instead of searched for; the test of
+the pendant trees and the edge cover that ends each is shared with the
+search's leaf.  Everything either reads off
 a specification is compiled once per specification object into its plan
 (`TopologicalSpec.plan`) and kept on it: the count bounds as rows by
 family and key, the declared keys each membership test admits, and the
@@ -690,8 +694,18 @@ def find_expansion_witness(
         return (u, v) if u <= v else (v, u)
 
     def try_place(pos: int) -> bool:
+        nonlocal witness
         if pos == len(order):
-            return finish()
+            # everything up to here was checked as it was placed
+            attach_at = _pendant_attachments(dec, plan, adj, images, path_of, used, used_edges)
+            if attach_at is None:
+                return False
+            witness = {
+                "images": dict(images),
+                "paths": {k: list(v) for k, v in path_of.items()},
+                "attachments": {str(k): v for k, v in sorted(attach_at.items())},
+            }
+            return True
         sv = order[pos]
         may_attach = sv.branch_count[1] > 0
         pool = interior if sv.anchor is None else sorted(adj[images[sv.anchor]])
@@ -751,85 +765,166 @@ def find_expansion_witness(
             used.difference_update(internals)
         return False
 
-    def finish() -> bool:
-        # leftover interior vertices must form pendant trees, each hanging
-        # from exactly one used vertex by exactly one edge, and together
-        # with the seed-edge images they must cover every interior edge
-        leftover = {v for v in interior if v not in used}
-        attach_at: dict[int, list[int]] = {}  # anchor -> heights of blocks
-        covered: set[tuple[int, int]] = set(used_edges)
-        seen: set[int] = set()
-        for v0 in sorted(leftover):
-            if v0 in seen:
-                continue
-            comp = {v0}
-            seen.add(v0)
-            queue = [v0]
-            anchor_edges: list[tuple[int, int]] = []
-            while queue:
-                x = queue.pop()
-                for y in adj[x]:
-                    if y in leftover:
-                        if y not in seen:
-                            seen.add(y)
-                            comp.add(y)
-                            queue.append(y)
-                    else:
-                        anchor_edges.append((y, x))
-            if len(anchor_edges) != 1:
-                return False  # pendant component must hang by one edge
-            anchor, first = anchor_edges[0]
-            inner = {norm(x, y) for x in comp for y in adj[x] if y in comp}
-            if len(inner) != len(comp) - 1:
-                return False  # pendant component must be a tree
-            covered |= inner
-            covered.add(norm(anchor, first))
-            attach_at.setdefault(anchor, []).append(_component_height(adj, anchor, comp))
-        if covered != dec.interior_edges:  # both hold (u, v) with u < v
-            return False  # an interior edge escaped the expansion
-
-        for sv in order:
-            heights = attach_at.get(images[sv.name], [])
-            lo, hi = sv.branch_count
-            if not lo <= len(heights) <= hi:
-                return False
-            ch_lo, ch_hi = sv.branch_height
-            if not ch_lo <= max(heights, default=0) <= ch_hi:
-                return False
-        consumed = set(images.values())
-        for name, path in path_of.items():
-            edge = plan.edges[name]
-            internals = path[1:-1]
-            branched = [v for v in internals if attach_at.get(v)]
-            lo, hi = edge.branch_count
-            if not lo <= len(branched) <= hi:
-                return False
-            ch_lo, ch_hi = edge.branch_height
-            height = max((h for v in internals for h in attach_at.get(v, [])), default=0)
-            if not ch_lo <= height <= ch_hi:
-                return False
-            consumed.update(internals)
-        if any(anchor not in consumed for anchor in attach_at):
-            return False
-        nonlocal witness
-        witness = {
-            "images": dict(images),
-            "paths": {k: list(v) for k, v in path_of.items()},
-            "attachments": {str(k): v for k, v in sorted(attach_at.items())},
-        }
-        return True
-
     witness: dict | None = None
     try:
         found = try_place(0)
     finally:
-        # the three closures reach each other through their cells; emptying
+        # the two closures reach each other through their cells; emptying
         # those cells breaks the cycle, so the search is freed on return
         # instead of at the next garbage collection
-        del try_place, place_edges, finish
+        del try_place, place_edges
     if not found:
         return None, "no seed-expansion embedding found"
     return witness, "witness found"
+
+
+def check_witness(dec: TwoLayeredDecomposition, spec: TopologicalSpec, witness: dict) -> bool:
+    """Whether `witness` embeds the seed in the interior of `dec` as
+    `find_expansion_witness` requires, checked in one linear pass instead
+    of searched for.
+
+    The witness maps each seed vertex name to an interior vertex
+    ("images") and each replaceable seed edge name to its path, a vertex
+    list from the image of the edge's `u` to that of its `v` ("paths");
+    the pendant trees (its "attachments", if any) are derived, not read.
+    Every test the search makes holds: each image is distinct, with an
+    admissible element, fringe code and interior degree; each kept edge is
+    a non-link interior edge of an admissible multiplicity; each path has
+    a length, bond counts, internal fringe codes and link flags within its
+    edge's bounds, and no path shares a vertex or an edge with an image,
+    a kept edge or another path; and the rest of the interior hangs in
+    pendant trees within the branch bounds that, with the seed's images,
+    cover every interior edge."""
+    plan = spec.plan
+    s = dec.suppressed
+    inside = dec.interior_vertices
+    adj, labels, links = s.adj, s.labels, s.link_edges
+    trees = dec.fringe_trees
+    images, paths = witness["images"], witness["paths"]
+    if len(images) != len(plan.vertices):
+        return False
+    used: set[int] = set()
+    for sv in plan.vertices:
+        v = images.get(sv.name)
+        if v not in inside or v in used:
+            return False
+        if labels[v] not in sv.allowed or trees[v].code not in sv.catalog:
+            return False
+        deg = len(adj[v].keys() & inside)
+        if deg < sv.degree or (sv.branch_count[1] == 0 and deg != sv.degree):
+            return False
+        used.add(v)
+    used_edges: set[tuple[int, int]] = set()
+    placed = 0
+    for edge in plan.edges.values():
+        a, b = images[edge.u], images[edge.v]
+        if edge.exact:
+            m = adj[a].get(b)
+            e = (a, b) if a <= b else (b, a)
+            if m is None or m not in edge.multiplicities or e in used_edges or e in links:
+                return False
+            used_edges.add(e)
+            continue
+        path = paths.get(edge.name)
+        if path is None or path[0] != a or path[-1] != b:
+            return False
+        lo, hi = edge.path_len
+        if not lo <= len(path) - 1 <= hi:
+            return False
+        for v in path[1:-1]:
+            if v not in inside or v in used or trees[v].code not in edge.catalog:
+                return False
+            used.add(v)
+        mults = []
+        for x, y in zip(path, path[1:]):
+            m = adj[x].get(y)
+            e = (x, y) if x <= y else (y, x)
+            if m is None or e in used_edges or (e in links) != edge.link:
+                return False
+            used_edges.add(e)
+            mults.append(m)
+        if not edge.bonds_ok(mults):
+            return False
+        placed += 1
+    if placed != len(paths):
+        return False  # a path for an edge that is kept or not in the seed
+    return _pendant_attachments(dec, plan, adj, images, paths, used, used_edges) is not None
+
+
+def _pendant_attachments(
+    dec: TwoLayeredDecomposition,
+    plan: SpecPlan,
+    adj,
+    images: dict[str, int],
+    paths: dict[str, list[int]],
+    used: set[int],
+    used_edges: set[tuple[int, int]],
+) -> dict[int, list[int]] | None:
+    """The last test of a seed embedding, at the leaves of the witness
+    search and in `check_witness`: the interior vertices it leaves unused
+    must form pendant trees, each hanging from exactly one image or path
+    vertex by exactly one edge, within the branch-count and branch-height
+    bounds there, and with the embedded edges they must cover every
+    interior edge.  Returns the heights of the trees hanging at each
+    anchor, or None.  `adj` may list exterior neighbours too."""
+    inside = dec.interior_vertices
+    leftover = inside - used
+    attach_at: dict[int, list[int]] = {}  # anchor -> heights of blocks
+    covered = set(used_edges) if leftover else used_edges
+    seen: set[int] = set()
+    for v0 in sorted(leftover):
+        if v0 in seen:
+            continue
+        comp = {v0}
+        seen.add(v0)
+        queue = [v0]
+        anchor_edges: list[tuple[int, int]] = []
+        while queue:
+            x = queue.pop()
+            for y in adj[x]:
+                if y in leftover:
+                    if y not in seen:
+                        seen.add(y)
+                        comp.add(y)
+                        queue.append(y)
+                elif y in inside:
+                    anchor_edges.append((y, x))
+        if len(anchor_edges) != 1:
+            return None  # pendant component must hang by one edge
+        anchor, first = anchor_edges[0]
+        inner = {(x, y) if x <= y else (y, x) for x in comp for y in adj[x] if y in comp}
+        if len(inner) != len(comp) - 1:
+            return None  # pendant component must be a tree
+        covered |= inner
+        covered.add((anchor, first) if anchor <= first else (first, anchor))
+        attach_at.setdefault(anchor, []).append(_component_height(adj, anchor, comp))
+    if covered != dec.interior_edges:  # both hold (u, v) with u < v
+        return None  # an interior edge escaped the expansion
+
+    for sv in plan.vertices:
+        heights = attach_at.get(images[sv.name], [])
+        lo, hi = sv.branch_count
+        if not lo <= len(heights) <= hi:
+            return None
+        ch_lo, ch_hi = sv.branch_height
+        if not ch_lo <= max(heights, default=0) <= ch_hi:
+            return None
+    consumed = set(images.values())
+    for name, path in paths.items():
+        edge = plan.edges[name]
+        internals = path[1:-1]
+        branched = [v for v in internals if attach_at.get(v)]
+        lo, hi = edge.branch_count
+        if not lo <= len(branched) <= hi:
+            return None
+        ch_lo, ch_hi = edge.branch_height
+        height = max((h for v in internals for h in attach_at.get(v, [])), default=0)
+        if not ch_lo <= height <= ch_hi:
+            return None
+        consumed.update(internals)
+    if any(anchor not in consumed for anchor in attach_at):
+        return None
+    return attach_at
 
 
 def _seed_order(seed: SeedGraph) -> list[str]:

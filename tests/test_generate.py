@@ -27,7 +27,15 @@ from polyinfer.generate import (
 )
 from polyinfer.model import ModelBundle
 from polyinfer.regress import Hyperplane
-from polyinfer.topospec import CONFIG_BOUNDS, build_instance_Ib, check_satisfies
+from polyinfer.topospec import (
+    CONFIG_BOUNDS,
+    SeedEdge,
+    SeedGraph,
+    build_instance_Ib,
+    check_satisfies,
+    check_witness,
+    find_expansion_witness,
+)
 from spechelpers import FREE_POSITIONS, SMALL_CATALOG, forcing_spec, oracle_candidates, train_model
 
 
@@ -205,13 +213,14 @@ def decompositions(monkeypatch):
     return calls
 
 
-def test_generation_decomposes_each_candidate_once(model_with_cl, decompositions):
+def test_generation_decomposes_no_candidate(model_with_cl, decompositions):
     spec = forcing_spec(SMALL_CATALOG, cl_positions=(2, 5, 8, 11))
     out = run_generation(spec, model_with_cl, (3.2, 3.75))
     # every stage ran: some candidates were predicted out of the window,
-    # some were signed and emitted
+    # some were signed and emitted; each read the decomposition the
+    # candidate was built with
     assert out.results and out.rejected_window
-    assert len(decompositions) == out.candidates_examined
+    assert decompositions == []
 
 
 @pytest.fixture
@@ -264,7 +273,37 @@ def test_cmd_generate_adds_no_decompositions(model_with_cl, tmp_path, decomposit
     lines = (tmp_path / "out" / "manifest.jsonl").read_text().splitlines()
     summary = json.loads(lines[-1])["summary"]
     assert summary["results"] > 0
-    assert len(decompositions) == summary["candidates_examined"]
+    assert decompositions == []
+
+
+def test_a_candidate_failing_its_constructed_witness_is_an_error(model_with_cl, spec_full, monkeypatch):
+    monkeypatch.setattr(generate, "check_witness", lambda dec, spec, witness: False)
+    with pytest.raises(RuntimeError, match="fails the witness it was built as"):
+        run_generation(spec_full, model_with_cl, (-1e9, 1e9))
+
+
+def with_seed_edge(spec, edge: SeedEdge, vertex: str | None = None):
+    """`spec` with one more seed edge, and one more seed vertex if named."""
+    vertices = spec.seed.vertices + ((vertex,) if vertex else ())
+    return dataclasses.replace(spec, seed=SeedGraph(vertices, spec.seed.edges + (edge,)))
+
+
+# each a fact checked once where it becomes known, not per candidate
+@pytest.mark.parametrize("spec,message", [
+    (forcing_spec(SMALL_CATALOG + ("C(-O)",)), "catalog tree 'C(-O)': valence violation at O below the root"),
+    (with_seed_edge(forcing_spec(SMALL_CATALOG), SeedEdge("a15", "b2", "b13", kind="exact"), "b13"),
+     "seed vertex 'b13' lies on no cycle of the seed"),
+    (with_seed_edge(forcing_spec(SMALL_CATALOG), SeedEdge("a15", "b1", "b2", kind="exact")), "duplicate bond 1-2"),
+], ids=["catalog-valence", "seed-vertex-off-cycles", "duplicate-bond"])
+def test_cmd_generate_names_a_broken_construction(model_with_cl, tmp_path, capsys, spec, message):
+    (tmp_path / "model.json").write_text(model_with_cl.to_json())
+    (tmp_path / "spec.json").write_text(spec.to_json())
+    code = main([
+        "generate", "--model", str(tmp_path / "model.json"), "--spec", str(tmp_path / "spec.json"),
+        "--window=-1e9,1e9", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_manifest_summary_reports_cuts_and_rejections(model_without_cl, tmp_path):
@@ -760,7 +799,8 @@ def test_memo_counts_add_up_to_the_profile(model_with_cl, model_without_cl, cata
         links = set(sk.link_edges)
         for assignment in generate._assign_fringes(spec, sk, entries, memo, GenerationOutcome()):
             complete += 1
-            dec = twolayer.decompose(generate._materialize(sk, assignment), spec.rho)
+            g, _ = generate._materialize(sk, assignment, spec.rho)
+            dec = twolayer.decompose(g, spec.rho)
             s = dec.suppressed
             end = {v: (s.labels[v], len(s.adj[v])) for v in range(1, sk.n_vertices + 1)}
             verdicts = [memo[(entry.code, end[v][1])] for v, entry in enumerate(assignment, start=1)]
@@ -778,6 +818,87 @@ def test_memo_counts_add_up_to_the_profile(model_with_cl, model_without_cl, cata
                 for key, count in getattr(profile, family).items()
             })
     assert complete
+
+
+def assert_candidates_carry_their_certificates(spec, vocabulary) -> Counter:
+    """Every complete assignment of the enumeration, materialized: its
+    decomposition is the one `decompose` finds, its graph the one full
+    validation and a PMG round trip give, and the witness it was built as
+    and the one the search finds both pass `check_witness`.  Returns how
+    many candidates there were, and how many of them carry pendant paths."""
+    entries = [generate.CatalogEntry.build(code) for code in spec.fringe_catalog]
+    memo = generate._Contributions(spec, entries, vocabulary)
+    complete = Counter()
+    for sk in generate._iter_skeletons(spec):
+        for assignment in generate._assign_fringes(spec, sk, entries, memo, GenerationOutcome()):
+            complete["candidates"] += 1
+            complete["branched"] += bool(sk.tips)
+            g, built = generate._materialize(sk, assignment, spec.rho)
+            found = twolayer.decompose(g, spec.rho)
+            for attr in ("interior_vertices", "exterior_vertices", "interior_edges"):
+                assert getattr(built, attr) == getattr(found, attr), attr
+            assert list(built.fringe_trees) == list(found.fringe_trees)
+            assert [t.code for t in built.fringe_trees.values()] == [t.code for t in found.fringe_trees.values()]
+            for attr in ("atoms", "bonds", "hydrogens", "link_edges", "connecting"):
+                assert getattr(built.suppressed, attr) == getattr(found.suppressed, attr), attr
+            assert built.profile == found.profile
+            assert g == ChemicalGraph(g.atoms, g.bonds, g.link_edges)
+            assert g == parse_pmg(serialize_pmg(g))
+            assert check_witness(built, spec, sk.witness)
+            searched, message = find_expansion_witness(built, spec)
+            assert searched is not None, message
+            assert check_witness(built, spec, searched)
+    return complete
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    # the strategy of test_memo_counts_add_up_to_the_profile
+    catalog=st.sets(st.sampled_from(("C(-H)(-H)", "C(-Cl)", "O")), min_size=1)
+    .filter(lambda codes: codes & {"C(-H)(-H)", "O"})
+    .flatmap(lambda codes: st.permutations(["C", "C(-H)", *sorted(codes)])),
+    cl_positions=st.sets(st.sampled_from(FREE_POSITIONS), min_size=1, max_size=4),
+    a2_max_len=st.sampled_from((2, 3)),
+    knows_cl=st.booleans(),
+)
+def test_candidates_carry_their_certificates_on_drawn_spaces(model_with_cl, model_without_cl, catalog,
+                                                              cl_positions, a2_max_len, knows_cl):
+    spec = forcing_spec(tuple(catalog), a2_max_len=a2_max_len, cl_positions=tuple(sorted(cl_positions)))
+    model = model_with_cl if knows_cl else model_without_cl
+    assert assert_candidates_carry_their_certificates(spec, model.registry.vocabulary)["candidates"]
+
+
+def test_ib_candidates_carry_their_certificates(model_with_cl):
+    spec = build_instance_Ib("AmD", 14)
+    assert assert_candidates_carry_their_certificates(spec, model_with_cl.registry.vocabulary)["candidates"]
+
+
+def branched_spec():
+    """The forcing spec with a pendant path of one or two vertices allowed
+    on the a2 bridge, a tip fringe of full height (an n-propyl) in the
+    catalog, and every configuration of carbons declared."""
+    tip = twolayer.parse_code("C(-H)(-H)(-C(-H)(-H)(-C(-H)(-H)(-H)))").code
+    catalog = ("C", "C(-H)", "C(-H)(-H)", tip)
+    ends = [("C", d) for d in range(1, 5)]
+    keys = [twolayer.edge_keys(a, d, b, dp, m) for a, d in ends for b, dp in ends for m in (1, 2)]
+    base = forcing_spec(catalog)
+    return dataclasses.replace(
+        base,
+        n=(14, 40),
+        n_int=(14, 20),
+        branch_count_edge={"a1": (0, 0), "a2": (0, 1)},
+        branch_height_edge={"a1": (0, 0), "a2": (0, 2)},
+        **{attr: {k: (0, 40) for k, _ in keys} for attr in ("ec_int", "ec_lnk")},
+        **{attr: {k: (0, 40) for _, k in keys} for attr in ("ac_int", "ac_lnk")},
+        ac_lf={"(C,C,1)": (0, 40)},
+    )
+
+
+def test_branched_candidates_carry_their_certificates():
+    # pendant paths on a bridge, their tips interior through full-height
+    # fringes; no vocabulary, so no candidate is cut on it
+    count = assert_candidates_carry_their_certificates(branched_spec(), {})
+    assert 0 < count["branched"] < count["candidates"]
 
 
 # each bound is on a family only the full check tested before the memo

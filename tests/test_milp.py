@@ -804,6 +804,18 @@ def test_verify_assignment_raises_on_a_non_finite_coefficient_against_zero(coef)
         verify_assignment(model, assignment)
 
 
+@pytest.mark.parametrize("bounds", [(0.0, float("inf")), (float("-inf"), 0.0), (float("nan"), 1.0)])
+def test_verify_assignment_raises_on_a_non_finite_bound_of_a_zero_value(bounds):
+    # a zero value is judged by the signs of its bounds, which must still
+    # be converted exactly
+    model = MilpModel((Variable("x", 0, 3, integer=True), Variable("y", *bounds)), ())
+    assignment = {"x": Fraction(1), "y": Fraction(0)}
+    with pytest.raises((OverflowError, ValueError)) as want:
+        reference_verify_assignment(model, assignment)
+    with pytest.raises(want.type):
+        verify_assignment(model, assignment)
+
+
 @pytest.mark.parametrize("k", [25, 47, 100])
 def test_predicted_value_matches_the_full_sum_on_synthetic_models(k):
     for seed in range(4):

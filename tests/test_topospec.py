@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from corpus import make_polymer
-from polyinfer.chemgraph import parse_pmg
+from polyinfer.chemgraph import ChemicalGraph, parse_pmg
 from polyinfer.data import example_polymer_text, fringe_catalog_text
 from polyinfer.topospec import (
     COUNT_BOUNDS,
@@ -19,6 +19,7 @@ from polyinfer.topospec import (
     TopologicalSpec,
     build_instance_Ib,
     check_satisfies,
+    check_witness,
     element_set,
     find_expansion_witness,
     load_fringe_catalog,
@@ -380,11 +381,14 @@ def test_demo_polymer_link_counts_keep_both_meanings():
 
 
 def assert_same_witness(text: str, spec: TopologicalSpec) -> bool:
-    """The same (witness, message), dict order included; whether one exists."""
+    """The same (witness, message), dict order included; whether one
+    exists.  A witness found also passes `check_witness`."""
     dec = decompose(parse_pmg(text), spec.rho)
     got = find_expansion_witness(dec, spec)
     want = reference_find_expansion_witness(dec, spec)
     assert json.dumps(got) == json.dumps(want), text
+    if got[0] is not None:
+        assert check_witness(dec, spec, got[0]), text
     return got[0] is not None
 
 
@@ -415,6 +419,118 @@ def test_witness_matches_reference_without_a_witness():
     ]
     for text, spec in cases:
         assert not assert_same_witness(text, spec)
+
+
+# -- certifying a given witness -----------------------------------------------
+
+
+def bridged_witness(a2_path=(4, 14, 15, 10)) -> dict:
+    """The seed embedding of a two-ring polymer built by `make_polymer`,
+    written down: seed vertex bi is ring atom i, bridge a1 is 1-13-7 and
+    bridge a2 runs 4-14-...-10."""
+    return {"images": {f"b{i}": i for i in range(1, 13)}, "paths": {"a1": [1, 13, 7], "a2": list(a2_path)}}
+
+
+@pytest.fixture(scope="module")
+def bridged():
+    """A forcing-space member with a two-atom a2 bridge, decomposed, and
+    the forcing spec."""
+    return decompose(parse_pmg(make_polymer(bridge_b=("C", "C"))), 2), forcing_spec(SMALL_CATALOG)
+
+
+def test_check_witness_accepts_the_embedding_and_the_search_witness(bridged):
+    dec, spec = bridged
+    assert check_witness(dec, spec, bridged_witness())
+    found, _ = find_expansion_witness(dec, spec)
+    assert check_witness(dec, spec, found)
+
+
+def test_check_witness_rejects_an_image_of_the_wrong_element(bridged):
+    dec, spec = bridged
+    only_o = dataclasses.replace(spec, vertex_elements={**spec.vertex_elements, "b2": ("O",)})
+    assert not check_witness(dec, only_o, bridged_witness())
+
+
+def crossed_square():
+    """Carbon 1 at the centre, bonded to carbons 2-5, with the bonds 2-4
+    and 3-5 besides: two triangles that share the centre, whose corners
+    have two heavy neighbours each and the centre four.  Hydrogens fill
+    the valences; no link edges.  Decomposed at rho 2, all five carbons
+    are interior."""
+    heavy = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (3, 5)]
+    atoms = [(i, "C") for i in range(1, 6)] + [(i, "H") for i in range(6, 14)]
+    hydrogens = [(corner, 6 + 2 * k + j) for k, corner in enumerate((2, 3, 4, 5)) for j in (0, 1)]
+    return decompose(ChemicalGraph(atoms=tuple(atoms), bonds=tuple((u, v, 1) for u, v in heavy + hydrogens)), 2)
+
+
+def bare_spec(seed: SeedGraph, **tables) -> TopologicalSpec:
+    """A spec on `seed` with no count bounds, for structural checks only:
+    every path length 1..2 unless given, no branches unless given."""
+    empty = {attr: {} for attr in COUNT_BOUNDS}
+    kwargs = dict(
+        seed=seed, rho=2, elements=("H", "C"), vertex_elements={}, fringe_catalog=("C", "C(-H)(-H)"),
+        n=(0, 50), n_int=(0, 50), n_lnk=(0, 50),
+        path_len={e.name: (1, 2) for e in seed.edges if e.kind == "path"},
+        branch_count_edge={}, branch_height_edge={}, branch_count_vertex={}, branch_height_vertex={},
+        double_bonds={}, triple_bonds={}, **empty,
+    )
+    return TopologicalSpec(**{**kwargs, **tables})
+
+
+def test_check_witness_rejects_two_seed_vertices_on_one_image():
+    # seed vertices s and t, each with two length-1 paths and room for a
+    # branch, both at the centre: every other test passes
+    seed = SeedGraph(("s", "t", "a", "b", "c", "d"), (
+        SeedEdge("p1", "s", "a", "path"), SeedEdge("p2", "s", "b", "path"),
+        SeedEdge("p3", "t", "c", "path"), SeedEdge("p4", "t", "d", "path"),
+        SeedEdge("k1", "a", "c", "exact"), SeedEdge("k2", "b", "d", "exact"),
+    ))
+    spec = bare_spec(seed, branch_count_vertex={"s": (0, 1), "t": (0, 1)})
+    witness = {"images": {"s": 1, "t": 1, "a": 2, "b": 3, "c": 4, "d": 5},
+               "paths": {"p1": [1, 2], "p2": [1, 3], "p3": [1, 4], "p4": [1, 5]}}
+    assert not check_witness(crossed_square(), spec, witness)
+
+
+def test_check_witness_rejects_a_path_through_a_used_vertex():
+    # two length-2 paths across the square, both through the centre:
+    # every other test passes
+    seed = SeedGraph(("a", "b", "c", "d"), (
+        SeedEdge("p1", "a", "b", "path"), SeedEdge("p2", "c", "d", "path"),
+        SeedEdge("k1", "a", "c", "exact"), SeedEdge("k2", "b", "d", "exact"),
+    ))
+    witness = {"images": {"a": 2, "b": 3, "c": 4, "d": 5}, "paths": {"p1": [2, 1, 3], "p2": [4, 1, 5]}}
+    assert not check_witness(crossed_square(), bare_spec(seed), witness)
+
+
+def test_check_witness_rejects_a_path_of_the_wrong_length():
+    # a three-atom a2 bridge where the forcing spec admits at most two
+    dec = decompose(parse_pmg(make_polymer(bridge_b=("C", "C", "C"))), 2)
+    spec = forcing_spec(SMALL_CATALOG)
+    assert not check_witness(dec, spec, bridged_witness(a2_path=(4, 14, 15, 16, 10)))
+    assert check_witness(dec, dataclasses.replace(spec, path_len={**spec.path_len, "a2": (2, 4)}),
+                         bridged_witness(a2_path=(4, 14, 15, 16, 10)))
+
+
+def test_check_witness_rejects_a_non_link_path_over_link_edges(bridged):
+    dec, spec = bridged
+    edges = tuple(dataclasses.replace(e, link=False) if e.name == "a1" else e for e in spec.seed.edges)
+    plain_a1 = dataclasses.replace(spec, seed=SeedGraph(spec.seed.vertices, edges))
+    assert not check_witness(dec, plain_a1, bridged_witness())
+
+
+def test_check_witness_rejects_an_uncovered_interior_edge():
+    # a chord 2-5 across ring 1, each end giving up its hydrogen; the seed
+    # vertices there may carry a branch, so only the cover fails
+    g = parse_pmg(make_polymer(bridge_b=("C", "C")))
+    spare = {min(w for w in g.adj[end] if g.labels[w] == "H") for end in (2, 5)}
+    chorded = ChemicalGraph(
+        atoms=tuple(a for a in g.atoms if a[0] not in spare),
+        bonds=tuple(b for b in g.bonds if spare.isdisjoint(b[:2])) + ((2, 5, 1),),
+        link_edges=g.link_edges,
+    )
+    spec = forcing_spec(SMALL_CATALOG)
+    spec = dataclasses.replace(spec, branch_count_vertex={**spec.branch_count_vertex, "b2": (0, 1), "b5": (0, 1)})
+    assert not check_witness(decompose(chorded, 2), spec, bridged_witness())
 
 
 # -- the report built on read against the eager one ---------------------------

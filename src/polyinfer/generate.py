@@ -438,12 +438,8 @@ def _automorphisms(sk: Skeleton) -> list[tuple[int, ...]]:
         (tuple(sorted(sk.allowed_elements[v])), tuple(sorted(sk.allowed_codes[v])), v in sk.tips)
         for v in range(1, n + 1)
     ]
-    adj: list[list[tuple[int, tuple[int, bool]]]] = [[] for _ in range(n)]
-    for u, v, m in sk.edges:
-        lab = (m, (u, v) in links)
-        adj[u - 1].append((v - 1, lab))
-        adj[v - 1].append((u - 1, lab))
-    first, *others = _canonical_search(colors, adj)[1]
+    edges = [(u - 1, v - 1, m, (u, v) in links) for u, v, m in sk.edges]
+    first, *others = _canonical_search(colors, edges)[1]
     found: dict[tuple[int, ...], None] = {}
     for order in others:
         perm = [0] * n
@@ -621,101 +617,126 @@ def _materialize(
 # ---------------------------------------------------------------------------
 # Canonical signatures (duplicate suppression)
 #
-# One individualization-refinement search serves the signatures and the
-# skeleton automorphisms.  It recurses at module level, with its best
-# encoding and leaves passed down as lists, so a signature leaves no
-# reference cycle behind for the garbage collector.
+# One individualization-refinement search (McKay and Piperno, J. Symb.
+# Comput. 60, 2014) serves the signatures and the skeleton automorphisms.
+# It runs on integer codes.  Vertex colors start as the dense ranks of the
+# raw colors.  A bond of multiplicity m is coded 2*m + is_link, which keeps
+# the order of (m, is_link), and a neighbour w across it enters a
+# refinement round as one int, code * (n + 1) + color[w].  Sorting these
+# ints orders a vertex's neighbours as sorting (label, color) pairs would,
+# so every round ranks the vertices, and every leaf is reached and
+# encoded, as with the label tuples themselves.  Refinement stops at a
+# discrete coloring or at a round that adds no cell.  The search recurses
+# at module level, with its best encoding and leaves passed down as lists,
+# so a signature leaves no reference cycle behind for the garbage
+# collector.
+
+# the text of each bond label (multiplicity, is_link) in an encoding, by code
+_BOND_LABELS = tuple(f"({code >> 1}, {bool(code & 1)})" for code in range(8))
 
 
 def canonical_signature(g: ChemicalGraph | TwoLayeredDecomposition, rho: int) -> str:
     """Isomorphism-invariant encoding: canonical labeling of the interior
-    graph with fringe codes as vertex colors, link flags on edges."""
+    graph with fringe codes as vertex colors, link flags on edges.  A graph
+    whose interior is empty, every vertex stripped, is labeled whole: its
+    hydrogen-suppressed vertices are colored by element, hydrogen count
+    and connecting flag, under a prefix that no interior encoding has (each
+    of those starts with a color tuple's "(")."""
     dec = as_decomposition(g, rho)
     s = dec.suppressed
-    vertices = sorted(dec.interior_vertices)
-    if not vertices:  # degenerate: the whole graph is one fringe
-        codes = sorted(ft.code for ft in dec.fringe_trees.values())
-        return "|".join(codes) + "||" + "acyclic"
-    index = {v: i for i, v in enumerate(vertices)}
+    labels, links = s.labels, s.link_edges
     connecting = set(s.connecting or ())
-    colors = [
-        (
-            s.labels[v],
-            dec.fringe_trees[v].code,
-            v in connecting,
-        )
-        for v in vertices
-    ]
-    adj: list[list[tuple[int, tuple[int, bool]]]] = [[] for _ in vertices]
-    for u, v in dec.interior_edges:
-        lab = (s.adj[u][v], ((u, v) if u <= v else (v, u)) in s.link_edges)
-        adj[index[u]].append((index[v], lab))
-        adj[index[v]].append((index[u], lab))
-    return _canonical_search(colors, adj)[0]
+    vertices = sorted(dec.interior_vertices)
+    if vertices:
+        prefix = ""
+        trees, multiplicity = dec.fringe_trees, s.adj
+        colors = [(labels[v], trees[v].code, v in connecting) for v in vertices]
+        bonds = [(u, v, multiplicity[u][v]) for u, v in dec.interior_edges]
+    else:
+        prefix = "acyclic:"
+        vertices = [v for v, _ in s.atoms]
+        hydrogens = s.h_count
+        colors = [(labels[v], hydrogens.get(v, 0), v in connecting) for v in vertices]
+        bonds = s.bonds
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = [(index[u], index[v], m, ((u, v) if u < v else (v, u)) in links) for u, v, m in bonds]
+    return prefix + _canonical_search(colors, edges)[0]
 
 
-def _refine(colors: list[int], adj) -> list[int]:
-    n = len(colors)
-    while True:
-        sig = [
-            (colors[v], tuple(sorted((lab, colors[w]) for w, lab in adj[v])))
-            for v in range(n)
-        ]
-        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ranks[s] for s in sig]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _canonical_search(raw_colors, adj) -> tuple[str, list[list[int]]]:
+def _canonical_search(raw_colors: list, edges) -> tuple[str, list[list[int]]]:
     """Individualization-refinement over every branch: the least leaf
-    encoding, and the vertex order of each leaf that reaches it."""
-    base = {c: i for i, c in enumerate(sorted(set(raw_colors)))}
-    start = _refine([base[c] for c in raw_colors], adj)
-    label_of = [repr(c) for c in raw_colors]
+    encoding, and the vertex order of each leaf that reaches it.  `edges`
+    are (u, v, multiplicity, is_link) over the positions of `raw_colors`;
+    a vertex's row in an encoding starts with the repr of its raw color."""
+    n = len(raw_colors)
+    width = n + 1
+    ranked = {c: (i, repr(c)) for i, c in enumerate(sorted(set(raw_colors)))}
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, m, is_link in edges:
+        code = (2 * m + is_link) * width
+        adj[u].append((v, code))
+        adj[v].append((u, code))
+    colors = [ranked[c][0] for c in raw_colors]
+    labels = [ranked[c][1] for c in raw_colors]
     best: list[str] = []
     leaves: list[list[int]] = []
-    _search(start, adj, label_of, best, leaves)
+    _search(*_refine(colors, len(ranked), adj), adj, labels, best, leaves)
     return best[0], leaves
 
 
-def _search(colors: list[int], adj, label_of: list[str], best: list[str], leaves: list[list[int]]) -> None:
+def _refine(colors: list[int], count: int, adj) -> tuple[list[int], int]:
+    """The coarsest equitable refinement of a dense coloring with `count`
+    colors, and its number of colors.  Each vertex's signature leads with
+    its old color, so a round that adds no cell has ranked every vertex
+    by its old color and changed nothing."""
+    n = len(colors)
+    while count < n:
+        sig = [(c, tuple(sorted([code + colors[w] for w, code in nbrs]))) for c, nbrs in zip(colors, adj)]
+        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
+        if len(ranks) == count:
+            break
+        count = len(ranks)
+        colors = [ranks[s] for s in sig]
+    return colors, count
+
+
+def _search(
+    colors: list[int], count: int, adj, labels: list[str], best: list[str], leaves: list[list[int]]
+) -> None:
     """One branch of the canonical search: individualize each vertex of the
     first non-singleton cell in turn, or, at a leaf (a discrete coloring),
     keep its encoding in `best` and its vertex order in `leaves` when it is
     the least so far."""
-    groups: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        groups.setdefault(c, []).append(v)
-    cell = None
-    for c in sorted(groups):
-        if len(groups[c]) > 1:
-            cell = groups[c]
-            break
-    if cell is None:
-        order = sorted(range(len(colors)), key=colors.__getitem__)
-        cand = _encode(order, adj, label_of)
+    n = len(colors)
+    if count == n:
+        order = [0] * n
+        for v, c in enumerate(colors):
+            order[c] = v
+        cand = _encode(order, colors, adj, labels)
         if not best or cand < best[0]:
             best[:] = [cand]
             leaves.clear()
         if cand == best[0]:
             leaves.append(order)
         return
-    mark = max(colors) + 1
+    cells: list[list[int]] = [[] for _ in range(count)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    cell = next(cell for cell in cells if len(cell) > 1)
     for v in cell:
         branched = list(colors)
-        branched[v] = mark
-        _search(_refine(branched, adj), adj, label_of, best, leaves)
+        branched[v] = count
+        _search(*_refine(branched, count + 1, adj), adj, labels, best, leaves)
 
 
-def _encode(order: list[int], adj, label_of: list[str]) -> str:
-    """The adjacency rows of a graph with its vertices in `order`."""
-    pos = {v: i for i, v in enumerate(order)}
+def _encode(order: list[int], pos: list[int], adj, labels: list[str]) -> str:
+    """The adjacency rows of a graph with its vertices in `order`, where
+    `pos` is the inverse of `order`."""
+    width = len(order) + 1
     rows = []
     for v in order:
-        edges = sorted((pos[w], lab) for w, lab in adj[v])
-        rows.append(label_of[v] + ";" + ",".join(f"{p}:{lab}" for p, lab in edges))
+        bonds = sorted([(pos[w], code) for w, code in adj[v]])
+        rows.append(labels[v] + ";" + ",".join([f"{p}:{_BOND_LABELS[code // width]}" for p, code in bonds]))
     return "\n".join(rows)
 
 

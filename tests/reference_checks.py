@@ -12,8 +12,11 @@ name and collected the out-of-vocabulary keys in a second loop;
 included, and `predicted_value` summed the weighted standardized value of
 every descriptor, zero weights included; `check_satisfies` built every
 bound row and membership pair of its report up front and derived the
-verdict, the failures and the failed families from them.  The equivalence
-tests require the current code to return what these do.
+verdict, the failures and the failed families from them; the canonical
+search refined and encoded with tuples of (bond label, color) pairs,
+sorted anew each round, and ran one more round to see that a discrete
+coloring was stable.  The equivalence tests require the current code to
+return what these do.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from polyinfer.chemgraph import Edge, GraphError, SuppressedGraph, _norm_edge, is_connected
+from polyinfer.chemgraph import ChemicalGraph, Edge, GraphError, SuppressedGraph, _norm_edge, is_connected
 from polyinfer.features import DescriptorRegistry, FeatureError, FeatureVector
 from polyinfer.milp import InverseProblemSpec, MilpModel
 from polyinfer.topospec import BoundCheck, SeedEdge, SeedGraph, TopologicalSpec
@@ -551,3 +554,88 @@ def reference_predicted_value(spec: InverseProblemSpec, assignment: dict[str, Fr
         xh = Fraction(0) if mx <= mn else (assignment[f"x_{j + 1}"] - Fraction(mn)) / Fraction(mx - mn)
         total += Fraction(float(spec.hyperplane.w[j])) * xh
     return float(total) + spec.hyperplane.b
+
+
+def reference_canonical_signature(g: ChemicalGraph | TwoLayeredDecomposition, rho: int) -> str:
+    """The canonical signature on the tuple-based search: the interior with
+    fringe codes, or, for an empty interior, the whole hydrogen-suppressed
+    graph with element, hydrogen count and connecting flag as vertex
+    colors, under the prefix "acyclic:"."""
+    dec = as_decomposition(g, rho)
+    s = dec.suppressed
+    connecting = set(s.connecting or ())
+    vertices = sorted(dec.interior_vertices)
+    if vertices:
+        prefix, pairs = "", dec.interior_edges
+        colors = [(s.labels[v], dec.fringe_trees[v].code, v in connecting) for v in vertices]
+    else:
+        prefix, pairs = "acyclic:", [(u, v) for u, v, _ in s.bonds]
+        vertices = sorted(s.labels)
+        colors = [(s.labels[v], s.h_count.get(v, 0), v in connecting) for v in vertices]
+    index = {v: i for i, v in enumerate(vertices)}
+    adj: list[list[tuple[int, tuple[int, bool]]]] = [[] for _ in vertices]
+    for u, v in pairs:
+        lab = (s.adj[u][v], _norm_edge(u, v) in s.link_edges)
+        adj[index[u]].append((index[v], lab))
+        adj[index[v]].append((index[u], lab))
+    return prefix + reference_canonical_search(colors, adj)[0]
+
+
+def reference_canonical_search(raw_colors, adj) -> tuple[str, list[list[int]]]:
+    """The least leaf encoding and the vertex order of each leaf reaching
+    it; `adj[v]` lists (neighbour, (multiplicity, is_link))."""
+    base = {c: i for i, c in enumerate(sorted(set(raw_colors)))}
+    start = _reference_refine([base[c] for c in raw_colors], adj)
+    label_of = [repr(c) for c in raw_colors]
+    best: list[str] = []
+    leaves: list[list[int]] = []
+    _reference_search(start, adj, label_of, best, leaves)
+    return best[0], leaves
+
+
+def _reference_refine(colors: list[int], adj) -> list[int]:
+    n = len(colors)
+    while True:
+        sig = [
+            (colors[v], tuple(sorted((lab, colors[w]) for w, lab in adj[v])))
+            for v in range(n)
+        ]
+        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [ranks[s] for s in sig]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _reference_search(colors: list[int], adj, label_of: list[str], best: list[str], leaves: list[list[int]]) -> None:
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        groups.setdefault(c, []).append(v)
+    cell = None
+    for c in sorted(groups):
+        if len(groups[c]) > 1:
+            cell = groups[c]
+            break
+    if cell is None:
+        order = sorted(range(len(colors)), key=colors.__getitem__)
+        cand = _reference_encode(order, adj, label_of)
+        if not best or cand < best[0]:
+            best[:] = [cand]
+            leaves.clear()
+        if cand == best[0]:
+            leaves.append(order)
+        return
+    mark = max(colors) + 1
+    for v in cell:
+        branched = list(colors)
+        branched[v] = mark
+        _reference_search(_reference_refine(branched, adj), adj, label_of, best, leaves)
+
+
+def _reference_encode(order: list[int], adj, label_of: list[str]) -> str:
+    pos = {v: i for i, v in enumerate(order)}
+    rows = []
+    for v in order:
+        edges = sorted((pos[w], lab) for w, lab in adj[v])
+        rows.append(label_of[v] + ";" + ",".join(f"{p}:{lab}" for p, lab in edges))
+    return "\n".join(rows)

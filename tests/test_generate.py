@@ -17,6 +17,7 @@ from corpus import make_polymer, synthetic_corpus
 from polyinfer import generate, twolayer
 from polyinfer.chemgraph import ChemicalGraph, parse_pmg, serialize_pmg
 from polyinfer.cli import main
+from polyinfer.data import demo_polymer_text
 from polyinfer.features import DescriptorRegistry, Standardizer
 from polyinfer.generate import (
     GenerationOutcome,
@@ -36,6 +37,7 @@ from polyinfer.topospec import (
     check_witness,
     find_expansion_witness,
 )
+from reference_checks import reference_canonical_search, reference_canonical_signature
 from spechelpers import FREE_POSITIONS, SMALL_CATALOG, forcing_spec, oracle_candidates, train_model
 
 
@@ -135,29 +137,111 @@ def test_limit_candidates_status(model_with_cl, spec_full):
     assert out.candidates_examined == 5
 
 
+def relabeled(g: ChemicalGraph, rng: random.Random) -> ChemicalGraph:
+    """`g` with its atom ids shuffled."""
+    ids = list(g.labels)
+    mapping = dict(zip(ids, rng.sample(ids, len(ids))))
+    return ChemicalGraph(
+        atoms=tuple((mapping[i], s) for i, s in g.atoms),
+        bonds=tuple((mapping[u], mapping[v], m) for u, v, m in g.bonds),
+        link_edges=frozenset((mapping[u], mapping[v]) for u, v in g.link_edges),
+        connecting=None if g.connecting is None else tuple(mapping[v] for v in g.connecting),
+    )
+
+
 def test_signature_invariant_under_relabeling():
     rng = random.Random(19)
     g = parse_pmg(make_polymer(bridge_a=("C", "O"), subst={2: ("Cl",)}))
     base = canonical_signature(g, 2)
-    ids = list(g.labels)
     for _ in range(4):
-        new = list(ids)
-        rng.shuffle(new)
-        mapping = dict(zip(ids, new))
-        from polyinfer.chemgraph import ChemicalGraph
-
-        relabeled = ChemicalGraph(
-            atoms=tuple((mapping[i], s) for i, s in g.atoms),
-            bonds=tuple((mapping[u], mapping[v], m) for u, v, m in g.bonds),
-            link_edges=frozenset((mapping[u], mapping[v]) for u, v in g.link_edges),
-        )
-        assert canonical_signature(relabeled, 2) == base
+        assert canonical_signature(relabeled(g, rng), 2) == base
 
 
 def test_signature_distinguishes_bridge_contents():
     a = canonical_signature(parse_pmg(make_polymer(bridge_a=("C",))), 2)
     b = canonical_signature(parse_pmg(make_polymer(bridge_a=("O",))), 2)
     assert a != b
+
+
+def molecule(heavy: str, bonds=()) -> ChemicalGraph:
+    """A molecule of the given heavy atoms (ids from 1, in order), bonded
+    singly along `bonds`, every other valence filled with hydrogens."""
+    atoms = list(enumerate(heavy, start=1))
+    free = {i: {"C": 4, "O": 2}[e] for i, e in atoms}
+    for u, v in bonds:
+        free[u] -= 1
+        free[v] -= 1
+    all_bonds = [(u, v, 1) for u, v in bonds]
+    for i in sorted(free):
+        for _ in range(free[i]):
+            atoms.append((len(atoms) + 1, "H"))
+            all_bonds.append((i, len(atoms), 1))
+    return ChemicalGraph(tuple(atoms), tuple(all_bonds))
+
+
+ACYCLIC = {
+    "ethane": molecule("CC", [(1, 2)]),
+    "methanol": molecule("CO", [(1, 2)]),
+    "butane": molecule("CCCC", [(1, 2), (2, 3), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("rho", [1, 2])
+def test_graphs_with_an_empty_interior_keep_their_identity(rho):
+    # ethane and methanol are stripped bare at rho 1, butane at rho 2; a
+    # stripped graph is labeled whole, not by the fringe trees it lacks
+    rng = random.Random(rho)
+    sigs = {name: canonical_signature(g, rho) for name, g in ACYCLIC.items()}
+    assert len(set(sigs.values())) == len(sigs), sigs
+    for name, g in ACYCLIC.items():
+        bare = not twolayer.decompose(g, rho).interior_vertices
+        assert sigs[name].startswith("acyclic:") == bare, name
+        assert sigs[name] == reference_canonical_signature(g, rho)
+        for _ in range(3):
+            assert canonical_signature(relabeled(g, rng), rho) == sigs[name], name
+
+
+def test_signature_matches_the_reference_on_the_corpus():
+    rng = random.Random(7)
+    graphs = [parse_pmg(t) for _, t in synthetic_corpus(random.Random(21), 40)]
+    graphs += [parse_pmg(demo_polymer_text()), *ACYCLIC.values()]
+    for g in graphs:
+        for rho in (1, 2, 3):
+            sig = canonical_signature(g, rho)
+            assert sig == reference_canonical_signature(g, rho)
+            assert canonical_signature(relabeled(g, rng), rho) == sig
+
+
+@st.composite
+def colored_graphs(draw) -> tuple[list, list]:
+    """(raw colors, edges as (u, v, multiplicity, is_link)) on 1-12
+    vertices.  The colors come in classes of one to three vertices, so the
+    search branches while its leaves stay few (at most 3!^4)."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=12))
+    classes = [i for i, size in enumerate(sizes) for _ in range(size)][:12]
+    palette = [(draw(st.sampled_from(("C", "O"))), i, draw(st.booleans())) for i in range(len(sizes))]
+    colors = [palette[i] for i in draw(st.permutations(classes))]
+    n = len(colors)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(pairs), st.integers(1, 3), st.booleans()), unique_by=lambda e: e[0]
+    )) if pairs else []
+    return colors, [(u, v, m, link) for (u, v), m, link in edges]
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs())
+# a hexagon of one color: every vertex a first choice, 12 leaves
+@example(([("C", 0, False)] * 6, [(i, (i + 1) % 6, 1, False) for i in range(5)] + [(0, 5, 1, False)]))
+# three disjoint edges of one color, two of them double
+@example(([("C", 0, False)] * 6, [(0, 1, 2, False), (2, 3, 1, True), (4, 5, 2, False)]))
+def test_integer_search_matches_the_reference(graph):
+    colors, edges = graph
+    adj = [[] for _ in colors]
+    for u, v, m, link in edges:
+        adj[u].append((v, (m, link)))
+        adj[v].append((u, (m, link)))
+    assert generate._canonical_search(colors, edges) == reference_canonical_search(colors, adj)
 
 
 def test_verify_roundtrip_reports(model_with_cl, spec_full):
@@ -716,6 +800,24 @@ def ib_exhausted(model_with_cl):
     }
 
 
+def assert_signatures_survive_the_round_trip(out: GenerationOutcome, rho: int) -> None:
+    # the oracle signs the graphs it reads from PMG text, so an emitted
+    # graph must sign the same once written out and read back
+    assert out.results
+    for r in out.results:
+        assert r.signature == canonical_signature(parse_pmg(serialize_pmg(r.graph)), rho)
+
+
+@pytest.mark.parametrize("space", sorted(FORCING_SPACES))
+def test_emitted_signatures_survive_the_pmg_round_trip(model_with_cl, space):
+    spec = forcing_spec(**FORCING_SPACES[space])
+    assert_signatures_survive_the_round_trip(run_generation(spec, model_with_cl, (-1e9, 1e9)), spec.rho)
+
+
+def test_ib_emitted_signatures_survive_the_pmg_round_trip(ib_exhausted):
+    assert_signatures_survive_the_round_trip(ib_exhausted["AmD"], build_instance_Ib("AmD", 14).rho)
+
+
 @pytest.mark.parametrize("tag", IB_TAGS)
 def test_ib_search_exhausts_without_spec_rejections(ib_exhausted, tag):
     out = ib_exhausted[tag]
@@ -823,8 +925,9 @@ def test_memo_counts_add_up_to_the_profile(model_with_cl, model_without_cl, cata
 def assert_candidates_carry_their_certificates(spec, vocabulary) -> Counter:
     """Every complete assignment of the enumeration, materialized: its
     decomposition is the one `decompose` finds, its graph the one full
-    validation and a PMG round trip give, and the witness it was built as
-    and the one the search finds both pass `check_witness`.  Returns how
+    validation and a PMG round trip give, its signature the one the graph
+    read back gets, and the witness it was built as and the one the search
+    finds both pass `check_witness`.  Returns how
     many candidates there were, and how many of them carry pendant paths."""
     entries = [generate.CatalogEntry.build(code) for code in spec.fringe_catalog]
     memo = generate._Contributions(spec, entries, vocabulary)
@@ -843,7 +946,9 @@ def assert_candidates_carry_their_certificates(spec, vocabulary) -> Counter:
                 assert getattr(built.suppressed, attr) == getattr(found.suppressed, attr), attr
             assert built.profile == found.profile
             assert g == ChemicalGraph(g.atoms, g.bonds, g.link_edges)
-            assert g == parse_pmg(serialize_pmg(g))
+            read_back = parse_pmg(serialize_pmg(g))
+            assert g == read_back
+            assert canonical_signature(built, spec.rho) == canonical_signature(read_back, spec.rho)
             assert check_witness(built, spec, sk.witness)
             searched, message = find_expansion_witness(built, spec)
             assert searched is not None, message
@@ -955,7 +1060,7 @@ def small_skeletons(draw) -> generate.Skeleton:
     n = draw(st.integers(2, 6))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
-    edges = tuple((u, v, draw(st.integers(1, 2))) for u, v in chosen)
+    edges = tuple((u, v, draw(st.integers(1, 3))) for u, v in chosen)
     link_edges = tuple((u, v) for u, v, _ in edges if draw(st.booleans()))
     tips = frozenset(draw(st.sets(st.integers(1, n))))
     elements = {v: draw(st.sampled_from((("C",), ("C", "O")))) for v in range(1, n + 1)}

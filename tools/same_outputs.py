@@ -29,7 +29,12 @@ in each checkout with the parent's two `train --lambda`/`train` model files,
 on windows of +-0.02 around the predictions of a few corpus members
 (feasible) and on windows beyond b + sum|w| on either side (infeasible),
 and compares the exit code, the `--out` JSON and the LP text byte for
-byte, one line per window.  It prints one line per case and stage and
+byte, one line per window.  A signature stage runs `canonical_signature`
+in each checkout, in one process, over every graph of the tests'
+forcing-space oracle (`oracle_candidates` in `tests/spechelpers.py`,
+3,072 graphs) and the corpus at rho 1 to 3, prints one line per graph
+and rho with the signature's repr, and compares the two outputs line by
+line.  It prints one line per case and stage and
 reports the first file that differs.  The exit status is 0 when every
 output is identical and 1 otherwise.  Neither checkout is written to; everything goes under
 `--work` (a temporary directory by default).
@@ -58,7 +63,8 @@ TRAIN_RUNS = (
     ("cv", ("--runs", "3"), "--out-report", "cv.json"),
 )
 
-INPUTS = "inputs"  # under --work: the models, specs and corpus, rebuilt on every run
+INPUTS = "inputs"  # under --work: the models, specs, corpus and oracle graphs, rebuilt on every run
+SIGNATURE_RHOS = (1, 2, 3)
 INFER_MEMBERS = 4  # corpus members whose predictions centre the feasible infer windows
 INFER_WINDOWS = """
 import sys
@@ -76,14 +82,31 @@ for side in (1, -1):
     print(repr(std.inverse_value(lo)), repr(std.inverse_value(hi)))
 """
 
+# one line per graph and rho: name, rho and the signature's repr
+SIGNATURES = """
+import json, sys
+from pathlib import Path
+from polyinfer.chemgraph import parse_pmg
+from polyinfer.generate import canonical_signature
+
+inputs, rhos = Path(sys.argv[1]), [int(r) for r in sys.argv[2:]]
+named = [(f"oracle-{i:04d}", t) for i, t in enumerate(json.loads((inputs / "oracle.json").read_text()))]
+named += [(p.stem, p.read_text()) for p in sorted((inputs / "corpus" / "graphs").glob("*.pmg"))]
+for name, text in named:
+    g = parse_pmg(text)
+    for rho in rhos:
+        print(name, rho, repr(canonical_signature(g, rho)))
+"""
+
 # mirrors the `model_with_cl` and `model_without_cl` fixtures, the
 # `spec_full` forcing spec and the CLI tests' `corpus_dir`, with the demo
-# polymer added to the corpus
+# polymer added to the corpus; the forcing-space oracle's graphs go to
+# oracle.json as one list of PMG texts
 BUILD_INPUTS = """
-import os, random, sys
+import json, os, random, sys
 from corpus import make_polymer, synthetic_corpus
 from polyinfer.data import demo_polymer_text
-from spechelpers import SMALL_CATALOG, forcing_spec, train_model
+from spechelpers import SMALL_CATALOG, forcing_spec, oracle_candidates, train_model
 
 out = sys.argv[1]
 model = train_model([t for _, t in synthetic_corpus(random.Random(3), 25)]
@@ -100,6 +123,7 @@ for rid, text in synthetic_corpus(random.Random(21), 40) + [("demo", demo_polyme
     atoms = [l.split()[2] for l in text.splitlines() if l.startswith("ATOM")]
     rows.append(f"{rid},{1.0 + 0.3 * atoms.count('O') + 0.05 * sum(a != 'H' for a in atoms):.6f}")
 open(f"{out}/corpus/values.csv", "w").write("\\n".join(rows) + "\\n")
+json.dump(list(oracle_candidates()), open(f"{out}/oracle.json", "w"))
 """
 
 
@@ -291,6 +315,27 @@ def compare_featurize(sides: dict[str, Path], work: Path) -> bool:
     return same
 
 
+def compare_signatures(sides: dict[str, Path], work: Path) -> bool:
+    lines = {}
+    for side, checkout in sides.items():
+        proc = run_python(checkout, ["-c", SIGNATURES, str(work / INPUTS), *map(str, SIGNATURE_RHOS)])
+        if proc.returncode != 0:
+            print(f"signatures: failed in {side}:\n{proc.stderr}")
+            return False
+        lines[side] = proc.stdout.splitlines()
+    parent, change = lines["parent"], lines["change"]
+    if len(parent) != len(change):
+        print(f"signatures: {len(parent)} lines -> {len(change)}")
+        return False
+    differing = [i for i, (a, b) in enumerate(zip(parent, change)) if a != b]
+    if differing:
+        name, rho, _ = parent[differing[0]].split(" ", 2)
+        print(f"signatures: {len(differing)} of {len(parent)} lines differ, first {name} at rho {rho}")
+        return False
+    print(f"signatures: {len(parent)} lines (graphs x rho {SIGNATURE_RHOS}) identical")
+    return True
+
+
 def compare_train(sides: dict[str, Path], work: Path) -> bool:
     corpus = work / INPUTS / "corpus"
     same = True
@@ -325,7 +370,8 @@ def main(argv: list[str] | None = None) -> int:
         work = (args.work or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
         cases = build_inputs(sides["parent"], work)
-        same = [compare_featurize(sides, work), compare_train(sides, work), compare_infer(sides, work)]
+        same = [compare_featurize(sides, work), compare_train(sides, work), compare_infer(sides, work),
+                compare_signatures(sides, work)]
         same += [compare_case(name, spec, model, sides, work) for name, (spec, model) in cases.items()]
     print("identical" if all(same) else "DIFFERENT")
     return 0 if all(same) else 1

@@ -196,7 +196,6 @@ def test_graphs_with_an_empty_interior_keep_their_identity(rho):
     for name, g in ACYCLIC.items():
         bare = not twolayer.decompose(g, rho).interior_vertices
         assert sigs[name].startswith("acyclic:") == bare, name
-        assert sigs[name] == reference_canonical_signature(g, rho)
         for _ in range(3):
             assert canonical_signature(relabeled(g, rng), rho) == sigs[name], name
 

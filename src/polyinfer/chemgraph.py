@@ -6,17 +6,22 @@ path between the former connecting-edges must traverse are marked as
 link-edges and always form a circular set (one common cycle such that
 removing any member turns the rest into bridges).
 
-A graph is read through two cached dicts, `labels` (id -> element) and
-`adj` (id -> neighbour -> multiplicity).  Validation reads one
-adjacency: connectivity, valences and the link set are checked off
-`adj`, and the circular-set test is one lowlink DFS of the graph
-without the first link edge.  Every graph is built by `ChemicalGraph(...)`,
-which checks everything, or by the one trusted constructor
-`ChemicalGraph._from_checked_records`, whose caller has checked the
-records: `parse_pmg` checks them line by line and leaves only the
-structural part to the graph, and the generator, which builds each graph
-as an expansion of a seed, checks each structural fact once where it
-becomes known and leaves nothing to the graph.
+A graph is read through two dicts, `labels` (id -> element) and `adj`
+(id -> neighbour -> multiplicity), each built once: `parse_pmg` fills
+them as it reads the lines, `hydrogen_suppress` fills the suppressed
+graph's in its one bond loop, and any other graph builds them on first
+read.  Validation reads that one adjacency: connectivity, valences and
+the link set are checked off `adj`, and the circular-set test is one
+lowlink DFS of it without the first link edge (`_circular_in`), which
+never enters a hydrogen.  `is_circular_set` is the edge-list form of the
+same test, for graphs with parallel edges.  Every graph is built by
+`ChemicalGraph(...)`, which checks everything, or by the one trusted
+constructor `ChemicalGraph._from_checked_records`, whose caller has
+checked the records: `parse_pmg` checks them line by line and leaves
+only the structural part to the graph, and the generator, which builds
+each graph as an expansion of a seed, checks each structural fact once
+where it becomes known and leaves nothing to the graph.  A graph keeps
+its two-layer decompositions, one per rho, in `decompositions`.
 """
 
 from __future__ import annotations
@@ -109,13 +114,10 @@ def is_circular_set(vertices, edges, marked) -> bool:
     """Whether `marked` edges all lie on one cycle that removing any one of
     them turns the rest into bridges.
 
-    For non-bridges e and f, "f is a bridge of G - e" holds exactly when
-    every cycle through e passes through f; that relation is symmetric and
-    transitive, so testing every member against the first one, e0 = (a, b),
-    settles all pairs.  One lowlink DFS of G - e0 from a decides it: b must
-    be reached (e0 is no bridge of G), and every other member f must be a
-    tree-edge bridge of G - e0 whose child side holds b, so that e0 crosses
-    f's cut (f is then no bridge of G either).
+    The edge-list form of `_circular_in`, for graphs that may have
+    parallel edges.  "G - e0" drops every copy of the first member e0, so
+    only one copy of it is kept; any other parallel copy becomes a path
+    through a fresh vertex, which keeps every cycle and every bridge.
     """
     edges = [_norm_edge(u, v) for u, v in edges]
     marked = [_norm_edge(u, v) for u, v in marked]
@@ -123,48 +125,73 @@ def is_circular_set(vertices, edges, marked) -> bool:
         return False
     if not marked:
         return True
-    edge_set = set(edges)
-    if any(e not in edge_set for e in marked):
-        return False
     e0 = marked[0]
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
+    adj: dict = {v: [] for v in vertices}
+    seen: set[Edge] = set()
     for idx, e in enumerate(edges):
-        if e != e0:  # every copy of e0 goes
-            u, v = e
-            adj[u].append((v, idx))
-            adj[v].append((u, idx))
-    a, b = e0
+        u, v = e
+        if e not in seen:
+            seen.add(e)
+            adj[u].append(v)
+            adj[v].append(u)
+        elif e != e0:
+            x = ("copy", idx)
+            adj[x] = [u, v]
+            adj[u].append(x)
+            adj[v].append(x)
+        elif len(marked) == 1:
+            return True  # e0 and a copy of it make a cycle
+    if any(e not in seen for e in marked):
+        return False
+    return _circular_in(adj, marked)
+
+
+def _circular_in(adj, marked: list[Edge]) -> bool:
+    """Whether the distinct edges `marked`, all edges of the simple graph
+    `adj` (vertex -> neighbours), form a circular set.
+
+    For non-bridges e and f, "f is a bridge of G - e" holds exactly when
+    every cycle through e passes through f; that relation is symmetric and
+    transitive, so testing every member against the first one, e0 = (a, b),
+    settles all pairs.  One lowlink DFS of G - e0 from a decides it: b must
+    be reached (e0 is no bridge of G), and every other member f must be a
+    tree-edge bridge of G - e0 whose child side holds b, so that e0 crosses
+    f's cut (f is then no bridge of G either).  A pendant vertex (every
+    hydrogen of a chemical graph is one) lies on no cycle, so the walk
+    never enters it, and a member that ends there is no tree edge.
+    """
+    a, b = marked[0]
     order = {a: 0}
     low = {a: 0}
-    end: dict[int, int] = {}  # one past the last discovery index in the subtree
-    parent: dict[int, int] = {}
+    end: dict = {}  # one past the last discovery index in the subtree
+    parent: dict = {}
     counter = 1
-    # iterative DFS; (vertex, incoming edge index, neighbor iterator)
-    stack = [(a, -1, iter(adj[a]))]
+    # iterative DFS; (vertex, its parent, neighbour iterator); e0 is left
+    # out of the neighbours of a and b
+    stack = [(a, None, iter([w for w in adj[a] if w != b]))]
     while stack:
-        u, in_idx, it = stack[-1]
-        for w, idx in it:
-            if idx == in_idx:
-                continue
+        u, p, it = stack[-1]
+        for w in it:
             if w not in order:
+                nbrs = adj[w]
+                if len(nbrs) == 1:
+                    continue
                 order[w] = low[w] = counter
                 counter += 1
                 parent[w] = u
-                stack.append((w, idx, iter(adj[w])))
+                stack.append((w, u, iter([x for x in nbrs if x != a] if w == b else nbrs)))
                 break
-            if order[w] < low[u]:
+            if w != p and order[w] < low[u]:
                 low[u] = order[w]
         else:
             stack.pop()
             end[u] = counter
             if stack:
-                p = stack[-1][0]
-                if low[u] < low[p]:
-                    low[p] = low[u]
+                q = stack[-1][0]
+                if low[u] < low[q]:
+                    low[q] = low[u]
     if b not in order:
-        # e0 is a bridge of G, or a parallel copy of it keeps it on a
-        # cycle that no other member can share
-        return len(marked) == 1 and edges.count(e0) > 1
+        return False  # e0 is a bridge of G
     at_b = order[b]
     for x, y in marked[1:]:
         if parent.get(y) == x:
@@ -232,8 +259,8 @@ class ChemicalGraph(_AtomBondGraph):
         object.__setattr__(
             self, "bonds", tuple(sorted((_norm_edge(u, v) + (m,)) for u, v, m in self.bonds))
         )
-        object.__setattr__(
-            self, "link_edges", frozenset(_norm_edge(u, v) for u, v in self.link_edges)
+        object.__setattr__(  # built sorted, to iterate as a parsed graph's does
+            self, "link_edges", frozenset(sorted(_norm_edge(u, v) for u, v in self.link_edges))
         )
         if self.connecting is not None:
             object.__setattr__(self, "connecting", _norm_edge(*self.connecting))
@@ -297,13 +324,9 @@ class ChemicalGraph(_AtomBondGraph):
                 raise GraphError("link edge is not an existing bond")
             if any(labels[u] == "H" or labels[v] == "H" for u, v in self.link_edges):
                 raise GraphError("link edge touches a hydrogen")
-            # hydrogens have one neighbor (checked above) and lie on no
-            # cycle; dropping them changes no bridge among heavy edges
-            heavy = [i for i, s in self.atoms if s != "H"]
-            heavy_edges = [
-                (u, v) for u, v, _ in self.bonds if labels[u] != "H" and labels[v] != "H"
-            ]
-            if not is_circular_set(heavy, heavy_edges, self.link_edges):
+            # hydrogens have one neighbor (checked above), so the walk
+            # stays on the heavy part of `adj`
+            if not _circular_in(adj, list(self.link_edges)):
                 raise GraphError("link-edge set is not a circular set")
         if self.connecting is not None:
             if self.connecting not in self.link_edges:
@@ -318,15 +341,20 @@ class ChemicalGraph(_AtomBondGraph):
         connecting: Edge | None = None,
         max_abs_charge: int = 0,
         structure_checked: bool = False,
+        labels: dict[int, str] | None = None,
+        adj: dict[int, dict[int, int]] | None = None,
     ) -> "ChemicalGraph":
         """The one trusted constructor: a graph from records that already
         hold what `_validate` checks before `_validate_structure`: at least
         one atom, distinct ids, known elements, and distinct bonds (u < v,
         multiplicity 1..3) between known atoms; link edges and `connecting`
-        normalized.  The structure is checked too, unless the caller built
-        the records so that it holds and says so with `structure_checked`;
-        then nothing is checked."""
+        normalized.  A caller that built `labels` and `adj` of these
+        records passes them on, and the graph keeps them.  The structure is
+        checked too, unless the caller built the records so that it holds
+        and says so with `structure_checked`; then nothing is checked."""
         g = object.__new__(cls)
+        if labels is not None:
+            g.__dict__.update(labels=labels, adj=adj)
         for name, value in (
             ("atoms", tuple(sorted(atoms))),
             ("bonds", tuple(sorted(bonds))),
@@ -340,6 +368,12 @@ class ChemicalGraph(_AtomBondGraph):
         return g
 
     # -- basic accessors ----------------------------------------------------
+
+    @cached_property
+    def decompositions(self) -> dict:
+        """rho -> the graph's two-layer decomposition, filled and read by
+        `twolayer.as_decomposition`."""
+        return {}
 
     def non_hydrogen_count(self) -> int:
         return sum(1 for _, s in self.atoms if s != "H")
@@ -369,28 +403,36 @@ class SuppressedGraph(_AtomBondGraph):
 
 
 def hydrogen_suppress(g: ChemicalGraph) -> SuppressedGraph:
-    """Remove all H vertices, recording how many were attached where."""
+    """Remove all H vertices, recording how many were attached where.  The
+    one bond loop also fills the suppressed graph's `adj`, and its `labels`
+    and `h_count` come with it."""
     labels = g.labels
     keep = [(i, s) for i, s in g.atoms if s != "H"]
     if not keep:
         raise GraphError("hydrogen-only graph has no suppressed form")
-    h_counts = {i: 0 for i, _ in keep}
+    kept = dict(keep)
+    adj: dict[int, dict[int, int]] = {i: {} for i in kept}
+    h_count = dict.fromkeys(kept, 0)
     bonds = []
     for u, v, m in g.bonds:
         if labels[v] == "H":
             if labels[u] != "H":
-                h_counts[u] += 1
+                h_count[u] += 1
         elif labels[u] == "H":
-            h_counts[v] += 1
+            h_count[v] += 1
         else:
             bonds.append((u, v, m))
-    return SuppressedGraph(
+            adj[u][v] = m
+            adj[v][u] = m
+    s = SuppressedGraph(
         atoms=tuple(keep),
         bonds=tuple(bonds),
         link_edges=g.link_edges,
         connecting=g.connecting,
-        hydrogens=tuple(h_counts.items()),  # ascending, as `atoms`
+        hydrogens=tuple(h_count.items()),  # ascending, as `atoms`
     )
+    s.__dict__.update(labels=kept, adj=adj, h_count=h_count)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +446,19 @@ def parse_pmg(text: str, max_abs_charge: int = 0) -> ChemicalGraph:
 
     The line checks establish every record-level invariant (ids, elements,
     bonds, LINK and CONNECT names) with its line number, so the graph is
-    built from the records with only its structure left to check.
+    built from the records with only its structure left to check.  The
+    graph's `labels` and `adj` are filled as the lines are read, in file
+    order, and the duplicate checks read them.  The link set is built from
+    the sorted link edges, so it iterates in one order, and the count
+    profile's link keys come in one order, whatever the order of the LINK
+    lines.
     """
     atoms: list[tuple[int, str]] = []
     bonds: list[tuple[int, int, int]] = []
     links: list[Edge] = []
     connect: tuple[int, int] | None = None
-    atom_ids: set[int] = set()
-    bond_set: set[Edge] = set()
+    labels: dict[int, str] = {}
+    adj: dict[int, dict[int, int]] = {}
     header_seen = False
 
     def want_int(token: str, lineno: int, what: str) -> int:
@@ -439,11 +486,12 @@ def parse_pmg(text: str, max_abs_charge: int = 0) -> ChemicalGraph:
             except ValueError:
                 i = want_int(parts[1], lineno, "atom id")
             sym = parts[2]
-            if i in atom_ids:
+            if i in labels:
                 raise PmgParseError(f"duplicate atom id {i}", lineno)
             if sym not in ELEMENTS:
                 raise PmgParseError(f"unknown element symbol {sym!r}", lineno)
-            atom_ids.add(i)
+            labels[i] = sym
+            adj[i] = {}
             atoms.append((i, sym))
         elif kind == "BOND":
             if len(parts) != 4:
@@ -456,23 +504,24 @@ def parse_pmg(text: str, max_abs_charge: int = 0) -> ChemicalGraph:
                 m = want_int(parts[3], lineno, "multiplicity")
             if u == v:
                 raise PmgParseError("self-loop bond", lineno)
-            if u not in atom_ids or v not in atom_ids:
+            if u not in labels or v not in labels:
                 raise PmgParseError(f"bond references undeclared atom {u}-{v}", lineno)
             if m not in (1, 2, 3):
                 raise PmgParseError(f"multiplicity {m} outside 1..3", lineno)
-            e = (u, v) if u < v else (v, u)
-            if e in bond_set:
+            nbrs = adj[u]
+            if v in nbrs:
                 raise PmgParseError(f"duplicate bond {u}-{v}", lineno)
-            bond_set.add(e)
-            bonds.append((e[0], e[1], m))
+            nbrs[v] = m
+            adj[v][u] = m
+            bonds.append((u, v, m) if u < v else (v, u, m))
         elif kind == "LINK":
             if len(parts) != 3:
                 raise PmgParseError("LINK needs <id1> <id2>", lineno)
             u = want_int(parts[1], lineno, "atom id")
             v = want_int(parts[2], lineno, "atom id")
-            e = _norm_edge(u, v)
-            if e not in bond_set:
+            if v not in adj.get(u, ()):
                 raise PmgParseError(f"LINK names a nonexistent bond {u}-{v}", lineno)
+            e = _norm_edge(u, v)
             if e in links:
                 raise PmgParseError(f"duplicate LINK {u}-{v}", lineno)
             links.append(e)
@@ -496,7 +545,7 @@ def parse_pmg(text: str, max_abs_charge: int = 0) -> ChemicalGraph:
         raise PmgParseError("empty graph")
     try:
         return ChemicalGraph._from_checked_records(
-            atoms, bonds, frozenset(links), connect, max_abs_charge
+            atoms, bonds, frozenset(sorted(links)), connect, max_abs_charge, labels=labels, adj=adj
         )
     except GraphError as exc:
         raise PmgParseError(str(exc)) from exc

@@ -6,11 +6,11 @@ feature vector holds one real per descriptor; configurations that a graph
 exhibits but the registry does not know go into an out-of-vocabulary
 report instead of the vector.
 
-A dataset record decomposes its graph at most once per rho and keeps the
-decomposition, so the registry and the feature matrix read one count
-profile per record.  `featurize` fills the vector through one column
+A graph keeps its decomposition per rho (`twolayer.as_decomposition`),
+so the registry and the feature matrix read one count profile per
+dataset record.  `featurize` fills the vector through one column
 index per registry (scalar columns, covariate columns, and per count
-family a key -> column map) in one pass over the profile's counters,
+family a key -> column map) in one pass over the profile's count dicts,
 which also collects the out-of-vocabulary keys.
 """
 
@@ -32,11 +32,7 @@ from .chemgraph import (
     parse_pmg,
     split_symbol,
 )
-from .twolayer import (
-    TwoLayeredDecomposition,
-    as_decomposition,
-    decompose,
-)
+from .twolayer import TwoLayeredDecomposition, as_decomposition
 
 SCALAR_KINDS = ("n", "rank", "n_int", "ms_avg", "n_lnk")
 FAMILY_KINDS = ("na", "ns_int", "ec_int", "ec_lnk", "ac_lf", "fc")  # count-profile families
@@ -139,21 +135,14 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class DataRecord:
+    """One training polymer: its graph, property value and covariates.
+    The graph keeps its own decomposition per rho (`as_decomposition`), so
+    the registry and the feature matrix decompose it once."""
+
     id: str
     graph: ChemicalGraph
     value: float
     covariates: dict[str, float] = field(default_factory=dict)
-    # rho -> decomposition of `graph`, filled on first read
-    _decompositions: dict[int, TwoLayeredDecomposition] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    def decomposition(self, rho: int) -> TwoLayeredDecomposition:
-        """The graph's decomposition at rho, computed once and kept."""
-        dec = self._decompositions.get(rho)
-        if dec is None:
-            dec = self._decompositions[rho] = decompose(self.graph, rho)
-        return dec
 
 
 @dataclass(frozen=True)
@@ -251,7 +240,7 @@ def build_registry(dataset: Dataset, rho: int) -> DescriptorRegistry:
         raise FeatureError("empty dataset")
     observed: dict[str, set[str]] = {k: set() for k in FAMILY_KINDS}
     for rec in dataset.records:
-        profile = rec.decomposition(rho).profile
+        profile = as_decomposition(rec.graph, rho).profile
         for kind, keys in observed.items():
             keys.update(getattr(profile, kind))
 
@@ -314,7 +303,7 @@ def feature_matrix(
     rows = []
     oovs = []
     for rec in dataset.records:
-        fv = featurize(rec.decomposition(registry.rho), registry, rec.covariates)
+        fv = featurize(rec.graph, registry, rec.covariates)
         rows.append(fv.values)
         oovs.append(fv.oov)
     return np.vstack(rows), oovs

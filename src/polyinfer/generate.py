@@ -68,7 +68,6 @@ from .twolayer import (
     TwoLayeredDecomposition,
     adjacency_str,
     as_decomposition,
-    decompose,
     edge_keys,
     parse_code,
     symbol_str,
@@ -887,7 +886,7 @@ def verify_roundtrip(
     decomposed (hydrogen only) fails the decomposition check, and no later
     stage runs."""
     try:
-        dec = decompose(g, spec.rho)
+        dec = as_decomposition(g, spec.rho)
     except GraphError as exc:
         return [RoundtripCheck("decomposition", False, str(exc))]
     checks = [

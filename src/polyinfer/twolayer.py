@@ -9,15 +9,16 @@ degree table over the suppressed graph's adjacency.  Exterior vertices
 hang off interior roots as fringe trees, which carry their original
 hydrogens and are compared by a canonical parenthesized code.
 `decompose` fills in each fringe node's code bottom-up as it builds the
-tree, by module-level recursion that leaves no reference cycle behind,
-and `count_profile` reads every count in one pass, with the
-configuration keys of an edge memoized on its (element, degree,
-element, degree, multiplicity).
+tree, by module-level recursion that leaves no reference cycle behind.
+`as_decomposition` keeps each chemical graph's decomposition on the
+graph, per rho, so every stage that is handed the same graph reads one
+decomposition, and `count_profile` counts every family into a plain dict
+in one pass, with the configuration keys of an edge memoized on its
+(element, degree, element, degree, multiplicity).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -196,12 +197,21 @@ def as_decomposition(
 ) -> TwoLayeredDecomposition:
     """`g` itself when it is already decomposed at rho, else its decomposition.
 
-    Callers that hold a decomposition pass it on instead of the graph, so a
-    graph is decomposed once however many stages read it.
+    A chemical graph keeps its decomposition per rho in its
+    `decompositions`, so a graph is decomposed once however many stages
+    read it, whether they are passed the graph or the decomposition.  A
+    suppressed graph keeps none: its decomposition refers back to it, and
+    keeping one would make a reference cycle.
     """
     if isinstance(g, TwoLayeredDecomposition):
         return g if g.rho == rho else decompose(g.suppressed, rho)
-    return decompose(g, rho)
+    if isinstance(g, SuppressedGraph):
+        return decompose(g, rho)
+    kept = g.decompositions
+    dec = kept.get(rho)
+    if dec is None:
+        dec = kept[rho] = decompose(g, rho)
+    return dec
 
 
 def decompose(g: ChemicalGraph | SuppressedGraph, rho: int) -> TwoLayeredDecomposition:
@@ -313,35 +323,70 @@ class CountProfile:
     n_int: int
     link_edges: int
     link_vertices: int
-    na: Counter  # per element, hydrogens included
-    na_int: Counter  # per interior element
-    ns_int: Counter  # per interior "(element,degree)"
-    ns_cnt: Counter  # per connecting-vertex "(element,degree)"
-    ec_int: Counter  # interior edge configurations, link edges included
-    ec_lnk: Counter
-    ac_int: Counter
-    ac_lnk: Counter
-    ac_lf: Counter  # leaf-edge adjacency configurations
-    fc: Counter  # fringe-tree codes
+    na: dict[str, int]  # per element, hydrogens included
+    na_int: dict[str, int]  # per interior element
+    ns_int: dict[str, int]  # per interior "(element,degree)"
+    ns_cnt: dict[str, int]  # per connecting-vertex "(element,degree)"
+    ec_int: dict[str, int]  # interior edge configurations, link edges included
+    ec_lnk: dict[str, int]
+    ac_int: dict[str, int]
+    ac_lnk: dict[str, int]
+    ac_lf: dict[str, int]  # leaf-edge adjacency configurations
+    fc: dict[str, int]  # fringe-tree codes
 
 
 def count_profile(dec: TwoLayeredDecomposition) -> CountProfile:
-    """All counts of one decomposition in one pass over its vertices and
-    edges.  The rank is |E| - |V| + 1: the suppressed graph of a validated
-    (connected) chemical graph is connected."""
+    """All counts of one decomposition, each family counted into a plain
+    dict in one pass over the vertices, edges or trees it reads.  A key
+    enters its dict where it first occurs in that pass.  The rank is
+    |E| - |V| + 1: the suppressed graph of a validated (connected) chemical
+    graph is connected."""
     s = dec.suppressed
     adj, labels = s.adj, s.labels
-    na = Counter(sym for _, sym in s.atoms)
+    na: dict[str, int] = {}
+    for _, a in s.atoms:
+        na[a] = na.get(a, 0) + 1
     hydrogens = sum(h for _, h in s.hydrogens)
     if hydrogens:
         na["H"] = hydrogens
     interior = dec.interior_vertices
+    na_int: dict[str, int] = {}
+    ns_int: dict[str, int] = {}
+    for v in interior:
+        a = labels[v]
+        na_int[a] = na_int.get(a, 0) + 1
+        key = symbol_str(a, len(adj[v]))
+        ns_int[key] = ns_int.get(key, 0) + 1
+    ns_cnt: dict[str, int] = {}
+    for v in s.connecting or ():
+        key = symbol_str(labels[v], len(adj[v]))
+        ns_cnt[key] = ns_cnt.get(key, 0) + 1
     keys: dict[tuple[int, int], tuple[str, str]] = {}  # interior edge -> (ec key, ac key)
+    ec_int: dict[str, int] = {}
+    ac_int: dict[str, int] = {}
     for e in dec.interior_edges:
         u, v = e
-        keys[e] = edge_keys(labels[u], len(adj[u]), labels[v], len(adj[v]), adj[u][v])
-    link = [keys[e] for e in s.link_edges]  # link edges lie on a cycle: interior
-    link_degree = Counter(v for e in s.link_edges for v in e)
+        nu, nv = adj[u], adj[v]
+        ec, ac = keys[e] = edge_keys(labels[u], len(nu), labels[v], len(nv), nu[v])
+        ec_int[ec] = ec_int.get(ec, 0) + 1
+        ac_int[ac] = ac_int.get(ac, 0) + 1
+    ec_lnk: dict[str, int] = {}
+    ac_lnk: dict[str, int] = {}
+    link_degree: dict[int, int] = {}
+    for e in s.link_edges:
+        ec, ac = keys[e]  # link edges lie on a cycle: interior
+        ec_lnk[ec] = ec_lnk.get(ec, 0) + 1
+        ac_lnk[ac] = ac_lnk.get(ac, 0) + 1
+        for v in e:
+            link_degree[v] = link_degree.get(v, 0) + 1
+    ac_lf: dict[str, int] = {}
+    for c in leaf_edge_adjacency_configs(s):
+        key = adjacency_str(c)
+        ac_lf[key] = ac_lf.get(key, 0) + 1
+    fc: dict[str, int] = {}
+    for ft in dec.fringe_trees.values():
+        code = ft.code
+        fc[code] = fc.get(code, 0) + 1
     return CountProfile(
         n=len(s.atoms),
         rank=len(s.bonds) - len(s.atoms) + 1,
@@ -349,13 +394,13 @@ def count_profile(dec: TwoLayeredDecomposition) -> CountProfile:
         link_edges=len(s.link_edges),
         link_vertices=sum(1 for c in link_degree.values() if c == 2),
         na=na,
-        na_int=Counter(labels[v] for v in interior),
-        ns_int=Counter(symbol_str(labels[v], len(adj[v])) for v in interior),
-        ns_cnt=Counter(symbol_str(labels[v], len(adj[v])) for v in s.connecting or ()),
-        ec_int=Counter(ec for ec, _ in keys.values()),
-        ec_lnk=Counter(ec for ec, _ in link),
-        ac_int=Counter(ac for _, ac in keys.values()),
-        ac_lnk=Counter(ac for _, ac in link),
-        ac_lf=Counter(adjacency_str(c) for c in leaf_edge_adjacency_configs(s)),
-        fc=Counter(ft.code for ft in dec.fringe_trees.values()),
+        na_int=na_int,
+        ns_int=ns_int,
+        ns_cnt=ns_cnt,
+        ec_int=ec_int,
+        ec_lnk=ec_lnk,
+        ac_int=ac_int,
+        ac_lnk=ac_lnk,
+        ac_lf=ac_lf,
+        fc=fc,
     )

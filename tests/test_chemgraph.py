@@ -23,9 +23,14 @@ from polyinfer.chemgraph import (
     split_symbol,
     valence,
 )
+from corpus import synthetic_corpus
 from polyinfer.data import demo_polymer_text
-from polyinfer.twolayer import decompose
+from polyinfer.features import DataRecord, Dataset, build_registry, featurize
+from polyinfer.generate import canonical_signature
+from polyinfer.topospec import check_satisfies
+from polyinfer.twolayer import as_decomposition, decompose
 from reference_checks import bridges, two_pass_is_circular_set
+from spechelpers import SMALL_CATALOG, forcing_spec, oracle_candidates
 
 ETHANE = """PMG 1
 ATOM 1 C
@@ -377,3 +382,201 @@ def test_graph_construction_rejects_bad_links():
             h += 1
     with pytest.raises(GraphError, match="circular"):
         ChemicalGraph(atoms=atoms, bonds=tuple(bonds), link_edges=frozenset({(1, 2)}))
+
+
+# -- one lowlink kernel ------------------------------------------------------
+
+
+ELEMENT_OF_DEGREE = {1: "C", 2: "C", 3: "C", 4: "C", 5: "P(5)", 6: "S(6)"}
+
+
+@st.composite
+def hydrogenated_graphs(draw):
+    """Chemical graph records: a connected heavy-atom graph (a random tree
+    plus chords, ids 1..n) whose atoms take an element of valence at least
+    their heavy degree and fill it with pendant hydrogens, and a link set
+    drawn half the time mostly from one cut-pair class of the heavy
+    graph, now and then with a hydrogen's bond or a non-bond in it.
+    Returns (atoms, bonds, links)."""
+    n = draw(st.integers(2, 7))  # a tree on 7 vertices has no degree above 6
+    tree = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    chords = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=6))
+    heavy: list[tuple[int, int]] = []
+    degree = dict.fromkeys(range(1, n + 1), 0)
+    for u, v in dict.fromkeys(tuple(sorted(e)) for e in tree + chords if e[0] != e[1]):
+        if (u, v) in tree or max(degree[u], degree[v]) < 6:
+            heavy.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    atoms = [(v, ELEMENT_OF_DEGREE.get(d, "C")) for v, d in degree.items()]
+    bonds = [(u, v, 1) for u, v in heavy]
+    h = n + 1
+    for v, sym in list(atoms):
+        for _ in range(valence(sym) - degree[v]):
+            atoms.append((h, "H"))
+            bonds.append((v, h, 1))
+            h += 1
+    vertices = range(1, n + 1)
+    non_bridges = [e for e in heavy if e not in bridges(vertices, heavy)]
+    pool = heavy + [(u, v) for u, v, _ in bonds[len(heavy):]][:2] + [(1, h)]  # (1, h) is no bond
+    if non_bridges and draw(st.booleans()):
+        pool = cut_pair_class(vertices, heavy, draw(st.sampled_from(non_bridges)))
+        pool += draw(st.lists(st.sampled_from(heavy), max_size=1))
+    links = list(dict.fromkeys(draw(st.lists(st.sampled_from(pool), max_size=5))))
+    return atoms, bonds, links
+
+
+@settings(max_examples=300, deadline=None)
+@given(hydrogenated_graphs(), st.lists(st.integers(0, 100), max_size=2))
+def test_the_adjacency_kernel_matches_the_two_pass_test(case, copies):
+    atoms, bonds, links = case
+    vertices = [i for i, _ in atoms]
+    edges = [(u, v) for u, v, _ in bonds]
+    adj: dict[int, dict[int, int]] = {i: {} for i in vertices}
+    for u, v, m in bonds:
+        adj[u][v] = adj[v][u] = m
+    want = two_pass_is_circular_set(vertices, edges, links)
+    if links and all(v in adj[u] for u, v in links):
+        # the kernel on the whole adjacency, pendant hydrogens included
+        assert chemgraph._circular_in(adj, links) == want
+    # the edge-list form, with parallel copies of drawn edges
+    parallel = edges + [edges[k % len(edges)] for k in copies]
+    assert is_circular_set(vertices, parallel, links) == two_pass_is_circular_set(vertices, parallel, links)
+    # validation runs the kernel on the graph's own adjacency (a link on a
+    # hydrogen, a bridge, is refused before it)
+    try:
+        ChemicalGraph(atoms=tuple(atoms), bonds=tuple(bonds), link_edges=frozenset(links))
+    except GraphError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == want
+
+
+def pmg_of(atoms, bonds, links, connect=None) -> str:
+    """PMG text of the records in the order given, whatever they hold."""
+    lines = ["PMG 1"] + [f"ATOM {i} {sym}" for i, sym in atoms]
+    lines += [f"BOND {u} {v} {m}" for u, v, m in bonds] + [f"LINK {u} {v}" for u, v in links]
+    if connect is not None:
+        lines.append(f"CONNECT {connect[0]} {connect[1]}")
+    return "\n".join(lines) + "\n"
+
+
+MUTATIONS = (
+    None, "duplicate atom", "unknown element", "self-loop", "unknown atom", "duplicate bond",
+    "multiplicity", "valence", "disconnected", "link off the bonds", "connect off the links",
+    "connect on a link",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hydrogenated_graphs(), st.sampled_from(MUTATIONS), st.data())
+def test_construction_and_parsing_reject_the_same_records(case, mutation, data):
+    atoms, bonds, links = case
+    connect = None
+    last = max(i for i, _ in atoms)
+    pick = data.draw(st.integers(0, len(bonds) - 1), label="bond")
+    u, v, m = bonds[pick]
+    if mutation == "duplicate atom":
+        atoms = atoms + [(u, "C")]
+    elif mutation == "unknown element":
+        atoms = [(i, "Xx" if i == u else sym) for i, sym in atoms]
+    elif mutation == "self-loop":
+        bonds = bonds + [(u, u, 1)]
+    elif mutation == "unknown atom":
+        bonds = bonds + [(u, last + 1, 1)]
+    elif mutation == "duplicate bond":
+        bonds = bonds + [(v, u, m)]
+    elif mutation == "multiplicity":
+        bonds = bonds[:pick] + [(u, v, data.draw(st.sampled_from([0, 2, 4]), label="m"))] + bonds[pick + 1:]
+    elif mutation == "valence":
+        bonds = bonds[:pick] + bonds[pick + 1:]
+    elif mutation == "disconnected":
+        atoms = atoms + [(last + 1, "H"), (last + 2, "H")]
+        bonds = bonds + [(last + 1, last + 2, 1)]
+    elif mutation == "link off the bonds":
+        links = links + [(u, last + 1)]
+    elif mutation == "connect off the links":
+        connect = (v, u)
+    elif mutation == "connect on a link" and links:
+        connect = links[0][::-1]
+
+    def built():
+        return ChemicalGraph(atoms=tuple(atoms), bonds=tuple(bonds), link_edges=frozenset(links),
+                             connecting=connect)
+
+    def parsed():
+        return parse_pmg(pmg_of(atoms, bonds, links, connect))
+
+    graphs = []
+    for make in (built, parsed):
+        try:
+            graphs.append(make())
+        except GraphError:
+            graphs.append(None)
+    a, b = graphs
+    assert (a is None) == (b is None), (mutation, a, b)
+    if a is not None:
+        assert a == b and a.adj == b.adj and a.labels == b.labels
+
+
+# -- the order of the lines --------------------------------------------------
+
+
+def shuffled_pmg(text: str, rng: random.Random) -> str:
+    """`text` with its ATOM, BOND and LINK lines each shuffled among
+    themselves and the two ends of about half the BOND and LINK lines
+    swapped.  The kinds keep their order, so every line still names only
+    what the lines before it declare."""
+    header, *lines = [line for line in text.splitlines() if line.strip()]
+    groups: dict[str, list[str]] = {}
+    for line in lines:
+        groups.setdefault(line.split()[0], []).append(line)
+    out = [header]
+    for kind, group in groups.items():
+        if kind in ("BOND", "LINK"):
+            swapped = []
+            for line in group:
+                parts = line.split()
+                if rng.random() < 0.5:
+                    parts[1], parts[2] = parts[2], parts[1]
+                swapped.append(" ".join(parts))
+            group = swapped
+        if kind != "CONNECT":
+            rng.shuffle(group)
+        out += group
+    return "\n".join(out) + "\n"
+
+
+def read_outputs(g: ChemicalGraph, registry, spec) -> tuple:
+    """What the pipeline reads off a graph: its signature, its count
+    profile with each family's key order, its feature vector and its
+    specification verdict and witness."""
+    profile = as_decomposition(g, spec.rho).profile
+    families = [
+        (name, list(value.items()) if isinstance(value, dict) else value)
+        for name, value in vars(profile).items()
+    ]
+    fv = featurize(g, registry)
+    report = check_satisfies(g, spec)
+    return canonical_signature(g, spec.rho), families, fv.values.tobytes(), fv.oov, report.passed, report.witness
+
+
+def test_the_order_of_the_lines_changes_no_output():
+    corpus = [text for _, text in synthetic_corpus(random.Random(21), 20)]
+    records = tuple(DataRecord(f"g{k}", parse_pmg(text), float(k)) for k, text in enumerate(corpus))
+    spec = forcing_spec(SMALL_CATALOG)
+    registry = build_registry(Dataset(records), spec.rho)
+    texts = corpus + [demo_polymer_text()] + list(itertools.islice(oracle_candidates(), 0, None, 48))
+    rng = random.Random(5)
+    witnessed = 0
+    for text in texts:
+        g = parse_pmg(text)
+        want = read_outputs(g, registry, spec)
+        witnessed += want[-1] is not None
+        for _ in range(2):
+            h = parse_pmg(shuffled_pmg(text, rng))
+            assert (h.atoms, h.bonds, h.link_edges, h.connecting) == (g.atoms, g.bonds, g.link_edges, g.connecting)
+            assert h.adj == g.adj and h.labels == g.labels
+            assert read_outputs(h, registry, spec) == want
+    assert witnessed >= 64

@@ -12,6 +12,7 @@ import pytest
 from corpus import make_polymer, synthetic_corpus
 from polyinfer import cli
 from polyinfer.cli import main
+from polyinfer.data import example_polymer_text
 from polyinfer.milp import parse_lp
 from spechelpers import SMALL_CATALOG, forcing_spec
 
@@ -667,6 +668,20 @@ def test_verify_fails_a_hydrogen_only_graph_and_checks_the_rest(trained_model, t
     ]
     assert out[2] == f"{good}: PASS"
     assert out[3].startswith("  ok  decomposition:")
+
+
+def test_verify_decomposes_each_file_once(trained_model, tmp_path, decompose_calls):
+    spec_path = tmp_path / "spec.json"
+    run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path)
+    files = []
+    for k, text in enumerate([make_polymer(), make_polymer(bridge_b=("C", "C")), example_polymer_text(1)]):
+        files.append(tmp_path / f"g{k}.pmg")
+        files[-1].write_text(text)
+    decompose_calls.clear()
+    run("verify", "--model", trained_model, "--spec", spec_path, "--window=-1e9,1e9", *files)
+    rho = json.loads(spec_path.read_text())["rho"]
+    assert [r for _, r in decompose_calls] == [rho] * len(files)
+    assert len({id(g) for g, _ in decompose_calls}) == len(files)
 
 
 def test_check_subcommand(tmp_path):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import make_polymer, synthetic_corpus
-from polyinfer import twolayer
 from polyinfer.chemgraph import ChemicalGraph, PmgParseError, parse_pmg
 from polyinfer.data import demo_polymer_text
 from polyinfer.features import (
@@ -25,8 +24,11 @@ from polyinfer.features import (
     stage1_reason,
     standardize,
 )
+from polyinfer.generate import canonical_signature
+from polyinfer.topospec import check_satisfies
 from polyinfer.twolayer import decompose
 from reference_checks import reference_featurize
+from spechelpers import SMALL_CATALOG, forcing_spec
 
 
 def dataset_from_texts(texts, values=None, covariates=None):
@@ -205,35 +207,32 @@ def test_featurize_matches_the_reference_on_drawn_corpora(data):
                     f(g, reg, missing)
 
 
-def _count_decompose_calls(monkeypatch) -> list:
-    """Wrap `twolayer.decompose` at every polyinfer module attribute that
-    holds it; the list records each call's graph."""
-    calls = []
-    original = twolayer.decompose
-
-    def counted(g, rho):
-        calls.append(g)
-        return original(g, rho)
-
-    modules = [m for name, m in sys.modules.items()
-               if name.startswith("polyinfer") and getattr(m, "decompose", None) is original]
-    assert {m.__name__ for m in modules} >= {"polyinfer.twolayer", "polyinfer.features"}
-    for m in modules:
-        monkeypatch.setattr(m, "decompose", counted)
-    return calls
-
-
-def test_registry_and_standardize_decompose_each_record_once(monkeypatch):
+def test_registry_and_standardize_decompose_each_record_once(decompose_calls):
     texts = [t for _, t in synthetic_corpus(random.Random(8), 12)]
     ds = dataset_from_texts(texts, values=[float(k % 5) for k in range(len(texts))])
-    calls = _count_decompose_calls(monkeypatch)
+    calls = decompose_calls
     reg = build_registry(ds, rho=2)
     standardize(ds, reg)
-    assert sorted(map(id, calls)) == sorted(id(rec.graph) for rec in ds.records)
+    assert sorted(id(g) for g, _ in calls) == sorted(id(rec.graph) for rec in ds.records)
     # another rho is one more decomposition per record, kept beside the first
     feature_matrix(ds, build_registry(ds, rho=3))
     feature_matrix(ds, reg)
     assert len(calls) == 2 * len(ds)
+
+
+def test_one_graph_is_decomposed_once_per_rho(decompose_calls):
+    # signatures, features and the spec check each take the graph itself
+    texts = [t for _, t in synthetic_corpus(random.Random(8), 6)]
+    registries = {rho: build_registry(dataset_from_texts(texts), rho) for rho in (2, 3)}
+    spec = forcing_spec(SMALL_CATALOG)
+    g = parse_pmg(make_polymer(bridge_b=("C", "C")))
+    decompose_calls.clear()
+    for rho in (2, 3):
+        canonical_signature(g, rho)
+        featurize(g, registries[rho])
+        check_satisfies(g, dataclasses.replace(spec, rho=rho))
+        canonical_signature(g, rho)
+    assert [(h is g, rho) for h, rho in decompose_calls] == [(True, 2), (True, 3)]
 
 
 # -- stage-1 elimination -----------------------------------------------------

@@ -16,6 +16,13 @@ more than that metric's `bound` (a share of the parent's median), the
 regression a change must not show on any metric, and it prints the
 operations attempted and failed on each side.
 
+Run both sides from fresh copies (`git archive` or `git clone`) side by
+side in one directory.  Where a checkout sits can move a metric by itself:
+gen-ib `setup_s` read +44.7% over 10 pairs when only the change ran from
+a long-lived checkout, and -0.8% with both as fresh copies in one
+directory, for the same code.  The tool prints a warning to standard
+error when the two checkouts are not in the same directory.
+
 Metric names, which direction is better and the bounds come from the
 parent's BENCHMARK.json.  `--out` keeps every run's result as one JSON line, and
 `--summarize FILE` prints the summary of such a file without running
@@ -133,6 +140,12 @@ def main(argv: list[str] | None = None) -> int:
     else:
         if not (args.parent and args.change and args.workload):
             parser.error("--parent, --change and --workload are required to run pairs")
+        if args.parent.resolve().parent != args.change.resolve().parent:
+            print(
+                f"warning: {args.parent} and {args.change} are not in the same directory; "
+                "where a checkout sits can move a metric by itself",
+                file=sys.stderr,
+            )
         records = []
         for workload in args.workload:
             for i, seed in enumerate(parse_seeds(args.seeds)):

@@ -48,9 +48,10 @@ becomes known, the bonds, connectivity and link set per skeleton shape,
 each fringe tree's valences per catalog code, and each root's valence
 when its fringe is chosen.  Every seed vertex must lie on a cycle of the
 seed, or the interior would not be the skeleton; a seed where one does
-not is refused with a `SpecError`.  The witness of an emitted graph is
-the seed embedding it was built as, certified by `check_witness` in one
-pass instead of searched for.
+not is refused with a `SpecError`.  The witness of a candidate is the
+seed embedding it was built as: `check_satisfies` is handed it and
+certifies it instead of searching, and a candidate that fails its own
+embedding is a `RuntimeError`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field
 
 from .chemgraph import ChemicalGraph, GraphError, SuppressedGraph, is_circular_set, is_connected, valence
 from .model import ModelBundle
-from .topospec import PlannedEdge, SeedGraph, SpecError, TopologicalSpec, check_satisfies, check_witness
+from .topospec import PlannedEdge, SeedGraph, SpecError, TopologicalSpec, check_satisfies
 from .twolayer import (
     RootedTree,
     TwoLayeredDecomposition,
@@ -804,9 +805,9 @@ def iter_generate(
             outcome.candidates_examined += 1
             # the construction's decomposition serves every stage below
             g, dec = _materialize(sk, assignment, spec.rho)
-            # bounds first; the expansion itself is the structural witness,
-            # certified below for every emitted graph
-            report = check_satisfies(dec, spec, search_witness=False)
+            report = check_satisfies(dec, spec, sk.witness)
+            if report.witness is None:
+                raise RuntimeError(f"candidate {outcome.candidates_examined} fails the witness it was built as")
             if not report.passed:
                 outcome.rejected_spec += 1
                 outcome.rejected_by.update(report.failed_families())
@@ -823,8 +824,6 @@ def iter_generate(
                 outcome.duplicates += 1
                 continue
             seen.add(sig)
-            if not check_witness(dec, spec, sk.witness):
-                raise RuntimeError(f"candidate {outcome.candidates_examined} fails the witness it was built as")
             result = GeneratedGraph(
                 graph=g,
                 prediction=prediction,

@@ -376,6 +376,28 @@ class InverseProblemSpec:
         certifies its answer on."""
         return build_inverse_milp(self)
 
+    @cached_property
+    def blocks(self) -> tuple["_Block", ...]:
+        """Each descriptor's block, worked out on first use and kept:
+        `build_inverse_milp` writes them, `solve_inverse` reduces them and
+        `exact_standardized` divides by their spans, so none can disagree."""
+        eps, blocks = self.epsilon, []
+        for mn, mx in zip(map(float, self.feat_min), map(float, self.feat_max)):
+            if mx <= mn:
+                blocks.append(_Block(mn, mx, 0.0, 0.0, None))
+                continue
+            span = mx - mn
+            corners = [factor * (bound - mn) / span for factor in (1 - eps, 1 + eps) for bound in (mn, mx)]
+            rows = _NormRows(
+                span=span,
+                lo_coef=1 - eps,
+                lo_rhs=_rhs_at_least(1 - eps, mn),
+                hi_coef=1 + eps,
+                hi_rhs=_rhs_at_least(-(1 + eps), mn),
+            )
+            blocks.append(_Block(mn, mx, min(corners), max(corners), rows))
+        return tuple(blocks)
+
 
 def _rhs_at_least(coef: float, value: float) -> float:
     """The smallest float not below the exact product coef*value, so the
@@ -410,29 +432,6 @@ class _Block(NamedTuple):
     rows: _NormRows | None
 
 
-def _block(spec: InverseProblemSpec, j: int) -> _Block:
-    """Descriptor j's block; `build_inverse_milp` writes it and
-    `solve_inverse` reduces it, so the two cannot disagree."""
-    eps = spec.epsilon
-    mn, mx = float(spec.feat_min[j]), float(spec.feat_max[j])
-    if mx <= mn:
-        return _Block(mn, mx, 0.0, 0.0, None)
-    span = mx - mn
-    corners = [
-        factor * (bound - mn) / span
-        for factor in (1 - eps, 1 + eps)
-        for bound in (mn, mx)
-    ]
-    rows = _NormRows(
-        span=span,
-        lo_coef=1 - eps,
-        lo_rhs=_rhs_at_least(1 - eps, mn),
-        hi_coef=1 + eps,
-        hi_rhs=_rhs_at_least(-(1 + eps), mn),
-    )
-    return _Block(mn, mx, min(corners), max(corners), rows)
-
-
 def _window_rhs(spec: InverseProblemSpec) -> tuple[float, float]:
     """Right-hand sides of the window rows on sum(w*xh): y_lo - b and
     y_hi - b rounded inward, so a window sum between them puts sum + b
@@ -452,8 +451,7 @@ def build_inverse_milp(spec: InverseProblemSpec) -> MilpModel:
     tolerance-relaxed normalization rows and the target window rows."""
     variables: list[Variable] = []
     constraints: list[Constraint] = []
-    for j in range(spec.k):
-        block = _block(spec, j)
+    for j, block in enumerate(spec.blocks):
         x, xh = f"x_{j + 1}", f"xh_{j + 1}"
         variables.append(Variable(x, block.mn, block.mx, integer=j in spec.integer_indices))
         variables.append(Variable(xh, block.h_lo, block.h_hi))
@@ -526,8 +524,8 @@ class _Reduction:
     def __init__(self, spec: InverseProblemSpec):
         w = spec.hyperplane.w
         self.mins = [float(v) for v in spec.feat_min]
-        self.support = [j for j in range(spec.k) if w[j] != 0.0 and spec.feat_max[j] > spec.feat_min[j]]
-        self.blocks = [_ExactBlock(_block(spec, j), j in spec.integer_indices) for j in self.support]
+        self.support = [j for j, block in enumerate(spec.blocks) if w[j] != 0.0 and block.rows is not None]
+        self.blocks = [_ExactBlock(spec.blocks[j], j in spec.integer_indices) for j in self.support]
         self.w = [Fraction(float(w[j])) for j in self.support]
         self.rising = [wi > 0 for wi in self.w]
         lo, hi = _window_rhs(spec)
@@ -649,17 +647,17 @@ def exact_standardized(
     """Standardize the raw solution exactly (constant descriptors map to 0),
     at the descriptors `indices` (all of them by default).
 
-    The divisor is the float span max - min of `_block(spec, j)`: the one
+    The divisor is the float span max - min of `spec.blocks[j]`: the one
     the Standardizer the hyperplane was fit on divides by, and the one the
     model rows hold.
     """
     out: list[Fraction] = []
     for j in range(spec.k) if indices is None else indices:
-        rows = _block(spec, j).rows
-        if rows is None:
+        block = spec.blocks[j]
+        if block.rows is None:
             out.append(Fraction(0))
             continue
-        out.append((assignment[f"x_{j + 1}"] - Fraction(float(spec.feat_min[j]))) / Fraction(rows.span))
+        out.append((assignment[f"x_{j + 1}"] - Fraction(block.mn)) / Fraction(block.rows.span))
     return out
 
 

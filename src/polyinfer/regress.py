@@ -166,6 +166,10 @@ def lasso_path(X: np.ndarray, y: np.ndarray, lams: list[float], penalize_bias: b
             i = pending.pop(0)
             coef = np.zeros(k + 1)
             coef[A] = u - lams[i] * v
+            # an active weight of the other sign is rounding noise around zero;
+            # at a zero penalty no sign is read, and the weight stays as it is
+            if lams[i] > 0.0:
+                coef[A[sign[A] * coef[A] < 0.0]] = 0.0
             points[i] = Hyperplane(coef[:k].copy(), float(coef[k]), steps=steps)
         if not pending:
             break

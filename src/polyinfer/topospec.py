@@ -5,24 +5,23 @@ graph: designated seed edges are replaced by paths, the other seed edges
 are kept, pendant interior trees may hang off path vertices, and every
 interior vertex carries a fringe tree from a fixed catalog.  Counting
 bounds constrain elements, symbols, edge configurations and fringe-tree
-usage.  `check_satisfies` measures every bound on a concrete graph and
-searches for a structural expansion witness; it decides whether the graph
-passed in one pass over the bounds, and its report builds the per-bound
-rows only when they are read.  The witness search frees itself on return
-(its recursive closures are deleted in a `finally`, and the path
-enumeration keeps an explicit stack), so checking a graph leaves no
-reference cycles for the garbage collector.  A witness that is already
-known, as the generator knows the embedding it built, is certified by
-`check_witness` in one linear pass instead of searched for; the test of
-the pendant trees and the edge cover that ends each is shared with the
-search's leaf.  Everything either reads off
-a specification is compiled once per specification object into its plan
-(`TopologicalSpec.plan`) and kept on it: the count bounds as rows by
-family and key, the declared keys each membership test admits, and the
-one reading of the seed structure, that is each seed vertex's element and
-catalog filters and each seed edge's multiplicities, bond, path-length,
-catalog and branch bounds, with an absent bound read one way.  The checker
-and the search in `generate` both take their bounds from it.
+usage.  `check_satisfies` measures every bound on a concrete graph in one
+pass, building the per-bound rows of its report only when they are read.
+Its expansion witness is the embedding a caller hands over (the generator
+hands over the one it built), certified by `check_witness`, or else one
+`find_expansion_witness` searches for; both apply the same module-level
+predicates for images, kept edges, paths and pendant trees.  The search
+frees itself on return (its recursive closures are deleted in a
+`finally`, and the path enumeration keeps an explicit stack), so checking
+a graph leaves no reference cycles for the garbage collector.  Everything
+either reads off a specification is compiled once per specification
+object into its plan (`TopologicalSpec.plan`) and kept on it: the count
+bounds as rows by family and key, the declared keys each membership test
+admits, and the one reading of the seed structure, that is each seed
+vertex's element and catalog filters and each seed edge's
+multiplicities, bond, path-length, catalog and branch bounds, with an
+absent bound read one way.  The checker and the search in `generate`
+both take their bounds from it.
 """
 
 from __future__ import annotations
@@ -441,7 +440,6 @@ class SpecReport:
     passed: bool
     witness: dict | None
     witness_message: str
-    witness_searched: bool = True
 
     @cached_property
     def checks(self) -> tuple[BoundCheck, ...]:
@@ -470,18 +468,18 @@ class SpecReport:
     def failures(self) -> list[str]:
         out = [f"{c.name}: {c.measured} outside [{c.lower},{c.upper}]" for c in self.checks if not c.ok]
         out += [name for name, ok in self.memberships if not ok]
-        if self.witness_searched and self.witness is None:
+        if self.witness is None:
             out.append(f"witness: {self.witness_message}")
         return out
 
     def failed_families(self) -> list[str]:
         """The distinct families of `failures()`, sorted: a failed bound
         names its count family, its name up to any '[' ("ec_int", "n"), a
-        failed membership test its own name, and a failed witness search
-        "witness"."""
+        failed membership test its own name, and a witness that was not
+        found or not certified "witness"."""
         out = {c.name.partition("[")[0] for c in self.checks if not c.ok}
         out.update(name for name, ok in self.memberships if not ok)
-        if self.witness_searched and self.witness is None:
+        if self.witness is None:
             out.add("witness")
         return sorted(out)
 
@@ -489,28 +487,29 @@ class SpecReport:
 def check_satisfies(
     g: ChemicalGraph | TwoLayeredDecomposition,
     spec: TopologicalSpec,
-    search_witness: bool = True,
+    witness: dict | None = None,
 ) -> SpecReport:
     """Measure every bound of the specification on a graph (or its
-    decomposition) and search for a seed-expansion witness of its interior
-    (skippable for callers that constructed the graph as an expansion in
-    the first place).  Whether the counts pass is decided in one pass over
-    the bound rows and declared-key sets of the plan kept on the
-    specification, stopping at the first failure; the report builds its
-    rows only when they are read."""
+    decomposition) and find its seed-expansion witness: `check_witness`
+    certifies the embedding a caller that built the graph hands over, and
+    otherwise `find_expansion_witness` searches for one.  Whether the
+    counts pass is decided in one pass over the plan's bound rows and
+    declared-key sets, stopping at the first failure; the report builds
+    its rows only when they are read."""
     dec = as_decomposition(g, spec.rho)
     profile = dec.profile
-    if search_witness:
+    if witness is None:
         witness, message = find_expansion_witness(dec, spec)
+    elif check_witness(dec, spec, witness):
+        message = "witness certified"
     else:
-        witness, message = None, "witness search skipped"
+        witness, message = None, "the given embedding is not a seed expansion"
     return SpecReport(
         spec=spec,
         profile=profile,
-        passed=(witness is not None or not search_witness) and _counts_pass(profile, spec),
+        passed=witness is not None and _counts_pass(profile, spec),
         witness=witness,
         witness_message=message,
-        witness_searched=search_witness,
     )
 
 
@@ -682,16 +681,11 @@ def find_expansion_witness(
     adj: dict[int, dict[int, int]] = {
         v: {w: m for w, m in s.adj[v].items() if w in inside} for v in interior
     }
-    labels = s.labels
-    code = {v: dec.fringe_trees[v].code for v in interior}
-    link_edges = s.link_edges
+    labels, link_edges, trees = s.labels, s.link_edges, dec.fringe_trees
     images: dict[str, int] = {}
     used: set[int] = set()
     path_of: dict[str, list[int]] = {}
     used_edges: set[tuple[int, int]] = set()
-
-    def norm(u: int, v: int) -> tuple[int, int]:
-        return (u, v) if u <= v else (v, u)
 
     def try_place(pos: int) -> bool:
         nonlocal witness
@@ -707,15 +701,9 @@ def find_expansion_witness(
             }
             return True
         sv = order[pos]
-        may_attach = sv.branch_count[1] > 0
         pool = interior if sv.anchor is None else sorted(adj[images[sv.anchor]])
         for v in pool:
-            if v in used or labels[v] not in sv.allowed or code[v] not in sv.catalog:
-                continue
-            deg = len(adj[v])
-            # each incident seed edge consumes one interior edge at the image;
-            # only attachments may account for extra interior degree
-            if deg < sv.degree or (not may_attach and deg != sv.degree):
+            if v in used or not _image_fits(sv, labels[v], trees[v].code, len(adj[v])):
                 continue
             images[sv.name] = v
             used.add(v)
@@ -731,12 +719,9 @@ def find_expansion_witness(
         edge = pending[i]
         a, b = images[edge.u], images[edge.v]
         if edge.exact:
-            m = adj[a].get(b)
-            e = norm(a, b)
-            if m is None or e in used_edges or m not in edge.multiplicities:
+            if not _kept_edge_fits(edge, adj, a, b, used_edges, link_edges):
                 return False
-            if e in link_edges:  # kept seed edges are never link-edges
-                return False
+            e = (a, b) if a <= b else (b, a)
             used_edges.add(e)
             if place_edges(pending, i + 1, pos):
                 return True
@@ -744,17 +729,10 @@ def find_expansion_witness(
             return False
         lo, hi = edge.path_len
         for path in _paths_between(adj, a, b, lo, hi, used, used_edges):
-            mults = [adj[path[k]][path[k + 1]] for k in range(len(path) - 1)]
-            if not edge.bonds_ok(mults):
+            if not _path_fits(edge, adj, trees, link_edges, path):
                 continue
             internals = path[1:-1]
-            if any(code[v] not in edge.catalog for v in internals):
-                continue
-            path_edges = {norm(path[k], path[k + 1]) for k in range(len(path) - 1)}
-            if edge.link and not path_edges <= link_edges:
-                continue
-            if not edge.link and not path_edges.isdisjoint(link_edges):
-                continue
+            path_edges = {(x, y) if x <= y else (y, x) for x, y in zip(path, path[1:])}
             used.update(internals)
             used_edges.update(path_edges)
             path_of[edge.name] = list(path)
@@ -780,26 +758,22 @@ def find_expansion_witness(
 
 def check_witness(dec: TwoLayeredDecomposition, spec: TopologicalSpec, witness: dict) -> bool:
     """Whether `witness` embeds the seed in the interior of `dec` as
-    `find_expansion_witness` requires, checked in one linear pass instead
-    of searched for.
+    `find_expansion_witness` requires, checked instead of searched for.
 
     The witness maps each seed vertex name to an interior vertex
     ("images") and each replaceable seed edge name to its path, a vertex
     list from the image of the edge's `u` to that of its `v` ("paths");
     the pendant trees (its "attachments", if any) are derived, not read.
-    Every test the search makes holds: each image is distinct, with an
-    admissible element, fringe code and interior degree; each kept edge is
-    a non-link interior edge of an admissible multiplicity; each path has
-    a length, bond counts, internal fringe codes and link flags within its
-    edge's bounds, and no path shares a vertex or an edge with an image,
-    a kept edge or another path; and the rest of the interior hangs in
-    pendant trees within the branch bounds that, with the seed's images,
-    cover every interior edge."""
+    Besides the search's image, kept-edge, path and pendant-tree tests, it
+    tests what the search's candidate pools guarantee: the images are
+    distinct interior vertices, each path runs between its edge's images
+    within its length bounds and shares no vertex or edge with anything
+    else embedded, and no path is given for a kept edge or one the seed
+    lacks."""
     plan = spec.plan
     s = dec.suppressed
     inside = dec.interior_vertices
-    adj, labels, links = s.adj, s.labels, s.link_edges
-    trees = dec.fringe_trees
+    adj, labels, links, trees = s.adj, s.labels, s.link_edges, dec.fringe_trees
     images, paths = witness["images"], witness["paths"]
     if len(images) != len(plan.vertices):
         return False
@@ -808,10 +782,7 @@ def check_witness(dec: TwoLayeredDecomposition, spec: TopologicalSpec, witness: 
         v = images.get(sv.name)
         if v not in inside or v in used:
             return False
-        if labels[v] not in sv.allowed or trees[v].code not in sv.catalog:
-            return False
-        deg = len(adj[v].keys() & inside)
-        if deg < sv.degree or (sv.branch_count[1] == 0 and deg != sv.degree):
+        if not _image_fits(sv, labels[v], trees[v].code, len(adj[v].keys() & inside)):
             return False
         used.add(v)
     used_edges: set[tuple[int, int]] = set()
@@ -819,36 +790,62 @@ def check_witness(dec: TwoLayeredDecomposition, spec: TopologicalSpec, witness: 
     for edge in plan.edges.values():
         a, b = images[edge.u], images[edge.v]
         if edge.exact:
-            m = adj[a].get(b)
-            e = (a, b) if a <= b else (b, a)
-            if m is None or m not in edge.multiplicities or e in used_edges or e in links:
+            if not _kept_edge_fits(edge, adj, a, b, used_edges, links):
                 return False
-            used_edges.add(e)
+            used_edges.add((a, b) if a <= b else (b, a))
             continue
         path = paths.get(edge.name)
-        if path is None or path[0] != a or path[-1] != b:
-            return False
         lo, hi = edge.path_len
-        if not lo <= len(path) - 1 <= hi:
+        if path is None or path[0] != a or path[-1] != b or not lo <= len(path) - 1 <= hi:
             return False
         for v in path[1:-1]:
-            if v not in inside or v in used or trees[v].code not in edge.catalog:
+            if v not in inside or v in used:
                 return False
             used.add(v)
-        mults = []
-        for x, y in zip(path, path[1:]):
-            m = adj[x].get(y)
-            e = (x, y) if x <= y else (y, x)
-            if m is None or e in used_edges or (e in links) != edge.link:
-                return False
-            used_edges.add(e)
-            mults.append(m)
-        if not edge.bonds_ok(mults):
+        # a simple path, so its edges are distinct
+        path_edges = {(x, y) if x <= y else (y, x) for x, y in zip(path, path[1:])}
+        if not path_edges.isdisjoint(used_edges) or not _path_fits(edge, adj, trees, links, path):
             return False
+        used_edges |= path_edges
         placed += 1
     if placed != len(paths):
         return False  # a path for an edge that is kept or not in the seed
     return _pendant_attachments(dec, plan, adj, images, paths, used, used_edges) is not None
+
+
+# The embedding rules the witness search and `check_witness` share; `adj`
+# may list exterior neighbours, and every vertex passed is interior.
+
+
+def _image_fits(sv: PlannedVertex, label: str, code: str, degree: int) -> bool:
+    """Whether an interior vertex of this element, fringe code and interior
+    degree may be the image of seed vertex `sv`: each incident seed edge
+    takes one interior edge there, and only pendant branches, where `sv`
+    admits them, may take more."""
+    return label in sv.allowed and code in sv.catalog and (
+        degree == sv.degree or (degree > sv.degree and sv.branch_count[1] > 0))
+
+
+def _kept_edge_fits(edge: PlannedEdge, adj, a: int, b: int, used_edges, links) -> bool:
+    """Whether the interior edge a-b may be the image of kept seed edge
+    `edge`: it exists, is unused, is no link edge and has an admissible
+    multiplicity."""
+    e = (a, b) if a <= b else (b, a)
+    return adj[a].get(b) in edge.multiplicities and e not in used_edges and e not in links
+
+
+def _path_fits(edge: PlannedEdge, adj, trees, links, path: list[int]) -> bool:
+    """Whether `path` may replace seed edge `edge`: consecutive vertices
+    are bonded, each bond is a link edge exactly when `edge` is one, the
+    double and triple bonds are within the edge's bounds, and the internal
+    vertices' fringe codes are in its catalog."""
+    mults = []
+    for x, y in zip(path, path[1:]):
+        m = adj[x].get(y)
+        if m is None or (((x, y) if x <= y else (y, x)) in links) != edge.link:
+            return False
+        mults.append(m)
+    return edge.bonds_ok(mults) and all(trees[v].code in edge.catalog for v in path[1:-1])
 
 
 def _pendant_attachments(

@@ -1,7 +1,8 @@
 """Earlier implementations of the per-graph checks, kept as references.
 
 `find_expansion_witness` scanned every interior vertex for every seed
-vertex and rebuilt the seed order and filters on each call;
+vertex and rebuilt the seed order and filters on each call, and
+`check_witness` wrote out each embedding rule the search also tests;
 `is_circular_set` made two bridge passes (`bridges` here is the finder
 they and the circular-set oracles use); fringe trees were built with
 their codes left to `encode_tree`; `count_profile` read every edge's
@@ -30,7 +31,7 @@ import numpy as np
 from polyinfer.chemgraph import ChemicalGraph, Edge, GraphError, SuppressedGraph, _norm_edge, is_connected
 from polyinfer.features import DescriptorRegistry, FeatureError, FeatureVector
 from polyinfer.milp import InverseProblemSpec, MilpModel
-from polyinfer.topospec import BoundCheck, SeedEdge, SeedGraph, TopologicalSpec
+from polyinfer.topospec import BoundCheck, SeedEdge, SeedGraph, TopologicalSpec, _pendant_attachments
 from polyinfer.twolayer import (
     AdjacencyConfig,
     CountProfile,
@@ -216,10 +217,12 @@ class ReferenceReport(NamedTuple):
 
 
 def reference_spec_report(
-    dec: TwoLayeredDecomposition, spec: TopologicalSpec, search_witness: bool = True
+    dec: TwoLayeredDecomposition, spec: TopologicalSpec, witness: dict | None = None
 ) -> ReferenceReport:
     """Every bound row and membership pair built eagerly, in plan order,
-    and the verdict, failures and failed families read off them."""
+    and the verdict, failures and failed families read off them; a given
+    witness is certified by `reference_check_witness`, and otherwise one is
+    searched for."""
     profile = dec.profile
     checks = [
         BoundCheck("n", *spec.n, profile.n),
@@ -232,11 +235,11 @@ def reference_spec_report(
     memberships = tuple(
         (name, getattr(profile, attr).keys() <= keys) for attr, (name, keys) in spec.plan.declared.items()
     )
-    if search_witness:
+    if witness is None:
         witness, message = reference_find_expansion_witness(dec, spec)
-    else:
-        witness, message = None, "witness search skipped"
-    witness_failed = search_witness and witness is None
+    elif not reference_check_witness(dec, spec, witness):
+        witness, message = None, "the given embedding is not a seed expansion"
+    witness_failed = witness is None
     failures = [f"{c.name}: {c.measured} outside [{c.lower},{c.upper}]" for c in checks if not c.ok]
     failures += [name for name, ok in memberships if not ok]
     families = {c.name.partition("[")[0] for c in checks if not c.ok}
@@ -450,6 +453,72 @@ def reference_find_expansion_witness(
     if not ok:
         return None, "no seed-expansion embedding found"
     return witness, "witness found"
+
+
+def reference_check_witness(dec: TwoLayeredDecomposition, spec: TopologicalSpec, witness: dict) -> bool:
+    """Whether `witness` embeds the seed in the interior of `dec`, each
+    test written out in one linear pass: each image is distinct, with an
+    admissible element, fringe code and interior degree; each kept edge is
+    a non-link interior edge of an admissible multiplicity; each path has
+    a length, bond counts, internal fringe codes and link flags within its
+    edge's bounds, and no path shares a vertex or an edge with an image,
+    a kept edge or another path; and the rest of the interior hangs in
+    pendant trees within the branch bounds that, with the seed's images,
+    cover every interior edge."""
+    plan = spec.plan
+    s = dec.suppressed
+    inside = dec.interior_vertices
+    adj, labels, links = s.adj, s.labels, s.link_edges
+    trees = dec.fringe_trees
+    images, paths = witness["images"], witness["paths"]
+    if len(images) != len(plan.vertices):
+        return False
+    used: set[int] = set()
+    for sv in plan.vertices:
+        v = images.get(sv.name)
+        if v not in inside or v in used:
+            return False
+        if labels[v] not in sv.allowed or trees[v].code not in sv.catalog:
+            return False
+        deg = len(adj[v].keys() & inside)
+        if deg < sv.degree or (sv.branch_count[1] == 0 and deg != sv.degree):
+            return False
+        used.add(v)
+    used_edges: set[tuple[int, int]] = set()
+    placed = 0
+    for edge in plan.edges.values():
+        a, b = images[edge.u], images[edge.v]
+        if edge.exact:
+            m = adj[a].get(b)
+            e = (a, b) if a <= b else (b, a)
+            if m is None or m not in edge.multiplicities or e in used_edges or e in links:
+                return False
+            used_edges.add(e)
+            continue
+        path = paths.get(edge.name)
+        if path is None or path[0] != a or path[-1] != b:
+            return False
+        lo, hi = edge.path_len
+        if not lo <= len(path) - 1 <= hi:
+            return False
+        for v in path[1:-1]:
+            if v not in inside or v in used or trees[v].code not in edge.catalog:
+                return False
+            used.add(v)
+        mults = []
+        for x, y in zip(path, path[1:]):
+            m = adj[x].get(y)
+            e = (x, y) if x <= y else (y, x)
+            if m is None or e in used_edges or (e in links) != edge.link:
+                return False
+            used_edges.add(e)
+            mults.append(m)
+        if not edge.bonds_ok(mults):
+            return False
+        placed += 1
+    if placed != len(paths):
+        return False  # a path for an edge that is kept or not in the seed
+    return _pendant_attachments(dec, plan, adj, images, paths, used, used_edges) is not None
 
 
 def _seed_order(seed: SeedGraph) -> list[str]:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import polyinfer
 from corpus import make_polymer, synthetic_corpus
-from polyinfer import generate, twolayer
+from polyinfer import generate, topospec, twolayer
 from polyinfer.chemgraph import ChemicalGraph, parse_pmg, serialize_pmg
 from polyinfer.cli import main
 from polyinfer.data import demo_polymer_text
@@ -37,7 +37,7 @@ from polyinfer.topospec import (
     check_witness,
     find_expansion_witness,
 )
-from reference_checks import reference_canonical_search, reference_canonical_signature
+from reference_checks import reference_canonical_search, reference_canonical_signature, reference_check_witness
 from spechelpers import FREE_POSITIONS, SMALL_CATALOG, forcing_spec, oracle_candidates, train_model
 
 
@@ -360,7 +360,7 @@ def test_cmd_generate_adds_no_decompositions(model_with_cl, tmp_path, decomposit
 
 
 def test_a_candidate_failing_its_constructed_witness_is_an_error(model_with_cl, spec_full, monkeypatch):
-    monkeypatch.setattr(generate, "check_witness", lambda dec, spec, witness: False)
+    monkeypatch.setattr(topospec, "check_witness", lambda dec, spec, witness: False)
     with pytest.raises(RuntimeError, match="fails the witness it was built as"):
         run_generation(spec_full, model_with_cl, (-1e9, 1e9))
 
@@ -952,7 +952,31 @@ def assert_candidates_carry_their_certificates(spec, vocabulary) -> Counter:
             searched, message = find_expansion_witness(built, spec)
             assert searched is not None, message
             assert check_witness(built, spec, searched)
+            for witness in (sk.witness, searched, *mutated_witnesses(built, spec, sk.witness),
+                            *mutated_witnesses(built, spec, searched)):
+                assert check_witness(built, spec, witness) == reference_check_witness(built, spec, witness)
     return complete
+
+
+def mutated_witnesses(dec, spec, witness: dict) -> list[dict]:
+    """Copies of a seed embedding, each broken one way: two images
+    swapped, a path moved one vertex along, an image moved to an exterior
+    vertex (when there is one), a path given for a kept edge, and a path
+    dropped."""
+    images, paths = witness["images"], witness["paths"]
+    first, second = spec.seed.vertices[:2]
+    name, path = next(iter(paths.items()))
+    ahead = sorted(w for w in dec.suppressed.adj[path[-1]] if w in dec.interior_vertices and w not in path)
+    kept = next(e for e in spec.seed.edges if e.kind == "exact")
+    out = [
+        {"images": {**images, first: images[second], second: images[first]}, "paths": paths},
+        {"images": images, "paths": {**paths, name: path[1:] + ahead[:1]}},
+        {"images": images, "paths": {**paths, kept.name: [images[kept.u], images[kept.v]]}},
+        {"images": images, "paths": {k: v for k, v in paths.items() if k != name}},
+    ]
+    if dec.exterior_vertices:
+        out.append({"images": {**images, first: min(dec.exterior_vertices)}, "paths": paths})
+    return out
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -970,6 +994,12 @@ def test_candidates_carry_their_certificates_on_drawn_spaces(model_with_cl, mode
     spec = forcing_spec(tuple(catalog), a2_max_len=a2_max_len, cl_positions=tuple(sorted(cl_positions)))
     model = model_with_cl if knows_cl else model_without_cl
     assert assert_candidates_carry_their_certificates(spec, model.registry.vocabulary)["candidates"]
+
+
+@pytest.mark.parametrize("space", sorted(FORCING_SPACES))
+def test_forcing_candidates_carry_their_certificates(space):
+    # no vocabulary, so no candidate is cut on it
+    assert assert_candidates_carry_their_certificates(forcing_spec(**FORCING_SPACES[space]), {})["candidates"]
 
 
 def test_ib_candidates_carry_their_certificates(model_with_cl):

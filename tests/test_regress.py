@@ -5,7 +5,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from corpus import synthetic_corpus
@@ -488,8 +488,15 @@ def test_path_above_lambda_max_is_the_null_model():
     assert np.all(flat.w == 0.0) and flat.b == pytest.approx(np.mean(y)) and flat.steps == 0
 
 
+# columns 1 and 2 tie at the first knot, and column 1's weight on the
+# active set {1, 2} is zero up to rounding that can leave it below zero
+TIED_AT_A_KNOT = (np.array([[0.0, 3.0, 3.0], [0.0, 3.0, 0.0]]), np.array([0.75, 0.0]), 1e-3, True,
+                  Hyperplane(np.zeros(3), 0.0))
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(warm_start_problems())
+@example(TIED_AT_A_KNOT)
 def test_path_start_reaches_the_cold_objective(problem):
     X, y, lam, penalize_bias, _ = problem
     point = lasso_path(X, y, [lam], penalize_bias)[0]

@@ -216,11 +216,16 @@ def test_failed_families_name_each_failing_check_once():
     assert families == sorted(set(families))
     assert {"na", "fringe trees in catalog"} <= set(families)
     assert all(any(f.startswith(family) for f in report.failures()) for family in families)
-    # a failed witness search is a family of its own; a skipped one is none
+    # a witness not found, or given and not certified, is a family of its
+    # own; a certified one adds none
     ring = parse_pmg(single_ring_text())
     bounds = ["ac_lnk configs declared", "ec_lnk configs declared", "n", "n_int", "n_lnk"]
     assert check_satisfies(ring, spec).failed_families() == bounds + ["witness"]
-    assert check_satisfies(ring, spec, search_witness=False).failed_families() == bounds
+    assert check_satisfies(ring, spec, bridged_witness()).failed_families() == bounds + ["witness"]
+    oxygens = parse_pmg(make_polymer(bridge_a=("O",), bridge_b=("O",), subst={p: ("O",) for p in (2, 3, 5, 6)}))
+    searched = check_satisfies(oxygens, spec)
+    assert searched.witness is not None and "na" in searched.failed_families()
+    assert check_satisfies(oxygens, spec, searched.witness).failed_families() == searched.failed_families()
 
 
 def test_spec_value_of_the_wrong_type_is_a_spec_error():
@@ -438,7 +443,7 @@ def bridged():
     return decompose(parse_pmg(make_polymer(bridge_b=("C", "C"))), 2), forcing_spec(SMALL_CATALOG)
 
 
-def test_check_witness_accepts_the_embedding_and_the_search_witness(bridged):
+def test_check_witness_accepts_the_embedding_and_the_one_searched_for(bridged):
     dec, spec = bridged
     assert check_witness(dec, spec, bridged_witness())
     found, _ = find_expansion_witness(dec, spec)
@@ -589,11 +594,17 @@ def drawn_checks(draw):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(drawn_checks(), st.booleans())
-def test_report_built_on_read_matches_the_eager_report(case, search_witness):
+@given(drawn_checks(), st.sampled_from(["search", "known", "foreign"]))
+def test_report_built_on_read_matches_the_eager_report(case, source):
+    # the witness is searched for, or given: the graph's own (none where
+    # it has no embedding), or the embedding of another graph
     dec, spec = case
-    report = check_satisfies(dec, spec, search_witness=search_witness)
-    want = reference_spec_report(dec, spec, search_witness)
+    if source == "known":
+        witness = find_expansion_witness(dec, spec)[0]
+    else:
+        witness = bridged_witness() if source == "foreign" else None
+    report = check_satisfies(dec, spec, witness)
+    want = reference_spec_report(dec, spec, witness)
     assert report.passed == want.passed
     assert report.checks == want.checks
     assert report.memberships == want.memberships

@@ -14,9 +14,14 @@ that checkout's `src/` on PYTHONPATH, with an open window and no budget,
 and compares the two output directories file by file, `manifest.jsonl`
 included.  On identical directories it also compares the stdout of
 `verify` over every generated file and of `check --verbose` on up to 16 of
-them.  When every graph file and every per-graph manifest record are
-identical and only the summary line differs, it names the summary keys
-that moved (parent -> change) and still compares `verify` and `check`.
+them, first under the case's own spec, where every graph passes, and then
+under instance Ib for AmD at n_lb 28, whose size bound every generated
+graph misses, so that the failure rows, membership names and `witness:`
+lines of failing reports are compared byte for byte too; each `verify`
+line says how many graphs passed.  When every graph file and every
+per-graph manifest record are identical and only the summary line
+differs, it names the summary keys that moved (parent -> change) and
+still compares `verify` and `check`.
 A featurize stage runs `featurize` in each checkout on the CLI
 tests' synthetic corpus plus the demo polymer at rho 1 to 4 and compares
 `registry.json` and the matrix CSV byte for byte.  A train stage runs, on
@@ -55,6 +60,9 @@ from pathlib import Path
 IB_CASES = [(tag, 14) for tag in ("AmD", "HcL", "Tg", "RfId", "Prm")] + [("AmD", 17)]
 OPEN_WINDOW = "--window=-1e9,1e9"
 CHECKED_FILES = 16  # `check` starts one process per graph, so it samples
+# the instance every generated graph fails: its size bound starts above the
+# forcing spec's upper bound (24) and every case's n_lb + 10 (at most 27)
+FOREIGN = ("AmD", 28)
 FEATURIZE_RHOS = (1, 2, 3, 4)
 # (command, options, output flag, output file): the train stage's runs
 TRAIN_RUNS = (
@@ -137,10 +145,10 @@ def polyinfer(checkout: Path, *args) -> subprocess.CompletedProcess:
     return run_python(checkout, ["-m", "polyinfer.cli", *map(str, args)])
 
 
-def build_inputs(parent: Path, work: Path) -> dict[str, tuple[Path, Path]]:
-    """(spec file, model file) by case name.  The inputs are built afresh
-    into an emptied directory, so a rerun with the same `--work` starts
-    from nothing an earlier run left."""
+def build_inputs(parent: Path, work: Path) -> tuple[dict[str, tuple[Path, Path]], Path]:
+    """(spec file, model file) by case name, and the FOREIGN spec file.
+    The inputs are built afresh into an emptied directory, so a rerun with
+    the same `--work` starts from nothing an earlier run left."""
     inputs = work / INPUTS
     shutil.rmtree(inputs, ignore_errors=True)
     inputs.mkdir(parents=True)
@@ -152,13 +160,14 @@ def build_inputs(parent: Path, work: Path) -> dict[str, tuple[Path, Path]]:
         "forcing": (inputs / "forcing.json", model),
         "forcing-without-cl": (inputs / "forcing.json", inputs / "model-without-cl.json"),
     }
-    for tag, n_lb in IB_CASES:
-        path = inputs / f"Ib-{tag}-{n_lb}.json"
+    ib = {}
+    for tag, n_lb in IB_CASES + [FOREIGN]:
+        path = ib[tag, n_lb] = inputs / f"Ib-{tag}-{n_lb}.json"
         proc = polyinfer(parent, "spec-ib", "--property", tag, "--n-lb", n_lb, "--out", path)
         if proc.returncode != 0:
             raise SystemExit(f"spec-ib {tag} {n_lb} failed:\n{proc.stderr}")
-        cases[path.stem] = (path, model)
-    return cases
+    cases.update((ib[case].stem, (ib[case], model)) for case in IB_CASES)
+    return cases, ib[FOREIGN]
 
 
 def differences(left: Path, right: Path) -> list[str]:
@@ -243,7 +252,7 @@ def compare_infer(sides: dict[str, Path], work: Path) -> bool:
     return same
 
 
-def compare_case(name: str, spec: Path, model: Path, sides: dict[str, Path], work: Path) -> bool:
+def compare_case(name: str, spec: Path, model: Path, foreign: Path, sides: dict[str, Path], work: Path) -> bool:
     out_dirs = {side: work / side / name for side in sides}
     for side, checkout in sides.items():
         shutil.rmtree(out_dirs[side], ignore_errors=True)
@@ -265,31 +274,37 @@ def compare_case(name: str, spec: Path, model: Path, sides: dict[str, Path], wor
         print(f"{name}: generate identical ({len(graphs)} graphs and manifest.jsonl)")
     if not graphs:
         return not moved
-
     # the same file names on both sides, so the printed paths match
-    graph_dir = out_dirs["parent"]
+    files = [out_dirs["parent"] / g for g in graphs]
+    same = compare_reports(name, spec, model, files, sides)
+    same = same and compare_reports(f"{name} against {foreign.stem}", foreign, model, files, sides)
+    return same and not moved
+
+
+def compare_reports(name: str, spec: Path, model: Path, files: list[Path], sides: dict[str, Path]) -> bool:
+    """Compare the stdout of `verify` over every file and of `check
+    --verbose` on up to CHECKED_FILES of them, under `spec`."""
     verify = {
-        side: polyinfer(checkout, "verify", "--model", model, "--spec", spec, OPEN_WINDOW,
-                        *(graph_dir / g for g in graphs)).stdout
+        side: polyinfer(checkout, "verify", "--model", model, "--spec", spec, OPEN_WINDOW, *files).stdout
         for side, checkout in sides.items()
     }
     if verify["parent"] != verify["change"]:
         print(f"{name}: verify stdout differs")
         return False
-    print(f"{name}: verify stdout identical")
+    passed = sum(line.endswith(": PASS") for line in verify["parent"].splitlines())
+    print(f"{name}: verify stdout identical ({passed} of {len(files)} graphs pass)")
 
-    step = max(len(graphs) // CHECKED_FILES, 1)
-    sample = graphs[::step][:CHECKED_FILES]
-    for g in sample:
+    sample = files[::max(len(files) // CHECKED_FILES, 1)][:CHECKED_FILES]
+    for path in sample:
         check = {
-            side: polyinfer(checkout, "check", "--verbose", "--spec", spec, "--graph", graph_dir / g).stdout
+            side: polyinfer(checkout, "check", "--verbose", "--spec", spec, "--graph", path).stdout
             for side, checkout in sides.items()
         }
         if check["parent"] != check["change"]:
-            print(f"{name}: check --verbose output differs on {g}")
+            print(f"{name}: check --verbose output differs on {path.name}")
             return False
     print(f"{name}: check --verbose identical on {len(sample)} graphs")
-    return not moved
+    return True
 
 
 def compare_featurize(sides: dict[str, Path], work: Path) -> bool:
@@ -369,10 +384,10 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = (args.work or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
-        cases = build_inputs(sides["parent"], work)
+        cases, foreign = build_inputs(sides["parent"], work)
         same = [compare_featurize(sides, work), compare_train(sides, work), compare_infer(sides, work),
                 compare_signatures(sides, work)]
-        same += [compare_case(name, spec, model, sides, work) for name, (spec, model) in cases.items()]
+        same += [compare_case(name, spec, model, foreign, sides, work) for name, (spec, model) in cases.items()]
     print("identical" if all(same) else "DIFFERENT")
     return 0 if all(same) else 1
 

@@ -183,7 +183,8 @@ def load_dataset(
     CSV columns: id, value and optionally extra covariate columns (e.g. a
     measurement frequency).  Connectivity failures surface as parse errors
     and eliminate the record rather than aborting the load; max_abs_charge
-    relaxes the neutral-molecule valence rule.
+    relaxes the neutral-molecule valence rule.  Each graph file is read
+    once, with no check before it; a missing one is a FeatureError.
     """
     graph_dir = Path(graph_dir)
     rows: list[dict[str, str]] = []
@@ -201,15 +202,17 @@ def load_dataset(
     for row in rows:
         rid = row["id"]
         path = graph_dir / f"{rid}.pmg"
-        if not path.exists():
-            raise FeatureError(f"missing graph file {path}")
+        try:
+            text = path.read_text()
+        except FileNotFoundError:
+            raise FeatureError(f"missing graph file {path}") from None
         try:
             value = float(row["value"])
             covs = {c: float(row[c]) for c in covariate_names}
         except (TypeError, ValueError) as exc:
             raise FeatureError(f"malformed CSV row for id {rid}: {exc}") from exc
         try:
-            g = parse_pmg(path.read_text(), max_abs_charge=max_abs_charge)
+            g = parse_pmg(text, max_abs_charge=max_abs_charge)
         except GraphError as exc:
             eliminated.append((rid, str(exc)))
             continue

@@ -46,7 +46,10 @@ decomposed, and its graph comes from the trusted constructor, so it is
 never re-validated: each structural fact is checked once where it
 becomes known, the bonds, connectivity and link set per skeleton shape,
 each fringe tree's valences per catalog code, and each root's valence
-when its fringe is chosen.  Every seed vertex must lie on a cycle of the
+when its fringe is chosen.  What every candidate of one skeleton shares,
+its bonds, link set, interior vertex and edge sets and the interior's
+coding for the canonical search, is built once per skeleton and held by
+each candidate as it is.  Every seed vertex must lie on a cycle of the
 seed, or the interior would not be the skeleton; a seed where one does
 not is refused with a `SpecError`.  The witness of a candidate is the
 seed embedding it was built as: `check_satisfies` is handed it and
@@ -60,15 +63,18 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 from .chemgraph import ChemicalGraph, GraphError, SuppressedGraph, is_circular_set, is_connected, valence
 from .model import ModelBundle
 from .topospec import PlannedEdge, SeedGraph, SpecError, TopologicalSpec, check_satisfies
 from .twolayer import (
+    CodedAdjacency,
     RootedTree,
     TwoLayeredDecomposition,
     adjacency_str,
     as_decomposition,
+    coded_adjacency,
     edge_keys,
     parse_code,
     symbol_str,
@@ -200,6 +206,12 @@ class Skeleton:
     full-height fringe so they stay interior.  `witness` is the seed
     embedding the skeleton was built as, in the form `check_witness`
     reads: seed vertex i is vertex i, each replaced edge its chain.
+
+    What every candidate built on a skeleton shares is computed once, on
+    first read, and kept: its bonds with u < v, sorted, its link set, its
+    vertex and edge sets (each candidate's interior), and their coding
+    for the canonical search.  All are immutable, so each candidate's
+    graph and decomposition hold them as they are.
     """
 
     n_vertices: int
@@ -209,6 +221,29 @@ class Skeleton:
     allowed_elements: dict[int, frozenset[str]]
     allowed_codes: dict[int, frozenset[str]]  # per-vertex fringe restriction
     witness: dict | None = None
+
+    @cached_property
+    def bonds(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(sorted((u, v, m) if u < v else (v, u, m) for u, v, m in self.edges))
+
+    @cached_property
+    def link_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) if u < v else (v, u) for u, v in self.link_edges)
+
+    @cached_property
+    def vertex_set(self) -> frozenset[int]:
+        return frozenset(range(1, self.n_vertices + 1))
+
+    @cached_property
+    def edge_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) if u < v else (v, u) for u, v, _ in self.edges)
+
+    @cached_property
+    def interior_adjacency(self) -> CodedAdjacency:
+        """What `TwoLayeredDecomposition.interior_adjacency` reads for every
+        candidate of the skeleton: vertex v is at position v - 1."""
+        links = self.link_set
+        return coded_adjacency(self.n_vertices, [(u - 1, v - 1, m, (u, v) in links) for u, v, m in self.bonds])
 
 
 def _iter_skeletons(spec: TopologicalSpec):
@@ -433,13 +468,11 @@ def _automorphisms(sk: Skeleton) -> list[tuple[int, ...]]:
     automorphism (McKay and Piperno, J. Symb. Comput. 60, 2014).
     """
     n = sk.n_vertices
-    links = set(sk.link_edges)
     colors = [
         (tuple(sorted(sk.allowed_elements[v])), tuple(sorted(sk.allowed_codes[v])), v in sk.tips)
         for v in range(1, n + 1)
     ]
-    edges = [(u - 1, v - 1, m, (u, v) in links) for u, v, m in sk.edges]
-    first, *others = _canonical_search(colors, edges)[1]
+    first, *others = _coded_search(colors, sk.interior_adjacency)[1]
     found: dict[tuple[int, ...], None] = {}
     for order in others:
         perm = [0] * n
@@ -511,7 +544,10 @@ def _assign_fringes(
     heavy = 0
 
     def fits(rows) -> bool:
-        return all(counts[name] + count <= upper for name, count, upper in rows)
+        for name, count, upper in rows:
+            if counts[name] + count > upper:
+                return False
+        return True
 
     def tally(rows, sign: int):
         for name, count, _ in rows:
@@ -574,11 +610,15 @@ def _materialize(
     walk: each fringe tree's atoms follow the skeleton's, numbered in its
     entry's layout order.  The skeleton is the interior and its edges the
     interior edges, the trees' heavy atoms are the exterior, and each
-    vertex's fringe tree is its entry's.  Nothing is re-checked: the
-    structure was checked once per skeleton shape, each tree's valences
-    once per catalog entry, and each root's valence when its entry was
-    chosen (its free valence is the vertex's skeleton bond sum)."""
-    edges = [(u, v, m) if u < v else (v, u, m) for u, v, m in sk.edges]
+    vertex's fringe tree is its entry's.  The records every candidate of
+    the skeleton shares are the skeleton's own, built once: its sorted
+    bonds, link set, interior vertex and edge sets, and the coded interior
+    adjacency the decomposition is handed for its signature.  Nothing is
+    re-checked: the structure was checked once per skeleton shape, each
+    tree's valences once per catalog entry, and each root's valence when
+    its entry was chosen (its free valence is the vertex's skeleton bond
+    sum)."""
+    edges = sk.bonds
     core = [(v, entry.element) for v, entry in enumerate(assignment, start=1)]
     atoms, bonds = list(core), list(edges)
     heavy, heavy_bonds = list(core), list(edges)
@@ -594,7 +634,7 @@ def _materialize(
             heavy_bonds += [(v if p < 0 else base + p, base + k, m) for p, k, m in entry.heavy_bonds]
             hydrogens += [(base + k, h) for k, h in entry.hydrogens]
         base += len(entry.atoms)
-    link_edges = frozenset((u, v) if u < v else (v, u) for u, v in sk.link_edges)
+    link_edges = sk.link_set
     g = ChemicalGraph._from_checked_records(atoms, bonds, link_edges, structure_checked=True)
     suppressed = SuppressedGraph(
         atoms=tuple(heavy),
@@ -606,11 +646,12 @@ def _materialize(
     dec = TwoLayeredDecomposition(
         rho=rho,
         suppressed=suppressed,
-        interior_vertices=frozenset(range(1, sk.n_vertices + 1)),
+        interior_vertices=sk.vertex_set,
         exterior_vertices=frozenset(i for i, _ in heavy[sk.n_vertices:]),
-        interior_edges=frozenset((u, v) for u, v, _ in edges),
+        interior_edges=sk.edge_set,
         fringe_trees={v: entry.tree for v, entry in enumerate(assignment, start=1)},
     )
+    dec.__dict__["interior_adjacency"] = sk.interior_adjacency
     return g, dec
 
 
@@ -620,19 +661,34 @@ def _materialize(
 # One individualization-refinement search (McKay and Piperno, J. Symb.
 # Comput. 60, 2014) serves the signatures and the skeleton automorphisms.
 # It runs on integer codes.  Vertex colors start as the dense ranks of the
-# raw colors.  A bond of multiplicity m is coded 2*m + is_link, which keeps
-# the order of (m, is_link), and a neighbour w across it enters a
-# refinement round as one int, code * (n + 1) + color[w].  Sorting these
-# ints orders a vertex's neighbours as sorting (label, color) pairs would,
-# so every round ranks the vertices, and every leaf is reached and
-# encoded, as with the label tuples themselves.  Refinement stops at a
-# discrete coloring or at a round that adds no cell.  The search recurses
-# at module level, with its best encoding and leaves passed down as lists,
-# so a signature leaves no reference cycle behind for the garbage
-# collector.
+# raw colors.  The graph comes coded by `twolayer.coded_adjacency`: a bond
+# of multiplicity m is coded (2*m + is_link) * (n + 1), which keeps the
+# order of (m, is_link), and a neighbour w across it enters a refinement
+# round as one int, code + color[w].  Sorting these ints orders a vertex's
+# neighbours as sorting (label, color) pairs would, so every round ranks
+# the vertices, and every leaf is reached and encoded, as with the label
+# tuples themselves.  A round sorts neighbours only for the vertices of
+# cells with more than one member: a singleton's color leads its round
+# signature and no other vertex has it, so its rank is fixed by its color
+# alone.  Refinement stops at a discrete coloring or at a round that adds
+# no cell.  An encoding joins one "position:bond label" token per
+# neighbour, read from a table kept per vertex count.  A generated
+# candidate's interior is its skeleton, so its decomposition is handed the
+# skeleton's coded adjacency; any other decomposition codes its own on
+# first read.  The search recurses at module level, with its best encoding
+# and leaves passed down as lists, so a signature leaves no reference
+# cycle behind for the garbage collector.
 
 # the text of each bond label (multiplicity, is_link) in an encoding, by code
 _BOND_LABELS = tuple(f"({code >> 1}, {bool(code & 1)})" for code in range(8))
+
+
+@cache  # bounded: one table per graph size seen
+def _tokens(n: int) -> tuple[str, ...]:
+    """The encoding token of a neighbour at position p across a bond of
+    code c in a graph of n vertices, "p:label", at index c + p."""
+    width = n + 1
+    return tuple(f"{i % width}:{_BOND_LABELS[i // width]}" for i in range(8 * width))
 
 
 def canonical_signature(g: ChemicalGraph | TwoLayeredDecomposition, rho: int) -> str:
@@ -644,38 +700,32 @@ def canonical_signature(g: ChemicalGraph | TwoLayeredDecomposition, rho: int) ->
     of those starts with a color tuple's "(")."""
     dec = as_decomposition(g, rho)
     s = dec.suppressed
-    labels, links = s.labels, s.link_edges
+    labels = s.labels
     connecting = set(s.connecting or ())
-    vertices = sorted(dec.interior_vertices)
-    if vertices:
-        prefix = ""
-        trees, multiplicity = dec.fringe_trees, s.adj
-        colors = [(labels[v], trees[v].code, v in connecting) for v in vertices]
-        bonds = [(u, v, multiplicity[u][v]) for u, v in dec.interior_edges]
-    else:
-        prefix = "acyclic:"
-        vertices = [v for v, _ in s.atoms]
-        hydrogens = s.h_count
-        colors = [(labels[v], hydrogens.get(v, 0), v in connecting) for v in vertices]
-        bonds = s.bonds
+    if dec.interior_vertices:
+        trees = dec.fringe_trees
+        colors = [(labels[v], trees[v].code, v in connecting) for v in sorted(dec.interior_vertices)]
+        return _coded_search(colors, dec.interior_adjacency)[0]
+    vertices = [v for v, _ in s.atoms]
+    hydrogens, links = s.h_count, s.link_edges
+    colors = [(labels[v], hydrogens.get(v, 0), v in connecting) for v in vertices]
     index = {v: i for i, v in enumerate(vertices)}
-    edges = [(index[u], index[v], m, ((u, v) if u < v else (v, u)) in links) for u, v, m in bonds]
-    return prefix + _canonical_search(colors, edges)[0]
+    edges = [(index[u], index[v], m, ((u, v) if u < v else (v, u)) in links) for u, v, m in s.bonds]
+    return "acyclic:" + _canonical_search(colors, edges)[0]
 
 
 def _canonical_search(raw_colors: list, edges) -> tuple[str, list[list[int]]]:
+    """`_coded_search` on a graph given by its edges (u, v, multiplicity,
+    is_link) over the positions of `raw_colors`."""
+    return _coded_search(raw_colors, coded_adjacency(len(raw_colors), edges))
+
+
+def _coded_search(raw_colors: list, adj: CodedAdjacency) -> tuple[str, list[list[int]]]:
     """Individualization-refinement over every branch: the least leaf
-    encoding, and the vertex order of each leaf that reaches it.  `edges`
-    are (u, v, multiplicity, is_link) over the positions of `raw_colors`;
-    a vertex's row in an encoding starts with the repr of its raw color."""
-    n = len(raw_colors)
-    width = n + 1
-    ranked = {c: (i, repr(c)) for i, c in enumerate(sorted(set(raw_colors)))}
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, m, is_link in edges:
-        code = (2 * m + is_link) * width
-        adj[u].append((v, code))
-        adj[v].append((u, code))
+    encoding, and the vertex order of each leaf that reaches it.  `adj`
+    codes the graph over the positions of `raw_colors`; a vertex's row in
+    an encoding starts with the repr of its raw color."""
+    ranked = {c: (i, repr(c) + ";") for i, c in enumerate(sorted(set(raw_colors)))}
     colors = [ranked[c][0] for c in raw_colors]
     labels = [ranked[c][1] for c in raw_colors]
     best: list[str] = []
@@ -684,24 +734,32 @@ def _canonical_search(raw_colors: list, edges) -> tuple[str, list[list[int]]]:
     return best[0], leaves
 
 
-def _refine(colors: list[int], count: int, adj) -> tuple[list[int], int]:
+def _refine(colors: list[int], count: int, adj: CodedAdjacency) -> tuple[list[int], int]:
     """The coarsest equitable refinement of a dense coloring with `count`
     colors, and its number of colors.  Each vertex's signature leads with
     its old color, so a round that adds no cell has ranked every vertex
-    by its old color and changed nothing."""
+    by its old color and changed nothing; a vertex alone in its cell has
+    nothing after its color, which is unique."""
     n = len(colors)
     while count < n:
-        sig = [(c, tuple(sorted([code + colors[w] for w, code in nbrs]))) for c, nbrs in zip(colors, adj)]
-        ranks = {s: i for i, s in enumerate(sorted(set(sig)))}
-        if len(ranks) == count:
+        size = [0] * count
+        for c in colors:
+            size[c] += 1
+        sig = [
+            (c, tuple(sorted([code + colors[w] for w, code in nbrs]))) if size[c] > 1 else (c,)
+            for c, nbrs in zip(colors, adj)
+        ]
+        distinct = set(sig)
+        if len(distinct) == count:
             break
+        ranks = {s: i for i, s in enumerate(sorted(distinct))}
         count = len(ranks)
         colors = [ranks[s] for s in sig]
     return colors, count
 
 
 def _search(
-    colors: list[int], count: int, adj, labels: list[str], best: list[str], leaves: list[list[int]]
+    colors: list[int], count: int, adj: CodedAdjacency, labels: list[str], best: list[str], leaves: list[list[int]]
 ) -> None:
     """One branch of the canonical search: individualize each vertex of the
     first non-singleton cell in turn, or, at a leaf (a discrete coloring),
@@ -729,15 +787,15 @@ def _search(
         _search(*_refine(branched, count + 1, adj), adj, labels, best, leaves)
 
 
-def _encode(order: list[int], pos: list[int], adj, labels: list[str]) -> str:
+def _encode(order: list[int], pos: list[int], adj: CodedAdjacency, labels: list[str]) -> str:
     """The adjacency rows of a graph with its vertices in `order`, where
-    `pos` is the inverse of `order`."""
-    width = len(order) + 1
-    rows = []
-    for v in order:
-        bonds = sorted([(pos[w], code) for w, code in adj[v]])
-        rows.append(labels[v] + ";" + ",".join([f"{p}:{_BOND_LABELS[code // width]}" for p, code in bonds]))
-    return "\n".join(rows)
+    `pos` is the inverse of `order`; each row is its vertex's label, which
+    ends in ";", and its neighbours' tokens in position order."""
+    tokens = _tokens(len(order))
+    return "\n".join([
+        labels[v] + ",".join([tokens[code + p] for p, code in sorted([(pos[w], code) for w, code in adj[v]])])
+        for v in order
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +817,12 @@ def iter_generate(
     `candidates_examined` counts the complete assignments that survive the
     enumeration's cuts and its lex-leader test, the ones materialized and
     fully checked.
+
+    Each candidate's count profile is measured from its own decomposition,
+    though the fringe search's memo has already summed its bounded
+    counts: the profile is the input of the certificate, `check_satisfies`,
+    that checks the search's own cuts, and read off the memo it would let
+    a fault in the memo certify itself.
     """
     if spec.rho != model.registry.rho:
         raise ValueError(

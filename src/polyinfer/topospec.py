@@ -10,10 +10,12 @@ pass, building the per-bound rows of its report only when they are read.
 Its expansion witness is the embedding a caller hands over (the generator
 hands over the one it built), certified by `check_witness`, or else one
 `find_expansion_witness` searches for; both apply the same module-level
-predicates for images, kept edges, paths and pendant trees.  The search
-frees itself on return (its recursive closures are deleted in a
-`finally`, and the path enumeration keeps an explicit stack), so checking
-a graph leaves no reference cycles for the garbage collector.  Everything
+predicates for images, kept edges, paths and pendant trees, and the
+report holds either as one record of images, paths and pendant
+attachments.  The search frees itself on return (its recursive closures
+are deleted in a `finally`, and the path enumeration keeps an explicit
+stack), so checking a graph leaves no reference cycles for the garbage
+collector.  Everything
 either reads off a specification is compiled once per specification
 object into its plan (`TopologicalSpec.plan`) and kept on it: the count
 bounds as rows by family and key, the declared keys each membership test
@@ -438,7 +440,7 @@ class SpecReport:
     spec: TopologicalSpec = field(repr=False, compare=False)
     profile: CountProfile = field(repr=False, compare=False)
     passed: bool
-    witness: dict | None
+    witness: dict | None  # `_witness_record` shape, searched or certified
     witness_message: str
 
     @cached_property
@@ -492,18 +494,22 @@ def check_satisfies(
     """Measure every bound of the specification on a graph (or its
     decomposition) and find its seed-expansion witness: `check_witness`
     certifies the embedding a caller that built the graph hands over, and
-    otherwise `find_expansion_witness` searches for one.  Whether the
-    counts pass is decided in one pass over the plan's bound rows and
-    declared-key sets, stopping at the first failure; the report builds
-    its rows only when they are read."""
+    otherwise `find_expansion_witness` searches for one.  Either way the
+    report's witness is one record (`_witness_record`); a certified one
+    holds the caller's images and paths as they were handed over.
+    Whether the counts pass is decided in one pass over the plan's bound
+    rows and declared-key sets, stopping at the first failure; the report
+    builds its rows only when they are read."""
     dec = as_decomposition(g, spec.rho)
     profile = dec.profile
     if witness is None:
         witness, message = find_expansion_witness(dec, spec)
-    elif check_witness(dec, spec, witness):
-        message = "witness certified"
     else:
-        witness, message = None, "the given embedding is not a seed expansion"
+        attach_at = check_witness(dec, spec, witness)
+        if attach_at is None:
+            witness, message = None, "the given embedding is not a seed expansion"
+        else:
+            witness, message = _witness_record(witness["images"], witness["paths"], attach_at), "witness certified"
     return SpecReport(
         spec=spec,
         profile=profile,
@@ -694,11 +700,7 @@ def find_expansion_witness(
             attach_at = _pendant_attachments(dec, plan, adj, images, path_of, used, used_edges)
             if attach_at is None:
                 return False
-            witness = {
-                "images": dict(images),
-                "paths": {k: list(v) for k, v in path_of.items()},
-                "attachments": {str(k): v for k, v in sorted(attach_at.items())},
-            }
+            witness = _witness_record(dict(images), {k: list(v) for k, v in path_of.items()}, attach_at)
             return True
         sv = order[pos]
         pool = interior if sv.anchor is None else sorted(adj[images[sv.anchor]])
@@ -756,9 +758,13 @@ def find_expansion_witness(
     return witness, "witness found"
 
 
-def check_witness(dec: TwoLayeredDecomposition, spec: TopologicalSpec, witness: dict) -> bool:
-    """Whether `witness` embeds the seed in the interior of `dec` as
-    `find_expansion_witness` requires, checked instead of searched for.
+def check_witness(
+    dec: TwoLayeredDecomposition, spec: TopologicalSpec, witness: dict
+) -> dict[int, list[int]] | None:
+    """The pendant attachments of `witness` (anchor -> heights of the trees
+    hanging there) when it embeds the seed in the interior of `dec` as
+    `find_expansion_witness` requires, checked instead of searched for;
+    None when it does not.
 
     The witness maps each seed vertex name to an interior vertex
     ("images") and each replaceable seed edge name to its path, a vertex
@@ -776,14 +782,14 @@ def check_witness(dec: TwoLayeredDecomposition, spec: TopologicalSpec, witness: 
     adj, labels, links, trees = s.adj, s.labels, s.link_edges, dec.fringe_trees
     images, paths = witness["images"], witness["paths"]
     if len(images) != len(plan.vertices):
-        return False
+        return None
     used: set[int] = set()
     for sv in plan.vertices:
         v = images.get(sv.name)
         if v not in inside or v in used:
-            return False
+            return None
         if not _image_fits(sv, labels[v], trees[v].code, len(adj[v].keys() & inside)):
-            return False
+            return None
         used.add(v)
     used_edges: set[tuple[int, int]] = set()
     placed = 0
@@ -791,26 +797,33 @@ def check_witness(dec: TwoLayeredDecomposition, spec: TopologicalSpec, witness: 
         a, b = images[edge.u], images[edge.v]
         if edge.exact:
             if not _kept_edge_fits(edge, adj, a, b, used_edges, links):
-                return False
+                return None
             used_edges.add((a, b) if a <= b else (b, a))
             continue
         path = paths.get(edge.name)
         lo, hi = edge.path_len
         if path is None or path[0] != a or path[-1] != b or not lo <= len(path) - 1 <= hi:
-            return False
+            return None
         for v in path[1:-1]:
             if v not in inside or v in used:
-                return False
+                return None
             used.add(v)
         # a simple path, so its edges are distinct
         path_edges = {(x, y) if x <= y else (y, x) for x, y in zip(path, path[1:])}
         if not path_edges.isdisjoint(used_edges) or not _path_fits(edge, adj, trees, links, path):
-            return False
+            return None
         used_edges |= path_edges
         placed += 1
     if placed != len(paths):
-        return False  # a path for an edge that is kept or not in the seed
-    return _pendant_attachments(dec, plan, adj, images, paths, used, used_edges) is not None
+        return None  # a path for an edge that is kept or not in the seed
+    return _pendant_attachments(dec, plan, adj, images, paths, used, used_edges)
+
+
+def _witness_record(images: dict[str, int], paths: dict[str, list[int]], attach_at: dict[int, list[int]]) -> dict:
+    """A seed embedding as a report holds it, searched or certified: its
+    images, its paths, and the heights of the pendant trees at each anchor,
+    keyed by the anchor as a string, in ascending anchor order."""
+    return {"images": images, "paths": paths, "attachments": {str(k): v for k, v in sorted(attach_at.items())}}
 
 
 # The embedding rules the witness search and `check_witness` share; `adj`

@@ -14,7 +14,9 @@ tree, by module-level recursion that leaves no reference cycle behind.
 graph, per rho, so every stage that is handed the same graph reads one
 decomposition, and `count_profile` counts every family into a plain dict
 in one pass, with the configuration keys of an edge memoized on its
-(element, degree, element, degree, multiplicity).
+(element, degree, element, degree, multiplicity).  The interior graph's
+integer coding for the canonical search (`coded_adjacency`) is defined
+here too, so a decomposition can keep it beside its profile.
 """
 
 from __future__ import annotations
@@ -190,6 +192,39 @@ class TwoLayeredDecomposition:
         """The count profile, computed on first read and kept, so every
         stage that reads one decomposition shares one profile."""
         return count_profile(self)
+
+    @cached_property
+    def interior_adjacency(self) -> "CodedAdjacency":
+        """The interior graph as the canonical search reads it, over the
+        positions of the sorted interior vertices (`coded_adjacency`),
+        computed on first read and kept.  A generated candidate is handed
+        its skeleton's instead."""
+        index = {v: i for i, v in enumerate(sorted(self.interior_vertices))}
+        adj, links = self.suppressed.adj, self.suppressed.link_edges
+        return coded_adjacency(
+            len(index), [(index[u], index[v], adj[u][v], (u, v) in links) for u, v in sorted(self.interior_edges)]
+        )
+
+
+# row u: (v, bond code) per neighbour v, in ascending v when the edges come
+# sorted; the bond code of multiplicity m and link flag f is (2m + f)(n + 1)
+CodedAdjacency = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def coded_adjacency(n: int, edges) -> CodedAdjacency:
+    """The integer coding of a graph on positions 0..n-1 that the canonical
+    search runs on, from its edges (u, v, multiplicity, is_link): each
+    bond is coded (2 * multiplicity + is_link) * (n + 1), so a neighbour
+    of color c adds one int, code + c, that sorts as the pair (bond label,
+    c) does.  Edges given sorted, with u < v, give rows in ascending
+    neighbour order, the same rows for every numbering with that order."""
+    width = n + 1
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, m, is_link in edges:
+        code = (2 * m + is_link) * width
+        rows[u].append((v, code))
+        rows[v].append((u, code))
+    return tuple(map(tuple, rows))
 
 
 def as_decomposition(

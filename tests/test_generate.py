@@ -6,6 +6,7 @@ import itertools
 import json
 import pkgutil
 import random
+import types
 from collections import Counter
 
 import pytest
@@ -360,7 +361,7 @@ def test_cmd_generate_adds_no_decompositions(model_with_cl, tmp_path, decomposit
 
 
 def test_a_candidate_failing_its_constructed_witness_is_an_error(model_with_cl, spec_full, monkeypatch):
-    monkeypatch.setattr(topospec, "check_witness", lambda dec, spec, witness: False)
+    monkeypatch.setattr(topospec, "check_witness", lambda dec, spec, witness: None)
     with pytest.raises(RuntimeError, match="fails the witness it was built as"):
         run_generation(spec_full, model_with_cl, (-1e9, 1e9))
 
@@ -921,13 +922,28 @@ def test_memo_counts_add_up_to_the_profile(model_with_cl, model_without_cl, cata
     assert complete
 
 
+class AcceptingModel:
+    """A stand-in for a trained model at `rho` with the given vocabulary:
+    every graph is predicted 0 with no out-of-vocabulary key, so
+    `iter_generate` emits each distinct candidate that passes the spec."""
+
+    def __init__(self, rho: int, vocabulary: dict[str, frozenset[str]]):
+        self.registry = types.SimpleNamespace(rho=rho, vocabulary=vocabulary)
+
+    def predict_graph(self, dec, covariates=None) -> tuple[float, tuple[str, ...]]:
+        return 0.0, ()
+
+
 def assert_candidates_carry_their_certificates(spec, vocabulary) -> Counter:
     """Every complete assignment of the enumeration, materialized: its
-    decomposition is the one `decompose` finds, its graph the one full
-    validation and a PMG round trip give, its signature the one the graph
-    read back gets, and the witness it was built as and the one the search
-    finds both pass `check_witness`.  Returns how
-    many candidates there were, and how many of them carry pendant paths."""
+    decomposition is the one `decompose` finds, coded interior adjacency
+    included, its graph the one full validation and a PMG round trip give,
+    its signature the one the graph read back gets, and the witness it was
+    built as and the one the search finds both pass `check_witness` and
+    are reported in one shape, with the same pendant attachments where
+    they place the seed alike.  Generation run on the same space emits
+    the signatures its graphs get once read back.  Returns how many
+    candidates there were, and how many of them carry pendant paths."""
     entries = [generate.CatalogEntry.build(code) for code in spec.fringe_catalog]
     memo = generate._Contributions(spec, entries, vocabulary)
     complete = Counter()
@@ -939,6 +955,7 @@ def assert_candidates_carry_their_certificates(spec, vocabulary) -> Counter:
             found = twolayer.decompose(g, spec.rho)
             for attr in ("interior_vertices", "exterior_vertices", "interior_edges"):
                 assert getattr(built, attr) == getattr(found, attr), attr
+            assert built.interior_adjacency == found.interior_adjacency
             assert list(built.fringe_trees) == list(found.fringe_trees)
             assert [t.code for t in built.fringe_trees.values()] == [t.code for t in found.fringe_trees.values()]
             for attr in ("atoms", "bonds", "hydrogens", "link_edges", "connecting"):
@@ -948,13 +965,23 @@ def assert_candidates_carry_their_certificates(spec, vocabulary) -> Counter:
             read_back = parse_pmg(serialize_pmg(g))
             assert g == read_back
             assert canonical_signature(built, spec.rho) == canonical_signature(read_back, spec.rho)
-            assert check_witness(built, spec, sk.witness)
+            assert check_witness(built, spec, sk.witness) is not None
             searched, message = find_expansion_witness(built, spec)
             assert searched is not None, message
-            assert check_witness(built, spec, searched)
+            assert check_witness(built, spec, searched) is not None
             for witness in (sk.witness, searched, *mutated_witnesses(built, spec, sk.witness),
                             *mutated_witnesses(built, spec, searched)):
-                assert check_witness(built, spec, witness) == reference_check_witness(built, spec, witness)
+                assert (check_witness(built, spec, witness) is not None) == reference_check_witness(built, spec, witness)
+            certified = check_satisfies(built, spec, sk.witness).witness
+            assert certified.keys() == check_satisfies(built, spec).witness.keys() == searched.keys()
+            if certified["images"] == searched["images"]:
+                complete["placed alike"] += 1
+                assert certified["attachments"] == searched["attachments"]
+    outcome = GenerationOutcome()
+    results = list(iter_generate(spec, AcceptingModel(spec.rho, vocabulary), (-1.0, 1.0), outcome))
+    assert outcome.status == "exhausted" and outcome.candidates_examined == complete["candidates"]
+    for r in results:
+        assert r.signature == canonical_signature(parse_pmg(serialize_pmg(r.graph)), spec.rho)
     return complete
 
 

@@ -393,7 +393,7 @@ def assert_same_witness(text: str, spec: TopologicalSpec) -> bool:
     want = reference_find_expansion_witness(dec, spec)
     assert json.dumps(got) == json.dumps(want), text
     if got[0] is not None:
-        assert check_witness(dec, spec, got[0]), text
+        assert check_witness(dec, spec, got[0]) is not None, text
     return got[0] is not None
 
 
@@ -445,15 +445,15 @@ def bridged():
 
 def test_check_witness_accepts_the_embedding_and_the_one_searched_for(bridged):
     dec, spec = bridged
-    assert check_witness(dec, spec, bridged_witness())
+    assert check_witness(dec, spec, bridged_witness()) is not None
     found, _ = find_expansion_witness(dec, spec)
-    assert check_witness(dec, spec, found)
+    assert check_witness(dec, spec, found) is not None
 
 
 def test_check_witness_rejects_an_image_of_the_wrong_element(bridged):
     dec, spec = bridged
     only_o = dataclasses.replace(spec, vertex_elements={**spec.vertex_elements, "b2": ("O",)})
-    assert not check_witness(dec, only_o, bridged_witness())
+    assert check_witness(dec, only_o, bridged_witness()) is None
 
 
 def crossed_square():
@@ -493,7 +493,7 @@ def test_check_witness_rejects_two_seed_vertices_on_one_image():
     spec = bare_spec(seed, branch_count_vertex={"s": (0, 1), "t": (0, 1)})
     witness = {"images": {"s": 1, "t": 1, "a": 2, "b": 3, "c": 4, "d": 5},
                "paths": {"p1": [1, 2], "p2": [1, 3], "p3": [1, 4], "p4": [1, 5]}}
-    assert not check_witness(crossed_square(), spec, witness)
+    assert check_witness(crossed_square(), spec, witness) is None
 
 
 def test_check_witness_rejects_a_path_through_a_used_vertex():
@@ -504,23 +504,23 @@ def test_check_witness_rejects_a_path_through_a_used_vertex():
         SeedEdge("k1", "a", "c", "exact"), SeedEdge("k2", "b", "d", "exact"),
     ))
     witness = {"images": {"a": 2, "b": 3, "c": 4, "d": 5}, "paths": {"p1": [2, 1, 3], "p2": [4, 1, 5]}}
-    assert not check_witness(crossed_square(), bare_spec(seed), witness)
+    assert check_witness(crossed_square(), bare_spec(seed), witness) is None
 
 
 def test_check_witness_rejects_a_path_of_the_wrong_length():
     # a three-atom a2 bridge where the forcing spec admits at most two
     dec = decompose(parse_pmg(make_polymer(bridge_b=("C", "C", "C"))), 2)
     spec = forcing_spec(SMALL_CATALOG)
-    assert not check_witness(dec, spec, bridged_witness(a2_path=(4, 14, 15, 16, 10)))
+    assert check_witness(dec, spec, bridged_witness(a2_path=(4, 14, 15, 16, 10))) is None
     assert check_witness(dec, dataclasses.replace(spec, path_len={**spec.path_len, "a2": (2, 4)}),
-                         bridged_witness(a2_path=(4, 14, 15, 16, 10)))
+                         bridged_witness(a2_path=(4, 14, 15, 16, 10))) is not None
 
 
 def test_check_witness_rejects_a_non_link_path_over_link_edges(bridged):
     dec, spec = bridged
     edges = tuple(dataclasses.replace(e, link=False) if e.name == "a1" else e for e in spec.seed.edges)
     plain_a1 = dataclasses.replace(spec, seed=SeedGraph(spec.seed.vertices, edges))
-    assert not check_witness(dec, plain_a1, bridged_witness())
+    assert check_witness(dec, plain_a1, bridged_witness()) is None
 
 
 def test_check_witness_rejects_an_uncovered_interior_edge():
@@ -535,7 +535,7 @@ def test_check_witness_rejects_an_uncovered_interior_edge():
     )
     spec = forcing_spec(SMALL_CATALOG)
     spec = dataclasses.replace(spec, branch_count_vertex={**spec.branch_count_vertex, "b2": (0, 1), "b5": (0, 1)})
-    assert not check_witness(decompose(chorded, 2), spec, bridged_witness())
+    assert check_witness(decompose(chorded, 2), spec, bridged_witness()) is None
 
 
 # -- the report built on read against the eager one ---------------------------

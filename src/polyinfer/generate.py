@@ -47,11 +47,12 @@ never re-validated: each structural fact is checked once where it
 becomes known, the bonds, connectivity and link set per skeleton shape,
 each fringe tree's valences per catalog code, and each root's valence
 when its fringe is chosen.  What every candidate of one skeleton shares,
-its bonds, link set, interior vertex and edge sets and the interior's
-coding for the canonical search, is built once per skeleton and held by
-each candidate as it is.  Every seed vertex must lie on a cycle of the
-seed, or the interior would not be the skeleton; a seed where one does
-not is refused with a `SpecError`.  The witness of a candidate is the
+its bonds, link set, interior vertex and edge sets, the interior view
+the spec check reads and the interior's coding for the canonical search,
+is built once per skeleton and held by each candidate as it is.  Every
+seed vertex must lie on a cycle of the seed, or the interior would not
+be the skeleton; a seed where one does not is refused with a
+`SpecError`.  The witness of a candidate is the
 seed embedding it was built as: `check_satisfies` is handed it and
 certifies it instead of searching, and a candidate that fails its own
 embedding is a `RuntimeError`.
@@ -209,9 +210,11 @@ class Skeleton:
 
     What every candidate built on a skeleton shares is computed once, on
     first read, and kept: its bonds with u < v, sorted, its link set, its
-    vertex and edge sets (each candidate's interior), and their coding
-    for the canonical search.  All are immutable, so each candidate's
-    graph and decomposition hold them as they are.
+    vertex and edge sets (each candidate's interior), its adjacency with
+    multiplicities (each candidate's interior view, which the spec check
+    reads), and their coding for the canonical search.  All are
+    immutable, so each candidate's graph and decomposition hold them as
+    they are.
     """
 
     n_vertices: int
@@ -237,6 +240,16 @@ class Skeleton:
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) if u < v else (v, u) for u, v, _ in self.edges)
+
+    @cached_property
+    def interior_adj(self) -> dict[int, dict[int, int]]:
+        """What `TwoLayeredDecomposition.interior_adj` reads for every
+        candidate of the skeleton: vertex -> neighbour -> multiplicity."""
+        rows: dict[int, dict[int, int]] = {v: {} for v in range(1, self.n_vertices + 1)}
+        for u, v, m in self.bonds:
+            rows[u][v] = m
+            rows[v][u] = m
+        return rows
 
     @cached_property
     def interior_adjacency(self) -> CodedAdjacency:
@@ -612,12 +625,12 @@ def _materialize(
     interior edges, the trees' heavy atoms are the exterior, and each
     vertex's fringe tree is its entry's.  The records every candidate of
     the skeleton shares are the skeleton's own, built once: its sorted
-    bonds, link set, interior vertex and edge sets, and the coded interior
-    adjacency the decomposition is handed for its signature.  Nothing is
-    re-checked: the structure was checked once per skeleton shape, each
-    tree's valences once per catalog entry, and each root's valence when
-    its entry was chosen (its free valence is the vertex's skeleton bond
-    sum)."""
+    bonds, link set, interior vertex and edge sets, the interior view the
+    spec check reads, and the coded interior adjacency the decomposition
+    is handed for its signature.  Nothing is re-checked: the structure was
+    checked once per skeleton shape, each tree's valences once per catalog
+    entry, and each root's valence when its entry was chosen (its free
+    valence is the vertex's skeleton bond sum)."""
     edges = sk.bonds
     core = [(v, entry.element) for v, entry in enumerate(assignment, start=1)]
     atoms, bonds = list(core), list(edges)
@@ -650,6 +663,7 @@ def _materialize(
         exterior_vertices=frozenset(i for i, _ in heavy[sk.n_vertices:]),
         interior_edges=sk.edge_set,
         fringe_trees={v: entry.tree for v, entry in enumerate(assignment, start=1)},
+        interior_adj=sk.interior_adj,
     )
     dec.__dict__["interior_adjacency"] = sk.interior_adjacency
     return g, dec

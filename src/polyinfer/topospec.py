@@ -10,19 +10,21 @@ pass, building the per-bound rows of its report only when they are read.
 Its expansion witness is the embedding a caller hands over (the generator
 hands over the one it built), certified by `check_witness`, or else one
 `find_expansion_witness` searches for; both apply the same module-level
-predicates for images, kept edges, paths and pendant trees, and the
-report holds either as one record of images, paths and pendant
-attachments.  The search frees itself on return (its recursive closures
-are deleted in a `finally`, and the path enumeration keeps an explicit
-stack), so checking a graph leaves no reference cycles for the garbage
-collector.  Everything
-either reads off a specification is compiled once per specification
-object into its plan (`TopologicalSpec.plan`) and kept on it: the count
-bounds as rows by family and key, the declared keys each membership test
-admits, and the one reading of the seed structure, that is each seed
-vertex's element and catalog filters and each seed edge's
-multiplicities, bond, path-length, catalog and branch bounds, with an
-absent bound read one way.  The checker and the search in `generate`
+predicates for images, kept edges, paths and pendant trees, both read
+the interior from the decomposition's one interior view (`interior_adj`,
+built by `twolayer.decompose` or, for a generated candidate, handed over
+from its skeleton), and the report holds either as one record of images,
+paths and pendant attachments.  The search frees itself on return (its
+recursive closures are deleted in a `finally`, and the path enumeration
+keeps an explicit stack), so checking a graph leaves no reference cycles
+for the garbage collector.  Everything either reads off a specification
+is compiled once per specification object into its plan
+(`TopologicalSpec.plan`) and kept on it: the count bounds as rows by
+family and key and as the table the count check walks, the declared keys
+each membership test admits, and the one reading of the seed structure,
+that is each seed vertex's element and catalog filters and each seed
+edge's multiplicities, bond, path-length, catalog and branch bounds, with
+an absent bound read one way.  The checker and the search in `generate`
 both take their bounds from it.
 """
 
@@ -520,20 +522,25 @@ def check_satisfies(
 
 
 def _counts_pass(profile: CountProfile, spec: TopologicalSpec) -> bool:
-    """Whether every row of `SpecReport.checks` and every membership holds."""
+    """Whether every row of `SpecReport.checks` and every membership holds,
+    read off the plan's `tallies`: each key the profile holds is looked up
+    once, and a bounded key it lacks counts 0, so only the keys whose
+    bounds exclude 0 are looked for."""
     if not (
         spec.n[0] <= profile.n <= spec.n[1]
         and spec.n_int[0] <= profile.n_int <= spec.n_int[1]
         and spec.n_lnk[0] <= profile.link_vertices <= spec.n_lnk[1]
     ):
         return False
-    plan = spec.plan
-    for attr, rows in plan.bounds.items():
-        get = getattr(profile, attr).get
-        for key, (_, lo, hi) in rows.items():
-            if not lo <= get(key, 0) <= hi:
+    for attr, table, other, needed in spec.plan.tallies:
+        counts = getattr(profile, attr)
+        for key, count in counts.items():
+            lo, hi = table.get(key, other)
+            if not lo <= count <= hi:
                 return False
-    return all(getattr(profile, attr).keys() <= keys for attr, (_, keys) in plan.declared.items())
+        if needed and not counts.keys() >= needed:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +591,17 @@ class SpecPlan:
     keys.  `bounds` maps each count family, in the order `check_satisfies`
     reports them, to `key -> (row name, lower, upper)` with keys sorted;
     `declared` maps each profile family whose keys must be declared to its
-    membership test's name and the keys it admits.
+    membership test's name and the keys it admits.  `tallies` compiles both
+    for `_counts_pass`, one entry per count family: the bounds a key's
+    count must meet (those of its row; none for a declared key without a
+    row; none met for an undeclared one, row or not), the bounds of a key
+    the table lacks (none met where the family's keys must be declared,
+    none otherwise), and the keys whose row fails at a count of 0.
+    `bare` is whether an embedding without pendant trees meets every seed
+    vertex's and replaceable edge's branch bounds: with it
+    `_pendant_attachments` settles an embedding that uses every vertex of
+    the decomposition's interior view (`interior_adj`, built by `decompose`
+    or handed over by `generate`) without walking that view.
 
     Absent bounds read one way: a seed vertex without `vertex_elements`
     takes the heavy alphabet, an edge without a bd2 or bd3 bound admits any
@@ -598,6 +615,17 @@ class SpecPlan:
     catalog: frozenset[str]
     bounds: dict[str, dict[str, tuple[str, int, int]]]
     declared: dict[str, tuple[str, frozenset[str]]]
+    tallies: tuple[tuple[str, dict[str, tuple[float, float]], tuple[float, float], frozenset[str]], ...]
+    bare: bool
+
+
+# the bounds of a key no row bounds, and of one that no count may have
+_UNBOUNDED = (-math.inf, math.inf)
+_REFUSED = (math.inf, -math.inf)
+
+
+def _zero_fits(bounds: Bounds) -> bool:
+    return bounds[0] <= 0 <= bounds[1]
 
 
 def _build_plan(spec: TopologicalSpec) -> SpecPlan:
@@ -652,7 +680,22 @@ def _build_plan(spec: TopologicalSpec) -> SpecPlan:
         **{attr: (f"{attr} configs declared", frozenset(getattr(spec, attr))) for attr in CONFIG_BOUNDS},
         "fc": ("fringe trees in catalog", catalog),
     }
-    return SpecPlan(tuple(vertices), edges, heavy, catalog, bounds, declared)
+    tallies = []
+    for attr, rows in bounds.items():
+        table = {key: (lo, hi) for key, (_, lo, hi) in rows.items()}
+        needed = frozenset(key for key, b in table.items() if not _zero_fits(b))
+        if attr not in declared:
+            tallies.append((attr, table, _UNBOUNDED, needed))
+            continue
+        keys = declared[attr][1]
+        table = {key: table[key] if key in keys else _REFUSED for key in table}
+        table.update((key, _UNBOUNDED) for key in keys - table.keys())
+        tallies.append((attr, table, _REFUSED, needed))
+    bare = all(
+        _zero_fits(x.branch_count) and _zero_fits(x.branch_height)
+        for x in (*vertices, *(e for e in edges.values() if not e.exact))
+    )
+    return SpecPlan(tuple(vertices), edges, heavy, catalog, bounds, declared, tuple(tallies), bare)
 
 
 # ---------------------------------------------------------------------------
@@ -672,21 +715,21 @@ def find_expansion_witness(
 
     The placement order, each seed vertex's filters and the seed edges
     that become ready as it is placed come from the plan kept on the
-    specification.  A seed vertex joined by a kept edge to an earlier one
-    is tried only at the interior neighbors of that vertex's image, in
-    ascending id: every other candidate fails the kept edge, so the search
-    takes the same successful branches in the same order.
+    specification; the interior's vertices, neighbours, degrees and bond
+    multiplicities come from the decomposition's interior view
+    (`interior_adj`, built by `decompose` or handed over by `generate`).
+    A seed vertex joined by a kept edge to an earlier one is tried only at
+    the interior neighbors of that vertex's image, in ascending id: every
+    other candidate fails the kept edge, so the search takes the same
+    successful branches in the same order.
     """
     plan = spec.plan
     order = plan.vertices
     s = dec.suppressed
-    inside = dec.interior_vertices
-    interior = sorted(inside)
+    interior = sorted(dec.interior_vertices)
     if len(interior) < len(order):
         return None, "interior smaller than seed"
-    adj: dict[int, dict[int, int]] = {
-        v: {w: m for w, m in s.adj[v].items() if w in inside} for v in interior
-    }
+    adj = dec.interior_adj
     labels, link_edges, trees = s.labels, s.link_edges, dec.fringe_trees
     images: dict[str, int] = {}
     used: set[int] = set()
@@ -697,7 +740,7 @@ def find_expansion_witness(
         nonlocal witness
         if pos == len(order):
             # everything up to here was checked as it was placed
-            attach_at = _pendant_attachments(dec, plan, adj, images, path_of, used, used_edges)
+            attach_at = _pendant_attachments(dec, plan, images, path_of, used, used_edges)
             if attach_at is None:
                 return False
             witness = _witness_record(dict(images), {k: list(v) for k, v in path_of.items()}, attach_at)
@@ -775,11 +818,12 @@ def check_witness(
     distinct interior vertices, each path runs between its edge's images
     within its length bounds and shares no vertex or edge with anything
     else embedded, and no path is given for a kept edge or one the seed
-    lacks."""
+    lacks.  Like the search it reads the decomposition's interior view
+    (`interior_adj`): an image's interior degree is its row's length."""
     plan = spec.plan
     s = dec.suppressed
     inside = dec.interior_vertices
-    adj, labels, links, trees = s.adj, s.labels, s.link_edges, dec.fringe_trees
+    adj, labels, links, trees = dec.interior_adj, s.labels, s.link_edges, dec.fringe_trees
     images, paths = witness["images"], witness["paths"]
     if len(images) != len(plan.vertices):
         return None
@@ -788,7 +832,7 @@ def check_witness(
         v = images.get(sv.name)
         if v not in inside or v in used:
             return None
-        if not _image_fits(sv, labels[v], trees[v].code, len(adj[v].keys() & inside)):
+        if not _image_fits(sv, labels[v], trees[v].code, len(adj[v])):
             return None
         used.add(v)
     used_edges: set[tuple[int, int]] = set()
@@ -802,7 +846,7 @@ def check_witness(
             continue
         path = paths.get(edge.name)
         lo, hi = edge.path_len
-        if path is None or path[0] != a or path[-1] != b or not lo <= len(path) - 1 <= hi:
+        if not path or path[0] != a or path[-1] != b or not lo <= len(path) - 1 <= hi:
             return None
         for v in path[1:-1]:
             if v not in inside or v in used:
@@ -816,7 +860,7 @@ def check_witness(
         placed += 1
     if placed != len(paths):
         return None  # a path for an edge that is kept or not in the seed
-    return _pendant_attachments(dec, plan, adj, images, paths, used, used_edges)
+    return _pendant_attachments(dec, plan, images, paths, used, used_edges)
 
 
 def _witness_record(images: dict[str, int], paths: dict[str, list[int]], attach_at: dict[int, list[int]]) -> dict:
@@ -827,7 +871,7 @@ def _witness_record(images: dict[str, int], paths: dict[str, list[int]], attach_
 
 
 # The embedding rules the witness search and `check_witness` share; `adj`
-# may list exterior neighbours, and every vertex passed is interior.
+# is the decomposition's interior view, and every vertex passed is interior.
 
 
 def _image_fits(sv: PlannedVertex, label: str, code: str, degree: int) -> bool:
@@ -864,7 +908,6 @@ def _path_fits(edge: PlannedEdge, adj, trees, links, path: list[int]) -> bool:
 def _pendant_attachments(
     dec: TwoLayeredDecomposition,
     plan: SpecPlan,
-    adj,
     images: dict[str, int],
     paths: dict[str, list[int]],
     used: set[int],
@@ -876,11 +919,20 @@ def _pendant_attachments(
     vertex by exactly one edge, within the branch-count and branch-height
     bounds there, and with the embedded edges they must cover every
     interior edge.  Returns the heights of the trees hanging at each
-    anchor, or None.  `adj` may list exterior neighbours too."""
+    anchor, or None.  `paths` names every replaceable seed edge, as both
+    callers ensure.
+
+    An embedding that uses every interior vertex leaves no pendant tree:
+    it holds when its edges are the interior edges and the plan admits
+    no branch anywhere (`SpecPlan.bare`).  Otherwise the unused vertices
+    are walked in the decomposition's interior view (`interior_adj`)."""
     inside = dec.interior_vertices
+    if len(used) == len(inside):  # `used` holds interior vertices only
+        return {} if plan.bare and used_edges == dec.interior_edges else None
+    adj = dec.interior_adj
     leftover = inside - used
     attach_at: dict[int, list[int]] = {}  # anchor -> heights of blocks
-    covered = set(used_edges) if leftover else used_edges
+    covered = set(used_edges)
     seen: set[int] = set()
     for v0 in sorted(leftover):
         if v0 in seen:
@@ -897,7 +949,7 @@ def _pendant_attachments(
                         seen.add(y)
                         comp.add(y)
                         queue.append(y)
-                elif y in inside:
+                else:
                     anchor_edges.append((y, x))
         if len(anchor_edges) != 1:
             return None  # pendant component must hang by one edge

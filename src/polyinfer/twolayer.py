@@ -10,6 +10,12 @@ hang off interior roots as fringe trees, which carry their original
 hydrogens and are compared by a canonical parenthesized code.
 `decompose` fills in each fringe node's code bottom-up as it builds the
 tree, by module-level recursion that leaves no reference cycle behind.
+In the same pass over the interior roots it builds the decomposition's
+interior view (`interior_adj`: interior vertex -> interior neighbour ->
+multiplicity), which `topospec`'s witness search and its certificate
+read; a root with no exterior neighbour shares its suppressed-graph row
+and takes its bare fringe tree without a walk.  A generated candidate's
+decomposition is handed its skeleton's view instead (`generate`).
 `as_decomposition` keeps each chemical graph's decomposition on the
 graph, per rho, so every stage that is handed the same graph reads one
 decomposition, and `count_profile` counts every family into a plain dict
@@ -186,6 +192,9 @@ class TwoLayeredDecomposition:
     exterior_vertices: frozenset[int]
     interior_edges: frozenset[tuple[int, int]]
     fringe_trees: dict[int, RootedTree]  # per interior root, hydrogens included
+    # interior vertex -> interior neighbour -> multiplicity, rows in
+    # ascending vertex order; read-only, a row may be the suppressed graph's
+    interior_adj: dict[int, dict[int, int]]
 
     @cached_property
     def profile(self) -> "CountProfile":
@@ -255,9 +264,12 @@ def decompose(g: ChemicalGraph | SuppressedGraph, rho: int) -> TwoLayeredDecompo
     Exactly rho rounds of leaf removal run on a degree table over the
     suppressed graph's adjacency: each round removes the vertices of
     degree 1 left by the rounds before it, so round i removes the vertices
-    of height i, and the removed ones are the exterior.  Each fringe tree
-    is built bottom-up with its canonical code filled in as it goes, and
-    every hydrogen in it is one shared leaf."""
+    of height i, and the removed ones are the exterior.  One pass over the
+    interior roots then builds the interior view and the fringe trees: a
+    root with no exterior neighbour shares its suppressed-graph row and
+    takes its bare tree, and any other gets its row without the exterior
+    and its tree built bottom-up, with its canonical code filled in as it
+    goes and every hydrogen in it one shared leaf."""
     if rho < 1:
         raise GraphError("rho must be at least 1")
     s = hydrogen_suppress(g) if isinstance(g, ChemicalGraph) else g
@@ -273,6 +285,17 @@ def decompose(g: ChemicalGraph | SuppressedGraph, rho: int) -> TwoLayeredDecompo
         # only a vertex that lost a neighbour can have become a leaf
         leaves = {w for v in leaves for w in adj[v] if degree[w] == 1 and w not in exterior}
     interior = frozenset(adj) - exterior
+    labels, hydrogens = s.labels, s.h_count
+    inner: dict[int, dict[int, int]] = {}
+    trees: dict[int, RootedTree] = {}
+    for u in sorted(interior):
+        row = adj[u]
+        if exterior.isdisjoint(row):  # a root without a fringe below it
+            inner[u] = row
+            trees[u] = _bare_tree(labels[u], hydrogens.get(u, 0))
+        else:
+            inner[u] = {w: m for w, m in row.items() if w not in exterior}
+            trees[u] = _build_fringe(s, u, None, exterior)
 
     return TwoLayeredDecomposition(
         rho=rho,
@@ -282,7 +305,8 @@ def decompose(g: ChemicalGraph | SuppressedGraph, rho: int) -> TwoLayeredDecompo
         interior_edges=frozenset(
             (u, v) for u, v, _ in s.bonds if u not in exterior and v not in exterior
         ),
-        fringe_trees={u: _build_fringe(s, u, None, exterior) for u in sorted(interior)},
+        fringe_trees=trees,
+        interior_adj=inner,
     )
 
 

@@ -3,6 +3,9 @@
 `find_expansion_witness` scanned every interior vertex for every seed
 vertex and rebuilt the seed order and filters on each call, and
 `check_witness` wrote out each embedding rule the search also tests;
+both ended each embedding with a walk over the interior vertices it left
+unused, on an interior adjacency filtered from the suppressed graph's,
+whether any were left or not;
 `is_circular_set` made two bridge passes (`bridges` here is the finder
 they and the circular-set oracles use); fringe trees were built with
 their codes left to `encode_tree`; `count_profile` read every edge's
@@ -31,7 +34,7 @@ import numpy as np
 from polyinfer.chemgraph import ChemicalGraph, Edge, GraphError, SuppressedGraph, _norm_edge, is_connected
 from polyinfer.features import DescriptorRegistry, FeatureError, FeatureVector
 from polyinfer.milp import InverseProblemSpec, MilpModel
-from polyinfer.topospec import BoundCheck, SeedEdge, SeedGraph, TopologicalSpec, _pendant_attachments
+from polyinfer.topospec import BoundCheck, SeedEdge, SeedGraph, TopologicalSpec
 from polyinfer.twolayer import (
     AdjacencyConfig,
     CountProfile,
@@ -380,63 +383,8 @@ def reference_find_expansion_witness(
         return False
 
     def finish() -> bool:
-        # leftover interior vertices must form pendant trees, each hanging
-        # from exactly one used vertex by exactly one edge, and together
-        # with the seed-edge images they must cover every interior edge
-        leftover = {v for v in interior if v not in used}
-        attach_at: dict[int, list[int]] = {}  # anchor -> heights of blocks
-        covered: set[tuple[int, int]] = set(used_edges)
-        seen: set[int] = set()
-        for v0 in sorted(leftover):
-            if v0 in seen:
-                continue
-            comp = {v0}
-            seen.add(v0)
-            queue = [v0]
-            anchor_edges: list[tuple[int, int]] = []
-            while queue:
-                x = queue.pop()
-                for y in adj[x]:
-                    if y in leftover:
-                        if y not in seen:
-                            seen.add(y)
-                            comp.add(y)
-                            queue.append(y)
-                    else:
-                        anchor_edges.append((y, x))
-            if len(anchor_edges) != 1:
-                return False  # pendant component must hang by one edge
-            anchor, first = anchor_edges[0]
-            inner = {norm(x, y) for x in comp for y in adj[x] if y in comp}
-            if len(inner) != len(comp) - 1:
-                return False  # pendant component must be a tree
-            covered |= inner
-            covered.add(norm(anchor, first))
-            attach_at.setdefault(anchor, []).append(_component_height(adj, anchor, comp))
-        if covered != {norm(u, v) for u, v in dec.interior_edges}:
-            return False  # an interior edge escaped the expansion
-
-        for sv, img in images.items():
-            heights = attach_at.get(img, [])
-            lo, hi = spec.branch_count_vertex.get(sv, (0, 0))
-            if not lo <= len(heights) <= hi:
-                return False
-            ch_lo, ch_hi = spec.branch_height_vertex.get(sv, (0, 0))
-            if not ch_lo <= max(heights, default=0) <= ch_hi:
-                return False
-        consumed = set(images.values())
-        for name, path in path_of.items():
-            internals = path[1:-1]
-            branched = [v for v in internals if attach_at.get(v)]
-            lo, hi = spec.branch_count_edge.get(name, (0, 0))
-            if not lo <= len(branched) <= hi:
-                return False
-            ch_lo, ch_hi = spec.branch_height_edge.get(name, (0, 0))
-            height = max((h for v in internals for h in attach_at.get(v, [])), default=0)
-            if not ch_lo <= height <= ch_hi:
-                return False
-            consumed.update(internals)
-        if any(anchor not in consumed for anchor in attach_at):
+        attach_at = _reference_pendant_attachments(dec, spec, adj, images, path_of, used, used_edges)
+        if attach_at is None:
             return False
         nonlocal witness
         witness = {
@@ -453,6 +401,82 @@ def reference_find_expansion_witness(
     if not ok:
         return None, "no seed-expansion embedding found"
     return witness, "witness found"
+
+
+def _reference_pendant_attachments(
+    dec: TwoLayeredDecomposition,
+    spec: TopologicalSpec,
+    adj: dict[int, dict[int, int]],
+    images: dict[str, int],
+    paths: dict[str, list[int]],
+    used: set[int],
+    used_edges: set[tuple[int, int]],
+) -> dict[int, list[int]] | None:
+    """The pendant-tree test of a seed embedding, written out as one walk
+    over the unused interior vertices whether there are any or not: they
+    must form pendant trees, each hanging from exactly one used vertex by
+    exactly one edge, and together with the seed-edge images they must
+    cover every interior edge.  `adj` lists interior neighbours only.
+    The heights of the trees at each anchor, or None."""
+    def norm(u: int, v: int) -> tuple[int, int]:
+        return (u, v) if u <= v else (v, u)
+
+    leftover = {v for v in sorted(dec.interior_vertices) if v not in used}
+    attach_at: dict[int, list[int]] = {}  # anchor -> heights of blocks
+    covered: set[tuple[int, int]] = set(used_edges)
+    seen: set[int] = set()
+    for v0 in sorted(leftover):
+        if v0 in seen:
+            continue
+        comp = {v0}
+        seen.add(v0)
+        queue = [v0]
+        anchor_edges: list[tuple[int, int]] = []
+        while queue:
+            x = queue.pop()
+            for y in adj[x]:
+                if y in leftover:
+                    if y not in seen:
+                        seen.add(y)
+                        comp.add(y)
+                        queue.append(y)
+                else:
+                    anchor_edges.append((y, x))
+        if len(anchor_edges) != 1:
+            return None  # pendant component must hang by one edge
+        anchor, first = anchor_edges[0]
+        inner = {norm(x, y) for x in comp for y in adj[x] if y in comp}
+        if len(inner) != len(comp) - 1:
+            return None  # pendant component must be a tree
+        covered |= inner
+        covered.add(norm(anchor, first))
+        attach_at.setdefault(anchor, []).append(_component_height(adj, anchor, comp))
+    if covered != {norm(u, v) for u, v in dec.interior_edges}:
+        return None  # an interior edge escaped the expansion
+
+    for sv, img in images.items():
+        heights = attach_at.get(img, [])
+        lo, hi = spec.branch_count_vertex.get(sv, (0, 0))
+        if not lo <= len(heights) <= hi:
+            return None
+        ch_lo, ch_hi = spec.branch_height_vertex.get(sv, (0, 0))
+        if not ch_lo <= max(heights, default=0) <= ch_hi:
+            return None
+    consumed = set(images.values())
+    for name, path in paths.items():
+        internals = path[1:-1]
+        branched = [v for v in internals if attach_at.get(v)]
+        lo, hi = spec.branch_count_edge.get(name, (0, 0))
+        if not lo <= len(branched) <= hi:
+            return None
+        ch_lo, ch_hi = spec.branch_height_edge.get(name, (0, 0))
+        height = max((h for v in internals for h in attach_at.get(v, [])), default=0)
+        if not ch_lo <= height <= ch_hi:
+            return None
+        consumed.update(internals)
+    if any(anchor not in consumed for anchor in attach_at):
+        return None
+    return attach_at
 
 
 def reference_check_witness(dec: TwoLayeredDecomposition, spec: TopologicalSpec, witness: dict) -> bool:
@@ -496,7 +520,7 @@ def reference_check_witness(dec: TwoLayeredDecomposition, spec: TopologicalSpec,
             used_edges.add(e)
             continue
         path = paths.get(edge.name)
-        if path is None or path[0] != a or path[-1] != b:
+        if not path or path[0] != a or path[-1] != b:
             return False
         lo, hi = edge.path_len
         if not lo <= len(path) - 1 <= hi:
@@ -518,7 +542,8 @@ def reference_check_witness(dec: TwoLayeredDecomposition, spec: TopologicalSpec,
         placed += 1
     if placed != len(paths):
         return False  # a path for an edge that is kept or not in the seed
-    return _pendant_attachments(dec, plan, adj, images, paths, used, used_edges) is not None
+    inner = {v: {w: m for w, m in adj[v].items() if w in inside} for v in inside}
+    return _reference_pendant_attachments(dec, spec, inner, images, paths, used, used_edges) is not None
 
 
 def _seed_order(seed: SeedGraph) -> list[str]:

@@ -936,8 +936,8 @@ class AcceptingModel:
 
 def assert_candidates_carry_their_certificates(spec, vocabulary) -> Counter:
     """Every complete assignment of the enumeration, materialized: its
-    decomposition is the one `decompose` finds, coded interior adjacency
-    included, its graph the one full validation and a PMG round trip give,
+    decomposition is the one `decompose` finds, interior view and coded
+    interior adjacency included, its graph the one full validation and a PMG round trip give,
     its signature the one the graph read back gets, and the witness it was
     built as and the one the search finds both pass `check_witness` and
     are reported in one shape, with the same pendant attachments where
@@ -956,6 +956,7 @@ def assert_candidates_carry_their_certificates(spec, vocabulary) -> Counter:
             for attr in ("interior_vertices", "exterior_vertices", "interior_edges"):
                 assert getattr(built, attr) == getattr(found, attr), attr
             assert built.interior_adjacency == found.interior_adjacency
+            assert built.interior_adj == found.interior_adj
             assert list(built.fringe_trees) == list(found.fringe_trees)
             assert [t.code for t in built.fringe_trees.values()] == [t.code for t in found.fringe_trees.values()]
             for attr in ("atoms", "bonds", "hydrogens", "link_edges", "connecting"):

@@ -4,7 +4,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from corpus import make_polymer
@@ -26,7 +26,7 @@ from polyinfer.topospec import (
     two_ring_seed,
 )
 from polyinfer.twolayer import decompose
-from reference_checks import reference_find_expansion_witness, reference_spec_report
+from reference_checks import reference_check_witness, reference_find_expansion_witness, reference_spec_report
 from spechelpers import SMALL_CATALOG, forcing_spec, oracle_candidates
 
 
@@ -538,6 +538,42 @@ def test_check_witness_rejects_an_uncovered_interior_edge():
     assert check_witness(decompose(chorded, 2), spec, bridged_witness()) is None
 
 
+def test_an_empty_path_is_no_seed_expansion(bridged):
+    dec, spec = bridged
+    witness = {"images": bridged_witness()["images"], "paths": {"a1": [], "a2": [4, 14, 15, 10]}}
+    assert check_witness(dec, spec, witness) is None
+    assert not reference_check_witness(dec, spec, witness)
+    report = check_satisfies(dec, spec, witness)
+    assert report.witness is None and not report.passed
+    assert report.failures()[-1] == "witness: the given embedding is not a seed expansion"
+
+
+@pytest.mark.parametrize("chain", [(), ("C", "C", "C")])
+def test_a_branch_lower_bound_needs_a_pendant_tree(chain):
+    # b2 must carry exactly one pendant tree of height 1: a C-C-C chain at
+    # ring position 2 leaves one interior carbon hanging there at rho 2,
+    # and without it every interior vertex is embedded and none is left
+    text = make_polymer(bridge_b=("C", "C"), subst={2: chain} if chain else None)
+    dec = decompose(parse_pmg(text), 2)
+    spec = forcing_spec(SMALL_CATALOG)
+    spec = dataclasses.replace(
+        spec,
+        branch_count_vertex={**spec.branch_count_vertex, "b2": (1, 1)},
+        branch_height_vertex={**spec.branch_height_vertex, "b2": (1, 1)},
+    )
+    searched, message = find_expansion_witness(dec, spec)
+    certified = check_witness(dec, spec, bridged_witness())
+    if chain:
+        assert searched is not None, message
+        assert searched["attachments"] == {"2": [1]}
+        assert certified == {2: [1]}
+    else:
+        assert (searched, message) == (None, "no seed-expansion embedding found")
+        assert certified is None
+    assert reference_find_expansion_witness(dec, spec)[0] == searched
+    assert reference_check_witness(dec, spec, bridged_witness()) == bool(chain)
+
+
 # -- the report built on read against the eager one ---------------------------
 
 
@@ -593,8 +629,36 @@ def drawn_checks(draw):
     return dec, dataclasses.replace(spec, **changes)
 
 
+def rebounded(text: str, elements: tuple[str, ...] | None = None, **tables) -> tuple:
+    """A forcing-space member's decomposition and the forcing spec with its
+    alphabet replaced, when given, and each given count table's rows
+    replaced (a None bound drops the row)."""
+    spec = forcing_spec(SMALL_CATALOG)
+    changes = {} if elements is None else {"elements": elements}
+    for attr, rows in tables.items():
+        table = {**getattr(spec, attr), **rows}
+        changes[attr] = {key: bounds for key, bounds in table.items() if bounds is not None}
+    return decompose(parse_pmg(text), 2), dataclasses.replace(spec, **changes)
+
+
+# a member whose a1 link edge 1-13 is its connecting edge, so that it has
+# connecting-vertex symbols (`ns_cnt`) to count
+CONNECTED = make_polymer(bridge_b=("C", "C")) + "CONNECT 1 13\n"
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(drawn_checks(), st.sampled_from(["search", "known", "foreign"]))
+# a declared key the profile lacks, with lower bound 1
+@example(rebounded(CONNECTED, na={"O": (1, 6)}), "search")
+# profile keys without a row in a family whose keys must be declared
+@example(rebounded(CONNECTED, na={"H": None}, fc={"C(-H)": None}), "search")
+# a profile key with a row in such a family, but not declared: Cl outside
+# the alphabet, its `na` row kept
+@example(rebounded(make_polymer(subst={5: ("Cl",)}), elements=("H", "C", "O")), "search")
+# profile keys in families with no declared keys: without a row, and a
+# row with lower bound 1 on a key the profile lacks
+@example(rebounded(CONNECTED, ns_cnt={"(C,2)": None, "(C,3)": None}, na_int={"C": None}), "search")
+@example(rebounded(CONNECTED, ns_cnt={"(O,2)": (1, 2)}, na_int={"Cl": (1, 40)}), "search")
 def test_report_built_on_read_matches_the_eager_report(case, source):
     # the witness is searched for, or given: the graph's own (none where
     # it has no embedding), or the embedding of another graph

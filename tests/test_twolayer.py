@@ -370,6 +370,9 @@ def test_count_profile_and_fringe_trees_match_the_references():
             for root, tree in dec.fringe_trees.items():
                 assert tree == reference_build_fringe(dec.suppressed, root, dec.exterior_vertices)
                 assert tree.code == encode_tree(tree)
+            inside, adj = dec.interior_vertices, dec.suppressed.adj
+            assert list(dec.interior_adj) == sorted(inside)
+            assert dec.interior_adj == {v: {w: m for w, m in adj[v].items() if w in inside} for v in inside}
             got, want = count_profile(dec), reference_count_profile(dec)
             for field in dataclasses.fields(CountProfile):
                 a, b = getattr(got, field.name), getattr(want, field.name)

@@ -18,10 +18,17 @@ them, first under the case's own spec, where every graph passes, and then
 under instance Ib for AmD at n_lb 28, whose size bound every generated
 graph misses, so that the failure rows, membership names and `witness:`
 lines of failing reports are compared byte for byte too; each `verify`
-line says how many graphs passed.  When every graph file and every
-per-graph manifest record are identical and only the summary line
-differs, it names the summary keys that moved (parent -> change) and
-still compares `verify` and `check`.
+line says how many graphs passed.  No embedding of a generated graph
+leaves a pendant tree, so a pendant stage runs `verify` and `check
+--verbose` the same way on forcing-space members with and without a
+C-C-C chain at ring position 2 (which leaves one interior carbon hanging
+at b2), under the forcing spec with b2 admitting one pendant tree of
+height at most 1 (`branch_count_vertex` and `branch_height_vertex` b2 =
+(0, 1)) and with the chain's fringe code, configurations and interior
+size declared, so that the chained members pass it too.  When every
+graph file and every per-graph manifest record are identical and only
+the summary line differs, it names the summary keys that moved (parent
+-> change) and still compares `verify` and `check`.
 A featurize stage runs `featurize` in each checkout on the CLI
 tests' synthetic corpus plus the demo polymer at rho 1 to 4 and compares
 `registry.json` and the matrix CSV byte for byte.  A train stage runs, on
@@ -109,11 +116,15 @@ for name, text in named:
 # mirrors the `model_with_cl` and `model_without_cl` fixtures, the
 # `spec_full` forcing spec and the CLI tests' `corpus_dir`, with the demo
 # polymer added to the corpus; the forcing-space oracle's graphs go to
-# oracle.json as one list of PMG texts
+# oracle.json as one list of PMG texts, and the pendant stage's members
+# and spec to pendant/ and forcing-b2-branch.json
 BUILD_INPUTS = """
-import json, os, random, sys
+import dataclasses, json, os, random, sys
 from corpus import make_polymer, synthetic_corpus
+from polyinfer.chemgraph import parse_pmg
 from polyinfer.data import demo_polymer_text
+from polyinfer.topospec import CONFIG_BOUNDS
+from polyinfer.twolayer import decompose
 from spechelpers import SMALL_CATALOG, forcing_spec, oracle_candidates, train_model
 
 out = sys.argv[1]
@@ -132,6 +143,24 @@ for rid, text in synthetic_corpus(random.Random(21), 40) + [("demo", demo_polyme
     rows.append(f"{rid},{1.0 + 0.3 * atoms.count('O') + 0.05 * sum(a != 'H' for a in atoms):.6f}")
 open(f"{out}/corpus/values.csv", "w").write("\\n".join(rows) + "\\n")
 json.dump(list(oracle_candidates()), open(f"{out}/oracle.json", "w"))
+
+os.makedirs(f"{out}/pendant")
+plain = [make_polymer(), make_polymer(bridge_b=("C", "C"), subst={5: ("Cl",)})]
+chained = [make_polymer(subst={2: ("C", "C", "C")}),
+           make_polymer(bridge_b=("C", "C"), subst={2: ("C", "C", "C"), 5: ("Cl",)})]
+for i, text in enumerate(plain + chained):
+    open(f"{out}/pendant/member-{i}.pmg", "w").write(text)
+spec = forcing_spec(SMALL_CATALOG)
+profiles = [decompose(parse_pmg(text), 2).profile for text in chained]
+catalog = spec.fringe_catalog + tuple(sorted({c for p in profiles for c in p.fc} - set(spec.fringe_catalog)))
+spec = dataclasses.replace(
+    spec, fringe_catalog=catalog, n_int=(14, 17), fc={c: (0, 40) for c in catalog},
+    branch_count_vertex={**spec.branch_count_vertex, "b2": (0, 1)},
+    branch_height_vertex={**spec.branch_height_vertex, "b2": (0, 1)},
+    **{attr: {**getattr(spec, attr), **{k: (0, 40) for p in profiles for k in getattr(p, attr)}}
+       for attr in CONFIG_BOUNDS},
+)
+open(f"{out}/forcing-b2-branch.json", "w").write(spec.to_json())
 """
 
 
@@ -307,6 +336,14 @@ def compare_reports(name: str, spec: Path, model: Path, files: list[Path], sides
     return True
 
 
+def compare_pendant(sides: dict[str, Path], work: Path) -> bool:
+    """`verify` and `check --verbose` on the members with and without a
+    pendant tree, under the forcing spec that admits one at b2."""
+    inputs = work / INPUTS
+    files = sorted((inputs / "pendant").glob("*.pmg"))
+    return compare_reports("pendant", inputs / "forcing-b2-branch.json", inputs / "model.json", files, sides)
+
+
 def compare_featurize(sides: dict[str, Path], work: Path) -> bool:
     corpus = work / INPUTS / "corpus"
     same = True
@@ -386,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         work.mkdir(parents=True, exist_ok=True)
         cases, foreign = build_inputs(sides["parent"], work)
         same = [compare_featurize(sides, work), compare_train(sides, work), compare_infer(sides, work),
-                compare_signatures(sides, work)]
+                compare_signatures(sides, work), compare_pendant(sides, work)]
         same += [compare_case(name, spec, model, foreign, sides, work) for name, (spec, model) in cases.items()]
     print("identical" if all(same) else "DIFFERENT")
     return 0 if all(same) else 1

@@ -30,6 +30,7 @@ from .generate import RoundtripCheck, run_generation, verify_roundtrip
 from .milp import (  # `solve` is unused here; perfbench's tracer and its test look up `cli.solve`
     InverseProblemSpec,
     MilpError,
+    build_inverse_milp,
     emit_lp,
     predicted_value,
     solve,  # noqa: F401
@@ -228,10 +229,10 @@ def cmd_infer(args, config) -> int:
     spec = _inverse_spec(bundle, window, epsilon)
     limit_seconds = _budget(args, config, "limit_seconds", 120.0, float)
     sol = solve_inverse(spec, max_seconds=limit_seconds)
-    # written after the search: the full model is built once, by the
-    # certificate of a feasible answer or here, and not held during the search
+    # the certificate reads the model's rows, so the `MilpModel` is built
+    # only here, for the LP file, after the search
     if args.emit_lp:
-        _write(args.emit_lp, emit_lp(spec.model))
+        _write(args.emit_lp, emit_lp(build_inverse_milp(spec)))
     payload: dict = {
         "status": sol.status,
         "epsilon": epsilon,

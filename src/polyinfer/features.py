@@ -104,20 +104,26 @@ class DescriptorRegistry:
                 raise FeatureError(f"registry descriptor {d.name!r} is unknown or repeated")
         return _Columns(tuple(scalars), tuple(covariates), families)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "rho": self.rho,
             "descriptors": [{"kind": d.kind, "key": d.key} for d in self.descriptors],
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str) -> "DescriptorRegistry":
-        payload = json.loads(text)
+    def from_dict(cls, payload: dict) -> "DescriptorRegistry":
+        """The registry `to_dict` wrote, read from the parsed JSON object."""
         return cls(
             rho=int(payload["rho"]),
             descriptors=tuple(Descriptor(d["kind"], d["key"]) for d in payload["descriptors"]),
         )
+
+    @classmethod
+    def from_json(cls, text: str) -> "DescriptorRegistry":
+        return cls.from_dict(json.loads(text))
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
@@ -347,20 +353,17 @@ class Standardizer:
     def inverse_value(self, t: float) -> float:
         return self.value_min + t * (self.value_max - self.value_min)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "feature_min": self.feature_min.tolist(),
-                "feature_max": self.feature_max.tolist(),
-                "value_min": self.value_min,
-                "value_max": self.value_max,
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "feature_min": self.feature_min.tolist(),
+            "feature_max": self.feature_max.tolist(),
+            "value_min": self.value_min,
+            "value_max": self.value_max,
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "Standardizer":
-        d = json.loads(text)
+    def from_dict(cls, d: dict) -> "Standardizer":
+        """The maps `to_dict` wrote, read from the parsed JSON object."""
         return cls(
             feature_min=np.array(d["feature_min"], dtype=float),
             feature_max=np.array(d["feature_max"], dtype=float),

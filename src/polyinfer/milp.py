@@ -12,9 +12,13 @@ general solver, for any model (one `parse_lp` read back from the LP
 text `emit_lp` writes, say): branch-and-bound over a phase-1 simplex
 with Bland's rule, on a tableau whose pivots touch only the nonzero
 entries of the pivot row.  Both are exact, and both accept
-an assignment only after re-checking it constraint by constraint with
-exact fractions.  `MilpSolution` reports the nodes and pivots spent, and
-the subproblems a budget left unexplored.
+an assignment only after re-checking it bound by bound and row by row in
+integer arithmetic: one kernel cross-multiplies the integer ratios of the
+floats a row holds and of the rational values, with no `Fraction` built.
+`solve` checks its answer on the model it solved (`verify_assignment`),
+`solve_inverse` on the inverse model's rows without building the
+`MilpModel` (`verify_inverse`).  `MilpSolution` reports the nodes and
+pivots spent, and the subproblems a budget left unexplored.
 """
 
 from __future__ import annotations
@@ -83,52 +87,60 @@ class MilpModel:
 @dataclass(frozen=True)
 class MilpSolution:
     status: str  # "feasible" | "infeasible" | "bound-limit"
-    assignment: dict[str, Fraction] = field(default_factory=dict)
+    assignment: dict[str, Fraction | int] = field(default_factory=dict)
     nodes: int = 0  # LP relaxations solved
     pivots: int = 0  # simplex pivots, summed over all nodes
     open_nodes: int = 0  # subproblems left unexplored when a budget stopped the search
 
 
-def verify_assignment(model: MilpModel, assignment: dict[str, Fraction]) -> list[str]:
-    """Names of violated bounds/constraints under exact rational arithmetic.
+def verify_assignment(model: MilpModel, assignment: dict[str, Fraction | int]) -> list[str]:
+    """Names of violated bounds/constraints under exact rational arithmetic
+    (`_violations`); the values are ints or `Fraction`s."""
+    return _violations(
+        ((v.name, v.lower, v.upper, v.integer) for v in model.variables),
+        ((c.name, c.coeffs, c.sense, c.rhs) for c in model.constraints),
+        assignment,
+    )
 
-    A model repeats few distinct floats across its bounds, coefficients and
-    right-hand sides, so each is converted to a `Fraction` once per call.
-    Every bound and coefficient is converted, so a non-finite one raises; a
-    term whose value is exactly 0 adds nothing to its row and is skipped,
-    and a value that is exactly 0 lies within its bounds when the lower
-    one is not positive and the upper one not negative, which the signs of
-    their numerators say without a rational comparison."""
-    exact: dict[float, Fraction] = {}
 
-    def q(x: float) -> Fraction:
-        f = exact.get(x)
-        if f is None:
-            f = exact[x] = Fraction(x)
-        return f
+def _meets(num: int, den: int, sense: str, rhs: float) -> bool:
+    """Whether num/den (den > 0) stands in `sense` to the float `rhs`,
+    decided exactly by cross-multiplying integer ratios.  A non-finite
+    `rhs` raises, as `Fraction(rhs)` would."""
+    rn, rd = rhs.as_integer_ratio()
+    left, right = num * rd, rn * den
+    return left <= right if sense == "<=" else left >= right if sense == ">=" else left == right
 
+
+def _violations(variables, constraints, assignment: dict[str, Fraction | int]) -> list[str]:
+    """The exact check behind both certificates, over plain rows:
+    `variables` as (name, lower, upper, integer) and `constraints` as
+    (name, ((variable, coefficient), ...), sense, rhs).
+
+    A bound is `_meets` on the value's own numerator and denominator; a
+    row's left side is summed as one integer ratio, with no `Fraction`
+    built or reduced, and then goes through `_meets`.  Every coefficient
+    is converted, so a non-finite one raises; a term whose value is
+    exactly 0 adds nothing to its row."""
     bad: list[str] = []
-    for v in model.variables:
-        val = assignment[v.name]
-        lower, upper = q(v.lower), q(v.upper)
-        if val:
-            outside = val < lower or val > upper
-        else:
-            outside = lower.numerator > 0 or upper.numerator < 0
-        if outside:
-            bad.append(f"bounds:{v.name}")
-        if v.integer and val.denominator != 1:
-            bad.append(f"integrality:{v.name}")
-    for c in model.constraints:
-        lhs = Fraction(0)
-        for var, coef in c.coeffs:
-            exact_coef, val = q(coef), assignment[var]
-            if val:
-                lhs += exact_coef * val
-        rhs = q(c.rhs)
-        ok = lhs <= rhs if c.sense == "<=" else lhs >= rhs if c.sense == ">=" else lhs == rhs
-        if not ok:
-            bad.append(f"constraint:{c.name}")
+    for name, lower, upper, integer in variables:
+        val = assignment[name]
+        num, den = val.numerator, val.denominator
+        if not (_meets(num, den, ">=", lower) and _meets(num, den, "<=", upper)):
+            bad.append(f"bounds:{name}")
+        if integer and den != 1:
+            bad.append(f"integrality:{name}")
+    for name, coeffs, sense, rhs in constraints:
+        num, den = 0, 1
+        for var, coef in coeffs:
+            cn, cd = coef.as_integer_ratio()
+            val = assignment[var]
+            vn = val.numerator
+            if vn:
+                d = cd * val.denominator
+                num, den = num * d + cn * vn * den, den * d
+        if not _meets(num, den, sense, rhs):
+            bad.append(f"constraint:{name}")
     return bad
 
 
@@ -370,16 +382,36 @@ class InverseProblemSpec:
         return len(self.hyperplane.w)
 
     @cached_property
-    def model(self) -> "MilpModel":
-        """`build_inverse_milp(self)`, built on first use and kept: one
-        model is both the one an LP file shows and the one `solve_inverse`
-        certifies its answer on."""
-        return build_inverse_milp(self)
+    def rows(self) -> tuple[tuple, tuple]:
+        """The inverse model as plain rows, worked out on first use and
+        kept: (variables, constraints), each variable as (name, lower,
+        upper, integer) and each constraint as (name, ((variable,
+        coefficient), ...), sense, rhs).  `build_inverse_milp` wraps them
+        and `verify_inverse` checks an answer on them, so the LP file and
+        the certificate read one model.  Each descriptor adds x_j and xh_j
+        and, unless constant, its two normalization rows; the window rows
+        come last."""
+        variables, constraints = [], []
+        for j, block in enumerate(self.blocks):
+            x, xh = f"x_{j + 1}", f"xh_{j + 1}"
+            variables.append((x, block.mn, block.mx, j in self.integer_indices))
+            variables.append((xh, block.h_lo, block.h_hi, False))
+            r = block.rows
+            if r is None:
+                continue
+            constraints.append((f"norm_lo_{j + 1}", ((x, r.lo_coef), (xh, -r.span)), "<=", r.lo_rhs))
+            constraints.append((f"norm_hi_{j + 1}", ((xh, r.span), (x, -r.hi_coef)), "<=", r.hi_rhs))
+        w = self.hyperplane.w
+        terms = tuple((f"xh_{j + 1}", float(w[j])) for j in range(self.k) if w[j] != 0.0)
+        lo, hi = _window_rhs(self)
+        constraints.append(("window_lo", terms, ">=", lo))
+        constraints.append(("window_hi", terms, "<=", hi))
+        return tuple(variables), tuple(constraints)
 
     @cached_property
     def blocks(self) -> tuple["_Block", ...]:
         """Each descriptor's block, worked out on first use and kept:
-        `build_inverse_milp` writes them, `solve_inverse` reduces them and
+        `rows` writes them, `solve_inverse` reduces them and
         `exact_standardized` divides by their spans, so none can disagree."""
         eps, blocks = self.epsilon, []
         for mn, mx in zip(map(float, self.feat_min), map(float, self.feat_max)):
@@ -448,28 +480,20 @@ def _window_rhs(spec: InverseProblemSpec) -> tuple[float, float]:
 
 def build_inverse_milp(spec: InverseProblemSpec) -> MilpModel:
     """Raw integer/real descriptor variables, standardized companions,
-    tolerance-relaxed normalization rows and the target window rows."""
-    variables: list[Variable] = []
-    constraints: list[Constraint] = []
-    for j, block in enumerate(spec.blocks):
-        x, xh = f"x_{j + 1}", f"xh_{j + 1}"
-        variables.append(Variable(x, block.mn, block.mx, integer=j in spec.integer_indices))
-        variables.append(Variable(xh, block.h_lo, block.h_hi))
-        r = block.rows
-        if r is None:
-            continue
-        constraints.append(
-            Constraint(f"norm_lo_{j + 1}", ((x, r.lo_coef), (xh, -r.span)), "<=", r.lo_rhs)
-        )
-        constraints.append(
-            Constraint(f"norm_hi_{j + 1}", ((xh, r.span), (x, -r.hi_coef)), "<=", r.hi_rhs)
-        )
-    w = spec.hyperplane.w
-    terms = tuple((f"xh_{j + 1}", float(w[j])) for j in range(spec.k) if w[j] != 0.0)
-    lo, hi = _window_rhs(spec)
-    constraints.append(Constraint("window_lo", terms, ">=", lo))
-    constraints.append(Constraint("window_hi", terms, "<=", hi))
-    return MilpModel(tuple(variables), tuple(constraints))
+    tolerance-relaxed normalization rows and the target window rows: the
+    `MilpModel` of `spec.rows`."""
+    variables, constraints = spec.rows
+    return MilpModel(
+        tuple(Variable(*v) for v in variables),
+        tuple(Constraint(*c) for c in constraints),
+    )
+
+
+def verify_inverse(spec: InverseProblemSpec, assignment: dict[str, Fraction | int]) -> list[str]:
+    """`verify_assignment(build_inverse_milp(spec), assignment)`, read off
+    `spec.rows` without building the model: the same names in the same
+    order, from the same exact check."""
+    return _violations(*spec.rows, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -561,13 +585,15 @@ class _Reduction:
             return max(a, (target / w - blk.b2) / blk.a2)
         return min(b, (target / w - blk.b1) / blk.a1)  # low(x) <= target/w
 
-    def lift(self, x: list) -> dict[str, Fraction]:
+    def lift(self, x: list) -> dict[str, Fraction | int]:
         """Every variable: the support at `x`, each term raised from its
-        least in support order until the sum meets the window's lower end."""
-        assignment: dict[str, Fraction] = {}
+        least in support order until the sum meets the window's lower end.
+        A block off the support is written in ints where it can be: x at
+        its minimum (a `Fraction` only for a non-integral one), xh = 0."""
+        assignment: dict[str, Fraction | int] = {}
         for j, mn in enumerate(self.mins):
-            assignment[f"x_{j + 1}"] = Fraction(mn)
-            assignment[f"xh_{j + 1}"] = Fraction(0)
+            assignment[f"x_{j + 1}"] = int(mn) if mn.is_integer() else Fraction(mn)
+            assignment[f"xh_{j + 1}"] = 0
         lows = [self.lower(i, xi) for i, xi in enumerate(x)]
         deficit = self.w_lo - sum(lows, Fraction(0))
         for i, j in enumerate(self.support):
@@ -596,7 +622,8 @@ def solve_inverse(
     short.  If its x is fractional and rounding it towards the finish
     overshoots the window, the node branches at its floor and ceiling;
     continuous descriptors never branch.  An answer is accepted only
-    through `verify_assignment` on the full model, `spec.model`.  `nodes`
+    through `verify_inverse`, on every bound and row of the full model;
+    the `MilpModel` itself is never built here.  `nodes`
     counts the interval relaxations evaluated; no simplex runs, so `pivots`
     reads 0.
     """
@@ -634,7 +661,7 @@ def solve_inverse(
                     continue
                 x[i] = ahead
         assignment = red.lift(x)
-        violated = verify_assignment(spec.model, assignment)
+        violated = verify_inverse(spec, assignment)
         if violated:  # pragma: no cover - exact arithmetic should not land here
             raise MilpError(f"solver produced invalid point: {violated}")
         return MilpSolution(status="feasible", assignment=assignment, nodes=nodes)

@@ -38,8 +38,8 @@ class ModelBundle:
         return json.dumps(
             {
                 "registry_digest": self.registry.digest(),
-                "registry": json.loads(self.registry.to_json()),
-                "standardizer": json.loads(self.standardizer.to_json()),
+                "registry": self.registry.to_dict(),
+                "standardizer": self.standardizer.to_dict(),
                 "w": h.w.tolist(),
                 "b": h.b,
                 "fit": {"steps": h.steps, "kkt": h.kkt, "converged": h.converged},
@@ -50,21 +50,32 @@ class ModelBundle:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelBundle":
+        """The bundle `to_json` wrote.  The file is parsed once; the
+        registry and the min-max maps are read from their parsed objects.
+        A file whose weights or min-max maps do not hold one value per
+        registry descriptor is refused, naming the key and both lengths."""
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("model file is not a JSON object")
-        registry = _model_value(d, "registry", lambda v: DescriptorRegistry.from_json(json.dumps(v)))
+        registry = _model_value(d, "registry", DescriptorRegistry.from_dict)
         if d.get("registry_digest") not in (None, registry.digest()):
             raise ValueError("model file registry digest mismatch")
         fit = _model_value(d, "fit", _fit_record) if "fit" in d else {}  # absent from older files
+        standardizer = _model_value(d, "standardizer", Standardizer.from_dict)
+        w = _model_value(d, "w", lambda v: np.array(v, dtype=float))
+        for key, values in (
+            ("w", w),
+            ("standardizer.feature_min", standardizer.feature_min),
+            ("standardizer.feature_max", standardizer.feature_max),
+        ):
+            if values.shape != (len(registry),):
+                held = f"{len(values)} values" if values.ndim == 1 else f"an array of shape {values.shape}"
+                raise ValueError(f"model file key {key!r} holds {held}; "
+                                 f"the registry has {len(registry)} descriptors")
         return cls(
             registry=registry,
-            standardizer=_model_value(d, "standardizer", lambda v: Standardizer.from_json(json.dumps(v))),
-            hyperplane=Hyperplane(
-                w=_model_value(d, "w", lambda v: np.array(v, dtype=float)),
-                b=_model_value(d, "b", float),
-                **fit,
-            ),
+            standardizer=standardizer,
+            hyperplane=Hyperplane(w=w, b=_model_value(d, "b", float), **fit),
             lam=_model_value(d, "lambda", float),
         )
 

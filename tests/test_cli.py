@@ -259,16 +259,14 @@ def test_infer_builds_the_inverse_model_once(trained_model, tmp_path, monkeypatc
     original = milp.build_inverse_milp
     monkeypatch.setattr(milp, "build_inverse_milp", counting)
     monkeypatch.setattr(cli, "build_inverse_milp", counting, raising=False)
-    code = run(
-        "infer",
-        "--model", trained_model,
-        "--window", "2.2,2.6",
-        "--emit-lp", tmp_path / "out.lp",
-        "--out", tmp_path / "solution.json",
-    )
-    assert code == 0
+    common = ["infer", "--model", trained_model, "--window", "2.2,2.6"]
+    assert run(*common, "--out", tmp_path / "plain.json") == 0
+    assert json.loads((tmp_path / "plain.json").read_text())["status"] == "feasible"
+    assert built == []  # the certificate reads the rows, not a `MilpModel`
+    assert run(*common, "--emit-lp", tmp_path / "out.lp", "--out", tmp_path / "solution.json") == 0
     assert json.loads((tmp_path / "solution.json").read_text())["status"] == "feasible"
-    assert len(built) == 1  # the LP file and the certificate read one model
+    assert len(built) == 1  # for the LP file only
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "solution.json").read_bytes()
 
 
 def test_predicted_value_matches_the_full_sum_on_the_corpus_model(trained_model):
@@ -378,6 +376,31 @@ def test_model_file_without_a_key_is_clean_error(trained_model, tmp_path, capsys
     assert run("infer", "--model", broken, "--window", "2.2,2.6") == 1
     err = capsys.readouterr().err
     assert "error:" in err and "'lambda'" in err
+
+
+def test_model_file_with_more_descriptors_than_weights_is_clean_error(trained_model, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path)
+    sample = tmp_path / "sample.pmg"
+    sample.write_text(make_polymer())
+    model = json.loads(Path(trained_model).read_text())
+    k = len(model["w"])
+    short = tmp_path / "short.json"
+    for keys in (("w", "feature_min", "feature_max"), ("feature_min",), ("feature_max",)):
+        broken = json.loads(json.dumps(model))
+        for key in keys:
+            values = broken["w"] if key == "w" else broken["standardizer"][key]
+            values.pop()
+        short.write_text(json.dumps(broken))
+        named = keys[0] if keys[0] == "w" else f"standardizer.{keys[0]}"
+        for argv in (
+            ["infer", "--model", short, "--window", "2.2,2.6"],
+            ["verify", "--model", short, "--spec", spec_path, "--window", "2.2,2.6", sample],
+        ):
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert err == (f"error: model file key {named!r} holds {k - 1} values; "
+                           f"the registry has {k} descriptors\n")
 
 
 def test_model_file_with_a_wrongly_typed_value_is_clean_error(trained_model, tmp_path, capsys):

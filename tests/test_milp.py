@@ -30,6 +30,7 @@ from polyinfer.milp import (
     solve,
     solve_inverse,
     verify_assignment,
+    verify_inverse,
 )
 from polyinfer.regress import Hyperplane
 from reference_checks import reference_predicted_value, reference_verify_assignment
@@ -472,6 +473,71 @@ def test_solve_inverse_and_interval_relaxation_match_the_full_model(spec, data):
             f"x_{j + 1}": (Fraction(a), Fraction(b)) for j, (a, b) in zip(red.support, boxes)
         }
         assert relaxation_is_nonempty(red, boxes) == full_lp_is_feasible(model, named)
+
+
+PERTURBATIONS = [Fraction(sign, k) for k in (1, 7, 2**10, 10**9) for sign in (1, -1)]
+
+
+def made_tight(assignment: dict, row: Constraint, var: str) -> dict:
+    """`assignment` with `var` moved so that `row` holds with equality."""
+    coef = dict(row.coeffs)[var]
+    rest = sum((Fraction(c) * assignment[v] for v, c in row.coeffs if v != var), Fraction(0))
+    return {**assignment, var: (Fraction(row.rhs) - rest) / Fraction(coef)}
+
+
+def some_ints(data, assignment: dict) -> dict:
+    """Each integral value drawn as an int or as a `Fraction`."""
+    return {
+        name: int(v) if v.denominator == 1 and data.draw(st.booleans()) else Fraction(v)
+        for name, v in assignment.items()
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn_inverse_specs(), st.data())
+def test_block_certificate_agrees_with_the_full_model(spec, data):
+    model = build_inverse_milp(spec)
+    sol = solve_inverse(spec)
+    if sol.status == "feasible":
+        base = sol.assignment
+    else:  # every descriptor at its minimum, its standardized value at 0
+        base = {f"x_{j + 1}": Fraction(float(mn)) for j, mn in enumerate(spec.feat_min)}
+        base |= {f"xh_{j + 1}": Fraction(0) for j in range(spec.k)}
+    points = [base]
+    rows = [c for c in model.constraints if any(coef for _, coef in c.coeffs)]
+    for _ in range(3):
+        if rows:
+            row = data.draw(st.sampled_from(rows))
+            var = data.draw(st.sampled_from([v for v, coef in row.coeffs if coef]))
+            points.append(made_tight(data.draw(st.sampled_from(points)), row, var))
+        name = data.draw(st.sampled_from(sorted(base)))
+        start = data.draw(st.sampled_from(points))
+        points.append({**start, name: start[name] + data.draw(st.sampled_from(PERTURBATIONS))})
+    for point in points:
+        point = some_ints(data, point)
+        assert verify_inverse(spec, point) == verify_assignment(model, point)
+    if sol.status == "feasible":
+        assert verify_inverse(spec, sol.assignment) == []
+
+
+def test_solve_inverse_refuses_an_answer_off_its_rows(monkeypatch):
+    spec = random_trained_spec(30)
+    assert solve_inverse(spec).status == "feasible"
+    lift = _Reduction.lift
+
+    def pushed(self, x):
+        """The lifted answer with the first support block's xh just above
+        what its norm_hi row allows."""
+        assignment = lift(self, x)
+        j = self.support[0]
+        r = spec.blocks[j].rows
+        most = (Fraction(r.hi_rhs) + Fraction(r.hi_coef) * assignment[f"x_{j + 1}"]) / Fraction(r.span)
+        assignment[f"xh_{j + 1}"] = most + Fraction(1, 10**12)
+        return assignment
+
+    monkeypatch.setattr(_Reduction, "lift", pushed)
+    with pytest.raises(MilpError, match=r"constraint:norm_hi_\d+"):
+        solve_inverse(spec)
 
 
 @pytest.mark.parametrize("k", [100, 250])

@@ -37,12 +37,14 @@ chosen by cross-validation) and `cv` with its penalty chosen the same
 way, and compares the model files and the cv report byte for byte; when
 one differs, it names the key paths that moved with both values
 (`fit.sweeps: 0 -> absent`).  An infer stage runs `infer --emit-lp --out`
-in each checkout with the parent's two `train --lambda`/`train` model files,
-on windows of +-0.02 around the predictions of a few corpus members
-(feasible) and on windows beyond b + sum|w| on either side (infeasible),
-and compares the exit code, the `--out` JSON and the LP text byte for
-byte, one line per window.  A signature stage runs `canonical_signature`
-in each checkout, in one process, over every graph of the tests'
+and `infer --out` in each checkout with the parent's two `train
+--lambda`/`train` model files, on windows of +-0.02 around the
+predictions of a few corpus members (feasible) and on windows beyond
+b + sum|w| on either side (infeasible), and compares the exit codes, both
+`--out` JSON files and the LP text byte for byte, one line per window; the
+run without `--emit-lp` is the one that builds no `MilpModel`.  A
+signature stage runs `canonical_signature` in each checkout, in one
+process, over every graph of the tests'
 forcing-space oracle (`oracle_candidates` in `tests/spechelpers.py`,
 3,072 graphs) and the corpus at rho 1 to 3, prints one line per graph
 and rho with the signature's repr, and compares the two outputs line by
@@ -265,19 +267,23 @@ def compare_infer(sides: dict[str, Path], work: Path) -> bool:
             for side, checkout in sides.items():
                 shutil.rmtree(outs[side], ignore_errors=True)
                 outs[side].mkdir(parents=True)
-                codes[side] = polyinfer(checkout, "infer", "--model", model, f"--window={lo},{hi}",
-                                        "--emit-lp", outs[side] / "model.lp",
-                                        "--out", outs[side] / "solution.json").returncode
+                common = ("infer", "--model", model, f"--window={lo},{hi}")
+                codes[side] = (
+                    polyinfer(checkout, *common, "--emit-lp", outs[side] / "model.lp",
+                              "--out", outs[side] / "solution.json").returncode,
+                    polyinfer(checkout, *common, "--out", outs[side] / "solution-no-lp.json").returncode,
+                )
             if codes["parent"] != codes["change"]:
-                print(f"{name}: exit {codes['parent']} -> {codes['change']}")
+                print(f"{name}: exit {codes['parent']} -> {codes['change']} (with, without --emit-lp)")
                 same = False
                 continue
             differing = differences(*outs.values())
             if differing:
-                print(f"{name}: exit {codes['parent']} on both; differs first at {differing[0]}")
+                print(f"{name}: exit {codes['parent'][0]} on both; differs first at {differing[0]}")
                 same = False
             else:
-                print(f"{name}: exit {codes['parent']}, solution.json and model.lp identical")
+                print(f"{name}: exit {codes['parent'][0]}, solution.json, solution-no-lp.json "
+                      "and model.lp identical")
     return same
 
 

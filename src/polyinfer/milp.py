@@ -4,10 +4,12 @@ The inverse-prediction model encodes descriptor box bounds, integrality,
 the two-sided target window on the prediction, and tolerance-relaxed
 normalization rows linking raw descriptors to their standardized
 counterparts.  It is K independent blocks (x_j, xh_j) coupled only by
-the two window rows.  `solve_inverse` reduces each block exactly, in
-rational arithmetic, to an interval of xh_j whose ends are nondecreasing
-in x_j, and branches on the Lasso support alone: the LP relaxation on a
-box is then a sum of interval ends, with no simplex.  `solve` is the
+the two window rows.  `solve_inverse` reduces each block exactly to an
+interval of xh_j whose ends are nondecreasing in x_j, and branches on the
+Lasso support alone: the LP relaxation on a box is then a sum of
+interval ends, with no simplex.  It runs on one integer scale per solve,
+every term an int over one common denominator, and builds `Fraction`s
+only for the answer.  `solve` is the
 general solver, for any model (one `parse_lp` read back from the LP
 text `emit_lp` writes, say): branch-and-bound over a phase-1 simplex
 with Bland's rule, on a tableau whose pivots touch only the nonzero
@@ -412,7 +414,7 @@ class InverseProblemSpec:
     def blocks(self) -> tuple["_Block", ...]:
         """Each descriptor's block, worked out on first use and kept:
         `rows` writes them, `solve_inverse` reduces them and
-        `exact_standardized` divides by their spans, so none can disagree."""
+        `predicted_value` divides by their spans, so none can disagree."""
         eps, blocks = self.epsilon, []
         for mn, mx in zip(map(float, self.feat_min), map(float, self.feat_max)):
             if mx <= mn:
@@ -467,15 +469,19 @@ class _Block(NamedTuple):
 def _window_rhs(spec: InverseProblemSpec) -> tuple[float, float]:
     """Right-hand sides of the window rows on sum(w*xh): y_lo - b and
     y_hi - b rounded inward, so a window sum between them puts sum + b
-    inside [y_lo, y_hi] in exact arithmetic."""
-    b = Fraction(float(spec.hyperplane.b))
-    lo, hi = Fraction(float(spec.y_lo)) - b, Fraction(float(spec.y_hi)) - b
-    lo_rhs, hi_rhs = float(lo), float(hi)
-    if lo_rhs < lo:
-        lo_rhs = math.nextafter(lo_rhs, math.inf)
-    if hi_rhs > hi:
-        hi_rhs = math.nextafter(hi_rhs, -math.inf)
-    return lo_rhs, hi_rhs
+    inside [y_lo, y_hi] in exact arithmetic.  Each difference is an
+    integer ratio; its int true division is correctly rounded."""
+    bn, bd = float(spec.hyperplane.b).as_integer_ratio()
+    out = []
+    for y, inward in ((spec.y_lo, 1), (spec.y_hi, -1)):
+        yn, yd = float(y).as_integer_ratio()
+        num, den = yn * bd - bn * yd, yd * bd  # y - b
+        rhs = num / den
+        rn, rd = rhs.as_integer_ratio()
+        if inward * (num * rd - rn * den) > 0:  # rhs lies outside y - b
+            rhs = math.nextafter(rhs, inward * math.inf)
+        out.append(rhs)
+    return out[0], out[1]
 
 
 def build_inverse_milp(spec: InverseProblemSpec) -> MilpModel:
@@ -500,40 +506,90 @@ def verify_inverse(spec: InverseProblemSpec, assignment: dict[str, Fraction | in
 # The inverse model in reduced form
 
 
-class _ExactBlock:
-    """A non-constant descriptor's block in exact arithmetic.
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms; den > 0."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _weighted(w: tuple[int, int], v: float, span: tuple[int, int] = (1, 1)) -> tuple[int, int]:
+    """w*v/span as a reduced integer ratio, for w and span given as ratios
+    (span > 0)."""
+    (wn, wd), (n, d), (sn, sd) = w, v.as_integer_ratio(), span
+    return _reduced(wn * n * sd, wd * d * sn)
+
+
+def _line_at(slope: tuple[int, int], offset: tuple[int, int], x) -> tuple[int, int]:
+    """slope*x + offset as a reduced integer ratio, for an int or
+    `Fraction` x."""
+    (an, ad), (bn, bd), xn, xd = slope, offset, x.numerator, x.denominator
+    return _reduced(an * xn * bd + bn * ad * xd, ad * bd * xd)
+
+
+def _on_scale(slope: int, offset: int, x) -> int:
+    """slope*x + offset for an int or `Fraction` x, which must land on
+    the common scale (be an int)."""
+    q = x.denominator
+    if q == 1:
+        return slope * x + offset
+    n, rem = divmod(slope * x.numerator + offset * q, q)
+    if rem:
+        raise MilpError(f"the term at x = {x} falls off the common scale")
+    return n
+
+
+class _ScaledBlock(NamedTuple):
+    """A non-constant support descriptor's term w*xh on the common scale.
 
     Its rows and xh box give xh in [low(x), high(x)], with
     low(x) = max(h_lo, a1*x + b1) and high(x) = min(h_hi, a2*x + b2); both
-    ends are nondecreasing in x (a1, a2 > 0 for 0 < eps < 1).  The box
-    [lo, hi] is the data range cut to where low(x) <= high(x), rounded
-    inward when x is integer.  For x >= min, the outward rounding of the
-    right-hand sides already gives h_lo = 0 <= a2*x + b2 and
-    a1*x + b1 <= a2*x + b2, so only a1*x + b1 <= h_hi can cut the range.
+    ends are nondecreasing in x (a1, a2 > 0 for 0 < eps < 1).  The term
+    then ranges over [least(x), most(x)], w*low and w*high for w > 0 and
+    the other way round for w < 0.  In units of 1/D, the solve's common
+    scale, least(x) = max(l0, la*x + lb) and most(x) = min(u0, ua*x + ub),
+    all six ints.  The box [lo, hi] is the data range cut to where
+    low(x) <= high(x): ints rounded inward when x is integer, `Fraction`s
+    otherwise.  For x >= min, the outward rounding of the right-hand sides
+    already gives h_lo = 0 <= a2*x + b2 and a1*x + b1 <= a2*x + b2, so only
+    a1*x + b1 <= h_hi can cut the range.
     """
 
-    __slots__ = ("integer", "h_lo", "h_hi", "a1", "b1", "a2", "b2", "lo", "hi")
+    integer: bool
+    lo: int | Fraction
+    hi: int | Fraction
+    l0: int
+    la: int
+    lb: int
+    u0: int
+    ua: int
+    ub: int
 
-    def __init__(self, block: _Block, integer: bool):
-        r = block.rows
-        span = Fraction(r.span)
-        self.integer = integer
-        self.h_lo, self.h_hi = Fraction(block.h_lo), Fraction(block.h_hi)
-        self.a1, self.b1 = Fraction(r.lo_coef) / span, -Fraction(r.lo_rhs) / span
-        self.a2, self.b2 = Fraction(r.hi_coef) / span, Fraction(r.hi_rhs) / span
-        lo = Fraction(block.mn)
-        hi = min(Fraction(block.mx), (self.h_hi - self.b1) / self.a1)
-        self.lo, self.hi = (math.ceil(lo), math.floor(hi)) if integer else (lo, hi)
 
-    def low(self, x) -> Fraction:
-        return max(self.h_lo, self.a1 * x + self.b1)
+def _term_ratios(block: _Block, w: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """(w*h_lo, w*a1, w*b1, w*h_hi, w*a2, w*b2) of a non-constant block
+    (`_ScaledBlock`) as reduced integer ratios; a1 = lo_coef/span,
+    b1 = -lo_rhs/span, a2 = hi_coef/span, b2 = hi_rhs/span."""
+    r, span = block.rows, block.rows.span.as_integer_ratio()
+    return (
+        _weighted(w, block.h_lo), _weighted(w, r.lo_coef, span), _weighted(w, -r.lo_rhs, span),
+        _weighted(w, block.h_hi), _weighted(w, r.hi_coef, span), _weighted(w, r.hi_rhs, span),
+    )
 
-    def high(self, x) -> Fraction:
-        return min(self.h_hi, self.a2 * x + self.b2)
+
+def _box(block: _Block, integer: bool) -> tuple:
+    """The box of x (`_ScaledBlock`): [min, max] cut where a1*x + b1
+    reaches h_hi, at (h_hi - b1)/a1 = (h_hi*span + lo_rhs)/lo_coef."""
+    r = block.rows
+    (hn, hd), (sn, sd) = block.h_hi.as_integer_ratio(), r.span.as_integer_ratio()
+    (rn, rd), (cn, cd) = r.lo_rhs.as_integer_ratio(), r.lo_coef.as_integer_ratio()
+    num, den = (hn * sn * rd + rn * hd * sd) * cd, hd * sd * rd * cn  # cn > 0
+    if integer:  # min and max are integral floats
+        return int(block.mn), min(int(block.mx), num // den)
+    return Fraction(block.mn), min(Fraction(block.mx), Fraction(num, den))
 
 
 class _Reduction:
-    """The inverse model reduced exactly to its support.
+    """The inverse model reduced exactly to its support, on one integer scale.
 
     Blocks off the support (zero weight or constant descriptor) sit at
     x = min, xh = 0, which meets their rows exactly.  On the support,
@@ -543,32 +599,55 @@ class _Reduction:
     which the term is least (a for w > 0, b for w < 0) and the finish the
     other.  Summing those ends gives the LP relaxation of the full model
     on the box.  Both ends are memoized per x value.
+
+    Every term value the search compares, and the window's right-hand
+    sides `w_lo` and `w_hi`, is an int N standing for N/D: D (`scale`) is
+    the lcm of the denominators of the blocks' term coefficients, of the
+    window's right-hand sides and of the terms at a continuous block's box
+    ends.  A term at an integer x is then on the scale, and a continuous
+    block's x is only ever at its box ends or where the search stops.
     """
 
     def __init__(self, spec: InverseProblemSpec):
         w = spec.hyperplane.w
         self.mins = [float(v) for v in spec.feat_min]
         self.support = [j for j, block in enumerate(spec.blocks) if w[j] != 0.0 and block.rows is not None]
-        self.blocks = [_ExactBlock(spec.blocks[j], j in spec.integer_indices) for j in self.support]
-        self.w = [Fraction(float(w[j])) for j in self.support]
-        self.rising = [wi > 0 for wi in self.w]
-        lo, hi = _window_rhs(spec)
-        self.w_lo, self.w_hi = Fraction(lo), Fraction(hi)
+        self.weights = [float(w[j]).as_integer_ratio() for j in self.support]
+        self.rising = [wn > 0 for wn, _ in self.weights]
+        window = [v.as_integer_ratio() for v in _window_rhs(spec)]
+        dens = [d for _, d in window]
+        parts = []
+        for j, wj, up in zip(self.support, self.weights, self.rising):
+            block, integer = spec.blocks[j], j in spec.integer_indices
+            ratios = _term_ratios(block, wj)
+            if not up:  # least = w*high, most = w*low
+                ratios = ratios[3:] + ratios[:3]
+            lo, hi = _box(block, integer)
+            dens += [d for _, d in ratios]
+            if not integer:
+                dens += [_line_at(*line, x)[1] for x in (lo, hi) for line in (ratios[1:3], ratios[4:])]
+            parts.append((integer, lo, hi, ratios))
+        self.scale = scale = math.lcm(*dens)
+        self.blocks = [
+            _ScaledBlock(integer, lo, hi, *(n * (scale // d) for n, d in ratios))
+            for integer, lo, hi, ratios in parts
+        ]
+        self.w_lo, self.w_hi = (n * (scale // d) for n, d in window)
         self._lower: list[dict] = [{} for _ in self.support]
         self._upper: list[dict] = [{} for _ in self.support]
 
-    def lower(self, i: int, x) -> Fraction:
+    def lower(self, i: int, x) -> int:
         memo = self._lower[i]
         if x not in memo:
             b = self.blocks[i]
-            memo[x] = self.w[i] * (b.low(x) if self.rising[i] else b.high(x))
+            memo[x] = max(b.l0, _on_scale(b.la, b.lb, x))
         return memo[x]
 
-    def upper(self, i: int, x) -> Fraction:
+    def upper(self, i: int, x) -> int:
         memo = self._upper[i]
         if x not in memo:
             b = self.blocks[i]
-            memo[x] = self.w[i] * (b.high(x) if self.rising[i] else b.low(x))
+            memo[x] = min(b.u0, _on_scale(b.ua, b.ub, x))
         return memo[x]
 
     def box(self, i: int, a, b) -> tuple:
@@ -577,32 +656,51 @@ class _Reduction:
             return a, b, self.lower(i, a), self.upper(i, b)
         return a, b, self.lower(i, b), self.upper(i, a)
 
-    def reach(self, i: int, a, b, target: Fraction):
+    def reach(self, i: int, a, b, target: int) -> tuple[int, int]:
         """The x in [a, b] nearest the start at which block i's term can
-        reach `target`, given that it can at the finish."""
-        blk, w = self.blocks[i], self.w[i]
-        if self.rising[i]:  # high(x) >= target/w
-            return max(a, (target / w - blk.b2) / blk.a2)
-        return min(b, (target / w - blk.b1) / blk.a1)  # low(x) <= target/w
+        reach `target`, given that it can at the finish, as an integer
+        ratio (p, q) with q > 0: the start itself, or where the rising
+        side of upper(i, x) meets `target`."""
+        blk = self.blocks[i]
+        p, q = target - blk.ub, blk.ua  # ua*x + ub = target; ua != 0
+        if q < 0:
+            p, q = -p, -q
+        up = self.rising[i]
+        start = a if up else b
+        sn, sd = start.numerator, start.denominator
+        if (p * sd <= sn * q) if up else (p * sd >= sn * q):
+            return sn, sd
+        return p, q
 
     def lift(self, x: list) -> dict[str, Fraction | int]:
         """Every variable: the support at `x`, each term raised from its
         least in support order until the sum meets the window's lower end.
-        A block off the support is written in ints where it can be: x at
-        its minimum (a `Fraction` only for a non-integral one), xh = 0."""
+        The terms are summed as ints on the scale D*q, q the lcm of the
+        denominators in `x` (1 unless a continuous block's x is
+        fractional); `Fraction`s are built only for the answer, x and xh on
+        the support.  A block off the support is written in ints where it
+        can be: x at its minimum (a `Fraction` only for a non-integral
+        one), xh = 0."""
         assignment: dict[str, Fraction | int] = {}
         for j, mn in enumerate(self.mins):
             assignment[f"x_{j + 1}"] = int(mn) if mn.is_integer() else Fraction(mn)
             assignment[f"xh_{j + 1}"] = 0
-        lows = [self.lower(i, xi) for i, xi in enumerate(x)]
-        deficit = self.w_lo - sum(lows, Fraction(0))
+        q = math.lcm(*(v.denominator for v in x))
+        lows, highs = [], []
+        for b, v in zip(self.blocks, x):
+            p = v.numerator * (q // v.denominator)
+            lows.append(max(b.l0 * q, b.la * p + b.lb * q))
+            highs.append(min(b.u0 * q, b.ua * p + b.ub * q))
+        deficit = self.w_lo * q - sum(lows)
+        scale = self.scale * q
         for i, j in enumerate(self.support):
             term = lows[i]
             if deficit > 0:
-                term = min(lows[i] + deficit, self.upper(i, x[i]))
+                term = min(lows[i] + deficit, highs[i])
                 deficit -= term - lows[i]
+            wn, wd = self.weights[i]
             assignment[f"x_{j + 1}"] = Fraction(x[i])
-            assignment[f"xh_{j + 1}"] = term / self.w[i]
+            assignment[f"xh_{j + 1}"] = Fraction(term * wd, scale * wn)  # term / (D*q) / w
         return assignment
 
 
@@ -621,16 +719,16 @@ def solve_inverse(
     meets the window's lower end.  Only the last raised block can stop
     short.  If its x is fractional and rounding it towards the finish
     overshoots the window, the node branches at its floor and ceiling;
-    continuous descriptors never branch.  An answer is accepted only
-    through `verify_inverse`, on every bound and row of the full model;
-    the `MilpModel` itself is never built here.  `nodes`
-    counts the interval relaxations evaluated; no simplex runs, so `pivots`
-    reads 0.
+    continuous descriptors never branch.  Sums and tests are int
+    arithmetic on the reduction's common scale.  An answer is accepted
+    only through `verify_inverse`, on every bound and row of the full
+    model; the `MilpModel` itself is never built here.  `nodes` counts the
+    interval relaxations evaluated; no simplex runs, so `pivots` reads 0.
     """
     red = _Reduction(spec)
     w_lo, w_hi = red.w_lo, red.w_hi
     root = [red.box(i, b.lo, b.hi) for i, b in enumerate(red.blocks)]
-    stack = [(root, sum((e[2] for e in root), Fraction(0)), sum((e[3] for e in root), Fraction(0)))]
+    stack = [(root, sum(e[2] for e in root), sum(e[3] for e in root))]
     deadline = time.monotonic() + max_seconds
     nodes = 0
     while stack:
@@ -649,11 +747,15 @@ def solve_inverse(
             i += 1
         if total < w_lo:  # block i stops short of its finish
             a, b, lo_i, hi_i = boxes[i]
-            x[i] = red.reach(i, a, b, w_lo - total + lo_i)
-            if red.blocks[i].integer and x[i].denominator != 1:
-                ahead = math.ceil(x[i]) if red.rising[i] else math.floor(x[i])
+            p, q = red.reach(i, a, b, w_lo - total + lo_i)
+            if p % q == 0:
+                x[i] = p // q
+            elif not red.blocks[i].integer:
+                x[i] = Fraction(p, q)
+            else:
+                ahead = -(-p // q) if red.rising[i] else p // q
                 if total - lo_i + red.lower(i, ahead) > w_hi:
-                    floor_v = math.floor(x[i])
+                    floor_v = p // q
                     for part in ((a, floor_v), (floor_v + 1, b)):  # the ceiling side first
                         child = list(boxes)
                         child[i] = red.box(i, *part)
@@ -662,41 +764,35 @@ def solve_inverse(
                 x[i] = ahead
         assignment = red.lift(x)
         violated = verify_inverse(spec, assignment)
-        if violated:  # pragma: no cover - exact arithmetic should not land here
+        if violated:
             raise MilpError(f"solver produced invalid point: {violated}")
         return MilpSolution(status="feasible", assignment=assignment, nodes=nodes)
     return MilpSolution(status="infeasible", nodes=nodes)
 
 
-def exact_standardized(
-    spec: InverseProblemSpec, assignment: dict[str, Fraction], indices: list[int] | None = None
-) -> list[Fraction]:
-    """Standardize the raw solution exactly (constant descriptors map to 0),
-    at the descriptors `indices` (all of them by default).
-
-    The divisor is the float span max - min of `spec.blocks[j]`: the one
-    the Standardizer the hyperplane was fit on divides by, and the one the
-    model rows hold.
-    """
-    out: list[Fraction] = []
-    for j in range(spec.k) if indices is None else indices:
+def predicted_value(spec: InverseProblemSpec, assignment: dict[str, Fraction | int]) -> float:
+    """Prediction at the exactly re-standardized solution: b plus the sum
+    of w_j*(x_j - min_j)/span_j over the descriptors with a nonzero weight
+    that are not constant (the others add exactly 0), summed as one
+    unreduced integer ratio.  Its int true division is correctly rounded,
+    as `float` of the reduced `Fraction` is, so the two agree.  The span
+    is the float max - min of `spec.blocks[j]`: the one the Standardizer
+    the hyperplane was fit on divides by, and the one the model rows
+    hold."""
+    w = spec.hyperplane.w
+    num, den = 0, 1
+    for j in np.flatnonzero(w).tolist():
         block = spec.blocks[j]
         if block.rows is None:
-            out.append(Fraction(0))
             continue
-        out.append((assignment[f"x_{j + 1}"] - Fraction(block.mn)) / Fraction(block.rows.span))
-    return out
-
-
-def predicted_value(spec: InverseProblemSpec, assignment: dict[str, Fraction]) -> float:
-    """Prediction at the exactly re-standardized solution.  Only the
-    descriptors with a nonzero weight enter the exact sum; the others add
-    exactly 0."""
-    w = spec.hyperplane.w
-    support = np.flatnonzero(w).tolist()
-    xh = exact_standardized(spec, assignment, support)
-    total = sum((Fraction(float(w[j])) * v for j, v in zip(support, xh)), Fraction(0))
-    return float(total) + spec.hyperplane.b
+        x = assignment[f"x_{j + 1}"]
+        (wn, wd), (mn, md), (sn, sd) = (
+            float(w[j]).as_integer_ratio(), block.mn.as_integer_ratio(), block.rows.span.as_integer_ratio()
+        )
+        xn, xd = x.numerator, x.denominator
+        d = wd * xd * md * sn
+        num, den = num * d + wn * (xn * md - mn * xd) * sd * den, den * d
+    return num / den + spec.hyperplane.b
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,9 @@ class ModelBundle:
         """The bundle `to_json` wrote.  The file is parsed once; the
         registry and the min-max maps are read from their parsed objects.
         A file whose weights or min-max maps do not hold one value per
-        registry descriptor is refused, naming the key and both lengths."""
+        registry descriptor is refused, naming the key and both lengths,
+        and so is one whose min-max maps hold a NaN or an infinity, which
+        `json` reads, naming the key (the hyperplane refuses its own)."""
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("model file is not a JSON object")
@@ -72,6 +74,9 @@ class ModelBundle:
                 held = f"{len(values)} values" if values.ndim == 1 else f"an array of shape {values.shape}"
                 raise ValueError(f"model file key {key!r} holds {held}; "
                                  f"the registry has {len(registry)} descriptors")
+        for key in ("feature_min", "feature_max", "value_min", "value_max"):
+            if not np.all(np.isfinite(getattr(standardizer, key))):
+                raise ValueError(f"model file key 'standardizer.{key}' holds a non-finite value")
         return cls(
             registry=registry,
             standardizer=standardizer,

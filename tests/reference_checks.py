@@ -14,9 +14,11 @@ connectivity pass; `featurize` looked each descriptor up on the profile by
 name and collected the out-of-vocabulary keys in a second loop;
 `verify_assignment` multiplied out every term of every row, zero values
 included, and `predicted_value` summed the weighted standardized value of
-every descriptor, zero weights included; `check_satisfies` built every
-bound row and membership pair of its report up front and derived the
-verdict, the failures and the failed families from them; the canonical
+every descriptor, zero weights included; `solve_inverse` reduced each
+block and ran its branch and bound in `Fraction` arithmetic, node by
+node, on window right-hand sides rounded through `Fraction`s;
+`check_satisfies` built every bound row and membership pair of its
+report up front and derived the verdict, the failures and the failed families from them; the canonical
 search refined and encoded with tuples of (bond label, color) pairs,
 sorted anew each round, and ran one more round to see that a discrete
 coloring was stable.  The equivalence tests require the current code to
@@ -25,6 +27,8 @@ return what these do.
 
 from __future__ import annotations
 
+import math
+import time
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -33,7 +37,14 @@ import numpy as np
 
 from polyinfer.chemgraph import ChemicalGraph, Edge, GraphError, SuppressedGraph, _norm_edge, is_connected
 from polyinfer.features import DescriptorRegistry, FeatureError, FeatureVector
-from polyinfer.milp import InverseProblemSpec, MilpModel
+from polyinfer.milp import (
+    InverseProblemSpec,
+    MilpError,
+    MilpModel,
+    MilpSolution,
+    _Block,
+    verify_inverse,
+)
 from polyinfer.topospec import BoundCheck, SeedEdge, SeedGraph, TopologicalSpec
 from polyinfer.twolayer import (
     AdjacencyConfig,
@@ -648,6 +659,188 @@ def reference_predicted_value(spec: InverseProblemSpec, assignment: dict[str, Fr
         xh = Fraction(0) if mx <= mn else (assignment[f"x_{j + 1}"] - Fraction(mn)) / Fraction(mx - mn)
         total += Fraction(float(spec.hyperplane.w[j])) * xh
     return float(total) + spec.hyperplane.b
+
+
+def reference_window_rhs(spec: InverseProblemSpec) -> tuple[float, float]:
+    """Right-hand sides of the window rows on sum(w*xh): y_lo - b and
+    y_hi - b rounded inward, so a window sum between them puts sum + b
+    inside [y_lo, y_hi] in exact arithmetic."""
+    b = Fraction(float(spec.hyperplane.b))
+    lo, hi = Fraction(float(spec.y_lo)) - b, Fraction(float(spec.y_hi)) - b
+    lo_rhs, hi_rhs = float(lo), float(hi)
+    if lo_rhs < lo:
+        lo_rhs = math.nextafter(lo_rhs, math.inf)
+    if hi_rhs > hi:
+        hi_rhs = math.nextafter(hi_rhs, -math.inf)
+    return lo_rhs, hi_rhs
+
+
+class _FractionBlock:
+    """A non-constant descriptor's block in exact arithmetic.
+
+    Its rows and xh box give xh in [low(x), high(x)], with
+    low(x) = max(h_lo, a1*x + b1) and high(x) = min(h_hi, a2*x + b2); both
+    ends are nondecreasing in x (a1, a2 > 0 for 0 < eps < 1).  The box
+    [lo, hi] is the data range cut to where low(x) <= high(x), rounded
+    inward when x is integer.  For x >= min, the outward rounding of the
+    right-hand sides already gives h_lo = 0 <= a2*x + b2 and
+    a1*x + b1 <= a2*x + b2, so only a1*x + b1 <= h_hi can cut the range.
+    """
+
+    __slots__ = ("integer", "h_lo", "h_hi", "a1", "b1", "a2", "b2", "lo", "hi")
+
+    def __init__(self, block: _Block, integer: bool):
+        r = block.rows
+        span = Fraction(r.span)
+        self.integer = integer
+        self.h_lo, self.h_hi = Fraction(block.h_lo), Fraction(block.h_hi)
+        self.a1, self.b1 = Fraction(r.lo_coef) / span, -Fraction(r.lo_rhs) / span
+        self.a2, self.b2 = Fraction(r.hi_coef) / span, Fraction(r.hi_rhs) / span
+        lo = Fraction(block.mn)
+        hi = min(Fraction(block.mx), (self.h_hi - self.b1) / self.a1)
+        self.lo, self.hi = (math.ceil(lo), math.floor(hi)) if integer else (lo, hi)
+
+    def low(self, x) -> Fraction:
+        return max(self.h_lo, self.a1 * x + self.b1)
+
+    def high(self, x) -> Fraction:
+        return min(self.h_hi, self.a2 * x + self.b2)
+
+
+class _FractionReduction:
+    """The inverse model reduced exactly to its support.
+
+    Blocks off the support (zero weight or constant descriptor) sit at
+    x = min, xh = 0, which meets their rows exactly.  On the support,
+    block i adds w_i*xh_i to the window sum.  At fixed x that term ranges
+    over [lower(i, x), upper(i, x)]; over a box [a, b] of x it ranges over
+    [lower(i, start), upper(i, finish)], where the start is the box end at
+    which the term is least (a for w > 0, b for w < 0) and the finish the
+    other.  Summing those ends gives the LP relaxation of the full model
+    on the box.  Both ends are memoized per x value.
+    """
+
+    def __init__(self, spec: InverseProblemSpec):
+        w = spec.hyperplane.w
+        self.mins = [float(v) for v in spec.feat_min]
+        self.support = [j for j, block in enumerate(spec.blocks) if w[j] != 0.0 and block.rows is not None]
+        self.blocks = [_FractionBlock(spec.blocks[j], j in spec.integer_indices) for j in self.support]
+        self.w = [Fraction(float(w[j])) for j in self.support]
+        self.rising = [wi > 0 for wi in self.w]
+        lo, hi = reference_window_rhs(spec)
+        self.w_lo, self.w_hi = Fraction(lo), Fraction(hi)
+        self._lower: list[dict] = [{} for _ in self.support]
+        self._upper: list[dict] = [{} for _ in self.support]
+
+    def lower(self, i: int, x) -> Fraction:
+        memo = self._lower[i]
+        if x not in memo:
+            b = self.blocks[i]
+            memo[x] = self.w[i] * (b.low(x) if self.rising[i] else b.high(x))
+        return memo[x]
+
+    def upper(self, i: int, x) -> Fraction:
+        memo = self._upper[i]
+        if x not in memo:
+            b = self.blocks[i]
+            memo[x] = self.w[i] * (b.high(x) if self.rising[i] else b.low(x))
+        return memo[x]
+
+    def box(self, i: int, a, b) -> tuple:
+        """(a, b, least term, greatest term) of block i over [a, b]."""
+        if self.rising[i]:
+            return a, b, self.lower(i, a), self.upper(i, b)
+        return a, b, self.lower(i, b), self.upper(i, a)
+
+    def reach(self, i: int, a, b, target: Fraction):
+        """The x in [a, b] nearest the start at which block i's term can
+        reach `target`, given that it can at the finish."""
+        blk, w = self.blocks[i], self.w[i]
+        if self.rising[i]:  # high(x) >= target/w
+            return max(a, (target / w - blk.b2) / blk.a2)
+        return min(b, (target / w - blk.b1) / blk.a1)  # low(x) <= target/w
+
+    def lift(self, x: list) -> dict[str, Fraction | int]:
+        """Every variable: the support at `x`, each term raised from its
+        least in support order until the sum meets the window's lower end.
+        A block off the support is written in ints where it can be: x at
+        its minimum (a `Fraction` only for a non-integral one), xh = 0."""
+        assignment: dict[str, Fraction | int] = {}
+        for j, mn in enumerate(self.mins):
+            assignment[f"x_{j + 1}"] = int(mn) if mn.is_integer() else Fraction(mn)
+            assignment[f"xh_{j + 1}"] = 0
+        lows = [self.lower(i, xi) for i, xi in enumerate(x)]
+        deficit = self.w_lo - sum(lows, Fraction(0))
+        for i, j in enumerate(self.support):
+            term = lows[i]
+            if deficit > 0:
+                term = min(lows[i] + deficit, self.upper(i, x[i]))
+                deficit -= term - lows[i]
+            assignment[f"x_{j + 1}"] = Fraction(x[i])
+            assignment[f"xh_{j + 1}"] = term / self.w[i]
+        return assignment
+
+
+def reference_solve_inverse(
+    spec: InverseProblemSpec,
+    max_nodes: int = 200_000,
+    max_seconds: float = 120.0,
+) -> MilpSolution:
+    """First feasible point of `build_inverse_milp(spec)` by depth-first
+    branch and bound on its reduced form (`_FractionReduction`).
+
+    A node is a box on the support's x; its bound, the interval of
+    reachable window sums, is updated from the parent's in O(1).  Its
+    point is the fractional-knapsack one: every block at the start of its
+    box, then blocks raised to the finish in support order until the sum
+    meets the window's lower end.  Only the last raised block can stop
+    short.  If its x is fractional and rounding it towards the finish
+    overshoots the window, the node branches at its floor and ceiling;
+    continuous descriptors never branch.  An answer is accepted only
+    through `verify_inverse`, on every bound and row of the full model;
+    the `MilpModel` itself is never built here.  `nodes`
+    counts the interval relaxations evaluated; no simplex runs, so `pivots`
+    reads 0.
+    """
+    red = _FractionReduction(spec)
+    w_lo, w_hi = red.w_lo, red.w_hi
+    root = [red.box(i, b.lo, b.hi) for i, b in enumerate(red.blocks)]
+    stack = [(root, sum((e[2] for e in root), Fraction(0)), sum((e[3] for e in root), Fraction(0)))]
+    deadline = time.monotonic() + max_seconds
+    nodes = 0
+    while stack:
+        if nodes >= max_nodes or time.monotonic() > deadline:
+            return MilpSolution(status="bound-limit", nodes=nodes, open_nodes=len(stack))
+        boxes, least, most = stack.pop()
+        nodes += 1
+        if most < w_lo or least > w_hi:
+            continue
+        x = [a if up else b for (a, b, _, _), up in zip(boxes, red.rising)]
+        total, i = least, 0
+        while total < w_lo and total - boxes[i][2] + boxes[i][3] < w_lo:
+            a, b, lo_i, hi_i = boxes[i]
+            x[i] = b if red.rising[i] else a
+            total += hi_i - lo_i
+            i += 1
+        if total < w_lo:  # block i stops short of its finish
+            a, b, lo_i, hi_i = boxes[i]
+            x[i] = red.reach(i, a, b, w_lo - total + lo_i)
+            if red.blocks[i].integer and x[i].denominator != 1:
+                ahead = math.ceil(x[i]) if red.rising[i] else math.floor(x[i])
+                if total - lo_i + red.lower(i, ahead) > w_hi:
+                    floor_v = math.floor(x[i])
+                    for part in ((a, floor_v), (floor_v + 1, b)):  # the ceiling side first
+                        child = list(boxes)
+                        child[i] = red.box(i, *part)
+                        stack.append((child, least - lo_i + child[i][2], most - hi_i + child[i][3]))
+                    continue
+                x[i] = ahead
+        assignment = red.lift(x)
+        violated = verify_inverse(spec, assignment)
+        if violated:  # pragma: no cover - exact arithmetic should not land here
+            raise MilpError(f"solver produced invalid point: {violated}")
+        return MilpSolution(status="feasible", assignment=assignment, nodes=nodes)
+    return MilpSolution(status="infeasible", nodes=nodes)
 
 
 def reference_canonical_signature(g: ChemicalGraph | TwoLayeredDecomposition, rho: int) -> str:

@@ -403,6 +403,29 @@ def test_model_file_with_more_descriptors_than_weights_is_clean_error(trained_mo
                            f"the registry has {k} descriptors\n")
 
 
+def test_model_file_with_a_non_finite_min_max_value_is_clean_error(trained_model, tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path)
+    sample = tmp_path / "sample.pmg"
+    sample.write_text(make_polymer())
+    broken = tmp_path / "model.json"
+    for key in ("feature_min", "feature_max", "value_min", "value_max"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            model = json.loads(Path(trained_model).read_text())
+            if key.startswith("feature"):
+                model["standardizer"][key][0] = value
+            else:
+                model["standardizer"][key] = value
+            broken.write_text(json.dumps(model))  # written as NaN, Infinity or -Infinity
+            for argv in (
+                ["infer", "--model", broken, "--window", "2.2,2.6"],
+                ["verify", "--model", broken, "--spec", spec_path, "--window", "2.2,2.6", sample],
+            ):
+                assert run(*argv) == 1
+                err = capsys.readouterr().err
+                assert err == f"error: model file key 'standardizer.{key}' holds a non-finite value\n"
+
+
 def test_model_file_with_a_wrongly_typed_value_is_clean_error(trained_model, tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import random
 import re
@@ -22,9 +23,9 @@ from polyinfer.milp import (
     Variable,
     _lp_feasible,
     _Reduction,
+    _window_rhs,
     build_inverse_milp,
     emit_lp,
-    exact_standardized,
     parse_lp,
     predicted_value,
     solve,
@@ -33,7 +34,12 @@ from polyinfer.milp import (
     verify_inverse,
 )
 from polyinfer.regress import Hyperplane
-from reference_checks import reference_predicted_value, reference_verify_assignment
+from reference_checks import (
+    reference_predicted_value,
+    reference_solve_inverse,
+    reference_verify_assignment,
+    reference_window_rhs,
+)
 from test_acceptance import trained_inverse_base
 
 
@@ -312,7 +318,12 @@ def test_exact_standardized_constant_descriptor():
     sol = solve(m)
     assert sol.status == "feasible"
     assert sol.assignment["xh_1"] == 0
-    assert exact_standardized(spec, sol.assignment)[0] == 0
+    # descriptor 1 adds 0.5 * 0 whatever its raw value: the prediction is
+    # descriptor 2's term alone
+    for x_1 in (sol.assignment["x_1"], Fraction(7), Fraction(-5, 3)):
+        assignment = {**sol.assignment, "x_1": x_1}
+        assert predicted_value(spec, assignment) == reference_predicted_value(spec, assignment)
+        assert predicted_value(spec, assignment) == float(sol.assignment["x_2"] / 4)
 
 
 # -- the inverse model in reduced form ------------------------------------------
@@ -473,6 +484,58 @@ def test_solve_inverse_and_interval_relaxation_match_the_full_model(spec, data):
             f"x_{j + 1}": (Fraction(a), Fraction(b)) for j, (a, b) in zip(red.support, boxes)
         }
         assert relaxation_is_nonempty(red, boxes) == full_lp_is_feasible(model, named)
+
+
+def assert_same_search(spec: InverseProblemSpec, max_nodes: int | None = None):
+    """`solve_inverse` and the `Fraction` search it replaced agree on the
+    window's right-hand sides, the verdict, both node counts and the
+    answer (the same keys, equal values and the same int/`Fraction` type
+    for every value), and an answer's prediction is the full sum's."""
+    budget = {} if max_nodes is None else {"max_nodes": max_nodes}
+    got, want = solve_inverse(spec, **budget), reference_solve_inverse(spec, **budget)
+    assert _window_rhs(spec) == reference_window_rhs(spec)
+    assert (got.status, got.nodes, got.open_nodes) == (want.status, want.nodes, want.open_nodes)
+    assert got.assignment == want.assignment
+    assert {k: type(v) for k, v in got.assignment.items()} == {k: type(v) for k, v in want.assignment.items()}
+    if got.status == "feasible":
+        assert predicted_value(spec, got.assignment) == reference_predicted_value(spec, got.assignment)
+    return got
+
+
+def narrowed(spec: InverseProblemSpec, half_width: float) -> InverseProblemSpec:
+    """The same model with a window of the given half-width around the
+    centre of its own."""
+    centre = (spec.y_lo + spec.y_hi) / 2
+    return dataclasses.replace(spec, y_lo=centre - half_width, y_hi=centre + half_width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_inverse_specs(), st.one_of(st.none(), st.integers(0, 6)))
+def test_solve_inverse_matches_the_fraction_search_on_drawn_specs(spec, max_nodes):
+    assert_same_search(spec, max_nodes)
+
+
+def test_solve_inverse_matches_the_fraction_search_on_trained_specs():
+    for seed in range(60):
+        spec = random_trained_spec(seed)
+        for max_nodes in (None, 0, 1, 2, 3):
+            assert_same_search(spec, max_nodes)
+            assert_same_search(beyond_reach(spec), max_nodes)
+    for k in (5, 10, 25, 47, 100):
+        for seed in range(4):
+            spec = synthetic_trained_spec(k, seed)
+            assert assert_same_search(spec).status == "feasible"
+            assert assert_same_search(beyond_reach(spec)).status == "infeasible"
+
+
+def test_solve_inverse_matches_the_fraction_search_on_narrow_windows():
+    """Windows of +-1e-4 and +-1e-6 make the search branch: tens to
+    hundreds of nodes are compared, not one or two."""
+    nodes = []
+    for seed in range(30):
+        for half_width in (1e-4, 1e-6):
+            nodes.append(assert_same_search(narrowed(random_trained_spec(seed), half_width)).nodes)
+    assert sum(20 <= n <= 300 for n in nodes) >= 10 and max(nodes) > 300
 
 
 PERTURBATIONS = [Fraction(sign, k) for k in (1, 7, 2**10, 10**9) for sign in (1, -1)]

@@ -38,11 +38,14 @@ way, and compares the model files and the cv report byte for byte; when
 one differs, it names the key paths that moved with both values
 (`fit.sweeps: 0 -> absent`).  An infer stage runs `infer --emit-lp --out`
 and `infer --out` in each checkout with the parent's two `train
---lambda`/`train` model files, on windows of +-0.02 around the
-predictions of a few corpus members (feasible) and on windows beyond
+--lambda`/`train` model files, on windows of +-0.02, +-1e-4 and +-1e-6
+around the predictions of a few corpus members and on windows beyond
 b + sum|w| on either side (infeasible), and compares the exit codes, both
-`--out` JSON files and the LP text byte for byte, one line per window; the
-run without `--emit-lp` is the one that builds no `MilpModel`.  A
+`--out` JSON files and the LP text byte for byte, one line per window
+with the search's node count from `solution.json`; the narrow windows
+make the search branch, so that searches of tens to hundreds of nodes
+are compared, and the run without `--emit-lp` is the one that builds no
+`MilpModel`.  A
 signature stage runs `canonical_signature` in each checkout, in one
 process, over every graph of the tests'
 forcing-space oracle (`oracle_candidates` in `tests/spechelpers.py`,
@@ -82,16 +85,17 @@ TRAIN_RUNS = (
 
 INPUTS = "inputs"  # under --work: the models, specs, corpus and oracle graphs, rebuilt on every run
 SIGNATURE_RHOS = (1, 2, 3)
-INFER_MEMBERS = 4  # corpus members whose predictions centre the feasible infer windows
+INFER_MEMBERS = 4  # corpus members whose predictions centre the +-0.02, +-1e-4 and +-1e-6 infer windows
 INFER_WINDOWS = """
 import sys
 from polyinfer.chemgraph import parse_pmg
 from polyinfer.model import ModelBundle
 
 bundle = ModelBundle.from_json(open(sys.argv[1]).read())
-for path in sys.argv[2:]:
-    pred, _ = bundle.predict_graph(parse_pmg(open(path).read()))
-    print(repr(pred - 0.02), repr(pred + 0.02))
+preds = [bundle.predict_graph(parse_pmg(open(path).read()))[0] for path in sys.argv[2:]]
+for half_width in (0.02, 1e-4, 1e-6):
+    for pred in preds:
+        print(repr(pred - half_width), repr(pred + half_width))
 h, std = bundle.hyperplane, bundle.standardizer
 reach = float(sum(abs(h.w))) * 1.001 + 0.05
 for side in (1, -1):
@@ -241,9 +245,9 @@ def summary_moves(left: Path, right: Path) -> dict[str, tuple] | None:
 
 
 def infer_windows(parent: Path, model: Path, members: list[Path]) -> list[tuple[str, str]]:
-    """(lo, hi) as text: +-0.02 around each member's prediction, then one
-    window beyond b + sum|w| above and one below, computed with PARENT's
-    code."""
+    """(lo, hi) as text: +-0.02, then +-1e-4, then +-1e-6 around each
+    member's prediction, then one window beyond b + sum|w| above and one
+    below, computed with PARENT's code."""
     proc = run_python(parent, ["-c", INFER_WINDOWS, str(model), *map(str, members)])
     if proc.returncode != 0:
         raise SystemExit(f"computing the infer windows failed:\n{proc.stderr}")
@@ -282,8 +286,9 @@ def compare_infer(sides: dict[str, Path], work: Path) -> bool:
                 print(f"{name}: exit {codes['parent'][0]} on both; differs first at {differing[0]}")
                 same = False
             else:
-                print(f"{name}: exit {codes['parent'][0]}, solution.json, solution-no-lp.json "
-                      "and model.lp identical")
+                nodes = json.loads((outs["parent"] / "solution.json").read_text())["nodes"]
+                print(f"{name}: exit {codes['parent'][0]}, {nodes} nodes, solution.json, "
+                      "solution-no-lp.json and model.lp identical")
     return same
 
 

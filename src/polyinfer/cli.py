@@ -66,7 +66,10 @@ def _merged(args: argparse.Namespace, config: dict[str, str], key: str, default,
     if flag is not None:
         return flag
     if key in config:
-        return cast(config[key])
+        try:
+            return cast(config[key])
+        except ValueError:
+            raise ValueError(f"config key {key!r}: expected {cast.__name__}, got {config[key]!r}") from None
     return default
 
 

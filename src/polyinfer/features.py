@@ -121,10 +121,6 @@ class DescriptorRegistry:
             descriptors=tuple(Descriptor(d["kind"], d["key"]) for d in payload["descriptors"]),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "DescriptorRegistry":
-        return cls.from_dict(json.loads(text))
-
     def digest(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 

@@ -725,13 +725,7 @@ def canonical_signature(g: ChemicalGraph | TwoLayeredDecomposition, rho: int) ->
     colors = [(labels[v], hydrogens.get(v, 0), v in connecting) for v in vertices]
     index = {v: i for i, v in enumerate(vertices)}
     edges = [(index[u], index[v], m, ((u, v) if u < v else (v, u)) in links) for u, v, m in s.bonds]
-    return "acyclic:" + _canonical_search(colors, edges)[0]
-
-
-def _canonical_search(raw_colors: list, edges) -> tuple[str, list[list[int]]]:
-    """`_coded_search` on a graph given by its edges (u, v, multiplicity,
-    is_link) over the positions of `raw_colors`."""
-    return _coded_search(raw_colors, coded_adjacency(len(raw_colors), edges))
+    return "acyclic:" + _coded_search(colors, coded_adjacency(len(colors), edges))[0]
 
 
 def _coded_search(raw_colors: list, adj: CodedAdjacency) -> tuple[str, list[list[int]]]:

@@ -1,26 +1,29 @@
 """Mixed-integer linear feasibility models and two exact solvers.
 
-The inverse-prediction model encodes descriptor box bounds, integrality,
-the two-sided target window on the prediction, and tolerance-relaxed
-normalization rows linking raw descriptors to their standardized
-counterparts.  It is K independent blocks (x_j, xh_j) coupled only by
-the two window rows.  `solve_inverse` reduces each block exactly to an
-interval of xh_j whose ends are nondecreasing in x_j, and branches on the
-Lasso support alone: the LP relaxation on a box is then a sum of
-interval ends, with no simplex.  It runs on one integer scale per solve,
-every term an int over one common denominator, and builds `Fraction`s
-only for the answer.  `solve` is the
-general solver, for any model (one `parse_lp` read back from the LP
-text `emit_lp` writes, say): branch-and-bound over a phase-1 simplex
-with Bland's rule, on a tableau whose pivots touch only the nonzero
-entries of the pivot row.  Both are exact, and both accept
-an assignment only after re-checking it bound by bound and row by row in
-integer arithmetic: one kernel cross-multiplies the integer ratios of the
-floats a row holds and of the rational values, with no `Fraction` built.
-`solve` checks its answer on the model it solved (`verify_assignment`),
-`solve_inverse` on the inverse model's rows without building the
-`MilpModel` (`verify_inverse`).  `MilpSolution` reports the nodes and
-pivots spent, and the subproblems a budget left unexplored.
+A model has one record shape: `Variable` and `Constraint` named tuples,
+which `MilpModel` checks once.  The inverse-prediction model encodes
+descriptor box bounds, integrality, the two-sided target window on the
+prediction, and tolerance-relaxed normalization rows linking raw
+descriptors to their standardized counterparts.  `InverseProblemSpec.rows`
+builds its records, from one `_Block` per descriptor, and the LP file and
+the certificate read those same records.  It is K independent blocks
+(x_j, xh_j) coupled only by the two window rows.  `solve_inverse` reduces
+each block exactly to an interval of xh_j whose ends are nondecreasing in
+x_j, and branches on the Lasso support alone: the LP relaxation on a box
+is then a sum of interval ends, with no simplex.  It runs on one integer
+scale per solve, every term an int over one common denominator, and
+builds `Fraction`s only for the answer.  `solve` is the general solver,
+for any model (one `parse_lp` read back from the LP text `emit_lp`
+writes, say): branch-and-bound over a phase-1 simplex with Bland's rule,
+on a tableau whose pivots touch only the nonzero entries of the pivot
+row.  Both are exact, and both accept an assignment only after
+re-checking it bound by bound and row by row in integer arithmetic: one
+kernel cross-multiplies the integer ratios of the floats a row holds and
+of the rational values, with no `Fraction` built.  `solve` checks its
+answer on the model it solved (`verify_assignment`), `solve_inverse` on
+the inverse model's records without building the `MilpModel`
+(`verify_inverse`).  `MilpSolution` reports the nodes and pivots spent,
+and the subproblems a budget left unexplored.
 """
 
 from __future__ import annotations
@@ -41,29 +44,18 @@ class MilpError(ValueError):
     pass
 
 
-
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     name: str
     lower: float
     upper: float
     integer: bool = False
 
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise MilpError(f"variable {self.name}: lower {self.lower} > upper {self.upper}")
 
-
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     coeffs: tuple[tuple[str, float], ...]  # (variable, coefficient)
     sense: str  # "<=", ">=", "="
     rhs: float
-
-    def __post_init__(self):
-        if self.sense not in ("<=", ">=", "="):
-            raise MilpError(f"bad sense {self.sense!r}")
 
 
 @dataclass(frozen=True)
@@ -78,10 +70,14 @@ class MilpModel:
             raise MilpError("duplicate variable name")
         known = set(names)
         for c in self.constraints:
+            if c.sense not in ("<=", ">=", "="):
+                raise MilpError(f"constraint {c.name}: bad sense {c.sense!r}")
             for var, _ in c.coeffs:
                 if var not in known:
                     raise MilpError(f"constraint {c.name} references unknown variable {var}")
         for v in self.variables:
+            if v.lower > v.upper:
+                raise MilpError(f"variable {v.name}: lower {v.lower} > upper {v.upper}")
             if v.integer and not (math.isfinite(v.lower) and math.isfinite(v.upper)):
                 raise MilpError(f"integer variable {v.name} must have finite bounds")
 
@@ -98,11 +94,7 @@ class MilpSolution:
 def verify_assignment(model: MilpModel, assignment: dict[str, Fraction | int]) -> list[str]:
     """Names of violated bounds/constraints under exact rational arithmetic
     (`_violations`); the values are ints or `Fraction`s."""
-    return _violations(
-        ((v.name, v.lower, v.upper, v.integer) for v in model.variables),
-        ((c.name, c.coeffs, c.sense, c.rhs) for c in model.constraints),
-        assignment,
-    )
+    return _violations(model.variables, model.constraints, assignment)
 
 
 def _meets(num: int, den: int, sense: str, rhs: float) -> bool:
@@ -115,9 +107,8 @@ def _meets(num: int, den: int, sense: str, rhs: float) -> bool:
 
 
 def _violations(variables, constraints, assignment: dict[str, Fraction | int]) -> list[str]:
-    """The exact check behind both certificates, over plain rows:
-    `variables` as (name, lower, upper, integer) and `constraints` as
-    (name, ((variable, coefficient), ...), sense, rhs).
+    """The exact check behind both certificates, over `Variable` and
+    `Constraint` records.
 
     A bound is `_meets` on the value's own numerator and denominator; a
     row's left side is summed as one integer ratio, with no `Fraction`
@@ -384,30 +375,29 @@ class InverseProblemSpec:
         return len(self.hyperplane.w)
 
     @cached_property
-    def rows(self) -> tuple[tuple, tuple]:
-        """The inverse model as plain rows, worked out on first use and
-        kept: (variables, constraints), each variable as (name, lower,
-        upper, integer) and each constraint as (name, ((variable,
-        coefficient), ...), sense, rhs).  `build_inverse_milp` wraps them
-        and `verify_inverse` checks an answer on them, so the LP file and
-        the certificate read one model.  Each descriptor adds x_j and xh_j
+    def rows(self) -> tuple[tuple[Variable, ...], tuple[Constraint, ...]]:
+        """The inverse model's records, worked out on first use and kept:
+        (variables, constraints), the `Variable`s and `Constraint`s that
+        `build_inverse_milp` hands to `MilpModel` as they are and that
+        `verify_inverse` checks an answer on, so the LP file and the
+        certificate read one model.  Each descriptor adds x_j and xh_j
         and, unless constant, its two normalization rows; the window rows
         come last."""
         variables, constraints = [], []
-        for j, block in enumerate(self.blocks):
+        for j, b in enumerate(self.blocks):
             x, xh = f"x_{j + 1}", f"xh_{j + 1}"
-            variables.append((x, block.mn, block.mx, j in self.integer_indices))
-            variables.append((xh, block.h_lo, block.h_hi, False))
-            r = block.rows
-            if r is None:
-                continue
-            constraints.append((f"norm_lo_{j + 1}", ((x, r.lo_coef), (xh, -r.span)), "<=", r.lo_rhs))
-            constraints.append((f"norm_hi_{j + 1}", ((xh, r.span), (x, -r.hi_coef)), "<=", r.hi_rhs))
+            variables.append(Variable(x, b.mn, b.mx, j in self.integer_indices))
+            variables.append(Variable(xh, b.h_lo, b.h_hi))
+            if b.span:
+                constraints += [
+                    Constraint(f"norm_lo_{j + 1}", ((x, b.lo_coef), (xh, -b.span)), "<=", b.lo_rhs),
+                    Constraint(f"norm_hi_{j + 1}", ((xh, b.span), (x, -b.hi_coef)), "<=", b.hi_rhs),
+                ]
         w = self.hyperplane.w
         terms = tuple((f"xh_{j + 1}", float(w[j])) for j in range(self.k) if w[j] != 0.0)
         lo, hi = _window_rhs(self)
-        constraints.append(("window_lo", terms, ">=", lo))
-        constraints.append(("window_hi", terms, "<=", hi))
+        constraints.append(Constraint("window_lo", terms, ">=", lo))
+        constraints.append(Constraint("window_hi", terms, "<=", hi))
         return tuple(variables), tuple(constraints)
 
     @cached_property
@@ -418,52 +408,53 @@ class InverseProblemSpec:
         eps, blocks = self.epsilon, []
         for mn, mx in zip(map(float, self.feat_min), map(float, self.feat_max)):
             if mx <= mn:
-                blocks.append(_Block(mn, mx, 0.0, 0.0, None))
+                blocks.append(_Block(mn, mx))
                 continue
             span = mx - mn
             corners = [factor * (bound - mn) / span for factor in (1 - eps, 1 + eps) for bound in (mn, mx)]
-            rows = _NormRows(
-                span=span,
-                lo_coef=1 - eps,
-                lo_rhs=_rhs_at_least(1 - eps, mn),
-                hi_coef=1 + eps,
-                hi_rhs=_rhs_at_least(-(1 + eps), mn),
-            )
-            blocks.append(_Block(mn, mx, min(corners), max(corners), rows))
+            blocks.append(_Block(
+                mn, mx, min(corners), max(corners), span,
+                1 - eps, _rhs_at_least(1 - eps, mn), 1 + eps, _rhs_at_least(-(1 + eps), mn),
+            ))
         return tuple(blocks)
 
 
+def _safe_side(value: float, num: int, den: int, side: int) -> float:
+    """`value`, a float within one step of the exact ratio num/den
+    (den > 0), moved one step towards side*inf if it lies on the other
+    side of num/den: the result is not below num/den for side 1 and not
+    above it for side -1, so a row whose right-hand side it is stays true
+    at the exact ratio.  The sides are compared as integer ratios."""
+    vn, vd = value.as_integer_ratio()
+    if side * (vn * den - num * vd) < 0:
+        return math.nextafter(value, side * math.inf)
+    return value
+
+
 def _rhs_at_least(coef: float, value: float) -> float:
-    """The smallest float not below the exact product coef*value, so the
-    point that makes a row tight in exact arithmetic stays feasible."""
-    rhs = coef * value
-    # rhs < coef*value exactly, compared as integer ratios (positive denominators)
-    (n, d), (cn, cd), (vn, vd) = rhs.as_integer_ratio(), coef.as_integer_ratio(), value.as_integer_ratio()
-    if n * cd * vd < cn * vn * d:
-        rhs = math.nextafter(rhs, math.inf)
-    return rhs
-
-
-class _NormRows(NamedTuple):
-    """lo_coef*x - span*xh <= lo_rhs  and  span*xh - hi_coef*x <= hi_rhs."""
-
-    span: float
-    lo_coef: float
-    lo_rhs: float
-    hi_coef: float
-    hi_rhs: float
+    """The float product coef*value, moved up when it lies below the
+    exact product, so the point that makes a row tight in exact
+    arithmetic stays feasible."""
+    (cn, cd), (vn, vd) = coef.as_integer_ratio(), value.as_integer_ratio()
+    return _safe_side(coef * value, cn * vn, cd * vd, 1)
 
 
 class _Block(NamedTuple):
     """Descriptor j's variables and rows, in the floats the model holds:
     x_j in [mn, mx], xh_j in [h_lo, h_hi], and the normalization rows
-    (None for a constant descriptor, whose xh_j is pinned at 0)."""
+    lo_coef*x - span*xh <= lo_rhs and span*xh - hi_coef*x <= hi_rhs.  A
+    constant descriptor has span 0.0 and no rows, and its xh_j is pinned
+    at 0."""
 
     mn: float
     mx: float
-    h_lo: float
-    h_hi: float
-    rows: _NormRows | None
+    h_lo: float = 0.0
+    h_hi: float = 0.0
+    span: float = 0.0
+    lo_coef: float = 0.0
+    lo_rhs: float = 0.0
+    hi_coef: float = 0.0
+    hi_rhs: float = 0.0
 
 
 def _window_rhs(spec: InverseProblemSpec) -> tuple[float, float]:
@@ -476,29 +467,21 @@ def _window_rhs(spec: InverseProblemSpec) -> tuple[float, float]:
     for y, inward in ((spec.y_lo, 1), (spec.y_hi, -1)):
         yn, yd = float(y).as_integer_ratio()
         num, den = yn * bd - bn * yd, yd * bd  # y - b
-        rhs = num / den
-        rn, rd = rhs.as_integer_ratio()
-        if inward * (num * rd - rn * den) > 0:  # rhs lies outside y - b
-            rhs = math.nextafter(rhs, inward * math.inf)
-        out.append(rhs)
+        out.append(_safe_side(num / den, num, den, inward))
     return out[0], out[1]
 
 
 def build_inverse_milp(spec: InverseProblemSpec) -> MilpModel:
     """Raw integer/real descriptor variables, standardized companions,
     tolerance-relaxed normalization rows and the target window rows: the
-    `MilpModel` of `spec.rows`."""
-    variables, constraints = spec.rows
-    return MilpModel(
-        tuple(Variable(*v) for v in variables),
-        tuple(Constraint(*c) for c in constraints),
-    )
+    `MilpModel` of the records `spec.rows` holds."""
+    return MilpModel(*spec.rows)
 
 
 def verify_inverse(spec: InverseProblemSpec, assignment: dict[str, Fraction | int]) -> list[str]:
-    """`verify_assignment(build_inverse_milp(spec), assignment)`, read off
-    `spec.rows` without building the model: the same names in the same
-    order, from the same exact check."""
+    """`verify_assignment(build_inverse_milp(spec), assignment)`: the same
+    exact check on the same records, `spec.rows`, without building the
+    model, so the same names come out in the same order."""
     return _violations(*spec.rows, assignment)
 
 
@@ -569,19 +552,18 @@ def _term_ratios(block: _Block, w: tuple[int, int]) -> tuple[tuple[int, int], ..
     """(w*h_lo, w*a1, w*b1, w*h_hi, w*a2, w*b2) of a non-constant block
     (`_ScaledBlock`) as reduced integer ratios; a1 = lo_coef/span,
     b1 = -lo_rhs/span, a2 = hi_coef/span, b2 = hi_rhs/span."""
-    r, span = block.rows, block.rows.span.as_integer_ratio()
+    span = block.span.as_integer_ratio()
     return (
-        _weighted(w, block.h_lo), _weighted(w, r.lo_coef, span), _weighted(w, -r.lo_rhs, span),
-        _weighted(w, block.h_hi), _weighted(w, r.hi_coef, span), _weighted(w, r.hi_rhs, span),
+        _weighted(w, block.h_lo), _weighted(w, block.lo_coef, span), _weighted(w, -block.lo_rhs, span),
+        _weighted(w, block.h_hi), _weighted(w, block.hi_coef, span), _weighted(w, block.hi_rhs, span),
     )
 
 
 def _box(block: _Block, integer: bool) -> tuple:
     """The box of x (`_ScaledBlock`): [min, max] cut where a1*x + b1
     reaches h_hi, at (h_hi - b1)/a1 = (h_hi*span + lo_rhs)/lo_coef."""
-    r = block.rows
-    (hn, hd), (sn, sd) = block.h_hi.as_integer_ratio(), r.span.as_integer_ratio()
-    (rn, rd), (cn, cd) = r.lo_rhs.as_integer_ratio(), r.lo_coef.as_integer_ratio()
+    (hn, hd), (sn, sd) = block.h_hi.as_integer_ratio(), block.span.as_integer_ratio()
+    (rn, rd), (cn, cd) = block.lo_rhs.as_integer_ratio(), block.lo_coef.as_integer_ratio()
     num, den = (hn * sn * rd + rn * hd * sd) * cd, hd * sd * rd * cn  # cn > 0
     if integer:  # min and max are integral floats
         return int(block.mn), min(int(block.mx), num // den)
@@ -611,7 +593,7 @@ class _Reduction:
     def __init__(self, spec: InverseProblemSpec):
         w = spec.hyperplane.w
         self.mins = [float(v) for v in spec.feat_min]
-        self.support = [j for j, block in enumerate(spec.blocks) if w[j] != 0.0 and block.rows is not None]
+        self.support = [j for j, block in enumerate(spec.blocks) if w[j] != 0.0 and block.span]
         self.weights = [float(w[j]).as_integer_ratio() for j in self.support]
         self.rising = [wn > 0 for wn, _ in self.weights]
         window = [v.as_integer_ratio() for v in _window_rhs(spec)]
@@ -783,11 +765,11 @@ def predicted_value(spec: InverseProblemSpec, assignment: dict[str, Fraction | i
     num, den = 0, 1
     for j in np.flatnonzero(w).tolist():
         block = spec.blocks[j]
-        if block.rows is None:
+        if not block.span:
             continue
         x = assignment[f"x_{j + 1}"]
         (wn, wd), (mn, md), (sn, sd) = (
-            float(w[j]).as_integer_ratio(), block.mn.as_integer_ratio(), block.rows.span.as_integer_ratio()
+            float(w[j]).as_integer_ratio(), block.mn.as_integer_ratio(), block.span.as_integer_ratio()
         )
         xn, xd = x.numerator, x.denominator
         d = wd * xd * md * sn
@@ -865,18 +847,23 @@ def parse_lp(text: str) -> MilpModel:
                         sign = coef = None
                 if sign or coef is not None:
                     raise ValueError("a term without a variable")
+                if sense not in ("<=", ">=", "="):
+                    raise ValueError(f"bad sense {sense!r}")
                 constraints.append(Constraint(name, tuple(coeffs), sense, float(rhs)))
             elif section == "Bounds":
                 lo, le, name, le2, hi = line.split()
+                lower, upper = float(lo), float(hi)
                 if le != "<=" or le2 != "<=":
                     raise ValueError("not lo <= name <= hi")
-                bounded.append(Variable(name, float(lo), float(hi)))
+                if lower > upper:
+                    raise ValueError(f"lower {lower} > upper {upper}")
+                bounded.append(Variable(name, lower, upper))
             elif section == "Generals":
                 integers.update(line.split())
                 named += [(tok, line) for tok in line.split()]
             else:
                 raise ValueError("outside any section")
-        except ValueError as exc:  # MilpError included
+        except ValueError as exc:
             raise MilpError(f"cannot read LP line {line!r}: {exc}") from None
     declared = {v.name for v in bounded}
     for var, line in named:

@@ -236,21 +236,15 @@ def coded_adjacency(n: int, edges) -> CodedAdjacency:
     return tuple(map(tuple, rows))
 
 
-def as_decomposition(
-    g: ChemicalGraph | SuppressedGraph | TwoLayeredDecomposition, rho: int
-) -> TwoLayeredDecomposition:
+def as_decomposition(g: ChemicalGraph | TwoLayeredDecomposition, rho: int) -> TwoLayeredDecomposition:
     """`g` itself when it is already decomposed at rho, else its decomposition.
 
     A chemical graph keeps its decomposition per rho in its
     `decompositions`, so a graph is decomposed once however many stages
-    read it, whether they are passed the graph or the decomposition.  A
-    suppressed graph keeps none: its decomposition refers back to it, and
-    keeping one would make a reference cycle.
+    read it, whether they are passed the graph or the decomposition.
     """
     if isinstance(g, TwoLayeredDecomposition):
         return g if g.rho == rho else decompose(g.suppressed, rho)
-    if isinstance(g, SuppressedGraph):
-        return decompose(g, rho)
     kept = g.decompositions
     dec = kept.get(rho)
     if dec is None:

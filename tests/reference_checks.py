@@ -45,7 +45,7 @@ from polyinfer.milp import (
     _Block,
     verify_inverse,
 )
-from polyinfer.topospec import BoundCheck, SeedEdge, SeedGraph, TopologicalSpec
+from polyinfer.topospec import CONFIG_BOUNDS, COUNT_BOUNDS, BoundCheck, SeedEdge, SeedGraph, TopologicalSpec
 from polyinfer.twolayer import (
     AdjacencyConfig,
     CountProfile,
@@ -233,8 +233,9 @@ class ReferenceReport(NamedTuple):
 def reference_spec_report(
     dec: TwoLayeredDecomposition, spec: TopologicalSpec, witness: dict | None = None
 ) -> ReferenceReport:
-    """Every bound row and membership pair built eagerly, in plan order,
-    and the verdict, failures and failed families read off them; a given
+    """Every bound row and membership pair built eagerly from the spec's
+    own tables, not from its plan, in the order the report gives them, and
+    the verdict, failures and failed families read off them; a given
     witness is certified by `reference_check_witness`, and otherwise one is
     searched for."""
     profile = dec.profile
@@ -243,12 +244,19 @@ def reference_spec_report(
         BoundCheck("n_int", *spec.n_int, profile.n_int),
         BoundCheck("n_lnk", *spec.n_lnk, profile.link_vertices),
     ]
-    for attr, rows in spec.plan.bounds.items():
+    for attr in COUNT_BOUNDS:
         counts = getattr(profile, attr)
-        checks += [BoundCheck(name, lo, hi, counts.get(key, 0)) for key, (name, lo, hi) in rows.items()]
-    memberships = tuple(
-        (name, getattr(profile, attr).keys() <= keys) for attr, (name, keys) in spec.plan.declared.items()
-    )
+        checks += [
+            BoundCheck(f"{attr}[{key}]", lo, hi, counts.get(key, 0))
+            for key, (lo, hi) in sorted(getattr(spec, attr).items())
+        ]
+    declared = [
+        ("na", "elements within alphabet", spec.elements),
+        ("ns_int", "interior symbols declared", spec.ns_int),
+        *((attr, f"{attr} configs declared", getattr(spec, attr)) for attr in CONFIG_BOUNDS),
+        ("fc", "fringe trees in catalog", spec.fringe_catalog),
+    ]
+    memberships = tuple((name, all(key in keys for key in getattr(profile, attr))) for attr, name, keys in declared)
     if witness is None:
         witness, message = reference_find_expansion_witness(dec, spec)
     elif not reference_check_witness(dec, spec, witness):
@@ -690,12 +698,11 @@ class _FractionBlock:
     __slots__ = ("integer", "h_lo", "h_hi", "a1", "b1", "a2", "b2", "lo", "hi")
 
     def __init__(self, block: _Block, integer: bool):
-        r = block.rows
-        span = Fraction(r.span)
+        span = Fraction(block.span)
         self.integer = integer
         self.h_lo, self.h_hi = Fraction(block.h_lo), Fraction(block.h_hi)
-        self.a1, self.b1 = Fraction(r.lo_coef) / span, -Fraction(r.lo_rhs) / span
-        self.a2, self.b2 = Fraction(r.hi_coef) / span, Fraction(r.hi_rhs) / span
+        self.a1, self.b1 = Fraction(block.lo_coef) / span, -Fraction(block.lo_rhs) / span
+        self.a2, self.b2 = Fraction(block.hi_coef) / span, Fraction(block.hi_rhs) / span
         lo = Fraction(block.mn)
         hi = min(Fraction(block.mx), (self.h_hi - self.b1) / self.a1)
         self.lo, self.hi = (math.ceil(lo), math.floor(hi)) if integer else (lo, hi)
@@ -723,7 +730,7 @@ class _FractionReduction:
     def __init__(self, spec: InverseProblemSpec):
         w = spec.hyperplane.w
         self.mins = [float(v) for v in spec.feat_min]
-        self.support = [j for j, block in enumerate(spec.blocks) if w[j] != 0.0 and block.rows is not None]
+        self.support = [j for j, block in enumerate(spec.blocks) if w[j] != 0.0 and block.span]
         self.blocks = [_FractionBlock(spec.blocks[j], j in spec.integer_indices) for j in self.support]
         self.w = [Fraction(float(w[j])) for j in self.support]
         self.rising = [wi > 0 for wi in self.w]

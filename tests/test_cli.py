@@ -606,6 +606,22 @@ def test_config_file_defaults(trained_model, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("command,line,message", [
+    (["spec-ib", "--property", "AmD", "--n-lb", "14"], "rho=abc",
+     "error: config key 'rho': expected int, got 'abc'"),
+    (["infer", "--window", "2.2,2.6"], "epsilon=1e-5x",
+     "error: config key 'epsilon': expected float, got '1e-5x'"),
+])
+def test_config_value_that_does_not_parse_names_its_key(trained_model, tmp_path, capsys, command, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    if command[0] == "infer":
+        command = command + ["--model", trained_model]
+    assert run("--config", cfg, *command, "--out", tmp_path / "out.json") == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_spec_generate_verify_roundtrip(corpus_dir, trained_model, tmp_path):
     spec_path = tmp_path / "spec.json"
     assert run("spec-ib", "--property", "AmD", "--n-lb", "14", "--out", spec_path) == 0

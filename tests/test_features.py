@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import numpy as np
@@ -88,7 +89,7 @@ def test_registry_deterministic_under_shuffle():
 
 def test_registry_roundtrip_json():
     reg = build_registry(dataset_from_texts([make_polymer()]), rho=2)
-    assert DescriptorRegistry.from_json(reg.to_json()) == reg
+    assert DescriptorRegistry.from_dict(json.loads(reg.to_json())) == reg
 
 
 def test_registry_covariates_declared():

@@ -241,7 +241,8 @@ def test_integer_search_matches_the_reference(graph):
     for u, v, m, link in edges:
         adj[u].append((v, (m, link)))
         adj[v].append((u, (m, link)))
-    assert generate._canonical_search(colors, edges) == reference_canonical_search(colors, adj)
+    coded = twolayer.coded_adjacency(len(colors), edges)
+    assert generate._coded_search(colors, coded) == reference_canonical_search(colors, adj)
 
 
 def test_verify_roundtrip_reports(model_with_cl, spec_full):

@@ -169,6 +169,15 @@ def test_integer_variable_needs_finite_bounds():
         MilpModel((Variable("x", 0, float("inf"), integer=True),), ())
 
 
+@pytest.mark.parametrize("variable,sense,message", [
+    (Variable("x", 1.0, 0.0), "<=", "variable x: lower 1.0 > upper 0.0"),
+    (Variable("x", 0.0, 1.0), "<", "constraint c: bad sense '<'"),
+])
+def test_model_refuses_inverted_bounds_and_an_unknown_sense(variable, sense, message):
+    with pytest.raises(MilpError, match=re.escape(message)):
+        MilpModel((variable,), (Constraint("c", (("x", 1.0),), sense, 1.0),))
+
+
 def test_solve_rejects_unbounded_continuous():
     m = MilpModel((Variable("y", 0.0, float("inf")),), ())
     with pytest.raises(MilpError, match="finite bounds"):
@@ -593,7 +602,7 @@ def test_solve_inverse_refuses_an_answer_off_its_rows(monkeypatch):
         what its norm_hi row allows."""
         assignment = lift(self, x)
         j = self.support[0]
-        r = spec.blocks[j].rows
+        r = spec.blocks[j]
         most = (Fraction(r.hi_rhs) + Fraction(r.hi_coef) * assignment[f"x_{j + 1}"]) / Fraction(r.span)
         assignment[f"xh_{j + 1}"] = most + Fraction(1, 10**12)
         return assignment

@@ -45,6 +45,13 @@ EXIT_ERROR = 1
 EXIT_ELIMINATED = 2
 EXIT_INFEASIBLE = 3
 
+# the keys `_merged` and `_budget` read; one file serves every command, so a
+# key only another command reads is accepted too
+CONFIG_KEYS = frozenset({
+    "rho", "allow_charge", "lam", "seed", "runs", "folds", "window", "epsilon",
+    "limit_seconds", "limit_candidates",
+})
+
 
 def _read_config(path: str | None) -> dict[str, str]:
     if not path:
@@ -57,7 +64,11 @@ def _read_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"config line {lineno}: unknown key {key!r} "
+                             f"(accepted: {', '.join(sorted(CONFIG_KEYS))})")
+        out[key] = value.strip()
     return out
 
 
@@ -165,6 +176,8 @@ def _fit_bundle(args, config):
     std, Xs, ys = standardize(dataset, registry)
     lam = _merged(args, config, "lam", None, float)
     seed = _merged(args, config, "seed", 0, int)
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
     if lam is None:
         lam, _ = select_lambda(Xs, ys, seed=seed)
     return dataset, report, registry, std, Xs, ys, lam, seed

@@ -24,13 +24,17 @@ certificate is reported, not raised and not improved.
 
 Also provides the repeated k-fold cross-validation protocol (10 runs of 5
 folds by default) with the median test R^2 and the mean selected-descriptor
-count.  Each fold follows one path through all its penalties and
-certifies every point.
+count.  Every held-out fold of every run is checked before any path runs:
+a fold of fewer than two records, or one whose targets are all equal,
+cannot be scored, and the error names it.  Each fold then follows one path
+through all its penalties and certifies every point with one `lasso_fit`,
+scored against the fold's total sum of squares, computed once.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 
@@ -40,6 +44,7 @@ DEFAULT_TOL = 1e-9  # KKT violation up to which a fit is certified
 _DEPENDENT = 1e-10  # Schur complement on the active set, as a share of the Gram diagonal, of a column in their span
 _KNOT_TIE = 1e-12  # relative gap within which two path events share a knot
 _TIE_TOL = 1e-4  # median R^2 gap within which select_lambda prefers the sparser penalty
+_SIGNS = np.array([1.0, -1.0])  # the signs s of a column's two events, in the order of the rows
 
 
 class RegressError(ValueError):
@@ -55,7 +60,7 @@ class Hyperplane:
     steps: int = field(default=0, compare=False)  # homotopy knots of the `lasso_path` point
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.w)) or not np.isfinite(self.b):
+        if not np.isfinite(self.w).all() or not np.isfinite(self.b):
             raise RegressError("non-finite hyperplane")
 
     @property
@@ -75,14 +80,20 @@ def predict(h: Hyperplane, x: np.ndarray) -> float:
 
 def kkt_violation(X: np.ndarray, y: np.ndarray, h: Hyperplane, lam: float, penalize_bias: bool = True) -> float:
     """Largest violation of the soft-threshold stationarity conditions on the
-    columns Z = [X, 1] and the weights (w, b)."""
+    columns Z = [X, 1] and the weights (w, b): the features' as one vector,
+    the bias's as a scalar."""
+    n = len(y)
     r = y - X @ h.w - h.b
-    grad = np.append(X.T @ r, np.sum(r)) / len(y)
-    coef = np.append(h.w, h.b)
-    viol = np.where(coef != 0.0, np.abs(grad - lam * np.sign(coef)), np.abs(grad) - lam)
+    grad = X.T @ r / n
+    viol = np.where(h.w != 0.0, np.abs(grad - lam * np.sign(h.w)), np.abs(grad) - lam)
+    grad_b = float(r.sum()) / n
     if not penalize_bias:
-        viol[-1] = abs(grad[-1])
-    return max(0.0, float(viol.max()))
+        viol_b = abs(grad_b)
+    elif h.b != 0.0:
+        viol_b = abs(grad_b - lam * math.copysign(1.0, h.b))
+    else:
+        viol_b = abs(grad_b) - lam
+    return max(0.0, float(viol.max(initial=viol_b)))
 
 
 def _training_data(X, y, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +101,7 @@ def _training_data(X, y, lams) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] < 1:
         raise RegressError("X and y shapes do not line up")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise RegressError("non-finite training data")
     if not all(0.0 <= lam < np.inf for lam in lams):  # NaN too
         raise RegressError("lambda must be a finite non-negative number")
@@ -111,7 +122,9 @@ def lasso_path(X: np.ndarray, y: np.ndarray, lams: list[float], penalize_bias: b
     Schur complement on A is at most _DEPENDENT of its Gram diagonal lies
     in the span of A and does not join; the column that has just joined
     cannot leave at once, nor can the one that has just left rejoin with
-    the sign it had.  The points are exact up to rounding but not
+    the sign it had.  Each knot solves one system, whose right-hand side
+    is the active rows of one table of (Z^T y / n, s, G) built before the
+    first knot.  The points are exact up to rounding but not
     certified: each reports the knots passed before it as `steps`, and
     `lasso_fit(..., start=point)` certifies it.  A path that has not
     reached the smallest penalty after 10 knots per column stops there,
@@ -120,42 +133,41 @@ def lasso_path(X: np.ndarray, y: np.ndarray, lams: list[float], penalize_bias: b
     X, y = _training_data(X, y, lams)
     n, k = X.shape
     Z = np.hstack([X, np.ones((n, 1))])
-    gram = Z.T @ Z / n
-    corr = Z.T @ y / n
+    table = np.zeros((k + 1, k + 3))  # per column: its correlation, its sign, its Gram row
+    table[:, 0] = Z.T @ y / n
+    table[:, 2:] = Z.T @ Z / n
+    corr, sign, gram = table[:, 0], table[:, 1], table[:, 2:]
     diag = gram.diagonal()
+    dependent = _DEPENDENT * diag
     penalized = np.ones(k + 1, dtype=bool)
     penalized[k] = penalize_bias
     active = ~penalized
-    sign = np.zeros(k + 1)
     pending = sorted(range(len(lams)), key=lambda i: lams[i], reverse=True)
     points: list[Hyperplane | None] = [None] * len(lams)
     knot = np.inf
     joined, left, left_sign = -1, -1, 0.0
     max_steps = 10 * (k + 1)
     for steps in range(max_steps + 1):
-        A = np.flatnonzero(active)
-        gram_A = gram[A]
-        sol = np.linalg.solve(gram[np.ix_(A, A)], np.column_stack([corr[A], sign[A], gram_A]))
+        A = active.nonzero()[0]
+        rhs = table[A]
+        sign_A, gram_A = rhs[:, 1], rhs[:, 2:]
+        sol = np.linalg.solve(gram_A[:, A], rhs)
         u, v = sol[:, 0], sol[:, 1]
         a = corr - gram_A.T @ u
         d = gram_A.T @ v
         schur = diag - np.einsum("ij,ij->j", gram_A, sol[:, 2:])
 
-        # an inactive correlation a + lam*d meets s*lam, as lam falls, at s*a / (1 - s*d)
-        event = np.full(k + 1, -np.inf)
-        event_sign = np.zeros(k + 1)
-        free = ~active & penalized & (schur > _DEPENDENT * diag)
-        for s in (1.0, -1.0):
-            slope = 1.0 - s * d
-            meets = free & (slope > 0.0)
-            if s == left_sign:
-                meets[left] = False
-            at = np.full(k + 1, -np.inf)
-            at[meets] = s * a[meets] / slope[meets]
-            event_sign[at > event] = s
-            event = np.maximum(event, at)
+        # an inactive correlation a + lam*d meets s*lam, as lam falls, at
+        # s*a / (1 - s*d): row 0 is s = +1, row 1 is s = -1
+        slope = 1.0 - np.multiply.outer(_SIGNS, d)
+        meets = (~active & penalized & (schur > dependent)) & (slope > 0.0)
+        if left_sign:
+            meets[int(left_sign < 0.0), left] = False
+        at = np.divide(np.multiply.outer(_SIGNS, a), slope, out=np.full((2, k + 1), -np.inf), where=meets)
+        event_sign = np.where(at[1] > at[0], -1.0, 1.0)  # a tie goes to +1
+        event = at.max(axis=0)
         # an active weight u - lam*v that moves against its sign reaches zero at u/v
-        shrinks = sign[A] * v < 0.0
+        shrinks = sign_A * v < 0.0
         shrinks[A == joined] = False
         event[A[shrinks]] = u[shrinks] / v[shrinks]
         np.minimum(event, knot, out=event)
@@ -164,16 +176,18 @@ def lasso_path(X: np.ndarray, y: np.ndarray, lams: list[float], penalize_bias: b
         last = nxt <= 0.0 or steps == max_steps
         while pending and (last or lams[pending[0]] >= nxt):
             i = pending.pop(0)
-            coef = np.zeros(k + 1)
-            coef[A] = u - lams[i] * v
+            lam = lams[i]
+            on_A = u - lam * v
             # an active weight of the other sign is rounding noise around zero;
             # at a zero penalty no sign is read, and the weight stays as it is
-            if lams[i] > 0.0:
-                coef[A[sign[A] * coef[A] < 0.0]] = 0.0
-            points[i] = Hyperplane(coef[:k].copy(), float(coef[k]), steps=steps)
+            if lam > 0.0:
+                on_A[sign_A * on_A < 0.0] = 0.0
+            coef = np.zeros(k + 1)
+            coef[A] = on_A
+            points[i] = Hyperplane(coef[:k], float(coef[k]), steps=steps)
         if not pending:
             break
-        j = int(np.flatnonzero(event >= nxt * (1.0 - _KNOT_TIE))[0])  # ties: the lower column index
+        j = int((event >= nxt * (1.0 - _KNOT_TIE)).argmax())  # ties: the lower column index
         if active[j]:
             joined, left, left_sign = -1, j, sign[j]
             active[j], sign[j] = False, 0.0
@@ -205,14 +219,25 @@ def lasso_fit(
     return Hyperplane(start.w, start.b, kkt_violation(X, y, start, lam, penalize_bias), start.steps)
 
 
-def r_squared(h: Hyperplane, X: np.ndarray, y: np.ndarray) -> float:
+def _total_squares(y: np.ndarray) -> float:
+    """The total sum of squares of y about its mean; 0.0 when its values are
+    all equal, where rounding of the mean can leave a tiny positive sum."""
+    if y.min() == y.max():
+        return 0.0
+    return float(np.sum((y - float(np.mean(y))) ** 2))
+
+
+def r_squared(h: Hyperplane, X: np.ndarray, y: np.ndarray, tss: float | None = None) -> float:
+    """1 - RSS/TSS of `h` on (X, y).  A caller that scores many
+    hyperplanes on one y passes its total sum of squares as `tss`, having
+    checked that y can be scored."""
     y = np.asarray(y, dtype=float)
-    if len(y) < 2:
-        raise RegressError("R^2 needs at least two observations")
-    mean = float(np.mean(y))
-    tss = float(np.sum((y - mean) ** 2))
-    if tss == 0.0:
-        raise RegressError("R^2 undefined for zero-variance targets")
+    if tss is None:
+        if len(y) < 2:
+            raise RegressError("R^2 needs at least two observations")
+        tss = _total_squares(y)
+        if tss == 0.0:
+            raise RegressError("R^2 undefined for zero-variance targets")
     resid = y - X @ h.w - h.b
     return 1.0 - float(resid @ resid) / tss
 
@@ -258,9 +283,12 @@ def _cv_path(
     penalize_bias: bool,
 ) -> dict[float, CvReport]:
     """Cross-validate every penalty in `lams` on the same `runs` random fold
-    partitions.  Each trial trains on the other folds, following one path
-    through the distinct penalties and certifying each of its points with
-    one `lasso_fit`, and reports test R^2 on the held-out fold."""
+    partitions.  Every held-out fold is checked before any path runs: it
+    needs two records and targets that are not all equal, or R^2 is
+    undefined.  Each trial then trains on the other folds, following one
+    path through the distinct penalties and certifying each of its points
+    with one `lasso_fit`, and reports test R^2 on the held-out fold, from
+    the fold's total sum of squares computed once."""
     if folds < 2:
         raise RegressError(f"CV needs at least 2 folds, got {folds}")
     if runs < 1:
@@ -270,19 +298,29 @@ def _cv_path(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
-    if n < folds:
-        raise RegressError(f"need at least {folds} records for {folds}-fold CV")
-    path = sorted(set(lams), reverse=True)
-    fits: dict[float, list[tuple[float, Hyperplane]]] = {lam: [] for lam in path}
+    if n < 2 * folds:  # the smallest held-out fold has n // folds records
+        raise RegressError(f"{folds}-fold CV needs at least {2 * folds} records, so that each "
+                           f"held-out fold has two to score R^2 on, got {n}")
     rng = np.random.default_rng(seed)
-    for _ in range(runs):
-        for test_idx in _fold_indices(n, folds, rng):
+    held_out = []  # (mask, total sum of squares) per run and fold
+    for run in range(1, runs + 1):
+        for fold, test_idx in enumerate(_fold_indices(n, folds, rng), 1):
+            y_test = y[test_idx]
+            tss = _total_squares(y_test)
+            if tss == 0.0:
+                raise RegressError(f"CV run {run}, fold {fold}: the {len(y_test)} held-out targets are "
+                                   f"all {y_test[0]:g}, and R^2 is undefined for zero-variance targets")
             mask = np.zeros(n, dtype=bool)
             mask[test_idx] = True
-            X_train, y_train = X[~mask], y[~mask]
-            for lam, start in zip(path, lasso_path(X_train, y_train, path, penalize_bias)):
-                h = lasso_fit(X_train, y_train, lam, penalize_bias=penalize_bias, start=start)
-                fits[lam].append((r_squared(h, X[mask], y[mask]), h))
+            held_out.append((mask, tss))
+    path = sorted(set(lams), reverse=True)
+    fits: dict[float, list[tuple[float, Hyperplane]]] = {lam: [] for lam in path}
+    for mask, tss in held_out:
+        X_train, y_train = X[~mask], y[~mask]
+        X_test, y_test = X[mask], y[mask]
+        for lam, start in zip(path, lasso_path(X_train, y_train, path, penalize_bias)):
+            h = lasso_fit(X_train, y_train, lam, penalize_bias=penalize_bias, start=start)
+            fits[lam].append((r_squared(h, X_test, y_test, tss), h))
     reports = {}
     for lam, trials in fits.items():
         r2s = tuple(r2 for r2, _ in trials)
@@ -290,7 +328,7 @@ def _cv_path(
             lam=lam,
             r2_values=r2s,
             median_r2=float(statistics.median(r2s)),
-            mean_selected=float(np.mean([len(h.support()) for _, h in trials])),
+            mean_selected=float(np.mean([np.count_nonzero(h.w) for _, h in trials])),
             kkt_max=max(h.kkt for _, h in trials),
             unconverged=sum(not h.converged for _, h in trials),
         )

@@ -21,8 +21,14 @@ node, on window right-hand sides rounded through `Fraction`s;
 report up front and derived the verdict, the failures and the failed families from them; the canonical
 search refined and encoded with tuples of (bond label, color) pairs,
 sorted anew each round, and ran one more round to see that a discrete
-coloring was stable.  The equivalence tests require the current code to
-return what these do.
+coloring was stable.  `lasso_path` stacked each knot's right-hand side
+with `np.column_stack`, indexed the active Gram block with `np.ix_` and
+found the event times one sign at a time; `kkt_violation` appended the
+bias to the gradient and the weights; `_cv_path` scored every path point
+with `r_squared`, which recomputed the held-out fold's mean and total sum
+of squares, and learnt that a fold could not be scored only when it
+scored it.  The equivalence tests require the current code to return
+what these do.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction
+import statistics
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +51,16 @@ from polyinfer.milp import (
     MilpSolution,
     _Block,
     verify_inverse,
+)
+from polyinfer.regress import (
+    _DEPENDENT,
+    _KNOT_TIE,
+    CvReport,
+    Hyperplane,
+    RegressError,
+    _fold_indices,
+    _training_data,
+    r_squared,
 )
 from polyinfer.topospec import CONFIG_BOUNDS, COUNT_BOUNDS, BoundCheck, SeedEdge, SeedGraph, TopologicalSpec
 from polyinfer.twolayer import (
@@ -933,3 +950,138 @@ def _reference_encode(order: list[int], adj, label_of: list[str]) -> str:
         edges = sorted((pos[w], lab) for w, lab in adj[v])
         rows.append(label_of[v] + ";" + ",".join(f"{p}:{lab}" for p, lab in edges))
     return "\n".join(rows)
+
+
+def reference_path_kkt_violation(X: np.ndarray, y: np.ndarray, h: Hyperplane, lam: float, penalize_bias: bool = True) -> float:
+    """Largest violation of the soft-threshold stationarity conditions on the
+    columns Z = [X, 1] and the weights (w, b)."""
+    r = y - X @ h.w - h.b
+    grad = np.append(X.T @ r, np.sum(r)) / len(y)
+    coef = np.append(h.w, h.b)
+    viol = np.where(coef != 0.0, np.abs(grad - lam * np.sign(coef)), np.abs(grad) - lam)
+    if not penalize_bias:
+        viol[-1] = abs(grad[-1])
+    return max(0.0, float(viol.max()))
+
+
+def reference_lasso_path(X: np.ndarray, y: np.ndarray, lams: list[float], penalize_bias: bool = True) -> list[Hyperplane]:
+    """The Lasso solution at each penalty in `lams`, in the order given,
+    from one LARS-Lasso homotopy on the Gram matrix of Z = [X, 1]; each
+    knot stacks its right-hand side and takes the events of one sign at a
+    time."""
+    X, y = _training_data(X, y, lams)
+    n, k = X.shape
+    Z = np.hstack([X, np.ones((n, 1))])
+    gram = Z.T @ Z / n
+    corr = Z.T @ y / n
+    diag = gram.diagonal()
+    penalized = np.ones(k + 1, dtype=bool)
+    penalized[k] = penalize_bias
+    active = ~penalized
+    sign = np.zeros(k + 1)
+    pending = sorted(range(len(lams)), key=lambda i: lams[i], reverse=True)
+    points: list[Hyperplane | None] = [None] * len(lams)
+    knot = np.inf
+    joined, left, left_sign = -1, -1, 0.0
+    max_steps = 10 * (k + 1)
+    for steps in range(max_steps + 1):
+        A = np.flatnonzero(active)
+        gram_A = gram[A]
+        sol = np.linalg.solve(gram[np.ix_(A, A)], np.column_stack([corr[A], sign[A], gram_A]))
+        u, v = sol[:, 0], sol[:, 1]
+        a = corr - gram_A.T @ u
+        d = gram_A.T @ v
+        schur = diag - np.einsum("ij,ij->j", gram_A, sol[:, 2:])
+
+        # an inactive correlation a + lam*d meets s*lam, as lam falls, at s*a / (1 - s*d)
+        event = np.full(k + 1, -np.inf)
+        event_sign = np.zeros(k + 1)
+        free = ~active & penalized & (schur > _DEPENDENT * diag)
+        for s in (1.0, -1.0):
+            slope = 1.0 - s * d
+            meets = free & (slope > 0.0)
+            if s == left_sign:
+                meets[left] = False
+            at = np.full(k + 1, -np.inf)
+            at[meets] = s * a[meets] / slope[meets]
+            event_sign[at > event] = s
+            event = np.maximum(event, at)
+        # an active weight u - lam*v that moves against its sign reaches zero at u/v
+        shrinks = sign[A] * v < 0.0
+        shrinks[A == joined] = False
+        event[A[shrinks]] = u[shrinks] / v[shrinks]
+        np.minimum(event, knot, out=event)
+
+        nxt = float(event.max())
+        last = nxt <= 0.0 or steps == max_steps
+        while pending and (last or lams[pending[0]] >= nxt):
+            i = pending.pop(0)
+            coef = np.zeros(k + 1)
+            coef[A] = u - lams[i] * v
+            # an active weight of the other sign is rounding noise around zero;
+            # at a zero penalty no sign is read, and the weight stays as it is
+            if lams[i] > 0.0:
+                coef[A[sign[A] * coef[A] < 0.0]] = 0.0
+            points[i] = Hyperplane(coef[:k].copy(), float(coef[k]), steps=steps)
+        if not pending:
+            break
+        j = int(np.flatnonzero(event >= nxt * (1.0 - _KNOT_TIE))[0])  # ties: the lower column index
+        if active[j]:
+            joined, left, left_sign = -1, j, sign[j]
+            active[j], sign[j] = False, 0.0
+        else:
+            joined, left_sign = j, 0.0
+            active[j], sign[j] = True, event_sign[j]
+        knot = nxt
+    return points
+
+
+def reference_cv_path(
+    X: np.ndarray,
+    y: np.ndarray,
+    lams: list[float],
+    runs: int,
+    folds: int,
+    seed: int,
+    penalize_bias: bool,
+) -> dict[float, CvReport]:
+    """Cross-validate every penalty in `lams` on the same `runs` random fold
+    partitions.  Each trial trains on the other folds, following one path
+    through the distinct penalties and certifying each of its points, and
+    reports test R^2 on the held-out fold from `r_squared`."""
+    if folds < 2:
+        raise RegressError(f"CV needs at least 2 folds, got {folds}")
+    if runs < 1:
+        raise RegressError(f"CV needs at least 1 run, got {runs}")
+    if not lams:
+        raise RegressError("CV needs at least one penalty")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    if n < folds:
+        raise RegressError(f"need at least {folds} records for {folds}-fold CV")
+    path = sorted(set(lams), reverse=True)
+    fits: dict[float, list[tuple[float, Hyperplane]]] = {lam: [] for lam in path}
+    rng = np.random.default_rng(seed)
+    for _ in range(runs):
+        for test_idx in _fold_indices(n, folds, rng):
+            mask = np.zeros(n, dtype=bool)
+            mask[test_idx] = True
+            X_train, y_train = X[~mask], y[~mask]
+            for lam, start in zip(path, reference_lasso_path(X_train, y_train, path, penalize_bias)):
+                # what `lasso_fit(X_train, y_train, lam, start=start)` returned
+                h = Hyperplane(start.w, start.b,
+                               reference_path_kkt_violation(X_train, y_train, start, lam, penalize_bias), start.steps)
+                fits[lam].append((r_squared(h, X[mask], y[mask]), h))
+    reports = {}
+    for lam, trials in fits.items():
+        r2s = tuple(r2 for r2, _ in trials)
+        reports[lam] = CvReport(
+            lam=lam,
+            r2_values=r2s,
+            median_r2=float(statistics.median(r2s)),
+            mean_selected=float(np.mean([len(h.support()) for _, h in trials])),
+            kkt_max=max(h.kkt for _, h in trials),
+            unconverged=sum(not h.converged for _, h in trials),
+        )
+    return reports

@@ -157,6 +157,59 @@ def test_cv_rejects_a_protocol_it_cannot_run(corpus_dir, tmp_path, capsys, key, 
     assert not (tmp_path / "cv.json").exists()
 
 
+@pytest.fixture(scope="module")
+def tied_corpus(tmp_path_factory):
+    """Eight records, six of them sharing one property value."""
+    root = tmp_path_factory.mktemp("tied")
+    (root / "graphs").mkdir()
+    rows = ["id,value"]
+    values = [1.0] * 6 + [2.0, 3.0]
+    for (rid, text), value in zip(synthetic_corpus(random.Random(21), 8), values):
+        (root / "graphs" / f"{rid}.pmg").write_text(text)
+        rows.append(f"{rid},{value}")
+    (root / "values.csv").write_text("\n".join(rows) + "\n")
+    return root
+
+
+@pytest.mark.parametrize("command,options,message", [
+    # selection runs ten 5-fold partitions, whose smallest fold holds 8 // 5 = 1 record
+    ("train", ["--out-model", "out.json"],
+     "error: 5-fold CV needs at least 10 records, so that each held-out fold has two "
+     "to score R^2 on, got 8"),
+    # seed 0 holds out records 2, 3 and 4 first, all at the minimum: 0 standardized
+    ("cv", ["--lambda", "0.01", "--folds", "3", "--out-report", "out.json"],
+     "error: CV run 1, fold 1: the 3 held-out targets are all 0, and R^2 is undefined "
+     "for zero-variance targets"),
+])
+def test_train_and_cv_refuse_a_partition_they_cannot_score(tied_corpus, tmp_path, monkeypatch, capsys,
+                                                            command, options, message):
+    import polyinfer.regress
+
+    paths = []
+    original = polyinfer.regress.lasso_path
+    monkeypatch.setattr(polyinfer.regress, "lasso_path", lambda *a: paths.append(a) or original(*a))
+    monkeypatch.chdir(tmp_path)
+    assert run(command, "--graphs", tied_corpus / "graphs", "--values", tied_corpus / "values.csv", *options) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not paths and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command,options", [
+    ("train", ["--out-model", "out.json"]),
+    ("train", ["--lambda", "1e-6", "--out-model", "out.json"]),
+    ("cv", ["--lambda", "1e-6", "--out-report", "out.json"]),
+])
+def test_a_negative_seed_names_its_option(corpus_dir, tmp_path, monkeypatch, capsys, command, options):
+    monkeypatch.chdir(tmp_path)
+    common = [command, "--graphs", corpus_dir / "graphs", "--values", corpus_dir / "values.csv", *options]
+    assert run(*common, "--seed", "-1") == 1
+    from_flag = capsys.readouterr().err
+    (tmp_path / "seed.cfg").write_text("seed=-1\n")
+    assert run("--config", tmp_path / "seed.cfg", *common) == 1
+    assert capsys.readouterr().err == from_flag == "error: --seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_train_records_the_fit(trained_model):
     from polyinfer.model import ModelBundle
 
@@ -620,6 +673,32 @@ def test_config_value_that_does_not_parse_names_its_key(trained_model, tmp_path,
     assert run("--config", cfg, *command, "--out", tmp_path / "out.json") == 1
     assert capsys.readouterr().err.strip() == message
     assert not (tmp_path / "out.json").exists()
+
+
+ACCEPTED = ("accepted: allow_charge, epsilon, folds, lam, limit_candidates, limit_seconds, "
+            "rho, runs, seed, window")
+
+
+@pytest.mark.parametrize("command,line", [
+    (["spec-ib", "--property", "AmD", "--n-lb", "14", "--out"], "rhoo=3"),  # a misspelt key
+    (["train", "--lambda", "1e-6", "--out-model"], "lambda=0.01"),  # the key for --lambda is lam
+])
+def test_config_key_that_no_command_reads_is_an_error(corpus_dir, tmp_path, capsys, command, line):
+    if command[0] == "train":
+        command = command[:1] + ["--graphs", corpus_dir / "graphs", "--values", corpus_dir / "values.csv"] + command[1:]
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("window=2.2,2.6\n" + line + "\n")
+    assert run("--config", cfg, *command, tmp_path / "out.json") == 1
+    key = line.partition("=")[0]
+    assert capsys.readouterr().err.strip() == f"error: config line 2: unknown key {key!r} ({ACCEPTED})"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_config_key_another_command_reads_is_accepted(tmp_path, capsys):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("window=2.2,2.6\nepsilon=1e-5\nfolds=3\nseed=4\nrho=3\n")
+    assert run("--config", cfg, "spec-ib", "--property", "AmD", "--n-lb", "14", "--out", tmp_path / "s.json") == 0
+    assert json.loads((tmp_path / "s.json").read_text())["rho"] == 3
 
 
 def test_spec_generate_verify_roundtrip(corpus_dir, trained_model, tmp_path):

@@ -23,6 +23,7 @@ from polyinfer.regress import (
     r_squared,
     select_lambda,
 )
+from reference_checks import reference_cv_path, reference_lasso_path, reference_path_kkt_violation
 
 
 def ols_oracle(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -144,8 +145,11 @@ def test_r_squared_reference_points():
 
 
 def test_r_squared_zero_variance_raises():
-    with pytest.raises(RegressError, match="zero-variance"):
-        r_squared(Hyperplane(w=np.array([0.0]), b=1.0), np.ones((3, 1)), np.ones(3))
+    # three copies of 0.1 have a mean of 0.10000000000000002, which left a
+    # total sum of squares of 5.8e-34 and an R^2 of -5.2e31
+    for value in (1.0, 0.1):
+        with pytest.raises(RegressError, match="zero-variance"):
+            r_squared(Hyperplane(w=np.array([0.0]), b=0.2), np.ones((3, 1)), np.full(3, value))
 
 
 # -- cross-validation ----------------------------------------------------------
@@ -180,6 +184,42 @@ def test_cv_deterministic_under_seed():
 def test_cv_too_small_dataset():
     with pytest.raises(RegressError, match="5-fold"):
         cross_validate(np.ones((3, 2)), np.array([1.0, 2.0, 3.0]), 0.1)
+
+
+def _count_paths(monkeypatch) -> list:
+    calls = []
+    original = regress.lasso_path
+    monkeypatch.setattr(regress, "lasso_path", lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_cv_needs_two_records_in_each_held_out_fold(monkeypatch):
+    # 8 records in 5 folds hold out 2, 2, 2, 1 and 1
+    X, y, _ = make_sparse_problem(seed=18, n=8, k=3, support=1)
+    paths = _count_paths(monkeypatch)
+    message = ("5-fold CV needs at least 10 records, so that each held-out fold has two to score R^2 on, got 8")
+    for call in (lambda: select_lambda(X, y), lambda: cross_validate(X, y, 0.1)):
+        with pytest.raises(RegressError) as info:
+            call()
+        assert str(info.value) == message
+    assert not paths
+    select_lambda(X, y, grid=[0.1], runs=2, folds=4)  # 2 records in each fold
+    assert len(paths) == 2 * 4
+
+
+def test_cv_refuses_a_zero_variance_fold_before_any_path_runs(monkeypatch):
+    X, _, _ = make_sparse_problem(seed=19, n=12, k=3, support=1)
+    y = np.arange(12.0)
+    # tie the third held-out fold of seed 3's second partition
+    rng = np.random.default_rng(3)
+    regress._fold_indices(12, 3, rng)
+    y[regress._fold_indices(12, 3, rng)[2]] = 2.5
+    paths = _count_paths(monkeypatch)
+    with pytest.raises(RegressError) as info:
+        select_lambda(X, y, runs=2, folds=3, seed=3)
+    assert str(info.value) == ("CV run 2, fold 3: the 4 held-out targets are all 2.5, "
+                               "and R^2 is undefined for zero-variance targets")
+    assert not paths
 
 
 def test_cv_rejects_a_protocol_it_cannot_run():
@@ -530,3 +570,69 @@ def test_each_path_point_matches_a_one_penalty_path(problem):
         a = objective(X, y, point, lam, penalize_bias)
         b = objective(X, y, alone, lam, penalize_bias)
         assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)) + 1e-15
+
+
+# -- bit for bit against the stacked-right-hand-side path -------------------------
+
+
+@st.composite
+def path_designs(draw, n_min: int = 2):
+    """Small designs with an exactly duplicated column and a column that is
+    a multiple of another among them, and penalties that include 0."""
+    n = draw(st.integers(n_min, n_min + 8))
+    base = draw(st.integers(1, 3))
+    cells = st.one_of(st.integers(0, 3).map(float), st.floats(-2.0, 2.0, allow_nan=False))
+    X = np.array(draw(st.lists(st.lists(cells, min_size=base, max_size=base), min_size=n, max_size=n)))
+    dups = draw(st.lists(st.integers(0, base - 1), max_size=2))
+    multiples = draw(st.lists(st.tuples(st.integers(0, base - 1), st.sampled_from([2.0, -0.5, 3.0, 0.1])),
+                              max_size=2))
+    X = np.column_stack([X] + [X[:, j] for j in dups] + [c * X[:, j] for j, c in multiples])
+    lams = draw(st.lists(st.sampled_from([1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0]), max_size=5, unique=True))
+    lams = draw(st.permutations([0.0] + lams))
+    return X, lams, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(path_designs(), st.data())
+def test_path_points_and_certificates_match_the_reference_bit_for_bit(design, data):
+    X, lams, penalize_bias = design
+    y = np.array(data.draw(st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=len(X), max_size=len(X))))
+    points = lasso_path(X, y, lams, penalize_bias)
+    for lam, point, ref in zip(lams, points, reference_lasso_path(X, y, lams, penalize_bias)):
+        assert np.array_equal(point.w, ref.w) and point.b == ref.b and point.steps == ref.steps
+        h = lasso_fit(X, y, lam, penalize_bias=penalize_bias, start=point)
+        assert h.kkt == reference_path_kkt_violation(X, y, ref, lam, penalize_bias)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(warm_start_problems())
+def test_kkt_violation_matches_the_reference_bit_for_bit(problem):
+    X, y, lam, penalize_bias, start = problem
+    w = np.where(np.arange(len(start.w)) % 2 == 0, start.w, 0.0)  # zero and nonzero weights
+    for h in (start, Hyperplane(w, 0.0), Hyperplane(w, -start.b)):
+        assert kkt_violation(X, y, h, lam, penalize_bias) == reference_path_kkt_violation(X, y, h, lam, penalize_bias)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(path_designs(n_min=6), st.data())
+def test_cv_reports_match_the_reference_bit_for_bit(design, data):
+    X, lams, penalize_bias = design
+    # distinct targets, so that every held-out fold can be scored
+    y = np.array(data.draw(st.lists(st.integers(0, 40), min_size=len(X), max_size=len(X), unique=True))) / 4.0
+    folds, seed = data.draw(st.integers(2, 3)), data.draw(st.integers(0, 2**16))
+    _, reports = select_lambda(X, y, grid=lams, runs=2, folds=folds, seed=seed, penalize_bias=penalize_bias)
+    ref = reference_cv_path(X, y, lams, 2, folds, seed, penalize_bias)
+    assert all(reports[lam] == ref[lam] and reports[lam].to_json() == ref[lam].to_json() for lam in lams)
+
+
+@pytest.mark.parametrize("penalize_bias", [True, False])
+def test_corpus_path_and_selection_match_the_reference_bit_for_bit(cli_corpus, penalize_bias):
+    X, y = cli_corpus
+    grid = lambda_grid()
+    for lam, point, ref in zip(grid, lasso_path(X, y, grid, penalize_bias), reference_lasso_path(X, y, grid, penalize_bias)):
+        assert np.array_equal(point.w, ref.w) and point.b == ref.b and point.steps == ref.steps
+        assert (lasso_fit(X, y, lam, penalize_bias=penalize_bias, start=point).kkt
+                == reference_path_kkt_violation(X, y, ref, lam, penalize_bias))
+    _, reports = select_lambda(X, y, grid=grid, runs=2, seed=0, penalize_bias=penalize_bias)
+    ref = reference_cv_path(X, y, grid, 2, 5, 0, penalize_bias)
+    assert all(reports[lam] == ref[lam] and reports[lam].to_json() == ref[lam].to_json() for lam in grid)

@@ -151,3 +151,20 @@ def test_no_recursive_closure_in_package_source():
     paths = sorted(Path(polyinfer.__file__).parent.glob("*.py"))
     found = [f"{path.name}:{name}" for path in paths for name in recursive_closures(path.read_text())]
     assert not found, found
+
+
+def test_every_config_key_the_cli_reads_is_accepted():
+    # `_read_config` refuses a key outside CONFIG_KEYS, so a key that
+    # `_merged` or `_budget` reads must be in it, and nothing else may be
+    from polyinfer import cli
+
+    calls = [
+        node for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("_merged", "_budget")
+    ]
+    keys = {c.args[2].value for c in calls if isinstance(c.args[2], ast.Constant)}
+    # the one call with a computed key is `_budget` handing its own key on
+    assert [ast.unparse(c) for c in calls if not isinstance(c.args[2], ast.Constant)] == [
+        "_merged(args, config, key, default, cast)"
+    ]
+    assert keys == cli.CONFIG_KEYS

@@ -32,13 +32,15 @@ the summary line differs, it names the summary keys that moved (parent
 A featurize stage runs `featurize` in each checkout on the CLI
 tests' synthetic corpus plus the demo polymer at rho 1 to 4 and compares
 `registry.json` and the matrix CSV byte for byte.  A train stage runs, on
-the same corpus, `train` with `--lambda` and without it (the penalty then
-chosen by cross-validation) and `cv` with its penalty chosen the same
-way, and compares the model files and the cv report byte for byte; when
-one differs, it names the key paths that moved with both values
-(`fit.sweeps: 0 -> absent`).  An infer stage runs `infer --emit-lp --out`
-and `infer --out` in each checkout with the parent's two `train
---lambda`/`train` model files, on windows of +-0.02, +-1e-4 and +-1e-6
+the same corpus, `train` with `--lambda 1e-6`, with `--lambda 0` (the far
+end of the homotopy) and without it (the penalty then chosen by
+cross-validation), and `cv` with its penalty chosen the same way, once on
+3 runs of 5 folds and once on 3 runs of 3 folds with seed 7, and compares
+the model files and the cv reports byte for byte; when one differs, it
+names the key paths that moved with both values (`fit.sweeps: 0 ->
+absent`).  An infer stage runs `infer --emit-lp --out` and `infer --out`
+in each checkout with the parent's `train --lambda 1e-6` and `train`
+model files, on windows of +-0.02, +-1e-4 and +-1e-6
 around the predictions of a few corpus members and on windows beyond
 b + sum|w| on either side (infeasible), and compares the exit codes, both
 `--out` JSON files and the LP text byte for byte, one line per window
@@ -79,9 +81,12 @@ FEATURIZE_RHOS = (1, 2, 3, 4)
 # (command, options, output flag, output file): the train stage's runs
 TRAIN_RUNS = (
     ("train", ("--lambda", "1e-6"), "--out-model", "model-lambda.json"),
+    ("train", ("--lambda", "0"), "--out-model", "model-lambda0.json"),
     ("train", (), "--out-model", "model-selected.json"),
     ("cv", ("--runs", "3"), "--out-report", "cv.json"),
+    ("cv", ("--runs", "3", "--folds", "3", "--seed", "7"), "--out-report", "cv-3-folds.json"),
 )
+INFER_MODELS = ("model-lambda.json", "model-selected.json")  # the train stage's models the infer stage reads
 
 INPUTS = "inputs"  # under --work: the models, specs, corpus and oracle graphs, rebuilt on every run
 SIGNATURE_RHOS = (1, 2, 3)
@@ -257,9 +262,8 @@ def infer_windows(parent: Path, model: Path, members: list[Path]) -> list[tuple[
 def compare_infer(sides: dict[str, Path], work: Path) -> bool:
     graphs = sorted((work / INPUTS / "corpus" / "graphs").glob("*.pmg"))
     members = graphs[::max(len(graphs) // INFER_MEMBERS, 1)][:INFER_MEMBERS]
-    models = [out_name for command, _, _, out_name in TRAIN_RUNS if command == "train"]
     same = True
-    for out_name in models:
+    for out_name in INFER_MODELS:
         model = work / "parent" / "train" / out_name
         if not model.exists():
             print(f"infer {out_name}: no model file from the train stage")
